@@ -90,7 +90,6 @@ from .schutz import (
     HitClopen,
     LocalSchutz,
     UnarySchutz,
-    binary_mul,
     exists_language,
     exists_letter_images,
     exists_profile,
@@ -99,7 +98,6 @@ from .schutz import (
     recognises_exists,
     split_language,
     split_letter_images,
-    unary_mul,
 )
 from .equations import (
     EquationInstance,
@@ -116,4 +114,12 @@ from .equations import (
     separation_witness,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+from types import ModuleType as _ModuleType
+
+# the public names bound above; importing them also binds each submodule
+# here (``langrec.algebra``), and those are not exports
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

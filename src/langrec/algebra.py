@@ -1,19 +1,21 @@
 """Finite quotient-closed Boolean algebras of regular languages.
 
-An algebra is represented by its atoms: the canonical minimal DFAs of
-the classes of the coarsest equivalence refined by every generator and
-all their word quotients.  Atoms partition the universe (all words, or
-all non-empty words in semigroup mode), every member is a union of
-atoms, and membership testing is atom saturation.
-
-The atoms carry a multiplication inherited from word concatenation
-(well-defined because the algebra is quotient-closed); packaged with
-the evaluation morphism this is the algebra's dual recogniser.
+The atoms of such an algebra form a congruence of the free monoid
+(semigroup), so an algebra is stored as its atom machine: the minimal
+automaton whose states are the atoms (plus a start state for the empty
+word in semigroup mode), numbered breadth-first so that atom i is the
+i-th atom met in shortlex order.  Two algebras over one universe are
+equal exactly when their machines are.  A word's atom is one run; a
+language is a member when one walk over the reachable (atom, state of
+L) pairs finds no atom split by it.  Atom DFAs and representative words
+are built on first use.  With atom(u) * atom(v) = atom(uv) and the
+evaluation morphism, the machine is the algebra's dual recogniser.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InvariantError, PreconditionError, ResourceLimitError
@@ -22,55 +24,84 @@ from .languages import (
     Dfa,
     Word,
     _canonical,
-    difference,
-    empty_language,
+    _minimise,
     intersection,
     left_quotient,
     marked_concat,
     nonempty_universal,
     right_quotient,
-    union,
     universal_language,
 )
 from .limits import closure_limit
-from .monoids import FiniteMonoid, FiniteQuotient, MonoidMorphism, all_morphisms
+from .monoids import FiniteMonoid, FiniteQuotient, MonoidMorphism, all_morphisms, generate_closure
 
 _DEFAULT_MAX_ATOMS = 4000
 _MEMBER_LIST_LIMIT = 16
 
 
+def _pairs(
+    t1: Sequence[Sequence[int]], s1: int, t2: Sequence[Sequence[int]], s2: int
+) -> Iterator[tuple[int, int]]:
+    """The states of the product of two automata reachable from (s1, s2)."""
+    k = len(t1[0])
+    seen = {(s1, s2)}
+    stack = [(s1, s2)]
+    while stack:
+        p, q = pair = stack.pop()
+        yield pair
+        r1, r2 = t1[p], t2[q]
+        for c in range(k):
+            nxt = (r1[c], r2[c])
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+
+
 @dataclass(frozen=True)
 class LanguageAlgebra:
     """Quotient-closed Boolean subalgebra of the languages over an
-    alphabet, in atom form.  ``semigroup=True`` makes the universe the
-    non-empty words and complements relative to it."""
+    alphabet, stored as its atom machine.  ``semigroup=True`` makes the
+    universe the non-empty words and complements relative to it; state
+    0 of the machine is then the empty word's, and atom i is state
+    i + 1."""
 
     alphabet: Alphabet
     semigroup: bool
     generators: tuple[Dfa, ...]
-    atoms: tuple[Dfa, ...]
-    atom_reps: tuple[Word, ...]
-
-    @property
-    def universe(self) -> Dfa:
-        return nonempty_universal(self.alphabet) if self.semigroup else universal_language(self.alphabet)
+    transitions: tuple[tuple[int, ...], ...]
 
     @property
     def atom_count(self) -> int:
-        return len(self.atoms)
+        return len(self.transitions) - self.semigroup
+
+    @cached_property
+    def atoms(self) -> tuple[Dfa, ...]:
+        """The atoms as canonical DFAs, in machine order."""
+        return tuple(self.member_from_atoms((i,)) for i in range(self.atom_count))
+
+    @cached_property
+    def atom_reps(self) -> tuple[Word, ...]:
+        """The shortlex-least word of each atom, in increasing order."""
+        words: list[tuple[int, ...]] = [()]
+        for s, row in enumerate(self.transitions):
+            for c, t in enumerate(row):
+                if t == len(words):  # breadth-first numbering: t is new
+                    words.append(words[s] + (c,))
+        return tuple(Word(self.alphabet, w) for w in words[self.semigroup :])
 
     def member_count(self) -> int:
-        return 2 ** len(self.atoms)
+        return 2 ** self.atom_count
 
     def atom_of(self, w: "Word | Iterable[int]") -> int:
         """Index of the atom containing the word."""
         idxs = w.indices if isinstance(w, Word) else tuple(w)
         if self.semigroup and not idxs:
             raise PreconditionError("the empty word is outside a semigroup-mode universe")
-        for i, a in enumerate(self.atoms):
-            if a.accepts(idxs):
-                return i
-        raise InvariantError("atoms fail to cover the universe")
+        t = self.transitions
+        s = 0
+        for c in idxs:
+            s = t[s][c]
+        return s - self.semigroup
 
     def saturation(self, l: Dfa) -> frozenset[int] | None:
         """Atom indices whose union is L, or None when L is not a member."""
@@ -78,27 +109,27 @@ class LanguageAlgebra:
             raise InputError("language alphabet does not match the algebra")
         if self.semigroup and l.accepts(()):
             return None
-        inside: set[int] = set()
-        for i, a in enumerate(self.atoms):
-            hit = not intersection(a, l).is_empty()
-            if hit:
-                if not difference(a, l).is_empty():
-                    return None  # atom split by L
-                inside.add(i)
-        return frozenset(inside)
+        inside: dict[int, bool] = {}
+        for s, q in _pairs(self.transitions, 0, l.transitions, l.initial):
+            hit = q in l.accepting
+            if inside.setdefault(s, hit) != hit:
+                return None  # atom split by L
+        return frozenset(s - self.semigroup for s, hit in inside.items() if hit)
 
     def member(self, l: Dfa) -> bool:
         return self.saturation(l) is not None
 
     def member_from_atoms(self, atom_indices: Iterable[int]) -> Dfa:
-        out = empty_language(self.alphabet)
+        accepting = set()
         for i in atom_indices:
-            out = union(out, self.atoms[i])
-        return out
+            if not 0 <= i < self.atom_count:
+                raise InputError(f"atom index {i} out of range")
+            accepting.add(i + self.semigroup)
+        return _canonical(self.alphabet, self.transitions, accepting, 0)
 
     def members(self, max_atoms: int = _MEMBER_LIST_LIMIT) -> Iterator[Dfa]:
         """All members, smallest saturations first; guarded against blowup."""
-        n = len(self.atoms)
+        n = self.atom_count
         if n > max_atoms:
             raise ResourceLimitError(
                 f"member list of 2^{n} languages exceeds the materialisation bound"
@@ -108,21 +139,30 @@ class LanguageAlgebra:
 
     def __repr__(self) -> str:
         mode = "semigroup" if self.semigroup else "monoid"
-        return f"LanguageAlgebra({self.alphabet!r}, {mode}, atoms={len(self.atoms)})"
+        return f"LanguageAlgebra({self.alphabet!r}, {mode}, atoms={self.atom_count})"
 
 
 def algebra_equal(b1: LanguageAlgebra, b2: LanguageAlgebra) -> bool:
-    """Equality of algebras via their canonical atom lists."""
+    """Equality of algebras via their canonical atom machines."""
     return (
         b1.alphabet == b2.alphabet
         and b1.semigroup == b2.semigroup
-        and b1.atoms == b2.atoms
+        and b1.transitions == b2.transitions
     )
 
 
 def algebra_leq(b1: LanguageAlgebra, b2: LanguageAlgebra) -> bool:
-    """Whether every member of b1 is a member of b2 (atom refinement)."""
-    return all(b2.member(a) for a in b1.atoms)
+    """Whether every member of b1 is a member of b2: the words that lead
+    b2's machine to one state all lead b1's machine to one state."""
+    if b1.alphabet != b2.alphabet:
+        raise InputError("algebras over different alphabets")
+    if b2.semigroup and not b1.semigroup:
+        return False  # b1's universe holds the empty word, b2's does not
+    outer: dict[int, int] = {}
+    for s1, s2 in _pairs(b1.transitions, 0, b2.transitions, 0):
+        if outer.setdefault(s2, s1) != s1:
+            return False
+    return True
 
 
 # -- construction ---------------------------------------------------------
@@ -165,17 +205,15 @@ def _refinement(
     family: Sequence[Dfa],
     alph: Alphabet,
     max_states: int,
-) -> tuple[list[list[int]], list[tuple], list[tuple[int, ...]], dict[tuple, int]]:
+) -> tuple[list[list[int]], list[tuple]]:
     """Reachable product automaton of the family.
 
-    Returns (delta, state_labels, state_words, label_index) where a
-    label is the membership profile of the words reaching that state
-    and state_words holds the shortest-lex word per state."""
+    Returns (delta, state_labels) where a label is the membership
+    profile of the words reaching that state."""
     k = len(alph)
     start = tuple(d.initial for d in family)
     states = [start]
     pos = {start: 0}
-    words: list[tuple[int, ...]] = [()]
     delta: list[list[int]] = []
     i = 0
     while i < len(states):
@@ -192,7 +230,6 @@ def _refinement(
                     )
                 pos[t] = j
                 states.append(t)
-                words.append(words[i] + (c,))
             row.append(j)
         delta.append(row)
         i += 1
@@ -200,10 +237,7 @@ def _refinement(
     labels = [
         tuple(q in d.accepting for d, q in zip(family, s)) for s in states
     ]
-    label_index: dict[tuple, int] = {}
-    for i, lab in enumerate(labels):
-        label_index.setdefault(lab, i)
-    return delta, labels, words, label_index
+    return delta, labels
 
 
 def generate_algebra(
@@ -215,7 +249,13 @@ def generate_algebra(
     max_states: int | None = None,
     max_atoms: int = _DEFAULT_MAX_ATOMS,
 ) -> LanguageAlgebra:
-    """Smallest quotient-closed Boolean algebra containing the generators."""
+    """Smallest quotient-closed Boolean algebra containing the generators.
+
+    The quotient closure of the generators is closed under right
+    quotients by letters, so a word's membership profile fixes the
+    profile of each one-letter extension: the profiles label the atoms
+    of the refinement automaton, and minimising it by them gives the
+    atom machine."""
     if alph is None:
         if not generators:
             raise InputError("need an alphabet when no generators are given")
@@ -229,29 +269,16 @@ def generate_algebra(
     # in semigroup mode a guard component separates the empty word from
     # any non-empty word that happens to share its membership profile
     family = ([nonempty_universal(alph)] if semigroup else []) + closure
-    delta, labels, words, label_index = _refinement(
-        family, alph, closure_limit(max_states)
-    )
-
-    atom_labels = [lab for lab in label_index if not semigroup or lab[0]]
-    if len(atom_labels) > max_atoms:
-        raise ResourceLimitError(
-            f"{len(atom_labels)} atoms exceed the bound {max_atoms}"
-        )
-    atoms_with_reps = []
-    for lab in atom_labels:
-        accepting = {i for i, l2 in enumerate(labels) if l2 == lab}
-        dfa = _canonical(alph, delta, accepting, 0)
-        rep = Word(alph, words[label_index[lab]])
-        atoms_with_reps.append((dfa, rep))
-    atoms_with_reps.sort(key=lambda pair: pair[0].sort_key())
-    atoms = tuple(d for d, _ in atoms_with_reps)
-    reps = tuple(r for _, r in atoms_with_reps)
+    delta, labels = _refinement(family, alph, closure_limit(max_states))
+    transitions, _ = _minimise(delta, labels)
+    count = len(transitions) - semigroup
+    if count > max_atoms:
+        raise ResourceLimitError(f"{count} atoms exceed the bound {max_atoms}")
     universe_gens = tuple(
         intersection(g, nonempty_universal(alph)) if semigroup else g
         for g in generators
     )
-    return LanguageAlgebra(alph, semigroup, universe_gens, atoms, reps)
+    return LanguageAlgebra(alph, semigroup, universe_gens, transitions)
 
 
 def trivial_algebra(alph: Alphabet, semigroup: bool = False) -> LanguageAlgebra:
@@ -343,20 +370,16 @@ def dual_recogniser(b: LanguageAlgebra) -> DualRecogniser:
     Well-definedness comes from quotient closure; it is re-checked on
     representatives here and more thoroughly by ``check_dual_well_defined``.
     """
-    n = len(b.atoms)
     reps = b.atom_reps
+    words = [r.indices for r in reps]
     try:
-        table = tuple(
-            tuple(b.atom_of(reps[i] + reps[j]) for j in range(n)) for i in range(n)
-        )
-        identity = None if b.semigroup else b.atom_of(Word(b.alphabet, ()))
+        table = tuple(tuple(b.atom_of(u + v) for v in words) for u in words)
+        identity = None if b.semigroup else 0
         labels = tuple(r.text() for r in reps)
         monoid = FiniteMonoid(table, identity=identity, labels=labels)
     except InputError as exc:
         raise InvariantError(f"atom multiplication is ill-defined: {exc}") from exc
-    letter_images = tuple(
-        b.atom_of(Word(b.alphabet, (c,))) for c in range(len(b.alphabet))
-    )
+    letter_images = tuple(b.atom_of((c,)) for c in range(len(b.alphabet)))
     morphism = MonoidMorphism(b.alphabet, monoid, letter_images)
     return DualRecogniser(b, FiniteQuotient(morphism, reps))
 
@@ -397,8 +420,6 @@ def recognised_algebra(
     classes of words with one evaluation per morphism; these are computed
     directly by closing the tuple of letter evaluations.
     """
-    from .monoids import generate_closure, closure_language
-
     if semigroup is None:
         semigroup = m.is_semigroup
     if semigroup is False and m.is_semigroup:
@@ -416,11 +437,11 @@ def recognised_algebra(
     count = len(closure.elements)
     if count > max_atoms:
         raise ResourceLimitError(f"{count} recognised-algebra atoms exceed {max_atoms}")
-    atoms_with_reps = []
-    for i in range(count):
-        dfa = closure_language(alph, closure, lambda j: j == i)
-        atoms_with_reps.append((dfa, Word(alph, closure.words[i])))
-    atoms_with_reps.sort(key=lambda pair: pair[0].sort_key())
-    atoms = tuple(d for d, _ in atoms_with_reps)
-    reps = tuple(r for _, r in atoms_with_reps)
-    return LanguageAlgebra(alph, semigroup, atoms, atoms, reps)
+    # the closure's Cayley graph, every element its own label; in
+    # semigroup mode a fresh start state reads the empty word
+    delta = closure.delta
+    if semigroup:
+        delta = [[1 + j for j in closure.letter_targets]] + [[1 + j for j in row] for row in delta]
+    transitions, _ = _minimise(delta, range(len(delta)))
+    atoms = LanguageAlgebra(alph, semigroup, (), transitions).atoms
+    return LanguageAlgebra(alph, semigroup, atoms, transitions)

@@ -894,46 +894,32 @@ class VerificationCampaign:
     max_len: int | None = None
 
 
-_RUNNERS: dict[str, Callable[..., Report]] = {
-    "prop2": run_prop2,
-    "thm4": run_thm4,
-    "thm8": run_thm8,
-    "cor9": run_cor9,
-    "thm10": run_thm10,
-    "thm11": run_thm11,
-    "lemmas": run_lemmas,
+# per campaign: its runner, and the runner parameter each CLI flag sets
+_CAMPAIGNS: dict[str, tuple[Callable[..., Report], dict[str, str]]] = {
+    "prop2": (run_prop2, {"samples": "samples", "max_size": "max_monoid", "max_len": "max_len"}),
+    "thm4": (run_thm4, {"samples": "size3_samples", "max_size": "max_size"}),
+    "thm8": (run_thm8, {"samples": "pairs", "max_size": "max_monoid"}),
+    "cor9": (run_cor9, {"samples": "pairs", "max_size": "max_monoid"}),
+    "thm10": (run_thm10, {"samples": "pairs", "max_size": "max_monoid"}),
+    "thm11": (run_thm11, {"samples": "instances", "max_size": "max_joint"}),
+    "lemmas": (run_lemmas, {"samples": "witness_samples", "max_len": "max_len"}),
 }
 
 
 def run_campaign(c: VerificationCampaign) -> Report:
-    if c.theorem not in _RUNNERS:
+    if c.theorem not in _CAMPAIGNS:
         raise InputError(
-            f"unknown campaign {c.theorem!r}; choose from {sorted(_RUNNERS)}"
+            f"unknown campaign {c.theorem!r}; choose from {sorted(_CAMPAIGNS)}"
         )
+    runner, parameters = _CAMPAIGNS[c.theorem]
     kwargs: dict = {"seed": c.seed}
-    if c.theorem == "prop2":
-        if c.samples is not None:
-            kwargs["samples"] = c.samples
-        if c.max_size is not None:
-            kwargs["max_monoid"] = c.max_size
-        if c.max_len is not None:
-            kwargs["max_len"] = c.max_len
-    elif c.theorem == "thm4":
-        if c.samples is not None:
-            kwargs["size3_samples"] = c.samples
-    elif c.theorem in ("thm8", "thm10", "cor9"):
-        if c.samples is not None:
-            kwargs["pairs"] = c.samples
-        if c.max_size is not None:
-            kwargs["max_monoid"] = c.max_size
-    elif c.theorem == "thm11":
-        if c.samples is not None:
-            kwargs["instances"] = c.samples
-        if c.max_size is not None:
-            kwargs["max_joint"] = c.max_size
-    elif c.theorem == "lemmas":
-        if c.max_len is not None:
-            kwargs["max_len"] = c.max_len
-        if c.samples is not None:
-            kwargs["witness_samples"] = c.samples
-    return _RUNNERS[c.theorem](**kwargs)
+    for flag in ("samples", "max_size", "max_len"):
+        value = getattr(c, flag)
+        if value is None:
+            continue
+        if flag not in parameters:
+            raise InputError(
+                f"--{flag.replace('_', '-')} has no meaning for the {c.theorem} campaign"
+            )
+        kwargs[parameters[flag]] = value
+    return runner(**kwargs)

@@ -187,9 +187,6 @@ class Dfa:
         idxs = w.indices if isinstance(w, Word) else tuple(w)
         return self.run(self.initial, idxs) in self.accepting
 
-    def accepts_text(self, text: str) -> bool:
-        return self.accepts(Word.parse(self.alphabet, text))
-
     # -- queries ------------------------------------------------------
 
     def is_empty(self) -> bool:
@@ -216,13 +213,6 @@ class Dfa:
                         new.append(r)
             frontier = new
         return None
-
-    def accepted_upto(self, max_len: int) -> list[tuple[int, ...]]:
-        """All accepted index tuples of length <= max_len, length-lex order."""
-        return [t for t in self.alphabet.tuples_upto(max_len) if self.accepts(t)]
-
-    def sort_key(self) -> tuple:
-        return (self.states, self.transitions, tuple(sorted(self.accepting)))
 
     # -- serialisation ------------------------------------------------
 
@@ -288,12 +278,27 @@ def _canonical(
             if r not in pos:
                 pos[r] = len(order)
                 order.append(r)
-    n = len(order)
-    t = [[pos[transitions[order[i]][c]] for c in range(k)] for i in range(n)]
-    acc = [order[i] in acc_in for i in range(n)]
+    t = [[pos[transitions[q][c]] for c in range(k)] for q in order]
+    acc = [q in acc_in for q in order]
+    new_trans, reps = _minimise(t, acc)
+    new_acc = frozenset(i for i, q in enumerate(reps) if acc[q])
+    return Dfa(alph, len(new_trans), new_trans, new_acc, 0)
 
-    # Moore refinement: split by acceptance, then by successor blocks
-    part = [1 if acc[i] else 0 for i in range(n)]
+
+def _minimise(
+    t: Sequence[Sequence[int]], labels: Sequence
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """Minimal form of a labelled automaton whose states are all reachable
+    from state 0: two states merge when every word leads them to equally
+    labelled states.
+
+    Moore refinement, starting from the blocks of equal labels; the
+    blocks are then numbered breadth-first from state 0's, letters in
+    alphabet order.  Returns the block transition table and, per block,
+    the first state in it."""
+    n = len(t)
+    k = len(t[0])
+    part = labels
     nblocks = len(set(part))
     while True:
         sigs: dict[tuple, int] = {}
@@ -325,10 +330,8 @@ def _canonical(
             if nb not in bpos:
                 bpos[nb] = len(bfs)
                 bfs.append(nb)
-    m = len(bfs)
     new_trans = tuple(tuple(bpos[part[t[rep[b]][c]]] for c in range(k)) for b in bfs)
-    new_acc = frozenset(i for i, b in enumerate(bfs) if acc[rep[b]])
-    return Dfa(alph, m, new_trans, new_acc, 0)
+    return new_trans, [rep[b] for b in bfs]
 
 
 def canonicalise(d: Dfa) -> Dfa:
@@ -457,10 +460,6 @@ def boolean_combine(op: str, l1: Dfa, l2: Dfa | None = None) -> Dfa:
     except KeyError:
         raise InputError(f"unknown Boolean operation {op!r}") from None
     return f(l1, l2)
-
-
-def is_subset(l1: Dfa, l2: Dfa) -> bool:
-    return difference(l1, l2).is_empty()
 
 
 def same_language(l1: Dfa, l2: Dfa) -> bool:

@@ -60,7 +60,8 @@ class FiniteMonoid:
     Associativity is re-checked exhaustively on construction for tables
     up to 1024 elements; larger tables only arise from internal
     constructions that are associative by construction (elementwise
-    products of validated tables, submonoid closures).
+    products of validated tables, submonoid closures), and
+    ``from_json_dict`` refuses them.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -158,6 +159,12 @@ class FiniteMonoid:
     def from_json_dict(cls, data: dict) -> "FiniteMonoid":
         try:
             table = tuple(tuple(int(v) for v in row) for row in data["table"])
+            if len(table) > _ASSOC_CHECK_LIMIT:
+                raise InputError(
+                    f"a monoid file holds at most {_ASSOC_CHECK_LIMIT} elements, "
+                    f"the largest table whose associativity is checked; "
+                    f"this one has {len(table)}"
+                )
             identity = data.get("identity")
             labels = data.get("labels")
             m = cls(

@@ -242,19 +242,6 @@ class HitClopen:
             return bool(s & self.witness)
         return s <= self.witness
 
-    def complement_witness(self, universe: Iterable) -> "HitClopen":
-        """miss(V) = not hit(V^c): swap mode against the given universe."""
-        comp = frozenset(universe) - self.witness
-        return HitClopen("miss" if self.mode == "hit" else "hit", comp)
-
-
-def unary_mul(p, q, product: UnarySchutz):
-    return product.mul(p, q)
-
-
-def binary_mul(p, q, product: BinarySchutz):
-    return product.mul(p, q)
-
 
 # -- the existential-projection recogniser ----------------------------------
 
@@ -430,14 +417,6 @@ class LocalSchutz:
         return closure_language(
             self.alphabet, clo, lambda i: accept(clo.elements[i])
         )
-
-    def split_set(self, element: tuple, letter: "str | int") -> frozenset:
-        a = (
-            self.alphabet.index(letter)
-            if isinstance(letter, str)
-            else letter
-        )
-        return element[0][a]
 
 
 def _local_mul(m1: FiniteMonoid, m2: FiniteMonoid, p: tuple, q: tuple) -> tuple:

@@ -1,12 +1,18 @@
+import functools
+import random
+
 import pytest
 
 from langrec import (
     Alphabet,
+    Dfa,
     FiniteMonoid,
+    InputError,
     Word,
     algebra_equal,
     algebra_leq,
     check_dual_well_defined,
+    difference,
     dual_recogniser,
     empty_language,
     epsilon_language,
@@ -101,6 +107,12 @@ class TestMembership:
         alg = generate_algebra([l])
         # words starting with a split the b* atom (b* contains ε and b)
         assert not membership(regex_to_dfa("a(a|b)*", AB), alg)
+
+    def test_member_from_unknown_atom_refused(self):
+        alg = generate_algebra([regex_to_dfa("a(a|b)*", AB)], semigroup=True)
+        for i in (-1, alg.atom_count):
+            with pytest.raises(InputError):
+                alg.member_from_atoms([i])
 
 
 class TestDualRecogniser:
@@ -226,3 +238,89 @@ class TestRecognisedAlgebraResource:
         z3 = FiniteMonoid(((0, 1, 2), (1, 2, 0), (2, 0, 1)), identity=0)
         with pytest.raises(ResourceLimitError):
             recognised_algebra(z3, AB, max_atoms=2)
+
+
+# -- the atom machine ------------------------------------------------------
+
+CORPUS_ALGEBRAS = {
+    f"{'semigroup' if semigroup else 'monoid'}-{'+'.join(gens) or 'trivial'}": generate_algebra(
+        [regex_to_dfa(g, AB) for g in gens], AB, semigroup=semigroup
+    )
+    for semigroup in (False, True)
+    for gens in ((), ("(a|b)*a(a|b)*",), ("(ab)*",), ("(aa)*", "b*"), ("a(a|b)*", "b*"))
+}
+corpus_algebra = pytest.mark.parametrize(
+    "alg", list(CORPUS_ALGEBRAS.values()), ids=list(CORPUS_ALGEBRAS)
+)
+
+
+def saturation_by_atom_dfas(alg, l):
+    """The atom-DFA definition of saturation: two products per atom."""
+    if alg.semigroup and l.accepts(()):
+        return None
+    inside = set()
+    for i, a in enumerate(alg.atoms):
+        if not intersection(a, l).is_empty():
+            if not difference(a, l).is_empty():
+                return None
+            inside.add(i)
+    return frozenset(inside)
+
+
+def random_minimal_dfa(rng, states):
+    while True:
+        d = Dfa.from_json_dict({
+            "alphabet": ["a", "b"],
+            "states": states,
+            "accepting": [q for q in range(states) if rng.random() < 0.5],
+            "transitions": [[rng.randrange(states) for _ in "ab"] for _ in range(states)],
+        })
+        if d.states == states:
+            return d
+
+
+class TestAtomMachine:
+    @corpus_algebra
+    def test_saturation_matches_atom_dfas(self, alg):
+        rng = random.Random(alg.atom_count)
+        n = alg.atom_count
+        for _ in range(6):
+            subset = frozenset(i for i in range(n) if rng.random() < 0.5)
+            member = alg.member_from_atoms(subset)
+            assert member == functools.reduce(
+                union, (alg.atoms[i] for i in subset), empty_language(AB)
+            )
+            assert alg.saturation(member) == subset == saturation_by_atom_dfas(alg, member)
+        for states in (1, 2, 3, 4, 6):
+            l = random_minimal_dfa(rng, states)
+            assert alg.saturation(l) == saturation_by_atom_dfas(alg, l)
+        for l in (empty_language(AB), universal_language(AB), epsilon_language(AB)):
+            assert alg.saturation(l) == saturation_by_atom_dfas(alg, l)
+
+    @corpus_algebra
+    def test_atoms_in_shortlex_order_of_representatives(self, alg):
+        keys = [(len(w), w.indices) for w in alg.atom_reps]
+        assert keys == sorted(set(keys))
+        assert len(alg.atoms) == len(alg.atom_reps) == alg.atom_count
+        for i, w in enumerate(alg.atom_reps):
+            assert alg.atom_of(w) == i
+            assert alg.atoms[i].shortest_accepted() == w.indices
+
+    def test_leq_matches_atom_membership(self):
+        # b1 <= b2 exactly when every atom of b1 is a member of b2, in
+        # either mode on either side
+        for b1 in CORPUS_ALGEBRAS.values():
+            for b2 in CORPUS_ALGEBRAS.values():
+                assert algebra_leq(b1, b2) == all(
+                    saturation_by_atom_dfas(b2, a) is not None for a in b1.atoms
+                )
+
+    def test_queries_build_no_atom_dfas(self):
+        b = generate_algebra([regex_to_dfa("a*", AB)], AB)
+        alg = schutz_sum(b, b)
+        alg.atom_of(AB.word("abba"))
+        alg.saturation(regex_to_dfa("(a|b)*b", AB))
+        alg.member_from_atoms([0, 3])
+        assert algebra_equal(alg, alg)
+        dual_recogniser(alg)
+        assert "atoms" not in vars(alg)

@@ -171,3 +171,15 @@ class TestVerify:
         assert code == 0
         body = (tmp_path / "verify.prop2.jsonl").read_text()
         assert json.loads(body.strip().splitlines()[-1])["summary"]["ok"] is True
+
+    def test_flag_without_campaign_parameter_is_refused(self):
+        code, out, err = run_cli("verify", "thm8", "--max-len", "1")
+        assert code != 0
+        assert out == ""
+        assert "--max-len" in err and "thm8" in err
+
+    def test_thm4_max_size_reaches_the_campaign(self, capsys):
+        code = main(["verify", "thm4", "--samples", "1", "--max-size", "5000"])
+        summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
+        assert code == 0
+        assert summary["bounds"]["max_size"] == 5000

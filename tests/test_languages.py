@@ -266,3 +266,13 @@ class TestRegexRendering:
         for r in CORPUS_REGEXES:
             d = regex_to_dfa(r, AB)
             assert regex_to_dfa(dfa_to_regex(d), AB) == d
+
+
+def test_package_exports_name_no_module():
+    import types
+
+    import langrec
+
+    modules = [n for n in langrec.__all__ if isinstance(getattr(langrec, n), types.ModuleType)]
+    assert modules == []
+    assert "languages" not in langrec.__all__ and "Dfa" in langrec.__all__

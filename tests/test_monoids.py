@@ -59,6 +59,18 @@ class TestFiniteMonoid:
         with pytest.raises(InputError):
             FiniteMonoid(((0, 0), (0, 0)), identity=0)
 
+    def test_json_table_above_check_limit_refused(self):
+        # x.y = x+1 mod n is not associative; above the checked size the
+        # file is refused for its size, at or below it for associativity
+        def shifted(n):
+            return {"size": n, "identity": None,
+                    "table": [[(x + 1) % n] * n for x in range(n)]}
+
+        with pytest.raises(InputError, match="1024"):
+            FiniteMonoid.from_json_dict(shifted(1025))
+        with pytest.raises(InputError, match="not associative"):
+            FiniteMonoid.from_json_dict(shifted(64))
+
     def test_json_round_trip(self):
         m = FiniteMonoid(((0, 1), (1, 0)), identity=0, labels=("e", "g"))
         assert FiniteMonoid.from_json(m.to_json()) == m
