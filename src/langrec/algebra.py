@@ -25,6 +25,7 @@ from .languages import (
     Word,
     _canonical,
     _minimise,
+    _state_labels,
     intersection,
     left_quotient,
     marked_concat,
@@ -37,24 +38,6 @@ from .monoids import FiniteMonoid, FiniteQuotient, MonoidMorphism, all_morphisms
 
 _DEFAULT_MAX_ATOMS = 4000
 _MEMBER_LIST_LIMIT = 16
-
-
-def _pairs(
-    t1: Sequence[Sequence[int]], s1: int, t2: Sequence[Sequence[int]], s2: int
-) -> Iterator[tuple[int, int]]:
-    """The states of the product of two automata reachable from (s1, s2)."""
-    k = len(t1[0])
-    seen = {(s1, s2)}
-    stack = [(s1, s2)]
-    while stack:
-        p, q = pair = stack.pop()
-        yield pair
-        r1, r2 = t1[p], t2[q]
-        for c in range(k):
-            nxt = (r1[c], r2[c])
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
 
 
 @dataclass(frozen=True)
@@ -107,13 +90,9 @@ class LanguageAlgebra:
         """Atom indices whose union is L, or None when L is not a member."""
         if l.alphabet != self.alphabet:
             raise InputError("language alphabet does not match the algebra")
-        if self.semigroup and l.accepts(()):
-            return None
-        inside: dict[int, bool] = {}
-        for s, q in _pairs(self.transitions, 0, l.transitions, l.initial):
-            hit = q in l.accepting
-            if inside.setdefault(s, hit) != hit:
-                return None  # atom split by L
+        inside = _state_labels(self.transitions, l.transitions, l.initial, l.accepting.__contains__)
+        if inside is None or (self.semigroup and inside[0]):
+            return None  # an atom split by L, or the empty word in L
         return frozenset(s - self.semigroup for s, hit in inside.items() if hit)
 
     def member(self, l: Dfa) -> bool:
@@ -158,11 +137,7 @@ def algebra_leq(b1: LanguageAlgebra, b2: LanguageAlgebra) -> bool:
         raise InputError("algebras over different alphabets")
     if b2.semigroup and not b1.semigroup:
         return False  # b1's universe holds the empty word, b2's does not
-    outer: dict[int, int] = {}
-    for s1, s2 in _pairs(b1.transitions, 0, b2.transitions, 0):
-        if outer.setdefault(s2, s1) != s1:
-            return False
-    return True
+    return _state_labels(b2.transitions, b1.transitions, 0, lambda s: s) is not None
 
 
 # -- construction ---------------------------------------------------------
@@ -437,11 +412,8 @@ def recognised_algebra(
     count = len(closure.elements)
     if count > max_atoms:
         raise ResourceLimitError(f"{count} recognised-algebra atoms exceed {max_atoms}")
-    # the closure's Cayley graph, every element its own label; in
-    # semigroup mode a fresh start state reads the empty word
-    delta = closure.delta
-    if semigroup:
-        delta = [[1 + j for j in closure.letter_targets]] + [[1 + j for j in row] for row in delta]
+    # the closure's Cayley graph, every state its own label
+    delta = closure.cayley_graph()
     transitions, _ = _minimise(delta, range(len(delta)))
     atoms = LanguageAlgebra(alph, semigroup, (), transitions).atoms
     return LanguageAlgebra(alph, semigroup, atoms, transitions)

@@ -125,9 +125,11 @@ def _write_algebra(args, prefix: str, alg: LanguageAlgebra) -> None:
 
 def _cmd_construct(args) -> int:
     kind = args.kind
+    if args.max_size is not None and kind in ("quotient", "algebra", "bsum", "dualrec"):
+        raise InputError(f"--max-size has no meaning for the {kind} construction")
     if kind == "synmon":
         l = _load_dfa(args)
-        syn = syntactic_monoid(l)
+        syn = syntactic_monoid(l, max_size=args.max_size)
         _write(args, "synmon.monoid.json", _dump(syn.monoid.to_json_dict()))
         _write(args, "synmon.recogniser.json", _dump({
             "alphabet": list(l.alphabet.letters),
@@ -148,7 +150,7 @@ def _cmd_construct(args) -> int:
         print(f"{side} quotient by {w.text()}: {result.states} states")
     elif kind == "exists":
         l = _load_dfa(args)
-        result = exists_projection(l)
+        result = exists_projection(l, max_states=args.max_size)
         _write(args, "exists.dfa.json", _dump(result.to_json_dict()))
         print(f"existential projection: {result.states} states, "
               f"regex {dfa_to_regex(result)}")
@@ -239,11 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--samples", type=int, help="instance count override")
     v.add_argument("--max-size", type=int, help="size bound override")
     v.add_argument("--max-len", type=int, help="word length bound override")
-    group = v.add_mutually_exclusive_group()
-    group.add_argument("--json", action="store_true", default=True,
-                       help="JSON-lines report (default)")
-    group.add_argument("--pretty", action="store_true",
-                       help="human-readable report")
+    v.add_argument("--pretty", action="store_true",
+                   help="human-readable report instead of JSON lines")
     v.add_argument("--out", help="write the report into this directory")
     v.set_defaults(func=_cmd_verify)
     return parser

@@ -30,6 +30,8 @@ from .algebra import LanguageAlgebra, schutz_sum, trivial_algebra
 from .languages import (
     Dfa,
     Word,
+    _pairs,
+    _state_labels,
     difference,
     intersection,
     marked_concat,
@@ -126,14 +128,21 @@ def prefix_classes(mu: UltrafilterApprox, letter: "str | int") -> frozenset[int]
 
 
 def _atom_map(q: FiniteQuotient, b: LanguageAlgebra) -> list[int]:
-    """B-atom of each quotient element, via representatives; requires the
-    quotient to recognise every atom of B (checked)."""
-    for atom in b.atoms:
-        if q.saturation(atom) is None:
-            raise PreconditionError(
-                "quotient does not recognise the algebra; equations undetermined"
-            )
-    return [b.atom_of(rep) for rep in q.reps]
+    """B-atom of each quotient element, by one walk over the reachable
+    pairs (element, state of B's atom machine).  Refused unless the
+    quotient recognises every atom of B, that is, unless the words of
+    each element lie in one atom."""
+    image = q.morphism.image()
+    # a quotient and an algebra of different modes disagree on the empty word
+    states = image.unit_first != b.semigroup and _state_labels(
+        image.cayley_graph(), b.transitions, 0, lambda s: s
+    )
+    if not states:
+        raise PreconditionError(
+            "quotient does not recognise the algebra; equations undetermined"
+        )
+    off = b.semigroup  # in semigroup mode state 0 of both machines reads only ε
+    return [states[image.index[x] + off] - off for x in range(q.monoid.size)]
 
 
 def in_equation_set(e: EquationInstance, b: LanguageAlgebra) -> bool:
@@ -250,17 +259,23 @@ def bsum2_membership_direct(k: Dfa, b: LanguageAlgebra, **bounds) -> bool:
 def separation_witness(
     k: Dfa, b: LanguageAlgebra, **bounds
 ) -> tuple[Word, Word] | None:
-    """If the candidate is outside the sum, two words in one atom of the
-    sum's refinement with opposite candidate membership; None otherwise."""
+    """If the candidate is outside the sum, the shortlex-least words in
+    and out of K of the least atom of the sum that K splits; None
+    otherwise.  One walk over the reachable pairs (atom, state of K)
+    finds the split atoms; only the least one's DFA is built."""
+    if k.alphabet != b.alphabet:
+        raise InputError("candidate and algebra must share an alphabet")
     total = schutz_sum(b, trivial_algebra(b.alphabet, b.semigroup), **bounds)
-    for atom in total.atoms:
-        inside = intersection(atom, k)
-        outside = difference(atom, k)
-        if not inside.is_empty() and not outside.is_empty():
-            u = inside.shortest_accepted()
-            v = outside.shortest_accepted()
-            return (Word(k.alphabet, u), Word(k.alphabet, v))
-    return None
+    verdicts: dict[int, set[bool]] = {}
+    for s, q in _pairs(total.transitions, 0, k.transitions, k.initial):
+        verdicts.setdefault(s, set()).add(q in k.accepting)
+    split = [s for s, v in verdicts.items() if len(v) == 2]
+    if not split:
+        return None
+    atom = total.member_from_atoms([min(split) - total.semigroup])
+    u = intersection(atom, k).shortest_accepted()
+    v = difference(atom, k).shortest_accepted()
+    return (Word(k.alphabet, u), Word(k.alphabet, v))
 
 
 # -- lemma-level checks ------------------------------------------------------
@@ -299,18 +314,6 @@ def lemma_factor_violations(
     return out
 
 
-def factorization_witness(
-    q: FiniteQuotient, b: LanguageAlgebra, point: int, letter: "str | int", atom: int
-) -> FactorizationClass | None:
-    """A factorisation of the point at the letter whose prefix side lies
-    in the given atom, if one exists."""
-    atom_of = _atom_map(q, b)
-    for f in factorizations(q, point, letter):
-        if atom_of[f.prefix_class] == atom:
-            return f
-    return None
-
-
 def lemma_witness_check(
     q: FiniteQuotient, b: LanguageAlgebra, point: int, letter: "str | int"
 ) -> bool:
@@ -321,17 +324,11 @@ def lemma_witness_check(
     such a containment."""
     a = q.alphabet.index(letter) if isinstance(letter, str) else letter
     univ = universal_language(b.alphabet)
-    rep = q.reps[point]
     atom_of = _atom_map(q, b)
     reached = {atom_of[p] for p in prefix_classes(UltrafilterApprox(q, point), a)}
     for i, atom in enumerate(b.atoms):
-        ext = marked_concat(atom, a, univ)
-        sat = q.saturation(ext)
-        if sat is None:
-            return False  # quotient too coarse for this check
-        inside = point in sat
-        if inside and factorization_witness(q, b, point, a, i) is None:
-            return False
-        if not inside and i in reached:
+        sat = q.saturation(marked_concat(atom, a, univ))
+        # None: the quotient is too coarse for this check
+        if sat is None or (point in sat) != (i in reached):
             return False
     return True

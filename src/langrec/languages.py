@@ -334,6 +334,39 @@ def _minimise(
     return new_trans, [rep[b] for b in bfs]
 
 
+def _pairs(
+    t1: Sequence[Sequence[int]], s1: int, t2: Sequence[Sequence[int]], s2: int
+) -> Iterator[tuple[int, int]]:
+    """The states of the product of two automata reachable from (s1, s2)."""
+    k = len(t1[0])
+    seen = {(s1, s2)}
+    stack = [(s1, s2)]
+    while stack:
+        p, q = pair = stack.pop()
+        yield pair
+        r1, r2 = t1[p], t2[q]
+        for c in range(k):
+            nxt = (r1[c], r2[c])
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+
+
+def _state_labels(
+    t: Sequence[Sequence[int]], u: Sequence[Sequence[int]], start: int, label: Callable
+) -> dict[int, object] | None:
+    """For each state of automaton t run from state 0, the label of the
+    states that its words lead automaton u to from ``start``; None as
+    soon as the words of one state reach two labels.  With u a DFA of L
+    labelled by acceptance: whether each state's words lie in L."""
+    out: dict[int, object] = {}
+    for p, q in _pairs(t, 0, u, start):
+        v = label(q)
+        if out.setdefault(p, v) != v:
+            return None
+    return out
+
+
 def canonicalise(d: Dfa) -> Dfa:
     return _canonical(d.alphabet, d.transitions, d.accepting, d.initial)
 

@@ -15,7 +15,7 @@ from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .languages import Alphabet, Dfa, Word, _canonical
+from .languages import Alphabet, Dfa, Word, _canonical, _state_labels
 from .limits import closure_limit
 
 # Above this size the exhaustive triple loop switches to a vectorised
@@ -285,30 +285,13 @@ class MonoidMorphism:
     def __call__(self, w: "Word | Iterable[int]") -> int:
         return self.evaluate(w)
 
-    def image_witnesses(self) -> list[tuple[int, tuple[int, ...]]]:
-        """Reachable image elements with shortest-lex witness words."""
-        k = len(self.alphabet)
-        table = self.target.table
-        items: list[tuple[int, tuple[int, ...]]] = []
-        seen: dict[int, tuple[int, ...]] = {}
-
-        def intern(x: int, w: tuple[int, ...]) -> None:
-            if x not in seen:
-                seen[x] = w
-                items.append((x, w))
-
-        if self.target.identity is not None:
-            intern(self.target.identity, ())
-        else:
-            for c in range(k):
-                intern(self.letter_images[c], (c,))
-        i = 0
-        while i < len(items):
-            x, w = items[i]
-            for c in range(k):
-                intern(table[x][self.letter_images[c]], w + (c,))
-            i += 1
-        return items
+    def image(self) -> "GeneratedClosure":
+        """The image submonoid (subsemigroup), generated by the letter
+        images; its elements are element indices of the target."""
+        m = self.target
+        return generate_closure(
+            self.letter_images, lambda x, y: m.table[x][y], m.identity, max_size=m.size
+        )
 
     def preimage(self, accept: Iterable[int]) -> Dfa:
         """Canonical DFA of the inverse image of a set of elements."""
@@ -316,30 +299,8 @@ class MonoidMorphism:
         for v in want:
             if not (0 <= v < self.target.size):
                 raise InputError(f"element {v} out of range")
-        table = self.target.table
-        k = len(self.alphabet)
-        semigroup = self.target.identity is None
-        items = self.image_witnesses()
-        pos = {x: i for i, (x, _) in enumerate(items)}
-        trans = [
-            [pos[table[x][self.letter_images[c]]] for c in range(k)] for x, _ in items
-        ]
-        acc = {i for i, (x, _) in enumerate(items) if x in want}
-        if not semigroup:
-            return _canonical(self.alphabet, trans, acc, 0)
-        # the empty word has no image: prepend a fresh start state
-        full = [[pos[self.letter_images[c]] + 1 for c in range(k)]]
-        for row in trans:
-            full.append([t + 1 for t in row])
-        return _canonical(self.alphabet, full, {i + 1 for i in acc}, 0)
-
-    def recognises(self, l: Dfa) -> frozenset[int] | None:
-        """The accepting set V with h^-1(V) = L, or None if L is not
-        recognised at this resolution (checked exactly)."""
-        if l.alphabet != self.alphabet:
-            raise InputError("language alphabet does not match the morphism")
-        candidates = {x for x, w in self.image_witnesses() if l.accepts(w)}
-        return frozenset(candidates) if self.preimage(candidates) == l else None
+        image = self.image()
+        return closure_language(self.alphabet, image, lambda i: image.elements[i] in want)
 
 
 def recognised_language(h: MonoidMorphism, accept: Iterable[int]) -> Dfa:
@@ -444,6 +405,13 @@ class GeneratedClosure:
     letter_targets: list[int]
     unit_first: bool
 
+    def cayley_graph(self) -> list[list[int]]:
+        """Transitions from the empty word's state 0: the unit in monoid
+        mode, else a fresh start state, and element i is state i + 1."""
+        if self.unit_first:
+            return self.delta
+        return [[1 + j for j in self.letter_targets]] + [[1 + j for j in row] for row in self.delta]
+
 
 def generate_closure(
     images: Sequence,
@@ -487,13 +455,9 @@ def closure_language(
     alph: Alphabet, closure: GeneratedClosure, accept: Callable[[int], bool]
 ) -> Dfa:
     """Canonical DFA of the words whose closure class satisfies ``accept``."""
-    acc = {i for i in range(len(closure.elements)) if accept(i)}
-    if closure.unit_first:
-        return _canonical(alph, closure.delta, acc, 0)
-    # semigroup mode: fresh start state for the empty word
-    first = [1 + closure.letter_targets[c] for c in range(len(alph))]
-    trans = [first] + [[1 + t for t in row] for row in closure.delta]
-    return _canonical(alph, trans, {1 + i for i in acc}, 0)
+    off = not closure.unit_first
+    acc = {i + off for i in range(len(closure.elements)) if accept(i)}
+    return _canonical(alph, closure.cayley_graph(), acc, 0)
 
 
 @dataclass(frozen=True)
@@ -518,11 +482,17 @@ class FiniteQuotient:
 
     def saturation(self, l: Dfa) -> frozenset[int] | None:
         """Accepting set realising L through this quotient, or None when L
-        is not a union of classes."""
-        want = frozenset(
-            i for i, rep in enumerate(self.reps) if l.accepts(rep)
-        )
-        return want if self.morphism.preimage(want) == l else None
+        is not a union of classes: one walk over the reachable pairs
+        (class, state of L), as in ``LanguageAlgebra.saturation``."""
+        if l.alphabet != self.alphabet:
+            raise InputError("language alphabet does not match the quotient")
+        image = self.morphism.image()
+        off = not image.unit_first
+        accept = l.accepting.__contains__
+        inside = _state_labels(image.cayley_graph(), l.transitions, l.initial, accept)
+        if inside is None or (off and inside[0]):
+            return None  # a class split by L, or the empty word in L
+        return frozenset(image.elements[s - off] for s, hit in inside.items() if hit)
 
 
 def quotient_from_closure(

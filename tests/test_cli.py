@@ -128,6 +128,49 @@ class TestConstruct:
         p.write_text(z7.to_json())
         assert main(["construct", "schutz1", "--input", str(p), "--out", str(tmp_path)]) == 3
 
+    def test_synmon_max_size_bounds_the_monoid(self, tmp_path):
+        # the syntactic monoid of a(a|b)* has 3 elements
+        args = ["construct", "synmon", "--regex", "a(a|b)*", "--alphabet", "a,b",
+                "--out", str(tmp_path), "--max-size"]
+        assert main(args + ["2"]) == 3
+        assert not (tmp_path / "synmon.monoid.json").exists()
+        assert main(args + ["3"]) == 0
+        monoid = FiniteMonoid.from_json((tmp_path / "synmon.monoid.json").read_text())
+        assert monoid.size == 3
+
+    def test_exists_max_size_bounds_the_subset_construction(self, tmp_path):
+        ext_dfa = regex_to_dfa(
+            "('a#0'|'b#0')* 'a#1' ('a#0'|'b#0')*",
+            Alphabet(("a#0", "a#1", "b#0", "b#1")),
+        )
+        src = tmp_path / "marked.dfa.json"
+        src.write_text(ext_dfa.to_json())
+        args = ["construct", "exists", "--input", str(src), "--out", str(tmp_path), "--max-size"]
+        assert main(args + ["3"]) == 3
+        assert not (tmp_path / "exists.dfa.json").exists()
+        assert main(args + ["4"]) == 0
+        got = Dfa.from_json((tmp_path / "exists.dfa.json").read_text())
+        assert got == regex_to_dfa("(a|b)*a(a|b)*", AB)
+
+    def test_max_size_refused_where_nothing_is_bounded(self, tmp_path):
+        alg_file = tmp_path / "alg.json"
+        alg_file.write_text(json.dumps({"alphabet": ["a", "b"], "generators": ["a*"]}))
+        inputs = {
+            "quotient": ["--regex", "a*", "--alphabet", "a,b", "--word", "a"],
+            "algebra": ["--input", str(alg_file)],
+            "bsum": ["--input", str(alg_file), "--input2", str(alg_file)],
+            "dualrec": ["--input", str(alg_file)],
+        }
+        for kind, extra in inputs.items():
+            out = tmp_path / kind
+            code, stdout, err = run_cli(
+                "construct", kind, *extra, "--max-size", "1", "--out", str(out)
+            )
+            assert code == 2, kind
+            assert "--max-size" in err and kind in err
+            assert stdout == "" and not out.exists()
+            assert main(["construct", kind, *extra, "--out", str(out)]) == 0
+
 
 class TestVerify:
     def test_report_is_json_lines(self, capsys):
@@ -177,6 +220,12 @@ class TestVerify:
         assert code != 0
         assert out == ""
         assert "--max-len" in err and "thm8" in err
+
+    def test_json_flag_is_gone(self):
+        # JSON lines are the only default; the old --json flag did nothing
+        code, out, err = run_cli("verify", "prop2", "--samples", "1", "--json")
+        assert code == 2
+        assert out == "" and "--json" in err
 
     def test_thm4_max_size_reaches_the_campaign(self, capsys):
         code = main(["verify", "thm4", "--samples", "1", "--max-size", "5000"])

@@ -11,6 +11,7 @@ from langrec import (
     bsum2_membership_by_equations,
     bsum2_membership_direct,
     bsum2_quotient,
+    dual_recogniser,
     equation_set,
     factorizations,
     generate_algebra,
@@ -24,8 +25,9 @@ from langrec import (
     trivial_algebra,
     universal_language,
 )
-from langrec.equations import lemma_factor_violations, lemma_witness_check
-from langrec.campaigns import corpus_dfas
+from langrec.equations import _atom_map, lemma_factor_violations, lemma_witness_check
+from langrec.campaigns import corpus_dfas, random_regex
+from langrec.languages import difference, intersection
 
 AB = Alphabet(("a", "b"))
 A1 = Alphabet(("a",))
@@ -33,6 +35,18 @@ A1 = Alphabet(("a",))
 
 def points(q, *texts):
     return [UltrafilterApprox.of_word(q, Word.parse(q.alphabet, t)) for t in texts]
+
+
+def separation_by_atom_dfas(k, b):
+    """The per-atom search: the first atom of the sum, in atom order,
+    that K splits, with its shortlex-least words in and out of K."""
+    total = schutz_sum(b, trivial_algebra(b.alphabet, b.semigroup))
+    for i, atom in enumerate(total.atoms):
+        inside, outside = intersection(atom, k), difference(atom, k)
+        if not inside.is_empty() and not outside.is_empty():
+            u, v = inside.shortest_accepted(), outside.shortest_accepted()
+            return i, (Word(k.alphabet, u), Word(k.alphabet, v))
+    return None, None
 
 
 class TestSatisfiesEquation:
@@ -193,6 +207,54 @@ class TestSeparationWitness:
                 u, v = pair
                 assert k.accepts(u) != k.accepts(v)
                 assert total.atom_of(u) == total.atom_of(v)
+
+
+    def test_matches_the_per_atom_search(self):
+        rng = random.Random(11)
+        pool = ((), ("a*",), ("(a|b)*a",), ("(ab)*",), ("b(a|b)*",))
+        split_atoms = []
+        for n in range(16):
+            semigroup = n % 4 == 3
+            gens = [regex_to_dfa(g, AB) for g in rng.choice(pool)]
+            b = generate_algebra(gens, AB, semigroup=semigroup)
+            k = regex_to_dfa(random_regex(rng, AB, 3), AB)
+            index, pair = separation_by_atom_dfas(k, b)
+            assert separation_witness(k, b) == pair
+            split_atoms.append(index)
+        # members occur, and refusals whose least split atom is not atom 0
+        assert None in split_atoms
+        assert any(i for i in split_atoms if i is not None)
+
+
+class TestAtomMap:
+    def test_matches_representatives(self):
+        for gens in ((), ("(a|b)*a(a|b)*",), ("b*", "(ab)*")):
+            b = generate_algebra([regex_to_dfa(g, AB) for g in gens], AB)
+            q = bsum2_quotient(regex_to_dfa("(a|b)*ab", AB), b)
+            assert _atom_map(q, b) == [b.atom_of(rep) for rep in q.reps]
+
+    def test_semigroup_mode_matches_representatives(self):
+        b = generate_algebra([regex_to_dfa("(ab)*", AB)], AB, semigroup=True)
+        finer = generate_algebra([regex_to_dfa(g, AB) for g in ("(ab)*", "a*")], AB, semigroup=True)
+        q = dual_recogniser(finer).quotient
+        assert _atom_map(q, b) == [b.atom_of(rep) for rep in q.reps]
+
+    def test_too_coarse_quotient_is_refused(self):
+        q = joint_quotient([universal_language(AB)])
+        b = generate_algebra([regex_to_dfa("(a|b)*a", AB)], AB)
+        e = EquationInstance(UltrafilterApprox(q, 0), UltrafilterApprox(q, 0))
+        with pytest.raises(PreconditionError):
+            in_equation_set(e, b)
+        with pytest.raises(PreconditionError):
+            equation_set(q, b)
+
+    def test_quotient_of_the_other_mode_is_refused(self):
+        gens = [regex_to_dfa("(a|b)*a", AB)]
+        semigroup_q = dual_recogniser(generate_algebra(gens, AB, semigroup=True)).quotient
+        with pytest.raises(PreconditionError):
+            equation_set(semigroup_q, generate_algebra(gens, AB))
+        with pytest.raises(PreconditionError):
+            equation_set(joint_quotient(gens), generate_algebra(gens, AB, semigroup=True))
 
 
 class TestLemmaChecks:

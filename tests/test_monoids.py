@@ -12,7 +12,9 @@ from langrec import (
     ResourceLimitError,
     Word,
     all_morphisms,
+    dual_recogniser,
     empty_language,
+    epsilon_language,
     enumerate_monoids,
     enumerate_semigroups,
     generate_algebra,
@@ -280,3 +282,51 @@ class TestJointQuotient:
         sat = q.saturation(l)
         assert sat is not None
         assert q.saturation(regex_to_dfa("a(a|b)*", AB)) is None
+
+
+def saturation_by_representatives(q, l):
+    """The representative rule: the classes whose representatives lie in
+    L, kept when their preimage is L."""
+    want = frozenset(i for i, rep in enumerate(q.reps) if l.accepts(rep))
+    return want if q.morphism.preimage(want) == l else None
+
+
+def random_dfa(rng, states):
+    return Dfa.from_json_dict({
+        "alphabet": ["a", "b"],
+        "states": states,
+        "accepting": [q for q in range(states) if rng.random() < 0.5],
+        "transitions": [[rng.randrange(states) for _ in "ab"] for _ in range(states)],
+    })
+
+
+class TestQuotientSaturation:
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_walk_matches_representative_rule(self, semigroup):
+        rng = random.Random(7)
+        found = set()
+        for gens in (("(a|b)*a",), ("(ab)*", "a*"), ("b(a|b)*b",)):
+            alg = generate_algebra([regex_to_dfa(g, AB) for g in gens], AB, semigroup=semigroup)
+            quotients = [dual_recogniser(alg).quotient]
+            if not semigroup:
+                quotients.append(joint_quotient([regex_to_dfa(g, AB) for g in gens]))
+            for q in quotients:
+                n = q.monoid.size
+                langs = [q.morphism.preimage(x for x in range(n) if rng.random() < 0.5)
+                         for _ in range(4)]
+                langs += [random_dfa(rng, s) for s in (1, 2, 3, 5)]
+                langs += [empty_language(AB), universal_language(AB),
+                          epsilon_language(AB), nonempty_universal(AB)]
+                for l in langs:
+                    sat = q.saturation(l)
+                    assert sat == saturation_by_representatives(q, l)
+                    found.add(sat is None)
+        assert found == {True, False}
+
+    def test_semigroup_mode_refuses_the_empty_word(self):
+        alg = generate_algebra([regex_to_dfa("(a|b)*a", AB)], AB, semigroup=True)
+        q = dual_recogniser(alg).quotient
+        assert q.monoid.identity is None
+        assert q.saturation(nonempty_universal(AB)) == frozenset(range(q.monoid.size))
+        for l in (universal_language(AB), epsilon_language(AB), regex_to_dfa("(a|b)*a|ε", AB)):
+            assert q.saturation(l) is None

@@ -1,0 +1,47 @@
+"""Campaign reports are byte-deterministic: golden digests of a few
+quick default runs, and the failure path of the thm10 check."""
+
+import hashlib
+
+import pytest
+
+from langrec import campaigns
+from langrec.campaigns import run_lemmas, run_thm10, run_thm11
+
+# sha256 of Report.json_lines(); a change here changes a published report
+GOLDEN = {
+    "thm10-seed5-pairs1": (
+        lambda: run_thm10(seed=5, pairs=1),
+        "fa352329b47205c1e782dfb5c5e3f1dcb967c2dd4675b18bb4c754397f93b3d0",
+    ),
+    "thm11-default": (
+        run_thm11,
+        "56b51125506d7d6b4aeccde8acdac57ba7b807eb60d22e3dcc823763c45c184c",
+    ),
+    "lemmas-default": (
+        run_lemmas,
+        "2eb03b2a564c038294e08c85080a57dfb766e0c55c95c3070fe9c29dc9a7c50d",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_digest(name):
+    run, digest = GOLDEN[name]
+    assert hashlib.sha256(run().json_lines().encode("utf-8")).hexdigest() == digest
+
+
+def test_thm10_fails_when_the_algebra_misses_marked_concatenations(monkeypatch):
+    # without its marked concatenations the generated algebra is too
+    # small: the languages the local morphism recognises must fall outside
+    def factors_only(phi1, phi2, **bounds):
+        gens = [phi1.preimage({x}) for x in range(phi1.target.size)]
+        gens += [phi2.preimage({y}) for y in range(phi2.target.size)]
+        return campaigns.generate_algebra(gens, phi1.alphabet, **bounds)
+
+    monkeypatch.setattr(campaigns, "_generated_concat_algebra", factors_only)
+    report = run_thm10(seed=5, pairs=2)
+    assert not report.ok
+    for inst in report.instances:
+        assert inst["status"] == "fail"
+        assert inst["detail"] == "recognised language outside the generated algebra"
