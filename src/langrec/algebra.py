@@ -1,10 +1,16 @@
 """Finite quotient-closed Boolean algebras of regular languages.
 
 The atoms of such an algebra form a congruence of the free monoid
-(semigroup), so an algebra is stored as its atom machine: the minimal
-automaton whose states are the atoms (plus a start state for the empty
-word in semigroup mode), numbered breadth-first so that atom i is the
-i-th atom met in shortlex order.  Two algebras over one universe are
+(semigroup).  For the algebra generated by L1, ..., Lk it is their joint
+syntactic congruence: two words share an atom exactly when they lead
+every state of every generator's canonical DFA to the same state.  The
+atoms are thus the elements of one transition closure of the
+generators, and its Cayley graph is the atom machine.
+
+An algebra is stored as its atom machine: the minimal automaton whose
+states are the atoms (plus a start state for the empty word in
+semigroup mode), numbered breadth-first so that atom i is the i-th
+atom met in shortlex order.  Two algebras over one universe are
 equal exactly when their machines are.  A word's atom is one run; a
 language is a member when one walk over the reachable (atom, state of
 L) pairs finds no atom split by it.  Atom DFAs and representative words
@@ -14,7 +20,7 @@ evaluation morphism, the machine is the algebra's dual recogniser.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -24,17 +30,21 @@ from .languages import (
     Dfa,
     Word,
     _canonical,
-    _minimise,
     _state_labels,
     intersection,
-    left_quotient,
     marked_concat,
     nonempty_universal,
-    right_quotient,
     universal_language,
 )
-from .limits import closure_limit
-from .monoids import FiniteMonoid, FiniteQuotient, MonoidMorphism, all_morphisms, generate_closure
+from .monoids import (
+    FiniteMonoid,
+    FiniteQuotient,
+    GeneratedClosure,
+    MonoidMorphism,
+    _cayley_table,
+    all_morphisms,
+    transition_closure,
+)
 
 _DEFAULT_MAX_ATOMS = 4000
 _MEMBER_LIST_LIMIT = 16
@@ -143,76 +153,21 @@ def algebra_leq(b1: LanguageAlgebra, b2: LanguageAlgebra) -> bool:
 # -- construction ---------------------------------------------------------
 
 
-def _quotient_closure(
-    gens: Sequence[Dfa],
+def _closure_algebra(
     alph: Alphabet,
     semigroup: bool,
-    max_generators: int,
-) -> list[Dfa]:
-    universe = nonempty_universal(alph) if semigroup else universal_language(alph)
-    out: dict[Dfa, None] = {}
-    queue: list[Dfa] = []
-    for g in gens:
-        g = intersection(g, universe) if semigroup else g
-        if g not in out:
-            out[g] = None
-            queue.append(g)
-    i = 0
-    single = [Word(alph, (c,)) for c in range(len(alph))]
-    while i < len(queue):
-        l = queue[i]
-        i += 1
-        for w in single:
-            for q in (left_quotient(w, l), right_quotient(l, w)):
-                if semigroup:
-                    q = intersection(q, universe)
-                if q not in out:
-                    if len(out) >= max_generators:
-                        raise ResourceLimitError(
-                            f"quotient closure exceeded {max_generators} languages"
-                        )
-                    out[q] = None
-                    queue.append(q)
-    return list(out)
-
-
-def _refinement(
-    family: Sequence[Dfa],
-    alph: Alphabet,
-    max_states: int,
-) -> tuple[list[list[int]], list[tuple]]:
-    """Reachable product automaton of the family.
-
-    Returns (delta, state_labels) where a label is the membership
-    profile of the words reaching that state."""
-    k = len(alph)
-    start = tuple(d.initial for d in family)
-    states = [start]
-    pos = {start: 0}
-    delta: list[list[int]] = []
-    i = 0
-    while i < len(states):
-        s = states[i]
-        row = []
-        for c in range(k):
-            t = tuple(d.transitions[q][c] for d, q in zip(family, s))
-            j = pos.get(t)
-            if j is None:
-                j = len(states)
-                if j >= max_states:
-                    raise ResourceLimitError(
-                        f"algebra refinement exceeded {max_states} product states"
-                    )
-                pos[t] = j
-                states.append(t)
-            row.append(j)
-        delta.append(row)
-        i += 1
-
-    labels = [
-        tuple(q in d.accepting for d, q in zip(family, s)) for s in states
-    ]
-    return delta, labels
+    generators: Sequence[Dfa],
+    closure: GeneratedClosure,
+    max_atoms: int,
+) -> LanguageAlgebra:
+    """The algebra whose atoms are the classes of a letter-generated
+    closure.  Distinct elements are distinct atoms and the closure is
+    numbered breadth-first, so its Cayley graph is the atom machine."""
+    count = len(closure.elements)
+    if count > max_atoms:
+        raise ResourceLimitError(f"{count} atoms exceed the bound {max_atoms}")
+    transitions = tuple(map(tuple, closure.cayley_graph()))
+    return LanguageAlgebra(alph, semigroup, tuple(generators), transitions)
 
 
 def generate_algebra(
@@ -220,40 +175,25 @@ def generate_algebra(
     alph: Alphabet | None = None,
     *,
     semigroup: bool = False,
-    max_generators: int | None = None,
     max_states: int | None = None,
     max_atoms: int = _DEFAULT_MAX_ATOMS,
 ) -> LanguageAlgebra:
     """Smallest quotient-closed Boolean algebra containing the generators.
 
-    The quotient closure of the generators is closed under right
-    quotients by letters, so a word's membership profile fixes the
-    profile of each one-letter extension: the profiles label the atoms
-    of the refinement automaton, and minimising it by them gives the
-    atom machine."""
+    Two words lie in one atom exactly when no quotient of a generator
+    separates them, that is, when they share a syntactic class of every
+    generator: the atoms are the elements of the generators' transition
+    closure, and ``max_states`` bounds it."""
     if alph is None:
         if not generators:
             raise InputError("need an alphabet when no generators are given")
         alph = generators[0].alphabet
-    for g in generators:
-        if g.alphabet != alph:
-            raise InputError("generators must share one alphabet")
-    closure = _quotient_closure(
-        generators, alph, semigroup, closure_limit(max_generators)
-    )
-    # in semigroup mode a guard component separates the empty word from
-    # any non-empty word that happens to share its membership profile
-    family = ([nonempty_universal(alph)] if semigroup else []) + closure
-    delta, labels = _refinement(family, alph, closure_limit(max_states))
-    transitions, _ = _minimise(delta, labels)
-    count = len(transitions) - semigroup
-    if count > max_atoms:
-        raise ResourceLimitError(f"{count} atoms exceed the bound {max_atoms}")
-    universe_gens = tuple(
-        intersection(g, nonempty_universal(alph)) if semigroup else g
-        for g in generators
-    )
-    return LanguageAlgebra(alph, semigroup, universe_gens, transitions)
+    # the product with the universe is canonical, as the closure needs,
+    # and in semigroup mode it drops the empty word
+    universe = nonempty_universal(alph) if semigroup else universal_language(alph)
+    generators = [intersection(g, universe) for g in generators]
+    closure = transition_closure(alph, generators, semigroup=semigroup, max_size=max_states)
+    return _closure_algebra(alph, semigroup, generators, closure, max_atoms)
 
 
 def trivial_algebra(alph: Alphabet, semigroup: bool = False) -> LanguageAlgebra:
@@ -342,13 +282,14 @@ class DualRecogniser:
 def dual_recogniser(b: LanguageAlgebra) -> DualRecogniser:
     """Atoms as a finite recogniser: atom(u) * atom(v) := atom(uv).
 
-    Well-definedness comes from quotient closure; it is re-checked on
-    representatives here and more thoroughly by ``check_dual_well_defined``.
+    The table is read off the machine: entry (i, j) is the atom of the
+    i-th representative followed by the j-th.  Well-definedness comes
+    from quotient closure; it is re-checked by ``FiniteMonoid`` here and
+    on all short words by ``check_dual_well_defined``.
     """
     reps = b.atom_reps
-    words = [r.indices for r in reps]
     try:
-        table = tuple(tuple(b.atom_of(u + v) for v in words) for u in words)
+        table = _cayley_table(b.transitions, b.semigroup)
         identity = None if b.semigroup else 0
         labels = tuple(r.text() for r in reps)
         monoid = FiniteMonoid(table, identity=identity, labels=labels)
@@ -392,28 +333,18 @@ def recognised_algebra(
     morphism h from the free monoid (semigroup) into m.
 
     Its atoms are the fibres of the product of all morphisms, i.e. the
-    classes of words with one evaluation per morphism; these are computed
-    directly by closing the tuple of letter evaluations.
+    classes of words with one evaluation per morphism: the transition
+    closure of the morphisms' Cayley graphs.
     """
     if semigroup is None:
         semigroup = m.is_semigroup
     if semigroup is False and m.is_semigroup:
         raise InputError("monoid-mode algebra needs a monoid with identity")
     hs = all_morphisms(alph, m, max_count=max_morphisms)
-    k = len(alph)
-    images = [tuple(h.letter_images[c] for h in hs) for c in range(k)]
-    table = m.table
-
-    def mul(x: tuple, y: tuple) -> tuple:
-        return tuple(table[a][b] for a, b in zip(x, y))
-
-    unit = None if semigroup else tuple([m.identity] * len(hs))
-    closure = generate_closure(images, mul, unit, max_size=max_size)
-    count = len(closure.elements)
-    if count > max_atoms:
-        raise ResourceLimitError(f"{count} recognised-algebra atoms exceed {max_atoms}")
-    # the closure's Cayley graph, every state its own label
-    delta = closure.cayley_graph()
-    transitions, _ = _minimise(delta, range(len(delta)))
-    atoms = LanguageAlgebra(alph, semigroup, (), transitions).atoms
-    return LanguageAlgebra(alph, semigroup, atoms, transitions)
+    # a word leads the start state of the Cayley graph of h's image to
+    # h(w), and h(w) fixes where it leads every other state
+    graphs = (h.image().cayley_graph() for h in hs)
+    cayley = [Dfa(alph, len(g), g, frozenset()) for g in graphs]
+    closure = transition_closure(alph, cayley, semigroup=semigroup, max_size=max_size)
+    alg = _closure_algebra(alph, semigroup, (), closure, max_atoms)
+    return replace(alg, generators=alg.atoms)

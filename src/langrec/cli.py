@@ -72,10 +72,13 @@ def _load_algebra(args, which: str = "input") -> LanguageAlgebra:
         raise InputError(f"need --{which} FILE with an algebra description")
     data = _load_json(path)
     try:
-        alph = Alphabet(tuple(data["alphabet"]))
+        letters, entries = data["alphabet"], data.get("generators", [])
+        if not isinstance(letters, list) or not isinstance(entries, list):
+            raise InputError("alphabet and generators must be JSON lists")
+        alph = Alphabet(tuple(letters))
         semigroup = bool(data.get("semigroup", False))
         gens = []
-        for g in data.get("generators", []):
+        for g in entries:
             if isinstance(g, str):
                 gens.append(regex_to_dfa(g, alph))
             elif isinstance(g, dict) and "dfa" in g:

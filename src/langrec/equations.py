@@ -192,19 +192,18 @@ def _equation_signatures(
     atom_of = _atom_map(q, b)
     n = q.monoid.size
     table = q.monoid.table
-    sigs = []
-    for point in range(n):
-        per_letter = []
-        for a in range(len(q.alphabet)):
-            img = q.morphism.letter_images[a]
-            atoms = set()
-            for p in range(n):
-                pa = table[p][img]
-                if any(table[pa][s] == point for s in range(n)):
-                    atoms.add(atom_of[p])
-            per_letter.append(frozenset(atoms))
-        sigs.append((atom_of[point], tuple(per_letter)))
-    return sigs
+    per_letter = []
+    for img in q.morphism.letter_images:
+        # the points factoring as p * img * s, over all s, fill row p * img
+        reached: list[set[int]] = [set() for _ in range(n)]
+        for p in range(n):
+            for point in set(table[table[p][img]]):
+                reached[point].add(atom_of[p])
+        per_letter.append(reached)
+    return [
+        (atom_of[point], tuple(frozenset(r[point]) for r in per_letter))
+        for point in range(n)
+    ]
 
 
 def equation_set(

@@ -1,7 +1,8 @@
 """Resource ceilings for closure computations.
 
 The default ceiling applies to every unbounded construction (subset
-construction, submonoid closure, algebra refinement).  It can be raised
+construction, submonoid and transition closures, among them the atoms
+of a generated algebra).  It can be raised
 or lowered globally through the ``LANGREC_MAX_CLOSURE`` environment
 variable; individual operations accept an explicit override.
 """

@@ -495,52 +495,62 @@ class FiniteQuotient:
         return frozenset(image.elements[s - off] for s, hit in inside.items() if hit)
 
 
-def quotient_from_closure(
+def transition_closure(
     alph: Alphabet,
-    closure: GeneratedClosure,
-    mul: Callable,
+    dfas: Sequence[Dfa],
     *,
-    label: "Callable | None" = None,
-) -> FiniteQuotient:
-    """Materialise the full multiplication table of a generated closure."""
-    n = len(closure.elements)
-    index = closure.index
-    table = tuple(
-        tuple(index[mul(x, y)] for y in closure.elements) for x in closure.elements
+    semigroup: bool,
+    max_size: int | None = None,
+) -> GeneratedClosure:
+    """The transformations that words induce on the states of the DFAs:
+    the letters acting on the disjoint union of the (deduplicated) DFAs'
+    states, closed under composition, one element per tuple of target
+    states.  For canonical DFAs two words share an element exactly when
+    they share a syntactic class of every language.  In semigroup mode
+    the empty word is left out, so it has no element of its own."""
+    rows: list[list[int]] = []
+    for d in dict.fromkeys(dfas):
+        if d.alphabet != alph:
+            raise InputError("the DFAs must share one alphabet")
+        off = len(rows)
+        rows += [[off + q for q in row] for row in d.transitions]
+    letters = [tuple(row[c] for row in rows) for c in range(len(alph))]
+    unit = None if semigroup else tuple(range(len(rows)))
+    return generate_closure(
+        letters, lambda x, y: tuple(map(y.__getitem__, x)), unit, max_size=max_size
     )
-    labels = None
-    if label is not None:
-        labels = tuple(label(e) for e in closure.elements)
-    monoid = FiniteMonoid(
-        table, identity=0 if closure.unit_first else None, labels=labels
-    )
-    morphism = MonoidMorphism(alph, monoid, tuple(closure.letter_targets))
-    reps = tuple(Word(alph, w) for w in closure.words)
-    return FiniteQuotient(morphism, reps)
+
+
+def _cayley_table(g: Sequence[Sequence[int]], off: int) -> tuple[tuple[int, ...], ...]:
+    """Multiplication table of the elements of a breadth-first numbered
+    Cayley graph, element i being state i + off: entry (i, j) is the run
+    from element i along element j's least word, one step per element
+    along the breadth-first tree."""
+    tree: list[tuple[int, int]] = []  # (parent, letter) of states 1, 2, ...
+    for s, row in enumerate(g):
+        for c, t in enumerate(row):
+            if t == len(tree) + 1:
+                tree.append((s, c))
+    table = []
+    for i in range(off, len(g)):
+        run = [i]
+        for s, c in tree:
+            run.append(g[run[s]][c])
+        table.append(tuple(x - off for x in run[off:]))
+    return tuple(table)
 
 
 def joint_quotient(dfas: Sequence[Dfa], *, max_size: int | None = None) -> FiniteQuotient:
-    """Product of the syntactic monoids of several languages, restricted to
-    the submonoid generated by the letter images."""
+    """The joint syntactic monoid of several languages: the transition
+    closure of their canonical DFAs, with its table read off the Cayley
+    graph."""
     if not dfas:
         raise InputError("need at least one language")
     alph = dfas[0].alphabet
-    for d in dfas:
-        if d.alphabet != alph:
-            raise InputError("joint quotient needs a shared alphabet")
-    syns = [syntactic_monoid(d) for d in dfas]
-    tables = [s.monoid.table for s in syns]
-    k = len(alph)
-    images = [
-        tuple(s.morphism.letter_images[c] for s in syns) for c in range(k)
-    ]
-    unit = tuple(s.monoid.identity for s in syns)
-
-    def mul(x: tuple, y: tuple) -> tuple:
-        return tuple(t[a][b] for t, a, b in zip(tables, x, y))
-
-    closure = generate_closure(images, mul, unit, max_size=max_size)
-    return quotient_from_closure(alph, closure, mul)
+    closure = transition_closure(alph, dfas, semigroup=False, max_size=max_size)
+    monoid = FiniteMonoid(_cayley_table(closure.delta, 0), identity=0)
+    morphism = MonoidMorphism(alph, monoid, tuple(closure.letter_targets))
+    return FiniteQuotient(morphism, tuple(Word(alph, w) for w in closure.words))
 
 
 # -- biactions -------------------------------------------------------------

@@ -15,10 +15,13 @@ from langrec import (
     difference,
     dual_recogniser,
     empty_language,
+    enumerate_monoids,
+    enumerate_semigroups,
     epsilon_language,
     generate_algebra,
     intersection,
     inverse_image,
+    joint_quotient,
     left_quotient,
     membership,
     recognised_algebra,
@@ -32,7 +35,10 @@ from langrec import (
     union,
     universal_language,
 )
+from langrec.campaigns import corpus_dfas
+from langrec.languages import _minimise
 from langrec.marking import ExtendedAlphabet
+from langrec.monoids import generate_closure
 
 AB = Alphabet(("a", "b"))
 A1 = Alphabet(("a",))
@@ -324,3 +330,87 @@ class TestAtomMachine:
         assert algebra_equal(alg, alg)
         dual_recogniser(alg)
         assert "atoms" not in vars(alg)
+
+
+# -- the transition closure against the syntactic-monoid oracle ------------
+
+
+def syntactic_product_closure(gens, semigroup):
+    """The letter-generated closure in the product of the generators'
+    syntactic monoids, with its multiplication: the joint quotient
+    written out one syntactic monoid per generator."""
+    syns = [syntactic_monoid(g) for g in gens]
+    images = [tuple(s.morphism.letter_images[c] for s in syns) for c in range(len(AB))]
+    unit = None if semigroup else tuple(s.monoid.identity for s in syns)
+
+    def mul(x, y):
+        return tuple(s.monoid.table[a][b] for s, a, b in zip(syns, x, y))
+
+    return generate_closure(images, mul, unit), mul
+
+
+def corpus_generator_sets():
+    """Seeded corpus subsets of 0 to 4 languages, and the edge cases: no
+    generators, duplicated generators, generators holding the empty word."""
+    rng = random.Random(5)
+    corpus = corpus_dfas()
+    sets = [[corpus[j] for j in rng.sample(range(len(corpus)), rng.randint(0, 4))]
+            for _ in range(30)]
+    dup = regex_to_dfa("(ab)*", AB)
+    sets += [[], [dup, dup], [dup, regex_to_dfa("a*", AB), dup]]
+    sets += [[regex_to_dfa(r, AB) for r in rs] for rs in (("ε",), ("ε|a",), ("~∅", "b*"))]
+    return sets
+
+
+class TestTransitionClosureOracle:
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_atoms_are_the_joint_syntactic_classes(self, semigroup):
+        for gens in corpus_generator_sets():
+            alg = generate_algebra(gens, AB, semigroup=semigroup)
+            closure, _ = syntactic_product_closure(gens, semigroup)
+            assert alg.atom_count == len(closure.elements)
+            # one atom per closure element, word by word
+            g, off = closure.cayley_graph(), not closure.unit_first
+            pairs = set()
+            for t in AB.tuples_upto(5, 1 if semigroup else 0):
+                state = 0
+                for c in t:
+                    state = g[state][c]
+                pairs.add((alg.atom_of(t), state - off))
+            assert len(pairs) == len({a for a, _ in pairs}) == len({e for _, e in pairs})
+
+    def test_joint_quotient_is_the_syntactic_product(self):
+        for gens in corpus_generator_sets():
+            if not gens:
+                continue
+            q = joint_quotient(gens)
+            closure, mul = syntactic_product_closure(gens, False)
+            elems = closure.elements
+            assert q.monoid.table == tuple(
+                tuple(closure.index[mul(x, y)] for y in elems) for x in elems
+            )
+            assert q.morphism.letter_images == tuple(closure.letter_targets)
+            assert [w.indices for w in q.reps] == closure.words
+
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_generators_need_not_be_minimal(self, semigroup):
+        # a* with two accepting states for it and an unreachable state
+        d = Dfa(AB, 4, ((1, 2), (0, 2), (2, 2), (0, 3)), frozenset({0, 1}), 0)
+        alg = generate_algebra([d], AB, semigroup=semigroup)
+        assert algebra_equal(alg, generate_algebra([regex_to_dfa("a*", AB)], AB, semigroup=semigroup))
+
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_atom_machines_are_minimal(self, semigroup):
+        algebras = [generate_algebra(gens, AB, semigroup=semigroup)
+                    for gens in corpus_generator_sets()]
+        monoids = enumerate_semigroups(2) + enumerate_monoids(3) if semigroup else enumerate_monoids(3)
+        algebras += [recognised_algebra(m, AB, semigroup=semigroup) for m in monoids]
+        for alg in algebras:
+            t = alg.transitions
+            assert _minimise(t, range(len(t)))[0] == t
+
+    @corpus_algebra
+    def test_dual_table_is_the_atom_of_concatenated_representatives(self, alg):
+        table = dual_recogniser(alg).monoid.table
+        words = [w.indices for w in alg.atom_reps]
+        assert table == tuple(tuple(alg.atom_of(u + v) for v in words) for u in words)

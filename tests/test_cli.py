@@ -112,6 +112,21 @@ class TestConstruct:
         dual = json.loads((tmp_path / "dualrec.recogniser.json").read_text())
         assert dual["monoid"]["size"] == 2
 
+    def test_algebra_file_lists_are_not_strings(self, tmp_path):
+        # a string would be read letter by letter: "ab" as the generators a and b
+        for spec in ({"alphabet": ["a", "b"], "generators": "ab"},
+                     {"alphabet": "ab", "generators": ["ab"]}):
+            alg_file = tmp_path / "alg.json"
+            alg_file.write_text(json.dumps(spec))
+            out = tmp_path / "out"
+            code, stdout, err = run_cli("construct", "algebra", "--input", str(alg_file),
+                                        "--out", str(out))
+            assert code == 2 and "JSON lists" in err
+            assert stdout == "" and not out.exists()
+        alg_file.write_text(json.dumps({"alphabet": ["a", "b"], "generators": ["ab"]}))
+        assert main(["construct", "algebra", "--input", str(alg_file), "--out", str(out)]) == 0
+        assert len(json.loads((out / "algebra.json").read_text())["atom_files"]) == 5
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

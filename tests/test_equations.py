@@ -6,6 +6,7 @@ from langrec import (
     Alphabet,
     EquationInstance,
     PreconditionError,
+    ResourceLimitError,
     UltrafilterApprox,
     Word,
     bsum2_membership_by_equations,
@@ -25,12 +26,18 @@ from langrec import (
     trivial_algebra,
     universal_language,
 )
-from langrec.equations import _atom_map, lemma_factor_violations, lemma_witness_check
+from langrec.equations import (
+    _atom_map,
+    _equation_signatures,
+    lemma_factor_violations,
+    lemma_witness_check,
+)
 from langrec.campaigns import corpus_dfas, random_regex
 from langrec.languages import difference, intersection
 
 AB = Alphabet(("a", "b"))
 A1 = Alphabet(("a",))
+A3 = Alphabet(("a", "b", "c"))
 
 
 def points(q, *texts):
@@ -255,6 +262,33 @@ class TestAtomMap:
             equation_set(semigroup_q, generate_algebra(gens, AB))
         with pytest.raises(PreconditionError):
             equation_set(joint_quotient(gens), generate_algebra(gens, AB, semigroup=True))
+
+
+class TestEquationSignatures:
+    def test_match_prefix_classes_on_seeded_draws(self):
+        # the per-point factorisation scan is the oracle for the per-row fill
+        rng = random.Random(31)
+        sizes = []
+        for i in range(16):
+            alph = AB if i % 2 == 0 else A3
+            gens = [regex_to_dfa(random_regex(rng, alph, 2), alph) for _ in range(rng.randint(0, 2))]
+            b = generate_algebra(gens, alph)
+            k = regex_to_dfa(random_regex(rng, alph, 2), alph)
+            try:
+                q = bsum2_quotient(k, b, max_size=60)
+            except ResourceLimitError:
+                continue  # the cubic oracle would take seconds
+            atom_of = _atom_map(q, b)
+            expected = [
+                (atom_of[x], tuple(
+                    frozenset(atom_of[p] for p in prefix_classes(UltrafilterApprox(q, x), a))
+                    for a in range(len(alph))
+                ))
+                for x in range(q.monoid.size)
+            ]
+            assert _equation_signatures(q, b) == expected
+            sizes.append(q.monoid.size)
+        assert len(sizes) >= 12 and max(sizes) > 40
 
 
 class TestLemmaChecks:

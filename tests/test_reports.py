@@ -6,10 +6,18 @@ import hashlib
 import pytest
 
 from langrec import campaigns
-from langrec.campaigns import run_lemmas, run_thm10, run_thm11
+from langrec.campaigns import run_lemmas, run_thm4, run_thm10, run_thm11
 
 # sha256 of Report.json_lines(); a change here changes a published report
 GOLDEN = {
+    "thm4-default": (
+        run_thm4,
+        "db784276927133f19109167a4c4d36110c98b66f64a67a2f2a5211e569e4d283",
+    ),
+    "thm10-default": (
+        run_thm10,
+        "584b0b7a82c3daf3b23c17859c1dfa58cb1a395abc87adb0579ca737f204bcd9",
+    ),
     "thm10-seed5-pairs1": (
         lambda: run_thm10(seed=5, pairs=1),
         "fa352329b47205c1e782dfb5c5e3f1dcb967c2dd4675b18bb4c754397f93b3d0",
