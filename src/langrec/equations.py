@@ -280,17 +280,6 @@ def separation_witness(
 # -- lemma-level checks ------------------------------------------------------
 
 
-def replaced_in_extension(mw: MarkedWord, letter: "str | int", l: Dfa) -> bool:
-    """The principal-ultrafilter reading of the factorisation lemma:
-    if the prefix before the mark lies in L, the word with the marked
-    letter replaced lies in L.letter.(all words)."""
-    if not l.accepts(prefix_to_mark(mw)):
-        return True  # nothing to check
-    alph = l.alphabet
-    ext = marked_concat(l, letter, universal_language(alph))
-    return ext.accepts(replace_at_mark(mw, letter))
-
-
 def lemma_factor_violations(
     corpus: Sequence[Dfa], max_len: int = 5
 ) -> list[tuple[str, int, str, int]]:

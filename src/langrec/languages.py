@@ -192,9 +192,6 @@ class Dfa:
     def is_empty(self) -> bool:
         return not self.accepting
 
-    def is_universal(self) -> bool:
-        return len(self.accepting) == self.states
-
     def shortest_accepted(self) -> tuple[int, ...] | None:
         """Length-lex least accepted word, or None for the empty language."""
         if self.initial in self.accepting:
@@ -407,19 +404,6 @@ def letter_language(alph: Alphabet, name: str) -> Dfa:
     return _canonical(alph, trans, {1}, 0)
 
 
-def word_language(w: Word) -> Dfa:
-    """The singleton language {w}."""
-    n = len(w.indices)
-    k = len(w.alphabet)
-    sink = n + 1
-    rows = []
-    for pos in range(n):
-        rows.append(tuple(pos + 1 if c == w.indices[pos] else sink for c in range(k)))
-    rows.append((sink,) * k)
-    rows.append((sink,) * k)
-    return _canonical(w.alphabet, rows, {n}, 0)
-
-
 # -- Boolean operations ------------------------------------------------
 
 
@@ -540,13 +524,6 @@ class Nfa:
         self.eps = eps
         self.initials = initials
         self.finals = finals
-
-    @classmethod
-    def from_dfa(cls, d: Dfa) -> "Nfa":
-        k = len(d.alphabet)
-        trans = [[{d.transitions[q][c]} for c in range(k)] for q in range(d.states)]
-        eps: list[set[int]] = [set() for _ in range(d.states)]
-        return cls(d.alphabet, d.states, trans, eps, {d.initial}, set(d.accepting))
 
     def _eclose(self, states: Iterable[int]) -> frozenset[int]:
         out = set(states)

@@ -33,11 +33,6 @@ class ExtendedAlphabet:
             names.append(f"{name}#1")
         return Alphabet(tuple(names))
 
-    def tagged(self, base_index: int, mark: int) -> int:
-        if mark not in (0, 1):
-            raise InputError("mark must be 0 or 1")
-        return 2 * base_index + mark
-
     def split(self, ext_index: int) -> tuple[int, int]:
         return divmod(ext_index, 2)[0], ext_index % 2
 

@@ -12,44 +12,63 @@ import itertools
 import json
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .languages import Alphabet, Dfa, Word, _canonical, _state_labels
+from .languages import Alphabet, Dfa, Word, _canonical, _state_labels, canonicalise
 from .limits import closure_limit
-
-# Above this size the exhaustive triple loop switches to a vectorised
-# check; far above it the table is too large to build in the first place.
-_ASSOC_LOOP_LIMIT = 64
-_ASSOC_CHECK_LIMIT = 1024
 
 
 def _associativity_defect(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
-    """First (x, y, z) with (xy)z != x(yz), or None if associative."""
-    n = len(table)
-    if n <= _ASSOC_LOOP_LIMIT:
-        rng = range(n)
-        for x in rng:
-            tx = table[x]
-            for y in rng:
-                txy = table[tx[y]]
-                ty = table[y]
-                for z in rng:
-                    if txy[z] != tx[ty[z]]:
-                        return (x, y, z)
-        return None
-    if n > _ASSOC_CHECK_LIMIT:
-        return None
-    import numpy as np
+    """First (x, y, z) with (xy)z != x(yz), or None if associative, by
+    the exhaustive triple loop.  It stops at the first defect, so it
+    sifts the mostly non-associative candidates of the table
+    enumerations faster than ``_light_defect``; the tests use it as the
+    oracle of that check."""
+    rng = range(len(table))
+    for x in rng:
+        tx = table[x]
+        for y in rng:
+            txy = table[tx[y]]
+            ty = table[y]
+            for z in rng:
+                if txy[z] != tx[ty[z]]:
+                    return (x, y, z)
+    return None
 
-    t = np.asarray(table, dtype=np.int64)
-    for x in range(n):
-        row = t[x]
-        lhs = t[row]  # lhs[y, z] = t[t[x, y], z]
-        rhs = row[t]  # rhs[y, z] = t[x, t[y, z]]
-        if not np.array_equal(lhs, rhs):
-            y, z = map(int, np.argwhere(lhs != rhs)[0])
-            return (x, y, z)
+
+def _light_defect(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+    """First (x, a, y) with (xa)y != x(ay), or None if associative, by
+    Light's test (Clifford & Preston, *The Algebraic Theory of
+    Semigroups* I, section 1.2).  The elements a with (xa)y = x(ay) for
+    every x and y are closed under products, so checking a generating
+    set is complete; each check of an (a, x) compares row xa with x's
+    row composed with a's.  The generating set is picked in index
+    order: every element that the products of the earlier picks do not
+    reach.  A breadth-first numbered table over k letters costs
+    O(k n^2); one that needs every element, such as a left-zero
+    semigroup, O(n^3)."""
+    reached = bytearray(len(table))  # the subsemigroup generated by the picks
+    picks: list[int] = []
+    for a, row_a in enumerate(table):
+        if reached[a]:
+            continue
+        composed = itemgetter(*row_a)  # for n = 1 an entry: the scan finds no y
+        for x, tx in enumerate(table):
+            xa = table[tx[a]]
+            if xa != composed(tx):
+                for y, v in enumerate(xa):
+                    if v != tx[row_a[y]]:
+                        return (x, a, y)
+        picks.append(a)
+        todo = [a] + [table[s][a] for s, r in enumerate(reached) if r]
+        while todo:
+            s = todo.pop()
+            if not reached[s]:
+                reached[s] = 1
+                ts = table[s]
+                todo += [ts[g] for g in picks]
     return None
 
 
@@ -57,11 +76,8 @@ def _associativity_defect(table: Sequence[Sequence[int]]) -> tuple[int, int, int
 class FiniteMonoid:
     """Multiplication table; ``identity=None`` means semigroup mode.
 
-    Associativity is re-checked exhaustively on construction for tables
-    up to 1024 elements; larger tables only arise from internal
-    constructions that are associative by construction (elementwise
-    products of validated tables, submonoid closures), and
-    ``from_json_dict`` refuses them.
+    Every table is checked for associativity on construction, whatever
+    its size, by Light's test (``_light_defect``).
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -80,7 +96,7 @@ class FiniteMonoid:
             for v in row:
                 if not (0 <= v < n):
                     raise InputError(f"table entry {v} out of range")
-        defect = _associativity_defect(self.table)
+        defect = _light_defect(self.table)
         if defect is not None:
             raise InputError(f"multiplication not associative at {defect}")
         if self.identity is not None:
@@ -112,9 +128,6 @@ class FiniteMonoid:
 
     def elements(self) -> range:
         return range(self.size)
-
-    def idempotents(self) -> list[int]:
-        return [x for x in self.elements() if self.table[x][x] == x]
 
     # -- congruences ----------------------------------------------------
 
@@ -159,12 +172,6 @@ class FiniteMonoid:
     def from_json_dict(cls, data: dict) -> "FiniteMonoid":
         try:
             table = tuple(tuple(int(v) for v in row) for row in data["table"])
-            if len(table) > _ASSOC_CHECK_LIMIT:
-                raise InputError(
-                    f"a monoid file holds at most {_ASSOC_CHECK_LIMIT} elements, "
-                    f"the largest table whose associativity is checked; "
-                    f"this one has {len(table)}"
-                )
             identity = data.get("identity")
             labels = data.get("labels")
             m = cls(
@@ -341,6 +348,7 @@ class SyntacticMonoid:
 
 def syntactic_monoid(l: Dfa, max_size: int | None = None) -> SyntacticMonoid:
     limit = closure_limit(max_size)
+    l = canonicalise(l)
     n = l.states
     k = len(l.alphabet)
     letter_fns = [tuple(l.transitions[q][c] for q in range(n)) for c in range(k)]
@@ -547,6 +555,7 @@ def joint_quotient(dfas: Sequence[Dfa], *, max_size: int | None = None) -> Finit
     if not dfas:
         raise InputError("need at least one language")
     alph = dfas[0].alphabet
+    dfas = [canonicalise(d) for d in dfas]
     closure = transition_closure(alph, dfas, semigroup=False, max_size=max_size)
     monoid = FiniteMonoid(_cayley_table(closure.delta, 0), identity=0)
     morphism = MonoidMorphism(alph, monoid, tuple(closure.letter_targets))

@@ -1,9 +1,13 @@
+import itertools
+import json
 import random
+import sys
 
 import pytest
 
 from langrec import (
     Alphabet,
+    BinarySchutz,
     Dfa,
     FiniteMonoid,
     InputError,
@@ -27,10 +31,13 @@ from langrec import (
     regex_to_dfa,
     regular_biaction,
     syntactic_monoid,
+    UnarySchutz,
     universal_language,
 )
 from langrec.algebra import algebra_equal
 from langrec.campaigns import CORPUS_REGEXES
+from langrec.languages import canonicalise
+from langrec.monoids import _associativity_defect, _light_defect
 
 AB = Alphabet(("a", "b"))
 A1 = Alphabet(("a",))
@@ -52,6 +59,124 @@ def nerode_classes(l: Dfa, word_len: int = 4, context_len: int = 3):
     return classes
 
 
+def cyclic_group(n):
+    return tuple(tuple((x + y) % n for y in range(n)) for x in range(n))
+
+
+def cyclic_group_file(n):
+    return json.dumps({"size": n, "identity": 0, "table": cyclic_group(n)})
+
+
+def touched_defect(t, p, q):
+    """Whether a triple with one of its four products at cell (p, q) breaks
+    associativity: after one cell of an associative table changes, every
+    defect is such a triple."""
+    rng = range(len(t))
+
+    def bad(x, y, z):
+        return t[t[x][y]][z] != t[x][t[y][z]]
+
+    if any(bad(p, q, z) or bad(z, p, q) for z in rng):  # xy or yz is the cell
+        return True
+    for x, row in enumerate(t):
+        for y, v in enumerate(row):
+            if (v == p and bad(x, y, q)) or (v == q and bad(p, x, y)):  # (xy)z, x(yz)
+                return True
+    return False
+
+
+def mutated(t, p, q, v):
+    return t[:p] + (t[p][:q] + (v,) + t[p][q + 1:],) + t[p + 1:]
+
+
+def full_transformations_4():
+    cycle, swap, merge = (1, 2, 3, 0), (1, 0, 2, 3), (0, 0, 2, 3)
+    d = Dfa(Alphabet(("c", "s", "m")), 4, tuple(zip(cycle, swap, merge)), {0})
+    return syntactic_monoid(d).monoid.table
+
+
+def binary_schutz_2x3():
+    m2, m3 = enumerate_monoids(2)[-1], enumerate_monoids(3)[-1]
+    return BinarySchutz(m2, m3).as_finite_monoid()[0]
+
+
+# associative tables of 65 to 2 000 elements
+LARGE_TABLES = {
+    "cyclic-65": lambda: cyclic_group(65),
+    "cyclic-2000": lambda: cyclic_group(2000),
+    "full-transformations-4": full_transformations_4,
+    "unary-schutz-z5": lambda: UnarySchutz(FiniteMonoid(cyclic_group(5), 0)).as_finite_monoid()[0].table,
+    "binary-schutz-2x3": lambda: binary_schutz_2x3().table,
+    "left-zero-80": lambda: tuple((x,) * 80 for x in range(80)),
+    "right-zero-80": lambda: (tuple(range(80)),) * 80,
+    "null-80": lambda: ((0,) * 80,) * 80,
+}
+
+
+class TestLightAssociativity:
+    def check(self, t):
+        """Light's verdict, with any defect it names confirmed."""
+        defect = _light_defect(t)
+        if defect is not None:
+            x, y, z = defect
+            assert t[t[x][y]][z] != t[x][t[y][z]]
+        return defect is None
+
+    def test_every_3x3_table_agrees_with_the_triple_loop(self):
+        verdicts = set()
+        for flat in itertools.product(range(3), repeat=9):
+            t = (flat[0:3], flat[3:6], flat[6:9])
+            ok = self.check(t)
+            assert ok == (_associativity_defect(t) is None), t
+            verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    def test_mutations_up_to_64_elements_agree_with_the_triple_loop(self):
+        rng = random.Random(11)
+        m2 = enumerate_monoids(2)[-1]
+        tables = [cyclic_group(n) for n in (1, 2, 7, 64)]
+        tables += [syntactic_monoid(regex_to_dfa(r, AB)).monoid.table for r in CORPUS_REGEXES]
+        tables += [m.table for m in enumerate_semigroups(3)[::7]]
+        tables += [UnarySchutz(m2).as_finite_monoid()[0].table,
+                   BinarySchutz(m2, m2).as_finite_monoid()[0].table,
+                   tuple((x,) * 40 for x in range(40)), ((0,) * 40,) * 40]
+        verdicts = set()
+        for t in tables:
+            assert self.check(t)
+            n = len(t)
+            for _ in range(12):
+                p, q, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                u = mutated(t, p, q, v)
+                ok = self.check(u)
+                assert ok == (_associativity_defect(u) is None), (t, p, q, v)
+                verdicts.add(ok)
+        assert verdicts == {True, False}
+
+    @pytest.mark.parametrize("name", list(LARGE_TABLES))
+    def test_every_breaking_mutation_is_found(self, name):
+        t = LARGE_TABLES[name]()
+        n = len(t)
+        assert 65 <= n <= 2000
+        assert self.check(t)
+        rng = random.Random(name)
+        for _ in range(2 if n > 500 else 8):
+            p, q, v = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+            u = mutated(t, p, q, v)
+            assert self.check(u) == (not touched_defect(u, p, q)), (p, q, v)
+
+    def test_associative_mutation_passes(self):
+        # in the null semigroup x.y = 0, one product set to a third element stays associative
+        u = mutated(LARGE_TABLES["null-80"](), 5, 6, 7)
+        assert not touched_defect(u, 5, 6)
+        assert self.check(u)
+
+    def test_no_numpy(self, monkeypatch):
+        # the checks build and load large tables in pure Python
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        assert binary_schutz_2x3().size == 384
+        assert FiniteMonoid.from_json(cyclic_group_file(1500)).size == 1500
+
+
 class TestFiniteMonoid:
     def test_associativity_enforced(self):
         with pytest.raises(InputError):
@@ -61,17 +186,17 @@ class TestFiniteMonoid:
         with pytest.raises(InputError):
             FiniteMonoid(((0, 0), (0, 0)), identity=0)
 
-    def test_json_table_above_check_limit_refused(self):
-        # x.y = x+1 mod n is not associative; above the checked size the
-        # file is refused for its size, at or below it for associativity
+    def test_json_table_associativity_checked_at_every_size(self):
+        # x.y = x+1 mod n is not associative; no size escapes the check
         def shifted(n):
             return {"size": n, "identity": None,
                     "table": [[(x + 1) % n] * n for x in range(n)]}
 
-        with pytest.raises(InputError, match="1024"):
-            FiniteMonoid.from_json_dict(shifted(1025))
-        with pytest.raises(InputError, match="not associative"):
-            FiniteMonoid.from_json_dict(shifted(64))
+        for n in (64, 1025):
+            with pytest.raises(InputError, match="not associative"):
+                FiniteMonoid.from_json_dict(shifted(n))
+        m = FiniteMonoid.from_json(cyclic_group_file(1500))
+        assert m.size == 1500 and m.identity == 0
 
     def test_json_round_trip(self):
         m = FiniteMonoid(((0, 1), (1, 0)), identity=0, labels=("e", "g"))
@@ -128,6 +253,20 @@ class TestSyntacticMonoid:
             l = regex_to_dfa(r, AB)
             syn = syntactic_monoid(l)
             assert recognised_language(syn.morphism, syn.accepting) == l
+
+    def test_non_minimal_dfa_gives_the_syntactic_monoid(self):
+        # a 4-state DFA of a* with an unreachable state and two equivalent ones
+        d = Dfa(A1, 4, ((1,), (1,), (2,), (0,)), {0, 1})
+        assert syntactic_monoid(d).monoid.size == 1
+        assert joint_quotient([d]).monoid.size == 1
+        rng = random.Random(3)
+        for states in (2, 3, 5, 8):
+            d = Dfa(AB, states, tuple((rng.randrange(states), rng.randrange(states))
+                                      for _ in range(states)),
+                    {q for q in range(states) if rng.random() < 0.5})
+            c = canonicalise(d)
+            assert syntactic_monoid(d) == syntactic_monoid(c)
+            assert joint_quotient([d, c]) == joint_quotient([c])
 
     def test_minimality_by_congruence_enumeration(self):
         for r in CORPUS_REGEXES:
