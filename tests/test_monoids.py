@@ -14,6 +14,7 @@ from langrec import (
     MonoidMorphism,
     PreconditionError,
     ResourceLimitError,
+    UnarySchutz,
     Word,
     all_morphisms,
     dual_recogniser,
@@ -31,7 +32,6 @@ from langrec import (
     regex_to_dfa,
     regular_biaction,
     syntactic_monoid,
-    UnarySchutz,
     universal_language,
 )
 from langrec.algebra import algebra_equal
@@ -255,7 +255,7 @@ class TestSyntacticMonoid:
             assert recognised_language(syn.morphism, syn.accepting) == l
 
     def test_non_minimal_dfa_gives_the_syntactic_monoid(self):
-        # a 4-state DFA of a* with an unreachable state and two equivalent ones
+        # a 4-state DFA of a* with two unreachable states and two equivalent ones
         d = Dfa(A1, 4, ((1,), (1,), (2,), (0,)), {0, 1})
         assert syntactic_monoid(d).monoid.size == 1
         assert joint_quotient([d]).monoid.size == 1
