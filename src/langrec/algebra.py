@@ -7,24 +7,25 @@ every state of every generator's canonical DFA to the same state.  The
 atoms are thus the elements of one transition closure of the
 generators, and its Cayley graph is the atom machine.
 
-An algebra is stored as its atom machine: the minimal automaton whose
-states are the atoms (plus a start state for the empty word in
-semigroup mode), numbered breadth-first so that atom i is the i-th
-atom met in shortlex order.  Two algebras over one universe are
-equal exactly when their machines are.  A word's atom is one run; a
-language is a member when one walk over the reachable (atom, state of
-L) pairs finds no atom split by it.  Atom DFAs and representative words
-are built on first use.  With atom(u) * atom(v) = atom(uv) and the
-evaluation morphism, the machine is the algebra's dual recogniser.
+An algebra is stored as its atom machine, a ``FiniteQuotient`` whose
+elements are the atoms: the minimal automaton on the atoms (plus a
+start state for the empty word in semigroup mode), numbered
+breadth-first so that atom i is the i-th atom met in shortlex order.
+Two algebras over one universe are equal exactly when their machines
+are.  A word's atom is one run; a language is a member when one walk
+over the reachable (atom, state of L) pairs finds no atom split by it.
+Atom DFAs and representative words are built on first use.  The
+quotient's table, atom(u) * atom(v) = atom(uv), and its evaluation
+morphism make the algebra's dual recogniser.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .errors import InputError, InvariantError, PreconditionError, ResourceLimitError
+from .errors import InputError, InvariantError, ResourceLimitError
 from .languages import (
     Alphabet,
     Dfa,
@@ -41,69 +42,40 @@ from .monoids import (
     FiniteQuotient,
     GeneratedClosure,
     MonoidMorphism,
-    _cayley_table,
     all_morphisms,
     transition_closure,
 )
 
 _DEFAULT_MAX_ATOMS = 4000
-_MEMBER_LIST_LIMIT = 16
 
 
 @dataclass(frozen=True)
-class LanguageAlgebra:
+class LanguageAlgebra(FiniteQuotient):
     """Quotient-closed Boolean subalgebra of the languages over an
-    alphabet, stored as its atom machine.  ``semigroup=True`` makes the
-    universe the non-empty words and complements relative to it; state
-    0 of the machine is then the empty word's, and atom i is state
-    i + 1."""
+    alphabet, stored as its atom machine: the finite quotient whose
+    elements are the atoms, with the generators it was built from.
+    ``semigroup=True`` makes the universe the non-empty words and
+    complements relative to it."""
 
-    alphabet: Alphabet
-    semigroup: bool
     generators: tuple[Dfa, ...]
-    transitions: tuple[tuple[int, ...], ...]
+
+    # the quotient's queries, named for atoms
+    atom_count = FiniteQuotient.size
+    atom_of = FiniteQuotient.class_of
+    saturation = FiniteQuotient.saturation
 
     @property
-    def atom_count(self) -> int:
-        return len(self.transitions) - self.semigroup
+    def atom_reps(self) -> tuple[Word, ...]:
+        """The shortlex-least word of each atom, in increasing order."""
+        return self.reps
 
     @cached_property
     def atoms(self) -> tuple[Dfa, ...]:
         """The atoms as canonical DFAs, in machine order."""
         return tuple(self.member_from_atoms((i,)) for i in range(self.atom_count))
 
-    @cached_property
-    def atom_reps(self) -> tuple[Word, ...]:
-        """The shortlex-least word of each atom, in increasing order."""
-        words: list[tuple[int, ...]] = [()]
-        for s, row in enumerate(self.transitions):
-            for c, t in enumerate(row):
-                if t == len(words):  # breadth-first numbering: t is new
-                    words.append(words[s] + (c,))
-        return tuple(Word(self.alphabet, w) for w in words[self.semigroup :])
-
     def member_count(self) -> int:
         return 2 ** self.atom_count
-
-    def atom_of(self, w: "Word | Iterable[int]") -> int:
-        """Index of the atom containing the word."""
-        idxs = w.indices if isinstance(w, Word) else tuple(w)
-        if self.semigroup and not idxs:
-            raise PreconditionError("the empty word is outside a semigroup-mode universe")
-        t = self.transitions
-        s = 0
-        for c in idxs:
-            s = t[s][c]
-        return s - self.semigroup
-
-    def saturation(self, l: Dfa) -> frozenset[int] | None:
-        """Atom indices whose union is L, or None when L is not a member."""
-        if l.alphabet != self.alphabet:
-            raise InputError("language alphabet does not match the algebra")
-        inside = _state_labels(self.transitions, l.transitions, l.initial, l.accepting.__contains__)
-        if inside is None or (self.semigroup and inside[0]):
-            return None  # an atom split by L, or the empty word in L
-        return frozenset(s - self.semigroup for s, hit in inside.items() if hit)
 
     def member(self, l: Dfa) -> bool:
         return self.saturation(l) is not None
@@ -115,16 +87,6 @@ class LanguageAlgebra:
                 raise InputError(f"atom index {i} out of range")
             accepting.add(i + self.semigroup)
         return _canonical(self.alphabet, self.transitions, accepting, 0)
-
-    def members(self, max_atoms: int = _MEMBER_LIST_LIMIT) -> Iterator[Dfa]:
-        """All members, smallest saturations first; guarded against blowup."""
-        n = self.atom_count
-        if n > max_atoms:
-            raise ResourceLimitError(
-                f"member list of 2^{n} languages exceeds the materialisation bound"
-            )
-        for mask in range(2**n):
-            yield self.member_from_atoms(i for i in range(n) if mask >> i & 1)
 
     def __repr__(self) -> str:
         mode = "semigroup" if self.semigroup else "monoid"
@@ -140,9 +102,10 @@ def algebra_equal(b1: LanguageAlgebra, b2: LanguageAlgebra) -> bool:
     )
 
 
-def algebra_leq(b1: LanguageAlgebra, b2: LanguageAlgebra) -> bool:
+def algebra_leq(b1: FiniteQuotient, b2: LanguageAlgebra) -> bool:
     """Whether every member of b1 is a member of b2: the words that lead
-    b2's machine to one state all lead b1's machine to one state."""
+    b2's machine to one state all lead b1's machine to one state.  b1
+    may be any finite quotient, standing for the algebra it recognises."""
     if b1.alphabet != b2.alphabet:
         raise InputError("algebras over different alphabets")
     if b2.semigroup and not b1.semigroup:
@@ -166,8 +129,7 @@ def _closure_algebra(
     count = len(closure.elements)
     if count > max_atoms:
         raise ResourceLimitError(f"{count} atoms exceed the bound {max_atoms}")
-    transitions = tuple(map(tuple, closure.cayley_graph()))
-    return LanguageAlgebra(alph, semigroup, tuple(generators), transitions)
+    return LanguageAlgebra(alph, semigroup, closure.cayley_graph(), tuple(generators))
 
 
 def generate_algebra(
@@ -282,22 +244,18 @@ class DualRecogniser:
 def dual_recogniser(b: LanguageAlgebra) -> DualRecogniser:
     """Atoms as a finite recogniser: atom(u) * atom(v) := atom(uv).
 
-    The table is read off the machine: entry (i, j) is the atom of the
-    i-th representative followed by the j-th.  Well-definedness comes
-    from quotient closure; it is re-checked by ``FiniteMonoid`` here and
-    on all short words by ``check_dual_well_defined``.
+    The recogniser is the algebra's atom machine as a finite quotient,
+    whose table entry (i, j) is the atom of the i-th representative
+    followed by the j-th.  Well-definedness comes from quotient closure;
+    it is re-checked by ``FiniteMonoid`` here and on all short words by
+    ``check_dual_well_defined``.
     """
-    reps = b.atom_reps
+    quotient = FiniteQuotient(b.alphabet, b.semigroup, b.transitions)
     try:
-        table = _cayley_table(b.transitions, b.semigroup)
-        identity = None if b.semigroup else 0
-        labels = tuple(r.text() for r in reps)
-        monoid = FiniteMonoid(table, identity=identity, labels=labels)
+        quotient.monoid  # builds the table, and FiniteMonoid checks it
     except InputError as exc:
         raise InvariantError(f"atom multiplication is ill-defined: {exc}") from exc
-    letter_images = tuple(b.atom_of((c,)) for c in range(len(b.alphabet)))
-    morphism = MonoidMorphism(b.alphabet, monoid, letter_images)
-    return DualRecogniser(b, FiniteQuotient(morphism, reps))
+    return DualRecogniser(b, quotient)
 
 
 def check_dual_well_defined(

@@ -29,7 +29,6 @@ from .languages import (
     Alphabet,
     Dfa,
     Word,
-    _state_labels,
     concat,
     concat_decompose,
     left_quotient,
@@ -42,6 +41,7 @@ from .languages import (
 from .marking import ExtendedAlphabet, exists_projection, tag_unmarked
 from .monoids import (
     FiniteMonoid,
+    FiniteQuotient,
     MonoidMorphism,
     all_morphisms,
     closure_language,
@@ -581,7 +581,7 @@ def run_thm10(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int
     """Local form: the product-of-splits morphism recognises exactly the
     algebra generated by the factors and their marked concatenations:
     each generator is cut out by its predicate on elements, and the
-    morphism's Cayley graph, as an atom machine, refines the algebra's."""
+    morphism's Cayley graph, as a finite quotient, refines the atoms."""
     rep = Report("thm10", seed, {"pairs": pairs, "max_monoid": max_monoid})
     rng = random.Random(seed)
     for _ in range(pairs):
@@ -594,11 +594,10 @@ def run_thm10(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int
             elements = loc.elements()
             element_count = len(elements)
             alg = _generated_concat_algebra(phi1, phi2, max_states=max_size)
-            cayley = loc.closure.cayley_graph()
+            local = FiniteQuotient(AB, False, loc.closure.cayley_graph())
 
             def recognised(l: Dfa, accept: Callable[[tuple], bool]) -> bool:
-                inside = _state_labels(cayley, l.transitions, l.initial, l.accepting.__contains__)
-                return inside == {i: accept(e) for i, e in enumerate(elements)}
+                return local.saturation(l) == {i for i, e in enumerate(elements) if accept(e)}
 
             for x in range(phi1.target.size):
                 if not recognised(phi1.preimage({x}), lambda e: e[1] == x):
@@ -616,7 +615,6 @@ def run_thm10(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int
                         if not recognised(expect, lambda e: (x, y) in e[0][c]):
                             ok = False
                             detail = "marked generator not recognised"
-            local = LanguageAlgebra(AB, False, (), tuple(map(tuple, cayley)))
             if not algebra_leq(local, alg):
                 ok = False
                 detail = "recognised language outside the generated algebra"
@@ -750,7 +748,7 @@ def run_thm11(seed: int = 0, instances: int = 100, max_joint: int = 6,
         except ResourceLimitError:
             skipped += 1
             continue
-        if q.monoid.size > max_joint:
+        if q.size > max_joint:
             skipped += 1
             continue
         direct = eq.bsum2_membership_direct(k, b)
@@ -775,7 +773,7 @@ def run_thm11(seed: int = 0, instances: int = 100, max_joint: int = 6,
             alphabet=list(letters),
             algebra=list(gens),
             candidate=k_regex,
-            joint_size=q.monoid.size,
+            joint_size=q.size,
             direct_membership=direct,
             equation_membership=by_equations,
             agree=agree,
@@ -846,7 +844,7 @@ def run_lemmas(seed: int = 0, max_len: int = 5, witness_samples: int = 100) -> R
     for _ in range(witness_samples):
         i = rng.randrange(len(pool))
         b, q = pool[i], quotients[i]
-        point = rng.randrange(q.monoid.size)
+        point = rng.randrange(q.size)
         letter = rng.randrange(len(AB))
         if not eq.lemma_witness_check(q, b, point, letter):
             ok = False

@@ -50,7 +50,7 @@ class UltrafilterApprox:
     point: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.point < self.quotient.monoid.size):
+        if not (0 <= self.point < self.quotient.size):
             raise InputError("point out of range for the quotient")
 
     @classmethod
@@ -132,17 +132,16 @@ def _atom_map(q: FiniteQuotient, b: LanguageAlgebra) -> list[int]:
     pairs (element, state of B's atom machine).  Refused unless the
     quotient recognises every atom of B, that is, unless the words of
     each element lie in one atom."""
-    image = q.morphism.image()
     # a quotient and an algebra of different modes disagree on the empty word
-    states = image.unit_first != b.semigroup and _state_labels(
-        image.cayley_graph(), b.transitions, 0, lambda s: s
+    states = q.semigroup == b.semigroup and _state_labels(
+        q.transitions, b.transitions, 0, lambda s: s
     )
     if not states:
         raise PreconditionError(
             "quotient does not recognise the algebra; equations undetermined"
         )
     off = b.semigroup  # in semigroup mode state 0 of both machines reads only ε
-    return [states[image.index[x] + off] - off for x in range(q.monoid.size)]
+    return [states[s] - off for s in range(off, len(q.transitions))]
 
 
 def in_equation_set(e: EquationInstance, b: LanguageAlgebra) -> bool:

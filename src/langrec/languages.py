@@ -231,10 +231,10 @@ class Dfa:
             alph = Alphabet(tuple(data["alphabet"]))
             raw = cls(
                 alph,
-                int(data["states"]),
-                tuple(tuple(int(x) for x in row) for row in data["transitions"]),
-                frozenset(int(q) for q in data["accepting"]),
-                int(data.get("initial", 0)),
+                _json_int(data["states"]),
+                tuple(map(_json_ints, data["transitions"])),
+                frozenset(_json_ints(data["accepting"])),
+                _json_int(data.get("initial", 0)),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed DFA file: {exc}") from exc
@@ -250,6 +250,20 @@ class Dfa:
 
     def __repr__(self) -> str:
         return f"Dfa({self.alphabet!r}, states={self.states}, accepting={sorted(self.accepting)})"
+
+
+def _json_ints(values: Iterable) -> tuple[int, ...]:
+    """Entries of a JSON list as integers.  A float, bool or string is
+    refused, where ``int`` would truncate or parse it."""
+    values = tuple(values)
+    if set(map(type, values)) - {int}:
+        bad = next(v for v in values if type(v) is not int)
+        raise InputError(f"expected a JSON integer, got {bad!r}")
+    return values
+
+
+def _json_int(value: object) -> int:
+    return _json_ints((value,))[0]
 
 
 # -- canonical form ----------------------------------------------------

@@ -4,19 +4,22 @@ syntactic monoids of regular languages.
 A ``FiniteMonoid`` with ``identity=None`` is treated as a plain
 semigroup; constructions downstream (morphisms, recognised languages,
 product monoids) honour that mode by working over non-empty words.
+A finite quotient of the free monoid (``FiniteQuotient``) is its Cayley
+graph, from which its table and evaluation morphism are read.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .languages import Alphabet, Dfa, Word, _canonical, _state_labels, canonicalise
+from .languages import _json_int, _json_ints
 from .limits import closure_limit
 
 
@@ -93,9 +96,9 @@ class FiniteMonoid:
         for row in self.table:
             if len(row) != n:
                 raise InputError("multiplication table must be square")
-            for v in row:
-                if not (0 <= v < n):
-                    raise InputError(f"table entry {v} out of range")
+            if min(row) < 0 or max(row) >= n:
+                v = next(v for v in row if not 0 <= v < n)
+                raise InputError(f"table entry {v} out of range")
         defect = _light_defect(self.table)
         if defect is not None:
             raise InputError(f"multiplication not associative at {defect}")
@@ -171,17 +174,17 @@ class FiniteMonoid:
     @classmethod
     def from_json_dict(cls, data: dict) -> "FiniteMonoid":
         try:
-            table = tuple(tuple(int(v) for v in row) for row in data["table"])
+            table = tuple(map(_json_ints, data["table"]))
             identity = data.get("identity")
             labels = data.get("labels")
             m = cls(
                 table,
-                None if identity is None else int(identity),
+                None if identity is None else _json_int(identity),
                 tuple(labels) if labels else None,
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed monoid file: {exc}") from exc
-        if m.size != int(data.get("size", m.size)):
+        if m.size != _json_int(data.get("size", m.size)):
             raise InputError("declared size does not match the table")
         return m
 
@@ -347,36 +350,10 @@ class SyntacticMonoid:
 
 
 def syntactic_monoid(l: Dfa, max_size: int | None = None) -> SyntacticMonoid:
-    limit = closure_limit(max_size)
-    l = canonicalise(l)
-    n = l.states
-    k = len(l.alphabet)
-    letter_fns = [tuple(l.transitions[q][c] for q in range(n)) for c in range(k)]
-    ident = tuple(range(n))
-    fns: list[tuple[int, ...]] = [ident]
-    pos = {ident: 0}
-    words: list[tuple[int, ...]] = [()]
-    i = 0
-    while i < len(fns):
-        f = fns[i]
-        for c in range(k):
-            g = tuple(letter_fns[c][f[q]] for q in range(n))
-            if g not in pos:
-                if len(fns) >= limit:
-                    raise ResourceLimitError(f"transition monoid exceeded {limit} elements")
-                pos[g] = len(fns)
-                fns.append(g)
-                words.append(words[i] + (c,))
-        i += 1
-    size = len(fns)
-    table = tuple(
-        tuple(pos[tuple(g[f[q]] for q in range(n))] for g in fns) for f in fns
-    )
-    labels = tuple(Word(l.alphabet, w).text() for w in words)
-    monoid = FiniteMonoid(table, identity=0, labels=labels)
-    morphism = MonoidMorphism(l.alphabet, monoid, tuple(pos[f] for f in letter_fns))
-    accepting = frozenset(i for i, f in enumerate(fns) if f[l.initial] in l.accepting)
-    return SyntacticMonoid(monoid, morphism, accepting)
+    """The joint quotient of L alone, with the elements whose words lie
+    in L."""
+    q = joint_quotient([l], max_size=max_size)
+    return SyntacticMonoid(q.monoid, q.morphism, q.saturation(l))
 
 
 def is_minimal_recogniser(m: FiniteMonoid, accept: Iterable[int], max_size: int = 6) -> bool:
@@ -399,15 +376,13 @@ class GeneratedClosure:
     """Submonoid (or subsemigroup) generated by abstract letter images.
 
     ``elements`` lists the distinct products in discovery order, which is
-    breadth-first over words in length-then-lex order, so ``words[i]`` is
-    the shortest-lex witness for ``elements[i]``.  ``delta[i][c]`` is the
-    index of ``elements[i] * image(c)``; ``letter_targets[c]`` the index
-    of the image of letter c itself.  ``unit_first`` marks monoid mode,
-    where ``elements[0]`` is the unit (the image of the empty word).
+    breadth-first over words in length-then-lex order.  ``delta[i][c]`` is
+    the index of ``elements[i] * image(c)``; ``letter_targets[c]`` the
+    index of the image of letter c itself.  ``unit_first`` marks monoid
+    mode, where ``elements[0]`` is the unit (the image of the empty word).
     """
 
     elements: list
-    words: list[tuple[int, ...]]
     delta: list[list[int]]
     index: dict
     letter_targets: list[int]
@@ -429,12 +404,10 @@ def generate_closure(
     max_size: int | None = None,
 ) -> GeneratedClosure:
     limit = closure_limit(max_size)
-    k = len(images)
     elements: list = []
-    words: list[tuple[int, ...]] = []
     index: dict = {}
 
-    def intern(e, w: tuple[int, ...]) -> int:
+    def intern(e) -> int:
         j = index.get(e)
         if j is None:
             j = len(elements)
@@ -442,21 +415,17 @@ def generate_closure(
                 raise ResourceLimitError(f"submonoid closure exceeded {limit} elements")
             index[e] = j
             elements.append(e)
-            words.append(w)
         return j
 
     if unit is not None:
-        intern(unit, ())
-    letter_targets = [intern(images[c], (c,)) for c in range(k)]
+        intern(unit)
+    letter_targets = [intern(img) for img in images]
     delta: list[list[int]] = []
     i = 0
     while i < len(elements):
-        row = []
-        for c in range(k):
-            row.append(intern(mul(elements[i], images[c]), words[i] + (c,)))
-        delta.append(row)
+        delta.append([intern(mul(elements[i], img)) for img in images])
         i += 1
-    return GeneratedClosure(elements, words, delta, index, letter_targets, unit is not None)
+    return GeneratedClosure(elements, delta, index, letter_targets, unit is not None)
 
 
 def closure_language(
@@ -470,37 +439,95 @@ def closure_language(
 
 @dataclass(frozen=True)
 class FiniteQuotient:
-    """A finite quotient of the free monoid (semigroup) on an alphabet:
-    the image submonoid of a morphism, with shortest-lex representative
-    words for every element."""
+    """A finite quotient of the free monoid (semigroup) on an alphabet,
+    held as its Cayley graph: ``transitions`` reads a word from state 0
+    to its element.  The graph is numbered breadth-first, letters in
+    alphabet order, so the elements come in shortlex order of their
+    least words.  Element i is state i; in semigroup mode it is state
+    i + 1, and only the empty word reaches state 0.  Representatives,
+    table and evaluation morphism are read off the graph on first use."""
 
-    morphism: MonoidMorphism
-    reps: tuple[Word, ...]
+    alphabet: Alphabet
+    semigroup: bool
+    transitions: tuple[tuple[int, ...], ...]
+    # (parent, letter) of states 1, 2, ...: the breadth-first tree
+    _tree: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        g = tuple(map(tuple, self.transitions))
+        object.__setattr__(self, "transitions", g)
+        if not g:
+            raise InputError("a Cayley graph needs the empty word's state")
+        unnumbered = "the Cayley graph is not numbered breadth-first"
+        tree: list[tuple[int, int]] = []
+        seen = 1  # states numbered so far
+        for s, row in enumerate(g):
+            if len(row) != len(self.alphabet):
+                raise InputError("every Cayley graph state needs one transition per letter")
+            if s >= seen:
+                raise InputError(unnumbered)  # no earlier state leads to s
+            for c, t in enumerate(row):
+                if t == seen < len(g):
+                    tree.append((s, c))
+                    seen += 1
+                elif not self.semigroup <= t < seen:
+                    raise InputError(unnumbered)
+        object.__setattr__(self, "_tree", tree)
 
     @property
+    def size(self) -> int:
+        return len(self.transitions) - self.semigroup
+
+    @cached_property
+    def reps(self) -> tuple[Word, ...]:
+        """The shortlex-least word of each element, in increasing order."""
+        words: list[tuple[int, ...]] = [()]
+        for s, c in self._tree:
+            words.append(words[s] + (c,))
+        return tuple(Word(self.alphabet, w) for w in words[self.semigroup :])
+
+    @cached_property
     def monoid(self) -> FiniteMonoid:
-        return self.morphism.target
+        """The multiplication table, labelled by the representatives:
+        entry (i, j) is the run from element i along element j's least
+        word, one step per element along the breadth-first tree."""
+        g, off = self.transitions, self.semigroup
+        table = []
+        for i in range(off, len(g)):
+            run = [i]
+            for s, c in self._tree:
+                run.append(g[run[s]][c])
+            table.append(tuple(x - off for x in run[off:]))
+        labels = tuple(r.text() for r in self.reps)
+        return FiniteMonoid(tuple(table), None if off else 0, labels)
 
-    @property
-    def alphabet(self) -> Alphabet:
-        return self.morphism.alphabet
+    @cached_property
+    def morphism(self) -> MonoidMorphism:
+        """The evaluation morphism, sending each word to its element."""
+        images = tuple(t - self.semigroup for t in self.transitions[0])
+        return MonoidMorphism(self.alphabet, self.monoid, images)
 
     def class_of(self, w: "Word | Iterable[int]") -> int:
-        return self.morphism.evaluate(w)
+        """The element of a word: one run of the Cayley graph."""
+        idxs = w.indices if isinstance(w, Word) else tuple(w)
+        if self.semigroup and not idxs:
+            raise PreconditionError("the empty word is outside a semigroup-mode universe")
+        t = self.transitions
+        s = 0
+        for c in idxs:
+            s = t[s][c]
+        return s - self.semigroup
 
     def saturation(self, l: Dfa) -> frozenset[int] | None:
-        """Accepting set realising L through this quotient, or None when L
-        is not a union of classes: one walk over the reachable pairs
-        (class, state of L), as in ``LanguageAlgebra.saturation``."""
+        """The elements whose union is L, or None when L is not a union
+        of classes: one walk over the reachable pairs (state of the
+        Cayley graph, state of L)."""
         if l.alphabet != self.alphabet:
             raise InputError("language alphabet does not match the quotient")
-        image = self.morphism.image()
-        off = not image.unit_first
-        accept = l.accepting.__contains__
-        inside = _state_labels(image.cayley_graph(), l.transitions, l.initial, accept)
-        if inside is None or (off and inside[0]):
+        inside = _state_labels(self.transitions, l.transitions, l.initial, l.accepting.__contains__)
+        if inside is None or (self.semigroup and inside[0]):
             return None  # a class split by L, or the empty word in L
-        return frozenset(image.elements[s - off] for s, hit in inside.items() if hit)
+        return frozenset(s - self.semigroup for s, hit in inside.items() if hit)
 
 
 def transition_closure(
@@ -529,37 +556,15 @@ def transition_closure(
     )
 
 
-def _cayley_table(g: Sequence[Sequence[int]], off: int) -> tuple[tuple[int, ...], ...]:
-    """Multiplication table of the elements of a breadth-first numbered
-    Cayley graph, element i being state i + off: entry (i, j) is the run
-    from element i along element j's least word, one step per element
-    along the breadth-first tree."""
-    tree: list[tuple[int, int]] = []  # (parent, letter) of states 1, 2, ...
-    for s, row in enumerate(g):
-        for c, t in enumerate(row):
-            if t == len(tree) + 1:
-                tree.append((s, c))
-    table = []
-    for i in range(off, len(g)):
-        run = [i]
-        for s, c in tree:
-            run.append(g[run[s]][c])
-        table.append(tuple(x - off for x in run[off:]))
-    return tuple(table)
-
-
 def joint_quotient(dfas: Sequence[Dfa], *, max_size: int | None = None) -> FiniteQuotient:
-    """The joint syntactic monoid of several languages: the transition
-    closure of their canonical DFAs, with its table read off the Cayley
-    graph."""
+    """The joint syntactic monoid of several languages: the Cayley graph
+    of the transition closure of their canonical DFAs."""
     if not dfas:
         raise InputError("need at least one language")
     alph = dfas[0].alphabet
     dfas = [canonicalise(d) for d in dfas]
     closure = transition_closure(alph, dfas, semigroup=False, max_size=max_size)
-    monoid = FiniteMonoid(_cayley_table(closure.delta, 0), identity=0)
-    morphism = MonoidMorphism(alph, monoid, tuple(closure.letter_targets))
-    return FiniteQuotient(morphism, tuple(Word(alph, w) for w in closure.words))
+    return FiniteQuotient(alph, False, closure.delta)
 
 
 # -- biactions -------------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import random
 
 import pytest
@@ -390,7 +391,15 @@ class TestTransitionClosureOracle:
                 tuple(closure.index[mul(x, y)] for y in elems) for x in elems
             )
             assert q.morphism.letter_images == tuple(closure.letter_targets)
-            assert [w.indices for w in q.reps] == closure.words
+            # the first word of each element, words in shortlex order
+            least: dict[int, tuple[int, ...]] = {}
+            length = 0
+            while len(least) < len(elems):
+                for t in itertools.product(range(len(AB)), repeat=length):
+                    x = functools.reduce(mul, (elems[closure.letter_targets[c]] for c in t), elems[0])
+                    least.setdefault(closure.index[x], t)
+                length += 1
+            assert [w.indices for w in q.reps] == [least[i] for i in range(len(elems))]
 
     @pytest.mark.parametrize("semigroup", [False, True])
     def test_generators_need_not_be_minimal(self, semigroup):
@@ -408,6 +417,13 @@ class TestTransitionClosureOracle:
         for alg in algebras:
             t = alg.transitions
             assert _minimise(t, range(len(t)))[0] == t
+
+    @pytest.mark.parametrize("name", [n for n in CORPUS_ALGEBRAS if n.startswith("monoid")])
+    def test_dual_recogniser_is_the_joint_quotient_of_the_atoms(self, name):
+        # duality: the recogniser of an algebra is the joint syntactic
+        # monoid of its atoms, representatives and labels included
+        b = CORPUS_ALGEBRAS[name]
+        assert dual_recogniser(b).quotient == joint_quotient(list(b.atoms))
 
     @corpus_algebra
     def test_dual_table_is_the_atom_of_concatenated_representatives(self, alg):

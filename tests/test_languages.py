@@ -228,6 +228,18 @@ class TestSerialisation:
         with pytest.raises(InputError):
             Dfa.from_json('{"alphabet": ["a"], "states": 1}')
 
+    @pytest.mark.parametrize("field, value", [
+        ("states", 2.7), ("states", "2"), ("initial", 0.0), ("initial", False),
+        ("accepting", [1.0]), ("accepting", [True]), ("transitions", [[1, "0"], [1, 1]]),
+        ("transitions", [[1, 0.5], [1, 1]]),
+    ])
+    def test_entries_must_be_json_integers(self, field, value):
+        raw = {"alphabet": ["a", "b"], "states": 2, "initial": 0,
+               "accepting": [1], "transitions": [[1, 0], [1, 1]]}
+        assert Dfa.from_json_dict(raw).states == 2
+        with pytest.raises(InputError, match="JSON integer"):
+            Dfa.from_json_dict({**raw, field: value})
+
 
 class TestWords:
     def test_parse_and_text(self):

@@ -10,6 +10,7 @@ from langrec import (
     BinarySchutz,
     Dfa,
     FiniteMonoid,
+    FiniteQuotient,
     InputError,
     MonoidMorphism,
     PreconditionError,
@@ -17,6 +18,7 @@ from langrec import (
     UnarySchutz,
     Word,
     all_morphisms,
+    bsum2_quotient,
     dual_recogniser,
     empty_language,
     epsilon_language,
@@ -36,6 +38,7 @@ from langrec import (
 )
 from langrec.algebra import algebra_equal
 from langrec.campaigns import CORPUS_REGEXES
+from langrec.equations import _atom_map
 from langrec.languages import canonicalise
 from langrec.monoids import _associativity_defect, _light_defect
 
@@ -201,6 +204,26 @@ class TestFiniteMonoid:
     def test_json_round_trip(self):
         m = FiniteMonoid(((0, 1), (1, 0)), identity=0, labels=("e", "g"))
         assert FiniteMonoid.from_json(m.to_json()) == m
+
+    @pytest.mark.parametrize("data", [
+        {"table": [[0, 1.9], [True, "0"]], "identity": 0.4},  # int() would read Z/2
+        {"table": [[0, 1.0], [1, 0]], "identity": 0},
+        {"table": [[0, 1], [True, 0]], "identity": 0},
+        {"table": [[0, 1], [1, "0"]], "identity": 0},
+        {"table": [[0, 1], [1, 0]], "identity": 0.0},
+        {"table": [[0, 1], [1, 0]], "identity": False},
+        {"table": [[0, 1], [1, 0]], "identity": 0, "size": "2"},
+    ])
+    def test_json_entries_must_be_integers(self, data):
+        with pytest.raises(InputError, match="JSON integer"):
+            FiniteMonoid.from_json_dict(data)
+
+    def test_first_out_of_range_entry_is_named(self):
+        for table, bad in ((((0, 1), (-1, 7)), -1), (((0, 1), (7, -1)), 7), (((2, 0), (0, 0)), 2)):
+            with pytest.raises(InputError, match=f"^table entry {bad} out of range$"):
+                FiniteMonoid(table)
+        with pytest.raises(InputError, match="must be square"):
+            FiniteMonoid(((0, 1), (9,)))
 
     def test_semigroup_counts(self):
         assert len(enumerate_semigroups(1)) == 1
@@ -421,6 +444,44 @@ class TestJointQuotient:
         sat = q.saturation(l)
         assert sat is not None
         assert q.saturation(regex_to_dfa("a(a|b)*", AB)) is None
+
+
+class TestCayleyGraph:
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_machine_must_be_numbered_breadth_first(self, semigroup):
+        good = ((1, 2), (1, 1), (2, 2))  # ε, a(a|b)*, b(a|b)*
+        assert FiniteQuotient(AB, semigroup, good).size == 3 - semigroup
+        bad = [
+            ((2, 1), (1, 1), (2, 2)),  # states 1 and 2 swapped
+            ((1, 1), (1, 1), (2, 2)),  # state 2 unreachable
+            ((0, 0), (1, 1)),  # state 1 only reaches itself
+            ((1, 3), (1, 1), (2, 2)),  # targets out of range
+            ((1, 2), (1, 3), (2, 2)),
+            ((1, -1), (1, 1), (2, 2)),
+        ]
+        if semigroup:
+            bad.append(((1, 2), (0, 1), (2, 2)))  # a non-empty word back at ε's state
+        for t in bad:
+            with pytest.raises(InputError, match="not numbered breadth-first"):
+                FiniteQuotient(AB, semigroup, t)
+        for t in (((1, 2), (1,), (2, 2)), ((1, 2, 0), (1, 1), (2, 2))):
+            with pytest.raises(InputError, match="one transition per letter"):
+                FiniteQuotient(AB, semigroup, t)
+        with pytest.raises(InputError):
+            FiniteQuotient(AB, semigroup, ())
+
+    def test_queries_never_regenerate_the_image(self, monkeypatch):
+        def image(self):
+            raise AssertionError("the Cayley graph was rebuilt from the morphism")
+
+        b = generate_algebra([regex_to_dfa("(a|b)*a", AB)], AB)
+        q = bsum2_quotient(regex_to_dfa("a*b", AB), b)
+        q.monoid, q.morphism  # built from the graph, not from an image
+        monkeypatch.setattr(MonoidMorphism, "image", image)
+        assert q.saturation(regex_to_dfa("a*b", AB)) is not None
+        assert b.saturation(regex_to_dfa("(a|b)*a", AB)) == {1}
+        assert _atom_map(q, b) == [b.atom_of(rep) for rep in q.reps]
+        assert dual_recogniser(b).quotient.saturation(regex_to_dfa("(a|b)*b|ε", AB)) == {0, 2}
 
 
 def saturation_by_representatives(q, l):

@@ -1,15 +1,28 @@
-"""Campaign reports are byte-deterministic: golden digests of a few
-quick default runs, and the failure path of the thm10 check."""
+"""Campaign reports are byte-deterministic: golden digests of every
+default verify run, and the failure path of the thm10 check."""
 
 import hashlib
 
 import pytest
 
 from langrec import campaigns
-from langrec.campaigns import run_lemmas, run_thm4, run_thm10, run_thm11
+from langrec.campaigns import run_cor9, run_lemmas, run_prop2, run_thm4, run_thm8, run_thm10, run_thm11
 
-# sha256 of Report.json_lines(); a change here changes a published report
+# sha256 of Report.json_lines() of every default verify report; a change
+# here changes a published report
 GOLDEN = {
+    "prop2-default": (
+        run_prop2,
+        "c9853e6fa243b0a06fcad979e156719630eaa51a9e0dc61e57e15550a5758d54",
+    ),
+    "thm8-default": (
+        run_thm8,
+        "987d54e928b5c1a8c5af1c2af101515065f1bc1945da3142da3ad4280e57089e",
+    ),
+    "cor9-default": (
+        run_cor9,
+        "70c405dc1e75118fe787e48e08c84e7fb5d4a3cf3507e4d2f9d3385f68769d3b",
+    ),
     "thm4-default": (
         run_thm4,
         "db784276927133f19109167a4c4d36110c98b66f64a67a2f2a5211e569e4d283",
