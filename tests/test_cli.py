@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -80,6 +81,29 @@ class TestConstruct:
         assert code == 0
         product = FiniteMonoid.from_json((tmp_path / "schutz2.monoid.json").read_text())
         assert product.size == 2**4 * 4
+
+    def test_schutz_files_are_pinned(self, tmp_path):
+        # sha256 of the files written for the syntactic monoids of
+        # (a|b)*a(a|b)* (2 elements) and a(a|b)* (3 elements); a change
+        # here changes a published construction
+        for regex, sub in (("(a|b)*a(a|b)*", "m"), ("a(a|b)*", "n")):
+            assert main(["construct", "synmon", "--regex", regex, "--alphabet", "a,b",
+                         "--out", str(tmp_path / sub)]) == 0
+        m = str(tmp_path / "m" / "synmon.monoid.json")
+        n = str(tmp_path / "n" / "synmon.monoid.json")
+        assert main(["construct", "schutz1", "--input", n, "--out", str(tmp_path)]) == 0
+        assert main(["construct", "schutz2", "--input", m, "--input2", n,
+                     "--out", str(tmp_path)]) == 0
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("schutz1.monoid.json", "schutz2.monoid.json")
+        }
+        assert digests == {
+            "schutz1.monoid.json":
+                "a5a05d41ccabcdf22ec606f80aad0e08011fa46cf1dafdc806ac76dcadcb4258",
+            "schutz2.monoid.json":
+                "3af8bfafd9b7ad36ded8c6484c596b97c4d64625ac834064c4c710d4d3f1853a",
+        }
 
     def test_algebra_and_bsum_and_dualrec(self, tmp_path):
         spec = {"alphabet": ["a", "b"], "generators": ["(a|b)*a(a|b)*"]}

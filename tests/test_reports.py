@@ -6,7 +6,16 @@ import hashlib
 import pytest
 
 from langrec import campaigns
-from langrec.campaigns import run_cor9, run_lemmas, run_prop2, run_thm4, run_thm8, run_thm10, run_thm11
+from langrec.campaigns import (
+    run_cor9,
+    run_laws,
+    run_lemmas,
+    run_prop2,
+    run_thm4,
+    run_thm8,
+    run_thm10,
+    run_thm11,
+)
 
 # sha256 of Report.json_lines() of every default verify report; a change
 # here changes a published report
@@ -38,6 +47,10 @@ GOLDEN = {
     "thm11-default": (
         run_thm11,
         "56b51125506d7d6b4aeccde8acdac57ba7b807eb60d22e3dcc823763c45c184c",
+    ),
+    "laws-default": (
+        run_laws,
+        "5eef96e75e90a61212116368bb662412ca23b38260794980181fb12587050f62",
     ),
     "lemmas-default": (
         run_lemmas,
