@@ -18,13 +18,25 @@ The binary product of (M, N) lives on Pfin(M x N) x M x N and tracks,
 through the split maps zeta_a, the pairs (prefix value, suffix value)
 at every occurrence of a letter; it recognises marked concatenations
 and, through them, concatenation.
+
+Representation.  Inside a product a subset of the points (M for the
+unary product, M x N in row-major order for the binary one) is an int
+bitmask, bit i standing for point i.  For every base element there is
+one left-image and one right-image map from masks to masks, memoised
+per product instance and filled on first use, so the first component of
+a product is one lookup in each map and one ``|``.  Elements cross the
+boundary as (frozenset, m[, n]) tuples: masks are read off frozensets
+through a memo that refuses points outside the carrier, and the
+frozenset of a mask is built once and interned.  The carrier lists the
+subsets by size, then lexicographically; a materialised table numbers
+the element (S, m, n) as rank(S) * |M||N| + m * |N| + n.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, Iterator
 
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .languages import Alphabet, Dfa, Word
@@ -38,16 +50,98 @@ from .monoids import (
 )
 
 _MATERIALISE_BASE_LIMIT = 6  # eager carrier up to 2^6 * 6 elements
+_MATERIALISE_CARRIER_LIMIT = 512
 
 
-def _subsets(universe: Sequence, nonempty: bool) -> Iterator[frozenset]:
-    for size in range(0 if not nonempty else 1, len(universe) + 1):
-        for combo in itertools.combinations(universe, size):
-            yield frozenset(combo)
+class _Masks(dict):
+    """frozenset of points -> bitmask, filled on first sight."""
+
+    def __init__(self, points: list) -> None:
+        super().__init__()
+        self.points = points
+        self.bits = {p: 1 << i for i, p in enumerate(points)}
+
+    def __missing__(self, s: frozenset) -> int:
+        mask = 0
+        for p in s:
+            bit = self.bits.get(p)
+            if bit is None:
+                raise InputError(f"point {p!r} is not in the carrier")
+            mask |= bit
+        self[s] = mask
+        return mask
+
+    def order(self, nonempty: bool) -> Iterator[int]:
+        """The masks of the carrier: by size, then lexicographically."""
+        for size in range(1 if nonempty else 0, len(self.points) + 1):
+            for combo in itertools.combinations(range(len(self.points)), size):
+                yield sum(1 << i for i in combo)
+
+
+class _Sets(dict):
+    """bitmask -> its frozenset of points, built once, interned and
+    entered in ``masks``."""
+
+    def __init__(self, masks: _Masks) -> None:
+        super().__init__()
+        self.masks = masks
+
+    def __missing__(self, mask: int) -> frozenset:
+        points = self.masks.points
+        s = frozenset(points[low.bit_length() - 1] for low in _low_bits(mask))
+        self[mask] = s
+        self.masks[s] = mask
+        return s
+
+
+class _Image(dict):
+    """bitmask -> bitmask of its image under one map of the points;
+    ``point_bits[i]`` is the bit of the image of point i."""
+
+    def __init__(self, point_bits: list[int]) -> None:
+        super().__init__()
+        self.point_bits = point_bits
+
+    def __missing__(self, mask: int) -> int:
+        point_bits = self.point_bits
+        out = 0
+        for low in _low_bits(mask):
+            out |= point_bits[low.bit_length() - 1]
+        self[mask] = out
+        return out
+
+
+def _low_bits(mask: int) -> Iterator[int]:
+    while mask:
+        low = mask & -mask
+        yield low
+        mask ^= low
 
 
 def _set_label(m: FiniteMonoid, s: frozenset[int]) -> str:
     return "{" + ",".join(m.label(x) for x in sorted(s)) + "}"
+
+
+def _table(order: list[int], width: int, row_specs: list) -> tuple[tuple[int, ...], ...]:
+    """Materialised product table.  ``order`` lists the carrier's masks.
+    For each mask S, each (left map, columns) of ``row_specs`` is one row,
+    in which column (T, j) holds rank(left[T] | right_j[S]) * width +
+    cell_j for the j-th (right_j, cell_j) of ``columns``."""
+    rank = {mask: r * width for r, mask in enumerate(order)}
+    specs = [([left[t] for t in order], columns) for left, columns in row_specs]
+    rows = []
+    for s in order:
+        for left_t, columns in specs:
+            firsts = [(right[s], cell) for right, cell in columns]
+            rows.append(tuple(rank[lt | f] + c for lt in left_t for f, c in firsts))
+    return tuple(rows)
+
+
+def _too_large(what: str, size: int, bound: str, limit: int) -> ResourceLimitError:
+    return ResourceLimitError(
+        f"{what} has {size} elements, above the materialisation bound "
+        f"{bound}={limit}; raise it with construct --max-size"
+    )
 
 
 @dataclass(frozen=True)
@@ -55,6 +149,19 @@ class UnarySchutz:
     """The product Pfin(M) x M; elements are (frozenset, element) pairs."""
 
     base: FiniteMonoid
+    _masks: _Masks = field(init=False, repr=False, compare=False)
+    _sets: _Sets = field(init=False, repr=False, compare=False)
+    _left: list[_Image] = field(init=False, repr=False, compare=False)
+    _right: list[_Image] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        t = self.base.table
+        n = self.base.size
+        set_ = object.__setattr__
+        set_(self, "_masks", _Masks(list(range(n))))
+        set_(self, "_sets", _Sets(self._masks))
+        set_(self, "_left", [_Image([1 << t[m][x] for x in range(n)]) for m in range(n)])
+        set_(self, "_right", [_Image([1 << t[x][m] for x in range(n)]) for m in range(n)])
 
     @property
     def semigroup(self) -> bool:
@@ -69,20 +176,21 @@ class UnarySchutz:
     def unit(self) -> tuple[frozenset, int]:
         if self.semigroup:
             raise PreconditionError("a semigroup-mode product has no unit")
-        return (frozenset(), self.base.identity)
+        return (self._sets[0], self.base.identity)
 
     def mul(
         self, p: tuple[frozenset, int], q: tuple[frozenset, int]
     ) -> tuple[frozenset, int]:
         s, m = p
         t, n = q
-        table = self.base.table
-        first = frozenset(table[x][n] for x in s) | frozenset(table[m][y] for y in t)
-        return (first, table[m][n])
+        masks = self._masks
+        first = self._right[n][masks[s]] | self._left[m][masks[t]]
+        return (self._sets[first], self.base.table[m][n])
 
     def carrier(self) -> Iterator[tuple[frozenset, int]]:
         """All elements, subsets by size then lex, base element minor."""
-        for s in _subsets(range(self.base.size), self.semigroup):
+        for mask in self._masks.order(self.semigroup):
+            s = self._sets[mask]
             for m in range(self.base.size):
                 yield (s, m)
 
@@ -93,36 +201,40 @@ class UnarySchutz:
     ) -> tuple[frozenset, int]:
         s, m = p
         t, y = x
-        table = self.base.table
-        first = frozenset(table[e][y] for e in s) | frozenset(table[m][z] for z in t)
-        return (first, table[m][y])
+        masks = self._masks
+        # {e.y : e in S} u {m.z : z in T}
+        first = self._right[y][masks[s]] | self._left[m][masks[t]]
+        return (self._sets[first], self.base.table[m][y])
 
     def right_action(
         self, p: tuple[frozenset, int], x: tuple[frozenset, int]
     ) -> tuple[frozenset, int]:
         s, m = p
         t, y = x
-        table = self.base.table
-        first = frozenset(table[y][e] for e in s) | frozenset(table[z][m] for z in t)
-        return (first, table[y][m])
+        masks = self._masks
+        # {y.e : e in S} u {z.m : z in T}
+        first = self._left[y][masks[s]] | self._right[m][masks[t]]
+        return (self._sets[first], self.base.table[y][m])
 
     def as_finite_monoid(
         self, max_base: int = _MATERIALISE_BASE_LIMIT
     ) -> tuple[FiniteMonoid, tuple[tuple[frozenset, int], ...]]:
         """Materialised multiplication table with canonical element order."""
-        if self.base.size > max_base:
-            raise ResourceLimitError(
-                f"carrier of size {self.size} exceeds the materialisation bound"
-            )
+        n = self.base.size
+        if n > max_base:
+            raise _too_large("the unary product's base", n, "max_base", max_base)
+        t = self.base.table
+        order = list(self._masks.order(self.semigroup))
+        table = _table(order, n, [
+            (self._left[m], [(self._right[y], t[m][y]) for y in range(n)])
+            for m in range(n)
+        ])
         elems = tuple(self.carrier())
-        index = {e: i for i, e in enumerate(elems)}
-        table = tuple(
-            tuple(index[self.mul(p, q)] for q in elems) for p in elems
-        )
         labels = tuple(
             f"({_set_label(self.base, s)},{self.base.label(m)})" for s, m in elems
         )
-        identity = index[self.unit()] if not self.semigroup else None
+        # the unit ({}, e) has rank 0
+        identity = None if self.semigroup else self.base.identity
         return FiniteMonoid(table, identity=identity, labels=labels), elems
 
 
@@ -133,10 +245,27 @@ class BinarySchutz:
 
     left_base: FiniteMonoid
     right_base: FiniteMonoid
+    _masks: _Masks = field(init=False, repr=False, compare=False)
+    _sets: _Sets = field(init=False, repr=False, compare=False)
+    _left: list[_Image] = field(init=False, repr=False, compare=False)
+    _right: list[_Image] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.left_base.is_semigroup != self.right_base.is_semigroup:
             raise InputError("bases must both be monoids or both semigroups")
+        lt, rt = self.left_base.table, self.right_base.table
+        a, b = self.left_base.size, self.right_base.size
+        points = [(x, y) for x in range(a) for y in range(b)]
+        set_ = object.__setattr__
+        set_(self, "_masks", _Masks(points))
+        set_(self, "_sets", _Sets(self._masks))
+        # m acts on the left factor of each point, n on the right one
+        set_(self, "_left", [
+            _Image([1 << (lt[m][x] * b + y) for x, y in points]) for m in range(a)
+        ])
+        set_(self, "_right", [
+            _Image([1 << (x * b + rt[y][n]) for x, y in points]) for n in range(b)
+        ])
 
     @property
     def semigroup(self) -> bool:
@@ -151,25 +280,18 @@ class BinarySchutz:
     def unit(self) -> tuple[frozenset, int, int]:
         if self.semigroup:
             raise PreconditionError("a semigroup-mode product has no unit")
-        return (frozenset(), self.left_base.identity, self.right_base.identity)
+        return (self._sets[0], self.left_base.identity, self.right_base.identity)
 
     def mul(self, p, q):
         s, m1, n1 = p
         t, m2, n2 = q
-        lt = self.left_base.table
-        rt = self.right_base.table
-        first = frozenset((lt[m1][x], y) for x, y in t) | frozenset(
-            (x, rt[y][n2]) for x, y in s
-        )
-        return (first, lt[m1][m2], rt[n1][n2])
+        masks = self._masks
+        first = self._left[m1][masks[t]] | self._right[n2][masks[s]]
+        return (self._sets[first], self.left_base.table[m1][m2], self.right_base.table[n1][n2])
 
     def carrier(self) -> Iterator[tuple[frozenset, int, int]]:
-        pairs = [
-            (x, y)
-            for x in range(self.left_base.size)
-            for y in range(self.right_base.size)
-        ]
-        for s in _subsets(pairs, self.semigroup):
+        for mask in self._masks.order(self.semigroup):
+            s = self._sets[mask]
             for m in range(self.left_base.size):
                 for n in range(self.right_base.size):
                     yield (s, m, n)
@@ -178,33 +300,36 @@ class BinarySchutz:
     def left_action(self, p, point):
         s, m1, n1 = p
         z, x, y = point
-        lt = self.left_base.table
-        rt = self.right_base.table
-        first = frozenset((lt[m1][u], v) for u, v in z) | frozenset(
-            (m, rt[n][y]) for m, n in s
-        )
-        return (first, lt[m1][x], rt[n1][y])
+        masks = self._masks
+        # {(m1.u, v) : (u, v) in Z} u {(m, n.y) : (m, n) in S}
+        first = self._left[m1][masks[z]] | self._right[y][masks[s]]
+        return (self._sets[first], self.left_base.table[m1][x], self.right_base.table[n1][y])
 
     def right_action(self, p, point):
         s, m1, n1 = p
         z, x, y = point
-        lt = self.left_base.table
-        rt = self.right_base.table
-        first = frozenset((u, rt[v][n1]) for u, v in z) | frozenset(
-            (lt[x][m], n) for m, n in s
-        )
-        return (first, lt[x][m1], rt[y][n1])
+        masks = self._masks
+        # {(u, v.n1) : (u, v) in Z} u {(x.m, n) : (m, n) in S}
+        first = self._right[n1][masks[z]] | self._left[x][masks[s]]
+        return (self._sets[first], self.left_base.table[x][m1], self.right_base.table[y][n1])
 
     def as_finite_monoid(
-        self, max_carrier: int = 512
+        self, max_carrier: int = _MATERIALISE_CARRIER_LIMIT
     ) -> tuple[FiniteMonoid, tuple[tuple[frozenset, int, int], ...]]:
         if self.size > max_carrier:
-            raise ResourceLimitError(
-                f"carrier of size {self.size} exceeds the materialisation bound"
-            )
+            raise _too_large("the binary product's carrier", self.size,
+                             "max_carrier", max_carrier)
+        lt, rt = self.left_base.table, self.right_base.table
+        a, b = self.left_base.size, self.right_base.size
+        order = list(self._masks.order(self.semigroup))
+        table = _table(order, a * b, [
+            (self._left[m1], [
+                (self._right[n2], lt[m1][m2] * b + rt[n1][n2])
+                for m2 in range(a) for n2 in range(b)
+            ])
+            for m1 in range(a) for n1 in range(b)
+        ])
         elems = tuple(self.carrier())
-        index = {e: i for i, e in enumerate(elems)}
-        table = tuple(tuple(index[self.mul(p, q)] for q in elems) for p in elems)
 
         def lab(e):
             s, m, n = e
@@ -214,7 +339,9 @@ class BinarySchutz:
             )
             return f"({{{pairs}}},{self.left_base.label(m)},{self.right_base.label(n)})"
 
-        identity = index[self.unit()] if not self.semigroup else None
+        identity = None  # the unit ({}, e, f) has rank 0
+        if not self.semigroup:
+            identity = self.left_base.identity * b + self.right_base.identity
         return FiniteMonoid(table, identity=identity, labels=tuple(lab(e) for e in elems)), elems
 
 
@@ -317,17 +444,37 @@ def _require_shared(phi1: MonoidMorphism, phi2: MonoidMorphism) -> Alphabet:
     return phi1.alphabet
 
 
+def _letter_indices(alph: Alphabet, w: "Word | Iterable[str | int]") -> tuple[int, ...]:
+    """Letter indices of a Word over alph, or of letters given by name or
+    by index; a word over another alphabet, an index out of range and a
+    bool are refused."""
+    if isinstance(w, Word):
+        if w.alphabet != alph:
+            raise InputError(f"the word is over {w.alphabet!r}, not {alph!r}")
+        return w.indices
+    out = []
+    for c in w:
+        if isinstance(c, str):
+            out.append(alph.index(c))
+        elif isinstance(c, int) and not isinstance(c, bool) and 0 <= c < len(alph):
+            out.append(c)
+        else:
+            raise InputError(f"{c!r} is not a letter of {alph!r}")
+    return tuple(out)
+
+
 def marked_split_set(
     phi1: MonoidMorphism, phi2: MonoidMorphism, letter: "str | int", w: Word
 ) -> frozenset[tuple[int, int]]:
     """All (phi1(prefix), phi2(suffix)) pairs over occurrences of the
     letter: w = u a v."""
     alph = _require_shared(phi1, phi2)
-    a = alph.index(letter) if isinstance(letter, str) else letter
+    (a,) = _letter_indices(alph, (letter,))
+    idxs = _letter_indices(alph, w)
     out = set()
-    for i, c in enumerate(w.indices):
+    for i, c in enumerate(idxs):
         if c == a:
-            out.add((phi1.evaluate(w[:i]), phi2.evaluate(w[i + 1 :])))
+            out.add((phi1.evaluate(idxs[:i]), phi2.evaluate(idxs[i + 1 :])))
     return frozenset(out)
 
 
@@ -336,7 +483,7 @@ def split_letter_images(
 ) -> list[tuple[frozenset, int, int]]:
     """Letter images of the split-tracking morphism into the binary product."""
     alph = _require_shared(phi1, phi2)
-    a = alph.index(letter) if isinstance(letter, str) else letter
+    (a,) = _letter_indices(alph, (letter,))
     unit_pair = frozenset({(phi1.target.identity, phi2.target.identity)})
     out = []
     for c in range(len(alph)):
@@ -389,11 +536,13 @@ def split_language(
 @dataclass(frozen=True)
 class LocalSchutz:
     """Image of the product map pairing every per-letter split component
-    with both base evaluations; elements are ((S_a)_a, m, n)."""
+    with both base evaluations; elements are ((S_a)_a, m, n), each S_a
+    multiplied as the first component of ``product``."""
 
     phi1: MonoidMorphism
     phi2: MonoidMorphism
     closure: GeneratedClosure
+    product: BinarySchutz
 
     @property
     def alphabet(self) -> Alphabet:
@@ -403,14 +552,13 @@ class LocalSchutz:
         return self.closure.elements
 
     def evaluate(self, w: "Word | Iterable[int]") -> tuple:
-        idxs = w.indices if isinstance(w, Word) else tuple(w)
         i = 0  # index of the unit element
-        for c in idxs:
+        for c in _letter_indices(self.alphabet, w):
             i = self.closure.delta[i][c]
         return self.closure.elements[i]
 
     def mul(self, p: tuple, q: tuple) -> tuple:
-        return _local_mul(self.phi1.target, self.phi2.target, p, q)
+        return _local_mul(self.product, p, q)
 
     def language_of(self, accept: Callable[[tuple], bool]) -> Dfa:
         clo = self.closure
@@ -419,17 +567,13 @@ class LocalSchutz:
         )
 
 
-def _local_mul(m1: FiniteMonoid, m2: FiniteMonoid, p: tuple, q: tuple) -> tuple:
-    ss, m, n = p
-    ts, m2_, n2_ = q
-    lt = m1.table
-    rt = m2.table
+def _local_mul(product: BinarySchutz, p: tuple, q: tuple) -> tuple:
+    ss, m1, n1 = p
+    ts, m2, n2 = q
     first = tuple(
-        frozenset((lt[m][x], y) for x, y in t)
-        | frozenset((x, rt[y][n2_]) for x, y in s)
-        for s, t in zip(ss, ts)
+        product.mul((s, m1, n1), (t, m2, n2))[0] for s, t in zip(ss, ts)
     )
-    return (first, lt[m][m2_], rt[n][n2_])
+    return (first, product.left_base.table[m1][m2], product.right_base.table[n1][n2])
 
 
 def local_schutz_morphism(
@@ -440,6 +584,7 @@ def local_schutz_morphism(
 ) -> LocalSchutz:
     alph = _require_shared(phi1, phi2)
     k = len(alph)
+    product = BinarySchutz(phi1.target, phi2.target)
     unit_pair = (phi1.target.identity, phi2.target.identity)
     images = []
     for c in range(k):
@@ -450,7 +595,7 @@ def local_schutz_morphism(
     unit = (tuple(frozenset() for _ in range(k)), unit_pair[0], unit_pair[1])
 
     def mul(p, q):
-        return _local_mul(phi1.target, phi2.target, p, q)
+        return _local_mul(product, p, q)
 
     closure = generate_closure(images, mul, unit, max_size=max_size)
-    return LocalSchutz(phi1, phi2, closure)
+    return LocalSchutz(phi1, phi2, closure, product)

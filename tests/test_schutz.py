@@ -8,6 +8,7 @@ from langrec import (
     BinarySchutz,
     FiniteMonoid,
     HitClopen,
+    InputError,
     MonoidMorphism,
     PreconditionError,
     ResourceLimitError,
@@ -27,9 +28,11 @@ from langrec import (
     recognises_exists,
     regex_to_dfa,
     split_language,
+    split_letter_images,
     syntactic_monoid,
 )
 from langrec.marking import ExtendedAlphabet, tag_unmarked
+from langrec.schutz import split_closure
 
 AB = Alphabet(("a", "b"))
 A1 = Alphabet(("a",))
@@ -325,3 +328,264 @@ class TestHitClopen:
             hit_comp = HitClopen("hit", frozenset(universe) - witness)
             for s in subsets:
                 assert miss.contains(s) == (not hit_comp.contains(s))
+
+
+# -- the products against their frozenset formulas -----------------------------
+#
+# The library multiplies bitmasks through memoised image maps.  These
+# oracles are the product formulas written out on frozensets; the
+# materialised tables index whole result tuples in a dict.
+
+
+def _subsets(universe, nonempty):
+    for size in range(1 if nonempty else 0, len(universe) + 1):
+        for combo in itertools.combinations(universe, size):
+            yield frozenset(combo)
+
+
+def _unary_mul(t, p, q):
+    (s, m), (u, n) = p, q
+    return (frozenset(t[x][n] for x in s) | frozenset(t[m][y] for y in u), t[m][n])
+
+
+def _unary_left(t, p, x):
+    (s, m), (u, y) = p, x
+    return (frozenset(t[e][y] for e in s) | frozenset(t[m][z] for z in u), t[m][y])
+
+
+def _unary_right(t, p, x):
+    (s, m), (u, y) = p, x
+    return (frozenset(t[y][e] for e in s) | frozenset(t[z][m] for z in u), t[y][m])
+
+
+def _binary_mul(lt, rt, p, q):
+    (s, m1, n1), (t, m2, n2) = p, q
+    first = frozenset((lt[m1][x], y) for x, y in t) | frozenset((x, rt[y][n2]) for x, y in s)
+    return (first, lt[m1][m2], rt[n1][n2])
+
+
+def _binary_left(lt, rt, p, point):
+    (s, m1, n1), (z, x, y) = p, point
+    first = frozenset((lt[m1][u], v) for u, v in z) | frozenset((m, rt[n][y]) for m, n in s)
+    return (first, lt[m1][x], rt[n1][y])
+
+
+def _binary_right(lt, rt, p, point):
+    (s, m1, n1), (z, x, y) = p, point
+    first = frozenset((u, rt[v][n1]) for u, v in z) | frozenset((lt[x][m], n) for m, n in s)
+    return (first, lt[x][m1], rt[y][n1])
+
+
+def _set_label(m, s):
+    return "{" + ",".join(m.label(x) for x in sorted(s)) + "}"
+
+
+def _unary_oracle(base):
+    """(table, identity, labels, elements) of the unary product."""
+    t, n = base.table, base.size
+    elems = tuple((s, m) for s in _subsets(range(n), base.is_semigroup) for m in range(n))
+    index = {e: i for i, e in enumerate(elems)}
+    table = tuple(tuple(index[_unary_mul(t, p, q)] for q in elems) for p in elems)
+    labels = tuple(f"({_set_label(base, s)},{base.label(m)})" for s, m in elems)
+    identity = None if base.is_semigroup else index[(frozenset(), base.identity)]
+    return table, identity, labels, elems
+
+
+def _binary_oracle(m1, m2):
+    """(table, identity, labels, elements) of the binary product; each
+    cell is the union of m1.T and S.n2, each half built once."""
+    lt, rt, a, b = m1.table, m2.table, m1.size, m2.size
+    points = [(x, y) for x in range(a) for y in range(b)]
+    sets = list(_subsets(points, m1.is_semigroup))
+    elems = tuple((s, x, y) for s in sets for x in range(a) for y in range(b))
+    index = {e: i for i, e in enumerate(elems)}
+    canon = {s: s for s in sets}  # equal sets as one object: the index compares by identity
+    left = [[frozenset((lt[m][x], y) for x, y in t) for t in sets] for m in range(a)]
+    right = {(s, n): frozenset((x, rt[y][n]) for x, y in s) for s in sets for n in range(b)}
+    rows = []
+    for s, x1, y1 in elems:
+        rights = [right[s, y2] for y2 in range(b)]
+        rows.append(tuple(
+            index[(first[y2], lt[x1][x2], rt[y1][y2])]
+            for first in ([canon[lf | r] for r in rights] for lf in left[x1])
+            for x2 in range(a)
+            for y2 in range(b)
+        ))
+    table = tuple(rows)
+    labels = tuple(
+        "({" + ",".join(f"({m1.label(x)},{m2.label(y)})" for x, y in sorted(s)) + "},"
+        f"{m1.label(x)},{m2.label(y)})"
+        for s, x, y in elems
+    )
+    identity = None if m1.is_semigroup else index[(frozenset(), m1.identity, m2.identity)]
+    return table, identity, labels, elems
+
+
+def _check_points(d, elems, pairs, mul, left, right):
+    """mul and both actions equal their oracles, and return the
+    carrier's own (interned) sets."""
+    interned = {e[0]: e[0] for e in d.carrier()}
+    for p, q in pairs:
+        for got, want in ((d.mul(p, q), mul(p, q)), (d.left_action(p, q), left(p, q)),
+                          (d.right_action(p, q), right(p, q))):
+            assert got == want
+            assert got[0] is interned[got[0]]
+
+
+def _element_pairs(elems, rng):
+    if len(elems) <= 24:
+        return list(itertools.product(elems, repeat=2))
+    return [(rng.choice(elems), rng.choice(elems)) for _ in range(300)]
+
+
+def _check_materialised(d, oracle):
+    table, identity, labels, elems = oracle
+    mfm, got_elems = d.as_finite_monoid()
+    assert got_elems == elems == tuple(d.carrier())
+    assert mfm.table == table
+    assert mfm.identity == identity
+    assert mfm.labels == labels
+
+
+class TestAgainstFrozensetOracles:
+    def test_unary_bases_up_to_three(self):
+        rng = random.Random(11)
+        for n in (1, 2, 3):
+            for base in enumerate_monoids(n) + enumerate_semigroups(n):
+                d = UnarySchutz(base)
+                oracle = _unary_oracle(base)
+                _check_materialised(d, oracle)
+                t = base.table
+                _check_points(d, oracle[3], _element_pairs(oracle[3], rng),
+                              lambda p, q: _unary_mul(t, p, q),
+                              lambda p, x: _unary_left(t, p, x),
+                              lambda p, x: _unary_right(t, p, x))
+
+    @staticmethod
+    def _check_binary(m1, m2, rng, materialise=True):
+        d = BinarySchutz(m1, m2)
+        lt, rt = m1.table, m2.table
+        if materialise:
+            oracle = _binary_oracle(m1, m2)
+            _check_materialised(d, oracle)
+            elems = oracle[3]
+        else:
+            elems = [(frozenset(e[0]), e[1], e[2]) for e in d.carrier()]
+        _check_points(d, elems, _element_pairs(elems, rng),
+                      lambda p, q: _binary_mul(lt, rt, p, q),
+                      lambda p, x: _binary_left(lt, rt, p, x),
+                      lambda p, x: _binary_right(lt, rt, p, x))
+
+    def test_every_monoid_pair_up_to_512(self):
+        rng = random.Random(12)
+        for n1, n2 in itertools.product((1, 2, 3), repeat=2):
+            if n1 * n2 > 6:
+                continue  # 4 608 elements
+            for m1 in enumerate_monoids(n1):
+                for m2 in enumerate_monoids(n2):
+                    self._check_binary(m1, m2, rng)
+
+    def test_semigroup_pairs(self):
+        rng = random.Random(13)
+        for n1, n2 in itertools.product((1, 2), repeat=2):
+            for s1 in enumerate_semigroups(n1):
+                for s2 in enumerate_semigroups(n2):
+                    self._check_binary(s1, s2, rng)
+        for _ in range(3):  # 378 elements each
+            self._check_binary(rng.choice(enumerate_semigroups(3)),
+                               rng.choice(enumerate_semigroups(2)), rng)
+
+    def test_seeded_points_on_3x3_carriers(self):
+        rng = random.Random(14)
+        m3 = enumerate_monoids(3)
+        for _ in range(3):  # 4 608 elements each, 300 seeded pairs
+            self._check_binary(rng.choice(m3), rng.choice(m3), rng, materialise=False)
+
+    def test_local_mul_along_the_closure(self):
+        rng = random.Random(17)
+        pool = enumerate_monoids(3)
+        for _ in range(2):  # closures of 534 and 38 elements
+            m1, m2 = rng.choice(pool), rng.choice(pool)
+            phi1 = MonoidMorphism(AB, m1, tuple(rng.randrange(m1.size) for _ in AB.letters))
+            phi2 = MonoidMorphism(AB, m2, tuple(rng.randrange(m2.size) for _ in AB.letters))
+            loc = local_schutz_morphism(phi1, phi2)
+            clo = loc.closure
+            assert len(clo.elements) in (534, 38)
+            images = [clo.elements[j] for j in clo.letter_targets]
+            for i, e in enumerate(clo.elements):
+                for c, img in enumerate(images):
+                    (ss, m, n), (ts, x, y) = e, img
+                    want = (
+                        tuple(_binary_mul(m1.table, m2.table, (s, m, n), (t, x, y))[0]
+                              for s, t in zip(ss, ts)),
+                        m1.table[m][x],
+                        m2.table[n][y],
+                    )
+                    assert loc.mul(e, img) == want == clo.elements[clo.delta[i][c]]
+
+
+class TestRefusedInputs:
+    def test_foreign_points_are_refused(self):
+        with pytest.raises(InputError, match=r"point \(0, -1\) is not in the carrier"):
+            BinarySchutz(U1, U1).mul((frozenset(), -1, 0), (frozenset({(0, -1)}), 0, 0))
+        with pytest.raises(InputError, match="point -1 is not in the carrier"):
+            UnarySchutz(U1).mul((frozenset({-1}), 0), (frozenset(), 0))
+        d = BinarySchutz(U1, Z2)
+        inside = (frozenset({(1, 1)}), 0, 0)
+        for outside in (frozenset({(2, 0)}), frozenset({(0, 1), (0, 2)}), frozenset({1})):
+            for op in (d.mul, d.left_action, d.right_action):
+                with pytest.raises(InputError):
+                    op(inside, (outside, 0, 0))
+                with pytest.raises(InputError):
+                    op((outside, 0, 0), inside)
+        u = UnarySchutz(Z2)
+        for op in (u.mul, u.left_action, u.right_action):
+            with pytest.raises(InputError):
+                op((frozenset({0}), 1), (frozenset({2}), 0))
+
+    def test_bounds_name_the_size_the_limit_and_the_knob(self):
+        z7 = FiniteMonoid(
+            tuple(tuple((i + j) % 7 for j in range(7)) for i in range(7)), identity=0
+        )
+        with pytest.raises(ResourceLimitError, match=r"unary product's base has 7 elements, "
+                           r"above the materialisation bound max_base=6; "
+                           r"raise it with construct --max-size"):
+            UnarySchutz(z7).as_finite_monoid()
+        m3 = enumerate_monoids(3)[0]
+        with pytest.raises(ResourceLimitError, match=r"binary product's carrier has 4608 "
+                           r"elements, above the materialisation bound max_carrier=512; "
+                           r"raise it with construct --max-size"):
+            BinarySchutz(m3, m3).as_finite_monoid()
+        with pytest.raises(ResourceLimitError, match=r"has 64 elements.*max_carrier=63"):
+            BinarySchutz(U1, Z2).as_finite_monoid(max_carrier=63)
+
+    def test_split_letters_outside_the_alphabet_are_refused(self):
+        phi1 = MonoidMorphism(AB, U1, (1, 0))
+        phi2 = MonoidMorphism(AB, Z2, (1, 0))
+        w = AB.word("ab")
+        for letter in (2, 5, -1, True, False, "c", 1.0):
+            with pytest.raises(InputError):
+                split_letter_images(phi1, phi2, letter)
+            with pytest.raises(InputError):
+                split_closure(phi1, phi2, letter)
+            with pytest.raises(InputError):
+                split_language(phi1, phi2, letter, {0}, {0})
+            with pytest.raises(InputError):
+                marked_split_set(phi1, phi2, letter, w)
+        # by name and by index alike
+        assert split_letter_images(phi1, phi2, "b") == split_letter_images(phi1, phi2, 1)
+        assert marked_split_set(phi1, phi2, 0, w) == marked_split_set(phi1, phi2, "a", w)
+
+    def test_local_evaluation_reads_only_its_own_alphabet(self):
+        phi1 = MonoidMorphism(AB, U1, (1, 0))
+        phi2 = MonoidMorphism(AB, Z2, (1, 0))
+        loc = local_schutz_morphism(phi1, phi2)
+        for other in (Alphabet(("x", "y")), Alphabet(("a", "b", "c"))):
+            with pytest.raises(InputError, match="the word is over"):
+                loc.evaluate(Word(other, (0, 1)))
+        with pytest.raises(InputError):
+            marked_split_set(phi1, phi2, "a", Word(Alphabet(("a", "b", "c")), (0, 2)))
+        for idxs in ([-1], [2], [0, True], [0.0]):
+            with pytest.raises(InputError):
+                loc.evaluate(idxs)
+        assert loc.evaluate([0, 1]) == loc.evaluate(AB.word("ab"))
