@@ -1,6 +1,7 @@
 """Acceptance suite: one test per criterion, run at the contractual
 bounds with a pass/fail line printed for each."""
 
+import hashlib
 import time
 
 from langrec.campaigns import (
@@ -14,6 +15,10 @@ from langrec.campaigns import (
     run_thm10,
     run_thm11,
 )
+
+
+def _digest(report) -> str:
+    return hashlib.sha256(report.json_lines().encode("utf-8")).hexdigest()
 
 
 def _finish(name: str, budget_s: float, started: float, report) -> None:
@@ -37,18 +42,27 @@ def test_criterion_1_unary_recognition():
     started = time.time()
     report = run_prop2(seed=101, samples=50, max_monoid=3)
     _finish("1 unary-existential-recognition", 60, started, report)
+    assert _digest(report) == (
+        "c64c65a72aae2cf40fd710eb6e089856ea94fcf504bbaecdbf3e6b034e260215"
+    )
 
 
 def test_criterion_2_algebraic_laws():
     started = time.time()
     report = run_laws(seed=102)
     _finish("2 product-algebraic-laws", 60, started, report)
+    assert _digest(report) == (
+        "37b350430b01e0c529071b29cdf87f0505cd3c82eb2cdf67f2fcbc44203352c4"
+    )
 
 
 def test_criterion_3_unary_product_languages():
     started = time.time()
     report = run_thm4(seed=103, size3_samples=10)
     _finish("3 unary-product-language-class", 600, started, report)
+    assert _digest(report) == (
+        "a8cdaa2d9e6b5ad17bf927a6eec6c4b20fa09ceec72541e31536226de229dedf"
+    )
 
 
 def test_criterion_4_binary_product_and_concatenation():
@@ -71,6 +85,15 @@ def test_criterion_4_binary_product_and_concatenation():
                 print("  FAILING INSTANCE:", inst)
     assert merged_ok
     assert elapsed <= 300
+    assert _digest(global_report) == (
+        "ddf395a73a00cfd06d562b69d0c4432b58bccc4eef1c8fcd2426e7eea3423ab4"
+    )
+    assert _digest(local_report) == (
+        "5357aca990b192712acbf0de4437f0e7f08baa96feec97721b3970771a411ce2"
+    )
+    assert _digest(concat_report) == (
+        "8d9a3aa4a3579cc4fe7760f38a1d54e8716a64df4a9378129ac5adf4d5469347"
+    )
 
 
 def test_criterion_5_equation_characterisation():
@@ -84,15 +107,24 @@ def test_criterion_5_equation_characterisation():
         print("  DISAGREEMENT (falsifies the finite-resolution reduction):", inst)
     _finish("5 equation-membership-agreement", 600, started, report)
     assert summary["total"] - summary["skipped"] >= 100
+    assert _digest(report) == (
+        "b83f4eb6b1b04a0fc01afe6f4e239977e7fd6103886bc62e56600dd7eac5246c"
+    )
 
 
 def test_criterion_6_lemma_suite():
     started = time.time()
     report = run_lemmas(seed=106, max_len=5, witness_samples=100)
     _finish("6 lemma-suite", 120, started, report)
+    assert _digest(report) == (
+        "86876e229224926ba8a1d01ead769dd5ea395625d0948cbcfc42bf88e2769f9f"
+    )
 
 
 def test_criterion_7_substrate_canonicity():
     started = time.time()
     report = run_canonicity(seed=107, samples=1000)
     _finish("7 substrate-canonicity", 60, started, report)
+    assert _digest(report) == (
+        "9f7b7a9d35e20b09459377a14eeea9eada6b04aab8c5f4643ae568d42c97a577"
+    )

@@ -56,6 +56,19 @@ GOLDEN = {
         run_lemmas,
         "2eb03b2a564c038294e08c85080a57dfb766e0c55c95c3070fe9c29dc9a7c50d",
     ),
+    # every instance hits the closure bound: the pair driver's limit path
+    "thm8-seed3-pairs4-max5": (
+        lambda: run_thm8(seed=3, pairs=4, max_size=5),
+        "0040441191760070860a8cb59431108d8cded69654953fa813dc09105774226d",
+    ),
+    "thm10-seed3-pairs4-max5": (
+        lambda: run_thm10(seed=3, pairs=4, max_size=5),
+        "50c6cf423ea6acd330bb3cce7e9eefd37da0000bb3c644874d9e6919b7efd562",
+    ),
+    "cor9-seed3-pairs4-max5": (
+        lambda: run_cor9(seed=3, pairs=4, max_size=5),
+        "724b123a644fb57fdc8cfa4d8eef439953b70ede4a24f2dc596f98d7e82eefa1",
+    ),
 }
 
 
