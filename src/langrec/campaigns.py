@@ -328,6 +328,22 @@ def run_prop2(seed: int = 0, samples: int = 50, max_monoid: int = 3, max_len: in
 # -- laws of the products (acceptance criterion 2) -----------------------------
 
 
+def _biaction_ok(d: UnarySchutz | BinarySchutz) -> bool:
+    """Both point actions coincide with multiplication and commute: the
+    action formulas are the independent oracle for mul."""
+    elems = list(d.carrier())
+    return all(
+        d.left_action(p, x) == d.mul(p, x) and d.right_action(p, x) == d.mul(x, p)
+        for p in elems
+        for x in elems
+    ) and all(
+        d.left_action(p, d.right_action(q, x)) == d.right_action(q, d.left_action(p, x))
+        for p in elems
+        for q in elems
+        for x in elems
+    )
+
+
 def run_laws(seed: int = 0, binary_sample_triples: int = 2000) -> Report:
     rep = Report("laws", seed, {"binary_sample_triples": binary_sample_triples})
     rng = random.Random(seed)
@@ -356,23 +372,7 @@ def run_laws(seed: int = 0, binary_sample_triples: int = 2000) -> Report:
     # unary biactions coincide with multiplication and commute (bases <= 2)
     for kind, pool in (("monoid", monoids), ("semigroup", semigroups)):
         for n in (1, 2):
-            ok = True
-            for base in pool[n]:
-                d = UnarySchutz(base)
-                elems = list(d.carrier())
-                for p in elems:
-                    for x in elems:
-                        if d.left_action(p, x) != d.mul(p, x):
-                            ok = False
-                        if d.right_action(p, x) != d.mul(x, p):
-                            ok = False
-                for p in elems:
-                    for q in elems:
-                        for x in elems:
-                            if d.left_action(p, d.right_action(q, x)) != d.right_action(
-                                q, d.left_action(p, x)
-                            ):
-                                ok = False
+            ok = all(_biaction_ok(UnarySchutz(base)) for base in pool[n])
             rep.add(check="unary-biaction", kind=kind, base_size=n,
                     status="pass" if ok else "fail")
 
@@ -405,24 +405,9 @@ def run_laws(seed: int = 0, binary_sample_triples: int = 2000) -> Report:
     # binary biactions coincide with multiplication and commute (bases <= 2)
     for n1 in (1, 2):
         for n2 in (1, 2):
-            ok = True
-            for m1 in monoids[n1]:
-                for m2 in monoids[n2]:
-                    d = BinarySchutz(m1, m2)
-                    elems = list(d.carrier())
-                    for p in elems:
-                        for x in elems:
-                            if d.left_action(p, x) != d.mul(p, x):
-                                ok = False
-                            if d.right_action(p, x) != d.mul(x, p):
-                                ok = False
-                    for p in elems:
-                        for q in elems:
-                            for x in elems:
-                                if d.left_action(p, d.right_action(q, x)) != d.right_action(
-                                    q, d.left_action(p, x)
-                                ):
-                                    ok = False
+            ok = all(
+                _biaction_ok(BinarySchutz(m1, m2)) for m1 in monoids[n1] for m2 in monoids[n2]
+            )
             rep.add(check="binary-biaction", sizes=[n1, n2],
                     status="pass" if ok else "fail")
     return rep
@@ -466,20 +451,30 @@ def _thm4_instance(s: FiniteMonoid, *, max_size: int, max_atoms: int) -> bool:
     return algebra_equal(lhs, rhs)
 
 
+def _thm4_record(s: FiniteMonoid, limit_status: str, **bounds) -> dict:
+    """One thm4 instance; a resource limit gives ``limit_status`` with the
+    limit's message."""
+    record = {"size": s.size, "table": [list(r) for r in s.table]}
+    try:
+        ok = _thm4_instance(s, **bounds)
+    except ResourceLimitError as exc:
+        return {**record, "status": limit_status, "reason": str(exc)}
+    return {**record, "status": "pass" if ok else "fail"}
+
+
 def run_thm4(
     seed: int = 0,
     size3_samples: int = 10,
     max_size: int = 6000,
     max_atoms: int = 1500,
 ) -> Report:
-    rep = Report("thm4", seed, {
-        "size3_samples": size3_samples, "max_size": max_size, "max_atoms": max_atoms,
-    })
+    """Every semigroup of size 1 and 2 is required, so a resource limit
+    fails it; a size-3 draw that hits a limit is skipped and replaced."""
+    bounds = {"max_size": max_size, "max_atoms": max_atoms}
+    rep = Report("thm4", seed, {"size3_samples": size3_samples, **bounds})
     for n in (1, 2):
         for s in enumerate_semigroups(n):
-            ok = _thm4_instance(s, max_size=max_size, max_atoms=max_atoms)
-            rep.add(size=n, table=[list(r) for r in s.table],
-                    status="pass" if ok else "fail")
+            rep.add(**_thm4_record(s, "fail", **bounds))
     rng = random.Random(seed)
     pool = list(enumerate_semigroups(3))
     rng.shuffle(pool)
@@ -487,15 +482,9 @@ def run_thm4(
     for s in pool:
         if done >= size3_samples:
             break
-        try:
-            ok = _thm4_instance(s, max_size=max_size, max_atoms=max_atoms)
-        except ResourceLimitError as exc:
-            rep.add(size=3, table=[list(r) for r in s.table], status="skip",
-                    reason=str(exc))
-            continue
-        rep.add(size=3, table=[list(r) for r in s.table],
-                status="pass" if ok else "fail")
-        done += 1
+        record = _thm4_record(s, "skip", **bounds)
+        rep.add(**record)
+        done += record["status"] != "skip"
     if done < size3_samples:
         rep.add(status="fail", reason=f"only {done} size-3 instances fit the bounds")
     return rep
@@ -516,46 +505,56 @@ def _all_subsets(n: int) -> list[frozenset[int]]:
     return [frozenset(i for i in range(n) if mask >> i & 1) for mask in range(2**n)]
 
 
+def _pair_campaign(rep: Report, pairs: int, max_monoid: int, check: Callable[..., str]) -> Report:
+    """Run ``check(phi1, phi2, record, rng)`` on seeded morphism pairs.  It
+    fills its own fields of the record and returns the detail of its last
+    failure, or "".  A resource limit fails the instance with the limit's
+    message, and the record keeps the fields as they were when the limit
+    was hit."""
+    rng = random.Random(rep.seed)
+    for _ in range(pairs):
+        phi1, phi2 = _sample_pair(rng, max_monoid)
+        record: dict = {}
+        try:
+            detail = check(phi1, phi2, record, rng)
+        except ResourceLimitError as exc:
+            detail = str(exc)
+        rep.add(m=phi1.target.size, n=phi2.target.size,
+                images1=list(phi1.letter_images), images2=list(phi2.letter_images),
+                **record, status="fail" if detail else "pass", detail=detail)
+    return rep
+
+
 def run_thm8(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int = 20000) -> Report:
     """Global form: one split component recognises the marked
     concatenation through a hit clopen, and both factors through the
     base components."""
-    rep = Report("thm8", seed, {"pairs": pairs, "max_monoid": max_monoid})
-    rng = random.Random(seed)
-    for _ in range(pairs):
-        phi1, phi2 = _sample_pair(rng, max_monoid)
-        ok = True
+
+    def check(phi1, phi2, record, rng) -> str:
         detail = ""
-        try:
-            for c in range(len(AB)):
-                clo, _ = split_closure(phi1, phi2, c, max_size=max_size)
-                for v1 in _all_subsets(phi1.target.size):
-                    l1 = phi1.preimage(v1)
-                    got1 = closure_language(AB, clo, lambda i: clo.elements[i][1] in v1)
-                    if got1 != l1:
-                        ok = False
-                        detail = "factor-1 recognition mismatch"
-                    for v2 in _all_subsets(phi2.target.size):
-                        l2 = phi2.preimage(v2)
-                        clopen = HitClopen("hit", frozenset((x, y) for x in v1 for y in v2))
-                        got = closure_language(
-                            AB, clo, lambda i: clopen.contains(clo.elements[i][0])
-                        )
-                        if got != marked_concat(l1, c, l2):
-                            ok = False
-                            detail = f"marked concatenation mismatch at letter {AB.letters[c]}"
+        for c in range(len(AB)):
+            clo, _ = split_closure(phi1, phi2, c, max_size=max_size)
+            for v1 in _all_subsets(phi1.target.size):
+                l1 = phi1.preimage(v1)
+                got1 = closure_language(AB, clo, lambda i: clo.elements[i][1] in v1)
+                if got1 != l1:
+                    detail = "factor-1 recognition mismatch"
                 for v2 in _all_subsets(phi2.target.size):
-                    got2 = closure_language(AB, clo, lambda i: clo.elements[i][2] in v2)
-                    if got2 != phi2.preimage(v2):
-                        ok = False
-                        detail = "factor-2 recognition mismatch"
-        except ResourceLimitError as exc:
-            ok = False
-            detail = str(exc)
-        rep.add(m=phi1.target.size, n=phi2.target.size,
-                images1=list(phi1.letter_images), images2=list(phi2.letter_images),
-                status="pass" if ok else "fail", detail=detail)
-    return rep
+                    l2 = phi2.preimage(v2)
+                    clopen = HitClopen("hit", frozenset((x, y) for x in v1 for y in v2))
+                    got = closure_language(
+                        AB, clo, lambda i: clopen.contains(clo.elements[i][0])
+                    )
+                    if got != marked_concat(l1, c, l2):
+                        detail = f"marked concatenation mismatch at letter {AB.letters[c]}"
+            for v2 in _all_subsets(phi2.target.size):
+                got2 = closure_language(AB, clo, lambda i: clo.elements[i][2] in v2)
+                if got2 != phi2.preimage(v2):
+                    detail = "factor-2 recognition mismatch"
+        return detail
+
+    rep = Report("thm8", seed, {"pairs": pairs, "max_monoid": max_monoid})
+    return _pair_campaign(rep, pairs, max_monoid, check)
 
 
 def _generated_concat_algebra(
@@ -582,49 +581,38 @@ def run_thm10(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int
     algebra generated by the factors and their marked concatenations:
     each generator is cut out by its predicate on elements, and the
     morphism's Cayley graph, as a finite quotient, refines the atoms."""
-    rep = Report("thm10", seed, {"pairs": pairs, "max_monoid": max_monoid})
-    rng = random.Random(seed)
-    for _ in range(pairs):
-        phi1, phi2 = _sample_pair(rng, max_monoid)
-        ok = True
+
+    def check(phi1, phi2, record, rng) -> str:
         detail = ""
-        element_count = 0
-        try:
-            loc = local_schutz_morphism(phi1, phi2, max_size=max_size)
-            elements = loc.elements()
-            element_count = len(elements)
-            alg = _generated_concat_algebra(phi1, phi2, max_states=max_size)
-            local = FiniteQuotient(AB, False, loc.closure.cayley_graph())
+        record["elements"] = 0
+        loc = local_schutz_morphism(phi1, phi2, max_size=max_size)
+        elements = loc.elements()
+        record["elements"] = len(elements)
+        alg = _generated_concat_algebra(phi1, phi2, max_states=max_size)
+        local = FiniteQuotient(AB, False, loc.closure.cayley_graph())
 
-            def recognised(l: Dfa, accept: Callable[[tuple], bool]) -> bool:
-                return local.saturation(l) == {i for i, e in enumerate(elements) if accept(e)}
+        def recognised(l: Dfa, accept: Callable[[tuple], bool]) -> bool:
+            return local.saturation(l) == {i for i, e in enumerate(elements) if accept(e)}
 
+        for x in range(phi1.target.size):
+            if not recognised(phi1.preimage({x}), lambda e: e[1] == x):
+                detail = "factor-1 generator not recognised"
+        for y in range(phi2.target.size):
+            if not recognised(phi2.preimage({y}), lambda e: e[2] == y):
+                detail = "factor-2 generator not recognised"
+        for c in range(len(AB)):
             for x in range(phi1.target.size):
-                if not recognised(phi1.preimage({x}), lambda e: e[1] == x):
-                    ok = False
-                    detail = "factor-1 generator not recognised"
-            for y in range(phi2.target.size):
-                if not recognised(phi2.preimage({y}), lambda e: e[2] == y):
-                    ok = False
-                    detail = "factor-2 generator not recognised"
-            for c in range(len(AB)):
-                for x in range(phi1.target.size):
-                    l1 = phi1.preimage({x})
-                    for y in range(phi2.target.size):
-                        expect = marked_concat(l1, c, phi2.preimage({y}))
-                        if not recognised(expect, lambda e: (x, y) in e[0][c]):
-                            ok = False
-                            detail = "marked generator not recognised"
-            if not algebra_leq(local, alg):
-                ok = False
-                detail = "recognised language outside the generated algebra"
-        except ResourceLimitError as exc:
-            ok = False
-            detail = str(exc)
-        rep.add(m=phi1.target.size, n=phi2.target.size,
-                images1=list(phi1.letter_images), images2=list(phi2.letter_images),
-                elements=element_count, status="pass" if ok else "fail", detail=detail)
-    return rep
+                l1 = phi1.preimage({x})
+                for y in range(phi2.target.size):
+                    expect = marked_concat(l1, c, phi2.preimage({y}))
+                    if not recognised(expect, lambda e: (x, y) in e[0][c]):
+                        detail = "marked generator not recognised"
+        if not algebra_leq(local, alg):
+            detail = "recognised language outside the generated algebra"
+        return detail
+
+    rep = Report("thm10", seed, {"pairs": pairs, "max_monoid": max_monoid})
+    return _pair_campaign(rep, pairs, max_monoid, check)
 
 
 def run_cor9(seed: int = 0, pairs: int = 20, max_monoid: int = 3,
@@ -632,76 +620,64 @@ def run_cor9(seed: int = 0, pairs: int = 20, max_monoid: int = 3,
     """Concatenation through the binary product: the decomposition into
     marked concatenations equals the classical construction and is
     recognised by the product-of-splits morphism."""
+
+    def check(phi1, phi2, record, rng) -> str:
+        detail = ""
+        record["corrections"] = 0
+        loc = local_schutz_morphism(phi1, phi2, max_size=max_size)
+        for _ in range(subset_samples):
+            v1 = frozenset(x for x in range(phi1.target.size) if rng.random() < 0.5)
+            v2 = frozenset(y for y in range(phi2.target.size) if rng.random() < 0.5)
+            l1, l2 = phi1.preimage(v1), phi2.preimage(v2)
+            classical = concat(l1, l2)
+            decomposed = concat_decompose(l1, l2)
+            if decomposed != classical:
+                detail = "decomposition disagrees with classical concatenation"
+            eps_in_l2 = l2.accepts(())
+            if eps_in_l2:
+                record["corrections"] += 1
+                # the uncorrected identity misses exactly the words of
+                # L1 paired with the empty suffix
+                verbatim = concat_decompose(l1, l2, verbatim=True)
+                if union(verbatim, l1) != classical:
+                    detail = "verbatim identity off by more than the empty-suffix words"
+            quotient_targets = [
+                frozenset(
+                    y for y in range(phi2.target.size)
+                    if phi2.target.table[phi2.letter_images[c]][y] in v2
+                )
+                for c in range(len(AB))
+            ]
+            # each decomposition piece L1 a (a^-1 L2) is recognised by a
+            # single morphism into the binary product; their union (plus
+            # the corrected piece) is the concatenation
+            assembled = l1 if eps_in_l2 else None
+            for c in range(len(AB)):
+                piece = split_language(phi1, phi2, c, v1, quotient_targets[c])
+                expected_piece = marked_concat(
+                    l1, c, left_quotient(Word(AB, (c,)), l2)
+                )
+                if piece != expected_piece:
+                    detail = "decomposition piece not recognised by the product"
+                assembled = piece if assembled is None else union(assembled, piece)
+            if assembled != classical:
+                detail = "assembled pieces disagree with classical concatenation"
+
+            def accept(e) -> bool:
+                for c in range(len(AB)):
+                    if any(
+                        x in v1 and y in quotient_targets[c] for x, y in e[0][c]
+                    ):
+                        return True
+                return eps_in_l2 and e[1] in v1
+
+            if loc.language_of(accept) != classical:
+                detail = "concatenation not recognised by the local morphism"
+        return detail
+
     rep = Report("cor9", seed, {"pairs": pairs, "max_monoid": max_monoid,
                                 "subset_samples": subset_samples})
-    rng = random.Random(seed)
-    for _ in range(pairs):
-        phi1, phi2 = _sample_pair(rng, max_monoid)
-        ok = True
-        detail = ""
-        corrections = 0
-        try:
-            loc = local_schutz_morphism(phi1, phi2, max_size=max_size)
-            for _ in range(subset_samples):
-                v1 = frozenset(x for x in range(phi1.target.size) if rng.random() < 0.5)
-                v2 = frozenset(y for y in range(phi2.target.size) if rng.random() < 0.5)
-                l1, l2 = phi1.preimage(v1), phi2.preimage(v2)
-                classical = concat(l1, l2)
-                decomposed = concat_decompose(l1, l2)
-                if decomposed != classical:
-                    ok = False
-                    detail = "decomposition disagrees with classical concatenation"
-                eps_in_l2 = l2.accepts(())
-                if eps_in_l2:
-                    corrections += 1
-                    # the uncorrected identity misses exactly the words of
-                    # L1 paired with the empty suffix
-                    verbatim = concat_decompose(l1, l2, verbatim=True)
-                    if union(verbatim, l1) != classical:
-                        ok = False
-                        detail = "verbatim identity off by more than the empty-suffix words"
-                quotient_targets = [
-                    frozenset(
-                        y for y in range(phi2.target.size)
-                        if phi2.target.table[phi2.letter_images[c]][y] in v2
-                    )
-                    for c in range(len(AB))
-                ]
-                # each decomposition piece L1 a (a^-1 L2) is recognised by a
-                # single morphism into the binary product; their union (plus
-                # the corrected piece) is the concatenation
-                assembled = l1 if eps_in_l2 else None
-                for c in range(len(AB)):
-                    piece = split_language(phi1, phi2, c, v1, quotient_targets[c])
-                    expected_piece = marked_concat(
-                        l1, c, left_quotient(Word(AB, (c,)), l2)
-                    )
-                    if piece != expected_piece:
-                        ok = False
-                        detail = "decomposition piece not recognised by the product"
-                    assembled = piece if assembled is None else union(assembled, piece)
-                if assembled != classical:
-                    ok = False
-                    detail = "assembled pieces disagree with classical concatenation"
-
-                def accept(e) -> bool:
-                    for c in range(len(AB)):
-                        if any(
-                            x in v1 and y in quotient_targets[c] for x, y in e[0][c]
-                        ):
-                            return True
-                    return eps_in_l2 and e[1] in v1
-
-                if loc.language_of(accept) != classical:
-                    ok = False
-                    detail = "concatenation not recognised by the local morphism"
-        except ResourceLimitError as exc:
-            ok = False
-            detail = str(exc)
-        rep.add(m=phi1.target.size, n=phi2.target.size,
-                images1=list(phi1.letter_images), images2=list(phi2.letter_images),
-                corrections=corrections, status="pass" if ok else "fail", detail=detail)
-    return rep
+    return _pair_campaign(rep, pairs, max_monoid, check)
 
 
 # -- thm11: equation set against direct closure --------------------------------
@@ -890,18 +866,6 @@ def run_canonicity(seed: int = 0, samples: int = 1000) -> Report:
 # -- dispatch --------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VerificationCampaign:
-    """A theorem id with bounds and a seed; identical settings give an
-    identical report."""
-
-    theorem: str
-    seed: int = 0
-    samples: int | None = None
-    max_size: int | None = None
-    max_len: int | None = None
-
-
 # per campaign: its runner, and the runner parameter each CLI flag sets
 _CAMPAIGNS: dict[str, tuple[Callable[..., Report], dict[str, str]]] = {
     "prop2": (run_prop2, {"samples": "samples", "max_size": "max_monoid", "max_len": "max_len"}),
@@ -913,21 +877,25 @@ _CAMPAIGNS: dict[str, tuple[Callable[..., Report], dict[str, str]]] = {
     "lemmas": (run_lemmas, {"samples": "witness_samples", "max_len": "max_len"}),
 }
 
+# the least value each flag takes
+_FLAG_MINIMUM = {"samples": 1, "max_size": 1, "max_len": 0}
 
-def run_campaign(c: VerificationCampaign) -> Report:
-    if c.theorem not in _CAMPAIGNS:
-        raise InputError(
-            f"unknown campaign {c.theorem!r}; choose from {sorted(_CAMPAIGNS)}"
-        )
-    runner, parameters = _CAMPAIGNS[c.theorem]
-    kwargs: dict = {"seed": c.seed}
-    for flag in ("samples", "max_size", "max_len"):
-        value = getattr(c, flag)
+
+def run_campaign(theorem: str, seed: int = 0, **flags: int | None) -> Report:
+    """Run one campaign; identical settings give an identical report.  A
+    flag left at None keeps the runner's default; a flag the campaign has
+    no parameter for, or a value below the flag's minimum, is refused."""
+    if theorem not in _CAMPAIGNS:
+        raise InputError(f"unknown campaign {theorem!r}; choose from {sorted(_CAMPAIGNS)}")
+    runner, parameters = _CAMPAIGNS[theorem]
+    kwargs: dict = {"seed": seed}
+    for flag, value in flags.items():
         if value is None:
             continue
+        name = f"--{flag.replace('_', '-')}"
         if flag not in parameters:
-            raise InputError(
-                f"--{flag.replace('_', '-')} has no meaning for the {c.theorem} campaign"
-            )
+            raise InputError(f"{name} has no meaning for the {theorem} campaign")
+        if value < _FLAG_MINIMUM[flag]:
+            raise InputError(f"{name} must be at least {_FLAG_MINIMUM[flag]}, got {value}")
         kwargs[parameters[flag]] = value
     return runner(**kwargs)

@@ -26,7 +26,7 @@ from .algebra import (
     generate_algebra,
     schutz_sum,
 )
-from .campaigns import Report, VerificationCampaign, run_campaign
+from .campaigns import _CAMPAIGNS, run_campaign
 from .errors import InputError, LangrecError
 from .languages import Alphabet, Dfa, Word, left_quotient, right_quotient
 from .marking import exists_projection
@@ -197,14 +197,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    campaign = VerificationCampaign(
-        theorem=args.theorem,
-        seed=args.seed,
-        samples=args.samples,
-        max_size=args.max_size,
-        max_len=args.max_len,
-    )
-    report: Report = run_campaign(campaign)
+    report = run_campaign(args.theorem, args.seed, samples=args.samples,
+                          max_size=args.max_size, max_len=args.max_len)
     text = report.pretty() if args.pretty else report.json_lines()
     if args.out:
         _write(args, f"verify.{args.theorem}.{'txt' if args.pretty else 'jsonl'}", text)
@@ -237,9 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.set_defaults(func=_cmd_construct)
 
     v = sub.add_parser("verify", help="run a seeded verification campaign")
-    v.add_argument("theorem", choices=[
-        "prop2", "thm4", "thm8", "cor9", "thm10", "thm11", "lemmas",
-    ])
+    v.add_argument("theorem", choices=list(_CAMPAIGNS))
     v.add_argument("--seed", type=int, default=0)
     v.add_argument("--samples", type=int, help="instance count override")
     v.add_argument("--max-size", type=int, help="size bound override")

@@ -30,6 +30,7 @@ from .algebra import LanguageAlgebra, schutz_sum, trivial_algebra
 from .languages import (
     Dfa,
     Word,
+    _letter_indices,
     _pairs,
     _state_labels,
     difference,
@@ -107,7 +108,7 @@ def factorizations(
     q: FiniteQuotient, point: int, letter: "str | int"
 ) -> list[FactorizationClass]:
     """All (p, s) with p * eta(letter) * s = point, by table scan."""
-    a = q.alphabet.index(letter) if isinstance(letter, str) else letter
+    (a,) = _letter_indices(q.alphabet, (letter,))
     img = q.morphism.letter_images[a]
     table = q.monoid.table
     n = q.monoid.size
@@ -309,7 +310,7 @@ def lemma_witness_check(
     atom.letter.(all words), some factorisation reaches that atom on the
     prefix side; and conversely every prefix-side atom really yields
     such a containment."""
-    a = q.alphabet.index(letter) if isinstance(letter, str) else letter
+    (a,) = _letter_indices(q.alphabet, (letter,))
     univ = universal_language(b.alphabet)
     atom_of = _atom_map(q, b)
     reached = {atom_of[p] for p in prefix_classes(UltrafilterApprox(q, point), a)}

@@ -138,6 +138,25 @@ class Word:
         return f"Word({self.text()})"
 
 
+def _letter_indices(alph: Alphabet, w: "Word | Iterable[str | int]") -> tuple[int, ...]:
+    """Letter indices of a Word over alph, or of letters given by name or
+    by index; a word over another alphabet, an index out of range and a
+    bool are refused."""
+    if isinstance(w, Word):
+        if w.alphabet != alph:
+            raise InputError(f"the word is over {w.alphabet!r}, not {alph!r}")
+        return w.indices
+    out = []
+    for c in w:
+        if isinstance(c, str):
+            out.append(alph.index(c))
+        elif isinstance(c, int) and not isinstance(c, bool) and 0 <= c < len(alph):
+            out.append(c)
+        else:
+            raise InputError(f"{c!r} is not a letter of {alph!r}")
+    return tuple(out)
+
+
 @dataclass(frozen=True)
 class Dfa:
     """Canonical minimal complete DFA.
@@ -588,9 +607,7 @@ class Nfa:
 def marked_concat(l1: Dfa, letter: "str | int", l2: Dfa) -> Dfa:
     """The language { u a v : u in L1, v in L2 } for a single letter a."""
     _require_same_alphabet(l1, l2)
-    a = l1.alphabet.index(letter) if isinstance(letter, str) else letter
-    if not (0 <= a < len(l1.alphabet)):
-        raise InputError(f"letter index {a} out of range")
+    (a,) = _letter_indices(l1.alphabet, (letter,))
     k = len(l1.alphabet)
     off = l1.states
     n = l1.states + l2.states

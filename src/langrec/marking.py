@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import InputError
-from .languages import Alphabet, Dfa, Nfa, Word, intersection
+from .languages import Alphabet, Dfa, Nfa, Word, _letter_indices, intersection
 
 
 @dataclass(frozen=True)
@@ -143,9 +143,7 @@ def right_act(mw: MarkedWord, v: Word) -> MarkedWord:
 def replace_at_mark(mw: MarkedWord, letter: "str | int") -> Word:
     """The word with the marked letter replaced by ``letter``."""
     alph = mw.word.alphabet
-    a = alph.index(letter) if isinstance(letter, str) else letter
-    if not (0 <= a < len(alph)):
-        raise InputError(f"letter index {a} out of range")
+    (a,) = _letter_indices(alph, (letter,))
     idxs = list(mw.word.indices)
     idxs[mw.position] = a
     return Word(alph, tuple(idxs))

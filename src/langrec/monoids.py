@@ -19,7 +19,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .languages import Alphabet, Dfa, Word, _canonical, _state_labels, canonicalise
-from .languages import _json_int, _json_ints
+from .languages import _json_int, _json_ints, _letter_indices
 from .limits import closure_limit
 
 
@@ -278,8 +278,8 @@ class MonoidMorphism:
             if not (0 <= v < self.target.size):
                 raise InputError(f"letter image {v} out of range")
 
-    def evaluate(self, w: "Word | Iterable[int]") -> int:
-        idxs = w.indices if isinstance(w, Word) else tuple(w)
+    def evaluate(self, w: "Word | Iterable[str | int]") -> int:
+        idxs = _letter_indices(self.alphabet, w)
         if not idxs:
             if self.target.identity is None:
                 raise PreconditionError(

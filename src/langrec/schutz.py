@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .languages import Alphabet, Dfa, Word
+from .languages import Alphabet, Dfa, Word, _letter_indices
 from .marking import ExtendedAlphabet, marked_words, tag_marked, tag_unmarked
 from .monoids import (
     FiniteMonoid,
@@ -442,25 +442,6 @@ def _require_shared(phi1: MonoidMorphism, phi2: MonoidMorphism) -> Alphabet:
     if phi1.target.is_semigroup or phi2.target.is_semigroup:
         raise PreconditionError("split tracking is defined for monoid morphisms")
     return phi1.alphabet
-
-
-def _letter_indices(alph: Alphabet, w: "Word | Iterable[str | int]") -> tuple[int, ...]:
-    """Letter indices of a Word over alph, or of letters given by name or
-    by index; a word over another alphabet, an index out of range and a
-    bool are refused."""
-    if isinstance(w, Word):
-        if w.alphabet != alph:
-            raise InputError(f"the word is over {w.alphabet!r}, not {alph!r}")
-        return w.indices
-    out = []
-    for c in w:
-        if isinstance(c, str):
-            out.append(alph.index(c))
-        elif isinstance(c, int) and not isinstance(c, bool) and 0 <= c < len(alph):
-            out.append(c)
-        else:
-            raise InputError(f"{c!r} is not a letter of {alph!r}")
-    return tuple(out)
 
 
 def marked_split_set(

@@ -3,6 +3,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from langrec import Alphabet, Dfa, FiniteMonoid, regex_to_dfa
 from langrec.cli import main
 
@@ -271,3 +273,41 @@ class TestVerify:
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
         assert code == 0
         assert summary["bounds"]["max_size"] == 5000
+
+    @pytest.mark.parametrize("argv, flag", [
+        (("cor9", "--max-size", "0"), "--max-size"),
+        (("thm8", "--max-size", "0"), "--max-size"),
+        (("thm10", "--max-size", "-1"), "--max-size"),
+        (("prop2", "--max-size", "0"), "--max-size"),
+        (("prop2", "--samples", "0"), "--samples"),
+        (("prop2", "--samples", "-2"), "--samples"),
+        (("lemmas", "--max-len", "-1"), "--max-len"),
+    ])
+    def test_meaningless_flag_values_are_refused(self, capsys, argv, flag):
+        code = main(["verify", *argv])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert flag in captured.err and "must be at least" in captured.err
+
+    def test_least_flag_values_are_accepted(self, capsys):
+        assert main(["verify", "prop2", "--samples", "1", "--max-size", "1"]) == 0
+        assert main(["verify", "lemmas", "--samples", "1", "--max-len", "0"]) == 0
+        capsys.readouterr()
+
+    def test_thm4_limit_on_a_required_instance_writes_a_failing_report(self, tmp_path, capsys):
+        # size-1 and size-2 semigroups are required, so a closure bound
+        # they exceed fails them instead of aborting the campaign
+        code = main(["verify", "thm4", "--max-size", "3", "--out", str(tmp_path)])
+        capsys.readouterr()
+        assert code == 1
+        lines = (tmp_path / "verify.thm4.jsonl").read_text().strip().splitlines()
+        records = [json.loads(line) for line in lines[:-1]]
+        required = [r for r in records if r.get("size") in (1, 2)]
+        assert len(required) == 9
+        limited = [r for r in required if "reason" in r]
+        assert limited and all(
+            r["status"] == "fail" and r["reason"] == "submonoid closure exceeded 3 elements"
+            for r in limited
+        )
+        assert {r["status"] for r in records if r.get("size") == 3 and "reason" in r} == {"skip"}

@@ -6,19 +6,25 @@ from langrec import (
     Alphabet,
     Dfa,
     InputError,
+    MarkedWord,
     Word,
     boolean_combine,
     complement,
     concat,
     concat_decompose,
+    bsum2_quotient,
     empty_language,
     epsilon_language,
+    factorizations,
+    generate_algebra,
     intersection,
     left_quotient,
     marked_concat,
     regex_to_dfa,
+    replace_at_mark,
     right_quotient,
     same_language,
+    syntactic_monoid,
     union,
     universal_language,
 )
@@ -29,6 +35,7 @@ from langrec.campaigns import (
     random_regex,
     random_word,
 )
+from langrec.equations import lemma_witness_check
 
 AB = Alphabet(("a", "b"))
 
@@ -260,6 +267,53 @@ class TestWords:
     def test_concat_requires_same_alphabet(self):
         with pytest.raises(InputError):
             AB.word("a") + Alphabet(("a",)).word("a")
+
+
+class TestLetterReader:
+    """Every operation that takes a letter reads it the same way: by name,
+    or by an index in range; other values are refused, never read as
+    another letter or left to raise IndexError."""
+
+    BAD = (-1, -2, 2, 7, True, False, 1.0, None, "c")
+
+    @staticmethod
+    def callers():
+        l = regex_to_dfa("(a|b)*a(a|b)*", AB)
+        b = generate_algebra([l], AB)
+        q = bsum2_quotient(universal_language(AB), b)
+        phi = syntactic_monoid(l).morphism
+        u = universal_language(AB)
+        mw = MarkedWord(AB.word("ab"), 0)
+        return {
+            "evaluate": lambda c: phi.evaluate([c]),
+            "factorizations": lambda c: factorizations(q, 0, c),
+            "lemma_witness_check": lambda c: lemma_witness_check(q, b, 0, c),
+            "marked_concat": lambda c: marked_concat(u, c, u),
+            "replace_at_mark": lambda c: replace_at_mark(mw, c),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "evaluate", "factorizations", "lemma_witness_check", "marked_concat", "replace_at_mark",
+    ])
+    def test_names_and_indices_agree_and_others_are_refused(self, name):
+        call = self.callers()[name]
+        assert call("a") == call(0) and call("b") == call(1)
+        for bad in self.BAD:
+            with pytest.raises(InputError):
+                call(bad)
+
+    def test_factorizations_record_the_letter_read(self):
+        q = bsum2_quotient(universal_language(AB), generate_algebra([], AB))
+        found = [f for p in range(q.monoid.size) for f in factorizations(q, p, "b")]
+        assert found and {f.letter for f in found} == {1}
+
+    def test_evaluate_refuses_letters_inside_a_word(self):
+        phi = syntactic_monoid(regex_to_dfa("(ab)*", AB)).morphism
+        assert phi.evaluate(["a", 1]) == phi.evaluate(AB.word("ab"))
+        with pytest.raises(InputError):
+            phi.evaluate([0, -2])
+        with pytest.raises(InputError):
+            phi.evaluate(Alphabet(("a",)).word("a"))
 
 
 class TestRegexRendering:

@@ -530,3 +530,32 @@ class TestQuotientSaturation:
         assert q.saturation(nonempty_universal(AB)) == frozenset(range(q.monoid.size))
         for l in (universal_language(AB), epsilon_language(AB), regex_to_dfa("(a|b)*a|ε", AB)):
             assert q.saturation(l) is None
+
+
+class TestClosureCeilingEnvironment:
+    """LANGREC_MAX_CLOSURE sets the default closure ceiling; an explicit
+    bound still wins, and values that are not positive integers are
+    refused."""
+
+    L = regex_to_dfa("(ab)*", AB)  # syntactic monoid of 6 elements
+
+    def test_override_lowers_the_ceiling(self, monkeypatch):
+        monkeypatch.setenv("LANGREC_MAX_CLOSURE", "5")
+        with pytest.raises(ResourceLimitError, match="exceeded 5 elements"):
+            syntactic_monoid(self.L)
+        assert syntactic_monoid(self.L, max_size=6).monoid.size == 6
+
+    def test_override_at_the_monoid_size_is_enough(self, monkeypatch):
+        monkeypatch.setenv("LANGREC_MAX_CLOSURE", "6")
+        assert syntactic_monoid(self.L).monoid.size == 6
+
+    @pytest.mark.parametrize("raw, message", [
+        ("ten", "is not an integer"),
+        ("2.5", "is not an integer"),
+        ("0", "must be positive"),
+        ("-3", "must be positive"),
+    ])
+    def test_refused_values(self, monkeypatch, raw, message):
+        monkeypatch.setenv("LANGREC_MAX_CLOSURE", raw)
+        with pytest.raises(InputError, match=f"^LANGREC_MAX_CLOSURE {message}"):
+            syntactic_monoid(self.L)
