@@ -2,6 +2,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +107,55 @@ class TestConstruct:
             "schutz2.monoid.json":
                 "3af8bfafd9b7ad36ded8c6484c596b97c4d64625ac834064c4c710d4d3f1853a",
         }
+
+    # sha256 of every file each algebra command writes (name and bytes,
+    # in name order) and of its stdout, per mode; a change here changes
+    # a published construction
+    ALGEBRA_PINS = {
+        False: {
+            "algebra": ("8f5dada6a885faa231e15935f63e79631849f93debe370611004a8b1d764bd20",
+                        "a102c7a8b0775398f905d7f85ec8ff8dcae2cc9f59de4866081c67bd2e4eab3c"),
+            "bsum": ("2031b562c998a4176bf4212a4411a268456852e93f0ee862b116db48d2e9e2c3",
+                     "3cbd4b81b8d66bd1023a641b2e02c66a89a69510c0c5f7157b03d68b1f9f863a"),
+            "dualrec": ("7739c4c97c1ea4fc8ba8f92d08fe16fed46394ff41ff54d5f0b87f677d7d81ec",
+                        "54013abb79fd69ceffdf4af8665876562922ecc07e24641f6371c4026e4efd5f"),
+        },
+        True: {
+            "algebra": ("9354c0a44f25f62bab07d910c5f0d16c048c1620d6bd567736a5582119add7a8",
+                        "93fac3fba2ffd212e6f85fd880ec6e592319319aea9a3fcc2cb4b0f391e0bdba"),
+            "bsum": ("8b358de6be2772ae250b2f62554d6e2f63717cadcb17acece6bff1f55a02afd9",
+                     "de9d8921e57e49a16772f0c49d3d365e00fae9c2015893b4dd5c5f629d78ba18"),
+            "dualrec": ("9d9173d7be528d17ba21aca3ecaaab4027b65de429153980294132b3a978ea84",
+                        "e8a022c0c7ef6484dbbe89965047f1ca3e49a51428608f23b3a9e7c04219d51b"),
+        },
+    }
+
+    @pytest.mark.parametrize("semigroup", [False, True], ids=["monoid", "semigroup"])
+    def test_algebra_files_are_pinned(self, tmp_path, monkeypatch, capsys, semigroup):
+        # the README's algebra input, ⟨(a|b)*a(a|b)*⟩ with its DFA file,
+        # and ⟨a*b*⟩; bsum has 78 (monoid) or 111 (semigroup) atoms
+        monkeypatch.chdir(tmp_path)
+        Path("other.dfa.json").write_text(json.dumps({
+            "alphabet": ["a", "b"], "states": 2, "initial": 0,
+            "accepting": [1], "transitions": [[1, 0], [1, 1]]}))
+        gens1 = ["(a|b)*a(a|b)*", {"dfa_file": "other.dfa.json"}]
+        for name, gens in (("alg1.json", gens1), ("alg2.json", ["a*b*"])):
+            Path(name).write_text(json.dumps(
+                {"alphabet": ["a", "b"], "semigroup": semigroup, "generators": gens}))
+        runs = {
+            "algebra": ["--input", "alg1.json"],
+            "bsum": ["--input", "alg1.json", "--input2", "alg2.json"],
+            "dualrec": ["--input", "alg2.json"],
+        }
+        digests = {}
+        for kind, inputs in runs.items():
+            assert main(["construct", kind, *inputs, "--out", kind]) == 0
+            files = hashlib.sha256()
+            for path in sorted(Path(kind).iterdir()):
+                files.update(path.name.encode() + b"\0" + path.read_bytes() + b"\0")
+            stdout = capsys.readouterr().out.encode()
+            digests[kind] = (files.hexdigest(), hashlib.sha256(stdout).hexdigest())
+        assert digests == self.ALGEBRA_PINS[semigroup]
 
     def test_algebra_and_bsum_and_dualrec(self, tmp_path):
         spec = {"alphabet": ["a", "b"], "generators": ["(a|b)*a(a|b)*"]}
