@@ -81,12 +81,13 @@ class LanguageAlgebra(FiniteQuotient):
         return self.saturation(l) is not None
 
     def member_from_atoms(self, atom_indices: Iterable[int]) -> Dfa:
-        accepting = set()
+        """Canonical DFA of the union of the given atoms."""
+        states = []
         for i in atom_indices:
-            if not 0 <= i < self.atom_count:
-                raise InputError(f"atom index {i} out of range")
-            accepting.add(i + self.semigroup)
-        return _canonical(self.alphabet, self.transitions, accepting, 0)
+            if type(i) is not int or not 0 <= i < self.atom_count:
+                raise InputError(f"atom index {i!r} is not an integer in 0..{self.atom_count - 1}")
+            states.append(i + self.semigroup)
+        return self.union_language(states)
 
     def __repr__(self) -> str:
         mode = "semigroup" if self.semigroup else "monoid"

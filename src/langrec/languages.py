@@ -86,8 +86,8 @@ class Word:
             object.__setattr__(self, "indices", tuple(self.indices))
         k = len(self.alphabet)
         for i in self.indices:
-            if not (0 <= i < k):
-                raise InputError(f"letter index {i} out of range for {self.alphabet!r}")
+            if type(i) is not int or not 0 <= i < k:
+                raise InputError(f"letter index {i!r} is not an integer in 0..{k - 1}")
 
     @classmethod
     def parse(cls, alph: Alphabet, text: str) -> "Word":

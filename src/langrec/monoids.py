@@ -18,7 +18,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .languages import Alphabet, Dfa, Word, _canonical, _state_labels, canonicalise
+from .languages import Alphabet, Dfa, Word, _state_labels, canonicalise
 from .languages import _json_int, _json_ints, _letter_indices
 from .limits import closure_limit
 
@@ -433,8 +433,8 @@ def closure_language(
 ) -> Dfa:
     """Canonical DFA of the words whose closure class satisfies ``accept``."""
     off = not closure.unit_first
-    acc = {i + off for i in range(len(closure.elements)) if accept(i)}
-    return _canonical(alph, closure.cayley_graph(), acc, 0)
+    quotient = FiniteQuotient(alph, off, closure.cayley_graph())
+    return quotient.union_language(i + off for i in range(len(closure.elements)) if accept(i))
 
 
 @dataclass(frozen=True)
@@ -506,6 +506,55 @@ class FiniteQuotient:
         """The evaluation morphism, sending each word to its element."""
         images = tuple(t - self.semigroup for t in self.transitions[0])
         return MonoidMorphism(self.alphabet, self.monoid, images)
+
+    @cached_property
+    def _left_action(self) -> tuple[Callable[[bytes], tuple], ...]:
+        """Per letter c, the gather that maps a 0/1 vector v over the
+        states to y -> v[c.y], where c.y is the state of c followed by
+        y's least word: c.0 is c's state and c.(s d) = (c.s) d along
+        the breadth-first tree."""
+        g = self.transitions
+        if len(g) == 1:  # itemgetter of one index returns an entry, not a tuple
+            return (tuple,) * len(self.alphabet)
+        action = []
+        for c in range(len(self.alphabet)):
+            lt = [g[0][c]]
+            for s, d in self._tree:
+                lt.append(g[lt[s]][d])
+            action.append(itemgetter(*lt))
+        return tuple(action)
+
+    def union_language(self, states: Iterable[int]) -> Dfa:
+        """Canonical DFA of the words that lead state 0 into ``states``,
+        with no minimisation.  The state of a word u is the 0/1 vector
+        over the states y saying whether u followed by y's words lands
+        in ``states``; reading c composes the vector with c's left
+        action, and a vector accepts when its entry for state 0 is 1.
+        Distinct vectors are distinct quotients of the union, since the
+        states' word sets are disjoint and non-empty, so the vectors
+        numbered breadth-first, letters in order, are the canonical DFA."""
+        n = len(self.transitions)
+        start = bytearray(n)
+        for s in states:
+            if type(s) is not int or not 0 <= s < n:
+                raise InputError(f"state {s!r} is not an integer in 0..{n - 1}")
+            start[s] = 1
+        action = self._left_action
+        order = [bytes(start)]
+        index = {order[0]: 0}
+        rows = []
+        for v in order:
+            row = []
+            for act in action:
+                w = bytes(act(v))
+                j = index.get(w)
+                if j is None:
+                    j = index[w] = len(order)
+                    order.append(w)
+                row.append(j)
+            rows.append(tuple(row))
+        accepting = frozenset(i for i, v in enumerate(order) if v[0])
+        return Dfa(self.alphabet, len(order), tuple(rows), accepting)
 
     def class_of(self, w: "Word | Iterable[int]") -> int:
         """The element of a word: one run of the Cayley graph."""

@@ -37,9 +37,10 @@ from langrec import (
     universal_language,
 )
 from langrec.campaigns import corpus_dfas
-from langrec.languages import _minimise
+from langrec import languages
+from langrec.languages import _canonical, _minimise
 from langrec.marking import ExtendedAlphabet
-from langrec.monoids import generate_closure
+from langrec.monoids import closure_language, generate_closure
 
 AB = Alphabet(("a", "b"))
 A1 = Alphabet(("a",))
@@ -331,6 +332,95 @@ class TestAtomMachine:
         assert algebra_equal(alg, alg)
         dual_recogniser(alg)
         assert "atoms" not in vars(alg)
+
+
+# -- atom DFAs by the left letter action against minimisation --------------
+
+
+@functools.lru_cache(maxsize=None)
+def query_sum(base):
+    """B + B for the one-language algebra B = <base>: 44, 84, 124 and 241
+    atoms for a, (aa)*, ab and a*b*."""
+    b = generate_algebra([regex_to_dfa(base, AB)], AB)
+    return schutz_sum(b, b)
+
+
+ABC = Alphabet(("a", "b", "c"))
+UNION_ALGEBRAS = {
+    **CORPUS_ALGEBRAS,
+    **{f"{'semigroup' if semigroup else 'monoid'}-abc-{'+'.join(gens)}": generate_algebra(
+        [regex_to_dfa(g, ABC) for g in gens], ABC, semigroup=semigroup)
+       for semigroup in (False, True)
+       for gens in [("(a|b|c)*ab", "c*a")]},
+    "one-letter-trivial": trivial_algebra(A1),
+}
+
+
+def assert_unions_match_minimisation(alg, subsets):
+    """Every atom, the seeded subsets of states, and the empty and full
+    unions equal the minimised Cayley graph with those states accepting."""
+    n = len(alg.transitions)
+    for i in range(alg.atom_count):
+        want = _canonical(alg.alphabet, alg.transitions, {i + alg.semigroup}, 0)
+        assert alg.atoms[i] == alg.member_from_atoms([i]) == want
+    rng = random.Random(n)
+    states = [set(), set(range(n))]
+    states += [{s for s in range(n) if rng.random() < 0.5} for _ in range(subsets)]
+    for subset in states:
+        want = _canonical(alg.alphabet, alg.transitions, subset, 0)
+        assert alg.union_language(subset) == want
+        if not alg.semigroup or 0 not in subset:
+            atoms = [s - alg.semigroup for s in subset]
+            assert alg.member_from_atoms(atoms) == want
+
+
+class TestUnionLanguage:
+    @pytest.mark.parametrize("alg", list(UNION_ALGEBRAS.values()), ids=list(UNION_ALGEBRAS))
+    def test_matches_minimisation(self, alg):
+        assert_unions_match_minimisation(alg, 8)
+
+    def test_one_state_quotient(self):
+        alg = trivial_algebra(AB)
+        assert len(alg.transitions) == 1
+        assert alg.union_language([0]) == universal_language(AB)
+        assert alg.union_language([]) == empty_language(AB)
+
+    @pytest.mark.parametrize("base", ["a", "(aa)*", "ab", "a*b*"])
+    def test_benchmark_sums_match_minimisation(self, base):
+        alg = query_sum(base)
+        assert alg.atom_count == {"a": 44, "(aa)*": 84, "ab": 124, "a*b*": 241}[base]
+        assert_unions_match_minimisation(alg, 4)
+
+    def test_no_minimisation(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_minimise was called")
+
+        alg = generate_algebra([regex_to_dfa("(ab)*", AB)], AB, semigroup=True)
+        # the a's counted modulo 3 and the b's modulo 2, non-empty words only
+        closure = generate_closure(
+            [(1, 0), (0, 1)], lambda x, y: ((x[0] + y[0]) % 3, (x[1] + y[1]) % 2), None
+        )
+        want = [_canonical(AB, alg.transitions, {i + 1}, 0) for i in range(alg.atom_count)]
+        want_union = _canonical(AB, alg.transitions, {1, 3}, 0)
+        want_closure = _canonical(AB, closure.cayley_graph(), {1, 2}, 0)
+        monkeypatch.setattr(languages, "_minimise", refuse)
+        with pytest.raises(AssertionError, match="_minimise was called"):
+            _canonical(AB, alg.transitions, {1}, 0)
+        assert list(alg.atoms) == want
+        assert alg.member_from_atoms([0, 2]) == want_union
+        assert closure_language(AB, closure, {0, 1}.__contains__) == want_closure
+
+    def test_refuses_bad_atom_indices(self):
+        for semigroup in (False, True):
+            alg = generate_algebra([regex_to_dfa("a(a|b)*", AB)], AB, semigroup=semigroup)
+            for bad in (1.0, True, False, "1", None, -1, alg.atom_count):
+                with pytest.raises(InputError, match="atom index"):
+                    alg.member_from_atoms([bad])
+                with pytest.raises(InputError, match="atom index"):
+                    alg.member_from_atoms([0, bad])
+            for bad in (1.0, True, -1, len(alg.transitions)):
+                with pytest.raises(InputError, match="not an integer"):
+                    alg.union_language([bad])
 
 
 # -- the transition closure against the syntactic-monoid oracle ------------

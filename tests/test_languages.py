@@ -268,6 +268,15 @@ class TestWords:
         with pytest.raises(InputError):
             AB.word("a") + Alphabet(("a",)).word("a")
 
+    def test_indices_must_be_integers_in_range(self):
+        # a float or a bool is not read as the letter it equals
+        for bad in (1.0, 0.0, True, False, "a", None, -1, 2):
+            with pytest.raises(InputError, match="letter index"):
+                Word(AB, (bad,))
+            with pytest.raises(InputError, match="letter index"):
+                Word(AB, [0, bad])
+        assert Word(AB, [1, 0]).indices == (1, 0)
+
 
 class TestLetterReader:
     """Every operation that takes a letter reads it the same way: by name,

@@ -26,6 +26,7 @@ from langrec import (
     enumerate_semigroups,
     generate_algebra,
     is_minimal_recogniser,
+    local_schutz_morphism,
     joint_quotient,
     morphism_preserves_actions,
     nonempty_universal,
@@ -39,8 +40,10 @@ from langrec import (
 from langrec.algebra import algebra_equal
 from langrec.campaigns import CORPUS_REGEXES
 from langrec.equations import _atom_map
-from langrec.languages import canonicalise
-from langrec.monoids import _associativity_defect, _light_defect
+from langrec.languages import _canonical, canonicalise
+from langrec.marking import ExtendedAlphabet
+from langrec.monoids import _associativity_defect, _light_defect, closure_language
+from langrec.schutz import exists_closure
 
 AB = Alphabet(("a", "b"))
 A1 = Alphabet(("a",))
@@ -530,6 +533,61 @@ class TestQuotientSaturation:
         assert q.saturation(nonempty_universal(AB)) == frozenset(range(q.monoid.size))
         for l in (universal_language(AB), epsilon_language(AB), regex_to_dfa("(a|b)*a|ε", AB)):
             assert q.saturation(l) is None
+
+
+def canonical_closure_language(alph, clo, accept):
+    """The minimisation oracle: the Cayley graph of the closure with the
+    accepted classes' states, trimmed, minimised and renumbered."""
+    off = not clo.unit_first
+    acc = {i + off for i in range(len(clo.elements)) if accept(i)}
+    return _canonical(alph, clo.cayley_graph(), acc, 0)
+
+
+def oracle_closures():
+    """Unary Schutzenberger closures over monoids and semigroups, local
+    Schutzenberger closures, and plain semigroup images, with the
+    alphabet each reads."""
+    rng = random.Random(11)
+    ext = ExtendedAlphabet(AB)
+    u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
+    z2 = FiniteMonoid(((0, 1), (1, 0)), identity=0)
+    out = []
+    taus = [MonoidMorphism(ext.ext, m, tuple(rng.randrange(m.size) for _ in ext.ext.letters))
+            for m in enumerate_monoids(3) + enumerate_semigroups(2)]
+    for regex in ("('a#0'|'b#0')* 'a#1' ('a#0'|'b#0')*", "'b#0'* 'a#1' ('a#0' 'b#0')*",
+                  "('a#0'|'b#0')* 'b#1' 'a#0' 'b#0'*"):
+        taus.append(syntactic_monoid(regex_to_dfa(regex, ext.ext)).morphism)
+    for tau in taus:
+        out.append((f"unary-{tau.target!r}-{tau.letter_images}", AB, exists_closure(tau)))
+    starts_a = syntactic_monoid(regex_to_dfa("a(a|b)*", AB)).morphism  # 3 elements
+    pairs = [(MonoidMorphism(AB, u1, (0, 1)), MonoidMorphism(AB, u1, (1, 0))),
+             (MonoidMorphism(AB, z2, (0, 1)), MonoidMorphism(AB, u1, (0, 1))),
+             (starts_a, starts_a)]  # 25, 30 and 59 elements
+    for phi1, phi2 in pairs:
+        loc = local_schutz_morphism(phi1, phi2)
+        out.append((f"local-{phi1.letter_images}-{phi2.letter_images}", AB, loc.closure))
+    abc = Alphabet(("a", "b", "c"))
+    for s in enumerate_semigroups(3)[::9]:
+        for alph in (AB, abc):
+            images = tuple(rng.randrange(s.size) for _ in alph.letters)
+            out.append((f"semigroup-{s.table}-{images}", alph, MonoidMorphism(alph, s, images).image()))
+    return out
+
+
+class TestClosureLanguage:
+    def test_matches_minimisation_oracle(self):
+        rng = random.Random(12)
+        modes = set()
+        for name, alph, clo in oracle_closures():
+            modes.add(clo.unit_first)
+            n = len(clo.elements)
+            subsets = [frozenset(), frozenset(range(n))] + [
+                frozenset(i for i in range(n) if rng.random() < 0.5) for _ in range(6)
+            ]
+            for keep in subsets:
+                want = canonical_closure_language(alph, clo, keep.__contains__)
+                assert closure_language(alph, clo, keep.__contains__) == want, name
+        assert modes == {False, True}
 
 
 class TestClosureCeilingEnvironment:
