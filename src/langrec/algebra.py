@@ -14,9 +14,12 @@ breadth-first so that atom i is the i-th atom met in shortlex order.
 Two algebras over one universe are equal exactly when their machines
 are.  A word's atom is one run; a language is a member when one walk
 over the reachable (atom, state of L) pairs finds no atom split by it.
-Atom DFAs and representative words are built on first use.  The
-quotient's table, atom(u) * atom(v) = atom(uv), and its evaluation
-morphism make the algebra's dual recogniser.
+Representative words and atom DFAs are built on first use.  The
+algebra is closed under word quotients, so every left quotient of a
+union of atoms is again one: the DFA of a member is read off the
+machine's left letter action (``FiniteQuotient.union_language``), with
+no minimisation.  The quotient's table, atom(u) * atom(v) = atom(uv),
+and its evaluation morphism make the algebra's dual recogniser.
 """
 
 from __future__ import annotations

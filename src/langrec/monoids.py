@@ -387,6 +387,7 @@ class GeneratedClosure:
     index: dict
     letter_targets: list[int]
     unit_first: bool
+    _quotient: "FiniteQuotient | None" = field(default=None, init=False, repr=False, compare=False)
 
     def cayley_graph(self) -> list[list[int]]:
         """Transitions from the empty word's state 0: the unit in monoid
@@ -394,6 +395,13 @@ class GeneratedClosure:
         if self.unit_first:
             return self.delta
         return [[1 + j for j in self.letter_targets]] + [[1 + j for j in row] for row in self.delta]
+
+    def quotient(self, alph: Alphabet) -> "FiniteQuotient":
+        """The Cayley graph as a finite quotient over alph, built once and
+        kept for the closure's next language."""
+        if self._quotient is None or self._quotient.alphabet != alph:
+            self._quotient = FiniteQuotient(alph, not self.unit_first, self.cayley_graph())
+        return self._quotient
 
 
 def generate_closure(
@@ -433,8 +441,9 @@ def closure_language(
 ) -> Dfa:
     """Canonical DFA of the words whose closure class satisfies ``accept``."""
     off = not closure.unit_first
-    quotient = FiniteQuotient(alph, off, closure.cayley_graph())
-    return quotient.union_language(i + off for i in range(len(closure.elements)) if accept(i))
+    return closure.quotient(alph).union_language(
+        i + off for i in range(len(closure.elements)) if accept(i)
+    )
 
 
 @dataclass(frozen=True)

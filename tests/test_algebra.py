@@ -36,8 +36,8 @@ from langrec import (
     union,
     universal_language,
 )
-from langrec.campaigns import corpus_dfas
 from langrec import languages
+from langrec.campaigns import corpus_dfas
 from langrec.languages import _canonical, _minimise
 from langrec.marking import ExtendedAlphabet
 from langrec.monoids import closure_language, generate_closure
@@ -378,12 +378,6 @@ class TestUnionLanguage:
     @pytest.mark.parametrize("alg", list(UNION_ALGEBRAS.values()), ids=list(UNION_ALGEBRAS))
     def test_matches_minimisation(self, alg):
         assert_unions_match_minimisation(alg, 8)
-
-    def test_one_state_quotient(self):
-        alg = trivial_algebra(AB)
-        assert len(alg.transitions) == 1
-        assert alg.union_language([0]) == universal_language(AB)
-        assert alg.union_language([]) == empty_language(AB)
 
     @pytest.mark.parametrize("base", ["a", "(aa)*", "ab", "a*b*"])
     def test_benchmark_sums_match_minimisation(self, base):

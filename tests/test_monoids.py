@@ -588,6 +588,9 @@ class TestClosureLanguage:
                 want = canonical_closure_language(alph, clo, keep.__contains__)
                 assert closure_language(alph, clo, keep.__contains__) == want, name
         assert modes == {False, True}
+        # the quotient kept on a closure is rebuilt for another alphabet
+        upper = Alphabet(tuple(c.upper() for c in alph.letters))
+        assert closure_language(upper, clo, bool) == canonical_closure_language(upper, clo, bool)
 
 
 class TestClosureCeilingEnvironment:
