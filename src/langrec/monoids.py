@@ -541,7 +541,10 @@ class FiniteQuotient:
         action, and a vector accepts when its entry for state 0 is 1.
         Distinct vectors are distinct quotients of the union, since the
         states' word sets are disjoint and non-empty, so the vectors
-        numbered breadth-first, letters in order, are the canonical DFA."""
+        numbered breadth-first, letters in order, are the canonical DFA.
+        This needs the graph to be a Cayley graph, where a word's state
+        fixes where it leads every state, as for every quotient built
+        by this package."""
         n = len(self.transitions)
         start = bytearray(n)
         for s in states:
