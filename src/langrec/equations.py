@@ -11,18 +11,23 @@ points or neither.
 For a quotient-closed algebra B, the defining condition of the equation
 set of "B plus marked concatenations with the full language" asks that
 the two points lie in the same B-atom and that, letter by letter, the
-multiplication-table factorisations p * eta(a) * q = point reach the
-same sets of B-atoms on the prefix side.  Because every element of the
-quotient is realised by a word, a table factorisation of a point is
-exactly a word factorisation of its class, which makes the reduction
-from ultrafilters to table scans sound; the agreement with the direct
-closure oracle is nevertheless re-validated empirically by the
-verification campaigns rather than assumed.
+factorisations p * eta(a) * q = point reach the same sets of B-atoms on
+the prefix side.  Every element of the quotient is realised by a word,
+so a factorisation in the quotient is exactly a word factorisation of
+its class, and the points p * eta(a) * q over all q are the states
+reachable from p * eta(a) in the Cayley graph: the decision builds no
+multiplication table, and the table scans below are its independent
+oracle.  The agreement with the direct closure oracle is re-validated
+empirically by the verification campaigns rather than assumed.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from functools import reduce
+from itertools import chain, count
+from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import InputError, PreconditionError
@@ -30,16 +35,18 @@ from .algebra import LanguageAlgebra, schutz_sum, trivial_algebra
 from .languages import (
     Dfa,
     Word,
+    _canonical,
     _letter_indices,
     _pairs,
     _state_labels,
+    canonicalise,
     difference,
     intersection,
     marked_concat,
     universal_language,
 )
 from .marking import MarkedWord, prefix_to_mark, replace_at_mark
-from .monoids import FiniteQuotient, joint_quotient
+from .monoids import FiniteQuotient, transition_closure
 
 
 @dataclass(frozen=True)
@@ -166,43 +173,82 @@ def in_equation_set(e: EquationInstance, b: LanguageAlgebra) -> bool:
 def bsum2_quotient(
     k: Dfa, b: LanguageAlgebra, *, max_size: int | None = None
 ) -> FiniteQuotient:
-    """Product of the syntactic monoids of b's atoms, of every marked
-    extension atom.a.(all words), and of the candidate, restricted to
-    the letter-generated submonoid."""
+    """Joint syntactic monoid of b's atoms, of every marked extension
+    atom.c.(all words), and of the candidate: one transition closure of
+    b's atom machine, whose transformations are b's own quotient, of K's
+    canonical DFA and of each extension's, which is the atom machine
+    plus an accepting sink that the atom's state enters on c."""
     if b.semigroup:
         raise PreconditionError("equation machinery works over full-word algebras")
     if k.alphabet != b.alphabet:
         raise InputError("candidate and algebra must share an alphabet")
-    alph = b.alphabet
-    univ = universal_language(alph)
-    langs: list[Dfa] = list(b.atoms)
-    for atom in b.atoms:
+    alph, g = b.alphabet, b.transitions
+    sink = len(g)
+    dfas = [Dfa(alph, sink, g, frozenset()), canonicalise(k)]
+    for atom in range(sink):
         for c in range(len(alph)):
-            langs.append(marked_concat(atom, c, univ))
-    langs.append(k)
-    return joint_quotient(langs, max_size=max_size)
+            rows = [list(row) for row in g] + [[sink] * len(alph)]
+            rows[atom][c] = sink
+            dfas.append(_canonical(alph, rows, (sink,), 0))
+    closure = transition_closure(alph, dfas, semigroup=False, max_size=max_size)
+    return FiniteQuotient(alph, False, closure.delta)
+
+
+def _reach_masks(g: Sequence[Sequence[int]]) -> list[int]:
+    """Per state of a graph whose states are all reachable from state 0,
+    the bitmask of the states reachable from it, by one iterative pass
+    of Tarjan's algorithm: a strongly connected component closes after
+    every component it leads to, and its states share one mask."""
+    n = len(g)
+    number, low = [1] + [0] * (n - 1), [1] + [0] * (n - 1)  # low: n + 1 once closed
+    reach = [1 << s for s in range(n)]
+    fresh = count(2)  # discovery numbers
+    opened, calls = [0], [(0, iter(g[0]))]
+    while calls:
+        v, targets = calls[-1]
+        for w in targets:
+            if not number[w]:  # descend, and take the edge again on return
+                calls[-1] = (v, chain((w,), targets))
+                calls.append((w, iter(g[w])))
+                number[w] = low[w] = next(fresh)
+                opened.append(w)
+                break
+            low[v] = min(low[v], low[w])
+            reach[v] |= reach[w]
+        else:
+            del calls[-1]
+            if low[v] == number[v]:  # v roots a component: close it
+                # the open states are stacked in discovery order
+                i = bisect_left(opened, number[v], key=number.__getitem__)
+                mask = reduce(or_, map(reach.__getitem__, opened[i:]))
+                for u in opened[i:]:
+                    reach[u], low[u] = mask, n + 1
+                del opened[i:]
+    return reach
 
 
 def _equation_signatures(
     q: FiniteQuotient, b: LanguageAlgebra
 ) -> list[tuple]:
-    """Per element: its B-atom plus, for every letter, the set of atoms
-    reached by prefix sides of factorisations.  Two elements form an
-    equation of the sum exactly when their signatures coincide."""
+    """Per element: its B-atom plus, for every letter c, the set of atoms
+    of the prefix sides p of factorisations p * c * s, that is, of the p
+    from whose p * c the element is reachable (by a non-empty word in
+    semigroup mode).  Two elements form an equation of the sum exactly
+    when their signatures coincide."""
     atom_of = _atom_map(q, b)
-    n = q.monoid.size
-    table = q.monoid.table
+    g, off = q.transitions, q.semigroup
+    reach = _reach_masks(g)
+    if off:
+        reach = [reduce(or_, map(reach.__getitem__, row)) >> 1 for row in g]
     per_letter = []
-    for img in q.morphism.letter_images:
-        # the points factoring as p * img * s, over all s, fill row p * img
-        reached: list[set[int]] = [set() for _ in range(n)]
-        for p in range(n):
-            for point in set(table[table[p][img]]):
-                reached[point].add(atom_of[p])
-        per_letter.append(reached)
+    for c in range(len(q.alphabet)):
+        masks = [0] * b.atom_count
+        for p, atom in enumerate(atom_of):
+            masks[atom] |= reach[g[p + off][c]]
+        per_letter.append(tuple(enumerate(masks)))
     return [
-        (atom_of[point], tuple(frozenset(r[point]) for r in per_letter))
-        for point in range(n)
+        (atom_of[x], tuple(frozenset(a for a, m in masks if m >> x & 1) for masks in per_letter))
+        for x in range(q.size)
     ]
 
 
@@ -212,17 +258,13 @@ def equation_set(
     """All equations of the finite-resolution set over the quotient,
     with mu < nu (the reflexive pairs are omitted: they say nothing)."""
     sigs = _equation_signatures(q, b)
-    n = q.monoid.size
-    out = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            if sigs[i] == sigs[j]:
-                out.append(
-                    EquationInstance(
-                        UltrafilterApprox(q, i), UltrafilterApprox(q, j)
-                    )
-                )
-    return out
+    n = q.size
+    return [
+        EquationInstance(UltrafilterApprox(q, i), UltrafilterApprox(q, j))
+        for i in range(n)
+        for j in range(i + 1, n)
+        if sigs[i] == sigs[j]
+    ]
 
 
 def bsum2_membership_by_equations(
@@ -238,16 +280,10 @@ def bsum2_membership_by_equations(
     sat = q.saturation(k)
     if sat is None:
         raise PreconditionError("candidate not recognised by its own joint quotient")
-    sigs = _equation_signatures(q, b)
-    by_sig: dict[tuple, bool] = {}
-    for point, sig in enumerate(sigs):
-        inside = point in sat
-        if sig in by_sig:
-            if by_sig[sig] != inside:
-                return False
-        else:
-            by_sig[sig] = inside
-    return True
+    # no signature may hold points on both sides of K
+    side: dict[tuple, bool] = {}
+    sigs = enumerate(_equation_signatures(q, b))
+    return all(side.setdefault(sig, x in sat) == (x in sat) for x, sig in sigs)
 
 
 def bsum2_membership_direct(k: Dfa, b: LanguageAlgebra, **bounds) -> bool:

@@ -177,22 +177,22 @@ class Dfa:
             object.__setattr__(self, "transitions", tuple(tuple(r) for r in self.transitions))
         if not isinstance(self.accepting, frozenset):
             object.__setattr__(self, "accepting", frozenset(self.accepting))
-        k = len(self.alphabet)
-        if self.states < 1:
-            raise InputError("a complete DFA has at least one state")
-        if len(self.transitions) != self.states:
+        k, n = len(self.alphabet), self.states
+        if type(n) is not int or n < 1:
+            raise InputError(f"a complete DFA has at least one state, not {n!r}")
+        if len(self.transitions) != n:
             raise InputError("transition table must have one row per state")
         for row in self.transitions:
             if len(row) != k:
                 raise InputError("each transition row must cover the whole alphabet")
-            for target in row:
-                if not (0 <= target < self.states):
-                    raise InputError(f"transition target {target} out of range")
-        if not (0 <= self.initial < self.states):
-            raise InputError("initial state out of range")
+            for t in row:
+                if type(t) is not int or not 0 <= t < n:
+                    raise InputError(f"transition target {t!r} is not an integer in 0..{n - 1}")
+        if type(self.initial) is not int or not 0 <= self.initial < n:
+            raise InputError(f"initial state {self.initial!r} is not an integer in 0..{n - 1}")
         for q in self.accepting:
-            if not (0 <= q < self.states):
-                raise InputError(f"accepting state {q} out of range")
+            if type(q) is not int or not 0 <= q < n:
+                raise InputError(f"accepting state {q!r} is not an integer in 0..{n - 1}")
 
     # -- evaluation ---------------------------------------------------
 

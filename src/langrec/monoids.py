@@ -22,6 +22,8 @@ from .languages import Alphabet, Dfa, Word, _state_labels, canonicalise
 from .languages import _json_int, _json_ints, _letter_indices
 from .limits import closure_limit
 
+_INT = frozenset({int})
+
 
 def _associativity_defect(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
     """First (x, y, z) with (xy)z != x(yz), or None if associative, by
@@ -96,6 +98,9 @@ class FiniteMonoid:
         for row in self.table:
             if len(row) != n:
                 raise InputError("multiplication table must be square")
+            if not _INT.issuperset(map(type, row)):  # a float, bool or string
+                v = next(v for v in row if type(v) is not int)
+                raise InputError(f"table entry {v!r} is not an integer")
             if min(row) < 0 or max(row) >= n:
                 v = next(v for v in row if not 0 <= v < n)
                 raise InputError(f"table entry {v} out of range")
@@ -104,8 +109,8 @@ class FiniteMonoid:
             raise InputError(f"multiplication not associative at {defect}")
         if self.identity is not None:
             e = self.identity
-            if not (0 <= e < n):
-                raise InputError("identity index out of range")
+            if type(e) is not int or not 0 <= e < n:
+                raise InputError(f"identity {e!r} is not an integer in 0..{n - 1}")
             for x in range(n):
                 if self.table[e][x] != x or self.table[x][e] != x:
                     raise InputError(f"element {e} is not a two-sided identity")
@@ -303,13 +308,19 @@ class MonoidMorphism:
             self.letter_images, lambda x, y: m.table[x][y], m.identity, max_size=m.size
         )
 
+    @cached_property
+    def _image(self) -> "GeneratedClosure":
+        """The image closure, generated once for every preimage; it keeps
+        its Cayley quotient, and so the quotient's left action, too."""
+        return self.image()
+
     def preimage(self, accept: Iterable[int]) -> Dfa:
         """Canonical DFA of the inverse image of a set of elements."""
         want = frozenset(accept)
         for v in want:
             if not (0 <= v < self.target.size):
                 raise InputError(f"element {v} out of range")
-        image = self.image()
+        image = self._image
         return closure_language(self.alphabet, image, lambda i: image.elements[i] in want)
 
 

@@ -29,11 +29,13 @@ from langrec import (
 from langrec.equations import (
     _atom_map,
     _equation_signatures,
+    _reach_masks,
     lemma_factor_violations,
     lemma_witness_check,
 )
 from langrec.campaigns import corpus_dfas, random_regex
-from langrec.languages import difference, intersection
+from langrec.languages import Nfa, difference, intersection, marked_concat, symmetric_difference
+from langrec.monoids import FiniteQuotient
 
 AB = Alphabet(("a", "b"))
 A1 = Alphabet(("a",))
@@ -42,6 +44,36 @@ A3 = Alphabet(("a", "b", "c"))
 
 def points(q, *texts):
     return [UltrafilterApprox.of_word(q, Word.parse(q.alphabet, t)) for t in texts]
+
+
+def marked_concat_quotient(k, b, max_size=None):
+    """The joint quotient of b's atom DFAs, of every marked extension
+    atom.c.(all words) built by ``marked_concat``'s subset construction,
+    and of K: the direct form of ``bsum2_quotient``, kept as its oracle."""
+    univ = universal_language(b.alphabet)
+    exts = [marked_concat(atom, c, univ) for atom in b.atoms for c in range(len(b.alphabet))]
+    return joint_quotient(list(b.atoms) + exts + [k], max_size=max_size)
+
+
+def benchmark_draw(i):
+    """Draw i as the equation benchmark's generator makes it: from
+    ``random.Random(i)``, two or three letters, one or two depth-3
+    random generators of B, then a depth-3 random candidate K."""
+    rng = random.Random(i)
+    alph = Alphabet(tuple("abc"[: rng.choice((2, 2, 3))]))
+    gens = [regex_to_dfa(random_regex(rng, alph, depth=3), alph) for _ in range(rng.choice((1, 2)))]
+    k = regex_to_dfa(random_regex(rng, alph, depth=3), alph)
+    return k, generate_algebra(gens, alph)
+
+
+def reachable_by_search(g, s):
+    seen, todo = {s}, [s]
+    while todo:
+        for t in g[todo.pop()]:
+            if t not in seen:
+                seen.add(t)
+                todo.append(t)
+    return sum(1 << t for t in seen)
 
 
 def separation_by_atom_dfas(k, b):
@@ -289,6 +321,107 @@ class TestEquationSignatures:
             assert _equation_signatures(q, b) == expected
             sizes.append(q.monoid.size)
         assert len(sizes) >= 12 and max(sizes) > 40
+
+    def test_semigroup_mode_matches_prefix_classes(self):
+        for gens, finer in ((("(ab)*",), ("(ab)*", "a*")), (("b(a|b)*",), ("b(a|b)*", "(a|b)*aa"))):
+            b = generate_algebra([regex_to_dfa(g, AB) for g in gens], AB, semigroup=True)
+            finer_b = generate_algebra([regex_to_dfa(g, AB) for g in finer], AB, semigroup=True)
+            q = dual_recogniser(finer_b).quotient
+            atom_of = _atom_map(q, b)
+            expected = [
+                (atom_of[x], tuple(
+                    frozenset(atom_of[p] for p in prefix_classes(UltrafilterApprox(q, x), a))
+                    for a in range(2)
+                ))
+                for x in range(q.size)
+            ]
+            assert _equation_signatures(q, b) == expected
+
+
+class TestReachMasks:
+    def test_match_graph_search(self):
+        rng = random.Random(5)
+        for n in (1, 2, 5, 40, 300):
+            for _ in range(4):
+                # a path through every state keeps them all reachable from 0
+                g = [[min(s + 1, n - 1)] + [rng.randrange(n) for _ in range(rng.randint(0, 2))]
+                     for s in range(n)]
+                rng.shuffle(g[0])
+                assert _reach_masks(g) == [reachable_by_search(g, s) for s in range(n)]
+
+    def test_cayley_graphs_and_a_long_path(self):
+        for regex in ("(a|b)*ab(a|b)", "(ab|ba)*", "a*b*"):
+            g = joint_quotient([regex_to_dfa(regex, AB)]).transitions
+            assert _reach_masks(g) == [reachable_by_search(g, s) for s in range(len(g))]
+        n = 5000  # deeper than the interpreter's recursion limit
+        masks = _reach_masks([[s + 1] for s in range(n - 1)] + [[0]])
+        assert masks == [(1 << n) - 1] * n
+        masks = _reach_masks([[s + 1] for s in range(n - 1)] + [[n - 1]])
+        assert masks == [(1 << n) - (1 << s) for s in range(n)]
+
+
+class TestJointQuotient:
+    @pytest.mark.parametrize("alph, cap", [(AB, 20), (A3, 60)])
+    def test_matches_the_marked_concat_construction(self, alph, cap):
+        rng = random.Random(23)
+        kept = refused = 0
+        for _ in range(12):
+            gens = [regex_to_dfa(random_regex(rng, alph, 2), alph) for _ in range(rng.randint(0, 2))]
+            b = generate_algebra(gens, alph)
+            k = regex_to_dfa(random_regex(rng, alph, 2), alph)
+            try:
+                expected = marked_concat_quotient(k, b, max_size=cap)
+            except ResourceLimitError as exc:
+                with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
+                    bsum2_quotient(k, b, max_size=cap)
+                refused += 1
+                continue
+            assert bsum2_quotient(k, b, max_size=cap) == expected
+            assert bsum2_quotient(k, b) == expected
+            kept += 1
+        assert kept >= 4 and refused >= 2
+
+    def test_benchmark_draws_at_the_cap(self):
+        # the largest draws of the first 300 at cap 1 024, and one of the two refused there
+        for i, size in ((151, 896), (84, 746), (19, 554)):
+            k, b = benchmark_draw(i)
+            assert bsum2_quotient(k, b, max_size=1024) == marked_concat_quotient(k, b)
+            assert bsum2_quotient(k, b).size == size
+        k, b = benchmark_draw(122)
+        for build in (bsum2_quotient, marked_concat_quotient):
+            with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 1024 elements$"):
+                build(k, b, max_size=1024)
+
+    def test_decides_with_no_table_and_no_subset_construction(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a multiplication table or a subset construction was built")
+
+        cases = []
+        for gens in ((), ("(a|b)*a(a|b)*",), ("b*", "(ab)*")):
+            b = generate_algebra([regex_to_dfa(g, AB) for g in gens], AB)
+            for r in ("(a|b)*a(a|b)*", "(a|b)*a", "(ab)*", "a*b"):
+                k = regex_to_dfa(r, AB)
+                cases.append((k, b, bsum2_membership_direct(k, b), equation_set(bsum2_quotient(k, b), b)))
+        assert {direct for *_, direct, _ in cases} == {True, False}
+        monkeypatch.setattr(FiniteQuotient, "monoid", property(forbidden))
+        monkeypatch.setattr("langrec.equations.marked_concat", forbidden)
+        monkeypatch.setattr("langrec.languages.marked_concat", forbidden)
+        monkeypatch.setattr(Nfa, "determinize", forbidden)
+        for k, b, direct, eqs in cases:
+            assert bsum2_membership_by_equations(k, b) == direct
+            assert equation_set(bsum2_quotient(k, b), b) == eqs
+
+
+class TestWideDraws:
+    @pytest.mark.parametrize("i, size, outside_size", [(122, 1828, 2300), (34, 3060, 3752)])
+    def test_equation_verdict_matches_direct(self, i, size, outside_size):
+        k, b = benchmark_draw(i)
+        assert bsum2_quotient(k, b).size == size
+        assert (bsum2_membership_by_equations(k, b), bsum2_membership_direct(k, b)) == (True, True)
+        # K changed on the words ending in a: a candidate outside the sum
+        k = symmetric_difference(k, regex_to_dfa("(a|b|c)*a", k.alphabet))
+        assert bsum2_quotient(k, b).size == outside_size
+        assert (bsum2_membership_by_equations(k, b), bsum2_membership_direct(k, b)) == (False, False)
 
 
 class TestLemmaChecks:

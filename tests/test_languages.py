@@ -247,6 +247,20 @@ class TestSerialisation:
         with pytest.raises(InputError, match="JSON integer"):
             Dfa.from_json_dict({**raw, field: value})
 
+    @pytest.mark.parametrize("states, transitions, accepting, initial", [
+        (2, ((1, True), (1.0, 1)), {1.0}, 0),  # to_json would write a file from_json refuses
+        (2, ((1, 0), (1, 1.0)), {1}, 0),
+        (2, ((1, 0), (1, "1")), {1}, 0),
+        (2, ((1, 0), (1, 1)), {True}, 0),
+        (2.0, ((1, 0), (1, 1)), {1}, 0),
+        (2, ((1, 0), (1, 1)), {1}, 0.0),
+        (2, ((1, 0), (1, 1)), {1}, False),
+    ])
+    def test_entries_must_be_integers(self, states, transitions, accepting, initial):
+        assert Dfa(AB, 2, ((1, 0), (1, 1)), frozenset({1})).to_json()
+        with pytest.raises(InputError, match="at least one state|not an integer"):
+            Dfa(AB, states, transitions, frozenset(accepting), initial)
+
 
 class TestWords:
     def test_parse_and_text(self):

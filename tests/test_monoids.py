@@ -221,6 +221,17 @@ class TestFiniteMonoid:
         with pytest.raises(InputError, match="JSON integer"):
             FiniteMonoid.from_json_dict(data)
 
+    @pytest.mark.parametrize("table, identity, bad", [
+        (((0, 1), (1, 1.0)), 0, "table entry 1.0"),  # died with TypeError in Light's test
+        (((0, True), (1, 0)), 0, "table entry True"),
+        (((0, 1), ("1", 0)), None, "table entry '1'"),
+        (((0, 1), (1, 0)), 0.0, "identity 0.0"),
+        (((0, 1), (1, 0)), False, "identity False"),
+    ])
+    def test_entries_must_be_integers(self, table, identity, bad):
+        with pytest.raises(InputError, match=f"^{bad} is not an integer"):
+            FiniteMonoid(table, identity=identity)
+
     def test_first_out_of_range_entry_is_named(self):
         for table, bad in ((((0, 1), (-1, 7)), -1), (((0, 1), (7, -1)), 7), (((2, 0), (0, 0)), 2)):
             with pytest.raises(InputError, match=f"^table entry {bad} out of range$"):
@@ -342,6 +353,22 @@ class TestRecognisedLanguage:
         s = FiniteMonoid(((0, 0), (1, 1)))
         h = MonoidMorphism(AB, s, (0, 1))
         assert recognised_language(h, {0, 1}) == nonempty_universal(AB)
+
+    def test_image_is_generated_once(self, monkeypatch):
+        calls = []
+        image = MonoidMorphism.image
+
+        def counted(self):
+            calls.append(self)
+            return image(self)
+
+        monkeypatch.setattr(MonoidMorphism, "image", counted)
+        u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
+        h = MonoidMorphism(AB, u1, (1, 0))
+        assert [h.preimage(v) for v in ({0}, {1}, {0, 1})] == [
+            regex_to_dfa("b*", AB), regex_to_dfa("(a|b)*a(a|b)*", AB), universal_language(AB),
+        ]
+        assert calls == [h]
 
     def test_preimage_matches_brute_force(self):
         u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
