@@ -47,11 +47,9 @@ from .monoids import (
     all_morphisms,
     enumerate_monoids,
     enumerate_semigroups,
-    evaluate,
     is_minimal_recogniser,
     joint_quotient,
     morphism_preserves_actions,
-    recognised_language,
     regular_biaction,
     syntactic_monoid,
 )
@@ -79,7 +77,6 @@ from .algebra import (
     dual_recogniser,
     generate_algebra,
     inverse_image,
-    membership,
     recognised_algebra,
     schutz_sum,
     transport,

@@ -5,7 +5,8 @@ The atoms of such an algebra form a congruence of the free monoid
 syntactic congruence: two words share an atom exactly when they lead
 every state of every generator's canonical DFA to the same state.  The
 atoms are thus the elements of one transition closure of the
-generators, and its Cayley graph is the atom machine.
+generators, and the closure's Cayley graph is the atom machine as it
+stands.
 
 An algebra is stored as its atom machine, a ``FiniteQuotient`` whose
 elements are the atoms: the minimal automaton on the atoms (plus a
@@ -17,16 +18,17 @@ over the reachable (atom, state of L) pairs finds no atom split by it.
 Representative words and atom DFAs are built on first use.  The
 algebra is closed under word quotients, so every left quotient of a
 union of atoms is again one: the DFA of a member is read off the
-machine's left letter action (``FiniteQuotient.union_language``), with
-no minimisation.  The quotient's table, atom(u) * atom(v) = atom(uv),
-and its evaluation morphism make the algebra's dual recogniser.
+machine's left letter action (``FiniteQuotient.union_language`` over
+atom indices, named ``member_from_atoms`` here), with no minimisation.
+The quotient's table, atom(u) * atom(v) = atom(uv), and its evaluation
+morphism make the algebra's dual recogniser.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .errors import InputError, InvariantError, ResourceLimitError
 from .languages import (
@@ -66,6 +68,7 @@ class LanguageAlgebra(FiniteQuotient):
     atom_count = FiniteQuotient.size
     atom_of = FiniteQuotient.class_of
     saturation = FiniteQuotient.saturation
+    member_from_atoms = FiniteQuotient.union_language
 
     @property
     def atom_reps(self) -> tuple[Word, ...]:
@@ -82,15 +85,6 @@ class LanguageAlgebra(FiniteQuotient):
 
     def member(self, l: Dfa) -> bool:
         return self.saturation(l) is not None
-
-    def member_from_atoms(self, atom_indices: Iterable[int]) -> Dfa:
-        """Canonical DFA of the union of the given atoms."""
-        states = []
-        for i in atom_indices:
-            if type(i) is not int or not 0 <= i < self.atom_count:
-                raise InputError(f"atom index {i!r} is not an integer in 0..{self.atom_count - 1}")
-            states.append(i + self.semigroup)
-        return self.union_language(states)
 
     def __repr__(self) -> str:
         mode = "semigroup" if self.semigroup else "monoid"
@@ -122,7 +116,6 @@ def algebra_leq(b1: FiniteQuotient, b2: LanguageAlgebra) -> bool:
 
 def _closure_algebra(
     alph: Alphabet,
-    semigroup: bool,
     generators: Sequence[Dfa],
     closure: GeneratedClosure,
     max_atoms: int,
@@ -133,7 +126,7 @@ def _closure_algebra(
     count = len(closure.elements)
     if count > max_atoms:
         raise ResourceLimitError(f"{count} atoms exceed the bound {max_atoms}")
-    return LanguageAlgebra(alph, semigroup, closure.cayley_graph(), tuple(generators))
+    return LanguageAlgebra(alph, closure.semigroup, closure.transitions, tuple(generators))
 
 
 def generate_algebra(
@@ -159,15 +152,11 @@ def generate_algebra(
     universe = nonempty_universal(alph) if semigroup else universal_language(alph)
     generators = [intersection(g, universe) for g in generators]
     closure = transition_closure(alph, generators, semigroup=semigroup, max_size=max_states)
-    return _closure_algebra(alph, semigroup, generators, closure, max_atoms)
+    return _closure_algebra(alph, generators, closure, max_atoms)
 
 
 def trivial_algebra(alph: Alphabet, semigroup: bool = False) -> LanguageAlgebra:
     return generate_algebra([], alph, semigroup=semigroup)
-
-
-def membership(l: Dfa, b: LanguageAlgebra) -> bool:
-    return b.member(l)
 
 
 # -- transport along alphabet substitutions -------------------------------
@@ -305,8 +294,8 @@ def recognised_algebra(
     hs = all_morphisms(alph, m, max_count=max_morphisms)
     # a word leads the start state of the Cayley graph of h's image to
     # h(w), and h(w) fixes where it leads every other state
-    graphs = (h.image().cayley_graph() for h in hs)
+    graphs = (h.image.transitions for h in hs)
     cayley = [Dfa(alph, len(g), g, frozenset()) for g in graphs]
     closure = transition_closure(alph, cayley, semigroup=semigroup, max_size=max_size)
-    alg = _closure_algebra(alph, semigroup, (), closure, max_atoms)
+    alg = _closure_algebra(alph, (), closure, max_atoms)
     return replace(alg, generators=alg.atoms)

@@ -41,10 +41,8 @@ from .languages import (
 from .marking import ExtendedAlphabet, exists_projection, tag_unmarked
 from .monoids import (
     FiniteMonoid,
-    FiniteQuotient,
     MonoidMorphism,
     all_morphisms,
-    closure_language,
     enumerate_monoids,
     enumerate_semigroups,
     morphism_preserves_actions,
@@ -536,19 +534,17 @@ def run_thm8(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int 
             clo, _ = split_closure(phi1, phi2, c, max_size=max_size)
             for v1 in _all_subsets(phi1.target.size):
                 l1 = phi1.preimage(v1)
-                got1 = closure_language(AB, clo, lambda i: clo.elements[i][1] in v1)
+                got1 = clo.language(AB, lambda e: e[1] in v1)
                 if got1 != l1:
                     detail = "factor-1 recognition mismatch"
                 for v2 in _all_subsets(phi2.target.size):
                     l2 = phi2.preimage(v2)
                     clopen = HitClopen("hit", frozenset((x, y) for x in v1 for y in v2))
-                    got = closure_language(
-                        AB, clo, lambda i: clopen.contains(clo.elements[i][0])
-                    )
+                    got = clo.language(AB, lambda e: clopen.contains(e[0]))
                     if got != marked_concat(l1, c, l2):
                         detail = f"marked concatenation mismatch at letter {AB.letters[c]}"
             for v2 in _all_subsets(phi2.target.size):
-                got2 = closure_language(AB, clo, lambda i: clo.elements[i][2] in v2)
+                got2 = clo.language(AB, lambda e: e[2] in v2)
                 if got2 != phi2.preimage(v2):
                     detail = "factor-2 recognition mismatch"
         return detail
@@ -589,7 +585,7 @@ def run_thm10(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int
         elements = loc.elements()
         record["elements"] = len(elements)
         alg = _generated_concat_algebra(phi1, phi2, max_states=max_size)
-        local = FiniteQuotient(AB, False, loc.closure.cayley_graph())
+        local = loc.closure.quotient(AB)
 
         def recognised(l: Dfa, accept: Callable[[tuple], bool]) -> bool:
             return local.saturation(l) == {i for i, e in enumerate(elements) if accept(e)}

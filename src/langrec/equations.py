@@ -190,8 +190,7 @@ def bsum2_quotient(
             rows = [list(row) for row in g] + [[sink] * len(alph)]
             rows[atom][c] = sink
             dfas.append(_canonical(alph, rows, (sink,), 0))
-    closure = transition_closure(alph, dfas, semigroup=False, max_size=max_size)
-    return FiniteQuotient(alph, False, closure.delta)
+    return transition_closure(alph, dfas, semigroup=False, max_size=max_size).quotient(alph)
 
 
 def _reach_masks(g: Sequence[Sequence[int]]) -> list[int]:

@@ -146,12 +146,13 @@ def _letter_indices(alph: Alphabet, w: "Word | Iterable[str | int]") -> tuple[in
         if w.alphabet != alph:
             raise InputError(f"the word is over {w.alphabet!r}, not {alph!r}")
         return w.indices
+    k = len(alph)
     out = []
     for c in w:
-        if isinstance(c, str):
-            out.append(alph.index(c))
-        elif isinstance(c, int) and not isinstance(c, bool) and 0 <= c < len(alph):
+        if type(c) is int and 0 <= c < k:  # not a bool
             out.append(c)
+        elif isinstance(c, str):
+            out.append(alph.index(c))
         else:
             raise InputError(f"{c!r} is not a letter of {alph!r}")
     return tuple(out)

@@ -5,7 +5,10 @@ A ``FiniteMonoid`` with ``identity=None`` is treated as a plain
 semigroup; constructions downstream (morphisms, recognised languages,
 product monoids) honour that mode by working over non-empty words.
 A finite quotient of the free monoid (``FiniteQuotient``) is its Cayley
-graph, from which its table and evaluation morphism are read.
+graph, from which its table and evaluation morphism are read.  A closure
+generated by letter images (``GeneratedClosure``) is one such graph with
+a label per element; the languages it recognises are unions of its
+elements' classes, picked by label.
 """
 
 from __future__ import annotations
@@ -279,9 +282,10 @@ class MonoidMorphism:
             object.__setattr__(self, "letter_images", tuple(self.letter_images))
         if len(self.letter_images) != len(self.alphabet):
             raise InputError("need exactly one image per letter")
+        n = self.target.size
         for v in self.letter_images:
-            if not (0 <= v < self.target.size):
-                raise InputError(f"letter image {v} out of range")
+            if type(v) is not int or not 0 <= v < n:
+                raise InputError(f"letter image {v!r} is not an integer in 0..{n - 1}")
 
     def evaluate(self, w: "Word | Iterable[str | int]") -> int:
         idxs = _letter_indices(self.alphabet, w)
@@ -300,19 +304,15 @@ class MonoidMorphism:
     def __call__(self, w: "Word | Iterable[int]") -> int:
         return self.evaluate(w)
 
+    @cached_property
     def image(self) -> "GeneratedClosure":
         """The image submonoid (subsemigroup), generated by the letter
-        images; its elements are element indices of the target."""
+        images and labelled by element indices of the target; built once,
+        with its Cayley quotient, for every preimage."""
         m = self.target
         return generate_closure(
             self.letter_images, lambda x, y: m.table[x][y], m.identity, max_size=m.size
         )
-
-    @cached_property
-    def _image(self) -> "GeneratedClosure":
-        """The image closure, generated once for every preimage; it keeps
-        its Cayley quotient, and so the quotient's left action, too."""
-        return self.image()
 
     def preimage(self, accept: Iterable[int]) -> Dfa:
         """Canonical DFA of the inverse image of a set of elements."""
@@ -320,12 +320,7 @@ class MonoidMorphism:
         for v in want:
             if not (0 <= v < self.target.size):
                 raise InputError(f"element {v} out of range")
-        image = self._image
-        return closure_language(self.alphabet, image, lambda i: image.elements[i] in want)
-
-
-def recognised_language(h: MonoidMorphism, accept: Iterable[int]) -> Dfa:
-    return h.preimage(accept)
+        return self.image.language(self.alphabet, want.__contains__)
 
 
 def all_morphisms(
@@ -341,10 +336,6 @@ def all_morphisms(
         MonoidMorphism(alph, m, images)
         for images in itertools.product(range(m.size), repeat=len(alph))
     ]
-
-
-def evaluate(h: MonoidMorphism, w: "Word | Iterable[int]") -> int:
-    return h.evaluate(w)
 
 
 # -- syntactic monoids -----------------------------------------------------
@@ -384,35 +375,30 @@ def is_minimal_recogniser(m: FiniteMonoid, accept: Iterable[int], max_size: int 
 
 @dataclass
 class GeneratedClosure:
-    """Submonoid (or subsemigroup) generated by abstract letter images.
-
-    ``elements`` lists the distinct products in discovery order, which is
-    breadth-first over words in length-then-lex order.  ``delta[i][c]`` is
-    the index of ``elements[i] * image(c)``; ``letter_targets[c]`` the
-    index of the image of letter c itself.  ``unit_first`` marks monoid
-    mode, where ``elements[0]`` is the unit (the image of the empty word).
-    """
+    """Submonoid (or subsemigroup) generated by abstract letter images:
+    the Cayley graph ``transitions`` of a ``FiniteQuotient`` with a label
+    per element.  ``elements`` lists the distinct products in discovery
+    order, which is breadth-first over words in shortlex order, so
+    ``elements[i]`` labels the quotient's element i."""
 
     elements: list
-    delta: list[list[int]]
-    index: dict
-    letter_targets: list[int]
-    unit_first: bool
+    transitions: list[list[int]]
+    semigroup: bool
     _quotient: "FiniteQuotient | None" = field(default=None, init=False, repr=False, compare=False)
-
-    def cayley_graph(self) -> list[list[int]]:
-        """Transitions from the empty word's state 0: the unit in monoid
-        mode, else a fresh start state, and element i is state i + 1."""
-        if self.unit_first:
-            return self.delta
-        return [[1 + j for j in self.letter_targets]] + [[1 + j for j in row] for row in self.delta]
 
     def quotient(self, alph: Alphabet) -> "FiniteQuotient":
         """The Cayley graph as a finite quotient over alph, built once and
         kept for the closure's next language."""
         if self._quotient is None or self._quotient.alphabet != alph:
-            self._quotient = FiniteQuotient(alph, not self.unit_first, self.cayley_graph())
+            self._quotient = FiniteQuotient(alph, self.semigroup, self.transitions)
         return self._quotient
+
+    def language(self, alph: Alphabet, accept: Callable[[object], bool]) -> Dfa:
+        """Canonical DFA of the words whose element's label satisfies
+        ``accept``."""
+        return self.quotient(alph).union_language(
+            i for i, e in enumerate(self.elements) if accept(e)
+        )
 
 
 def generate_closure(
@@ -422,7 +408,11 @@ def generate_closure(
     *,
     max_size: int | None = None,
 ) -> GeneratedClosure:
+    """The closure of the images under ``mul``, numbered as a
+    ``FiniteQuotient``: state 0 is the unit, or with ``unit=None`` a
+    start state of its own, after which element i is state i + 1."""
     limit = closure_limit(max_size)
+    semigroup = unit is None
     elements: list = []
     index: dict = {}
 
@@ -434,27 +424,18 @@ def generate_closure(
                 raise ResourceLimitError(f"submonoid closure exceeded {limit} elements")
             index[e] = j
             elements.append(e)
-        return j
+        return j + semigroup
 
-    if unit is not None:
+    if semigroup:  # the empty word's own state leads to the letters' images
+        transitions = [[intern(img) for img in images]]
+    else:
         intern(unit)
-    letter_targets = [intern(img) for img in images]
-    delta: list[list[int]] = []
+        transitions = []
     i = 0
     while i < len(elements):
-        delta.append([intern(mul(elements[i], img)) for img in images])
+        transitions.append([intern(mul(elements[i], img)) for img in images])
         i += 1
-    return GeneratedClosure(elements, delta, index, letter_targets, unit is not None)
-
-
-def closure_language(
-    alph: Alphabet, closure: GeneratedClosure, accept: Callable[[int], bool]
-) -> Dfa:
-    """Canonical DFA of the words whose closure class satisfies ``accept``."""
-    off = not closure.unit_first
-    return closure.quotient(alph).union_language(
-        i + off for i in range(len(closure.elements)) if accept(i)
-    )
+    return GeneratedClosure(elements, transitions, semigroup)
 
 
 @dataclass(frozen=True)
@@ -544,11 +525,11 @@ class FiniteQuotient:
             action.append(itemgetter(*lt))
         return tuple(action)
 
-    def union_language(self, states: Iterable[int]) -> Dfa:
-        """Canonical DFA of the words that lead state 0 into ``states``,
+    def union_language(self, elements: Iterable[int]) -> Dfa:
+        """Canonical DFA of the union of the given elements' classes,
         with no minimisation.  The state of a word u is the 0/1 vector
-        over the states y saying whether u followed by y's words lands
-        in ``states``; reading c composes the vector with c's left
+        over the graph's states y saying whether u followed by y's words
+        lands in the union; reading c composes the vector with c's left
         action, and a vector accepts when its entry for state 0 is 1.
         Distinct vectors are distinct quotients of the union, since the
         states' word sets are disjoint and non-empty, so the vectors
@@ -556,12 +537,12 @@ class FiniteQuotient:
         This needs the graph to be a Cayley graph, where a word's state
         fixes where it leads every state, as for every quotient built
         by this package."""
-        n = len(self.transitions)
-        start = bytearray(n)
-        for s in states:
-            if type(s) is not int or not 0 <= s < n:
-                raise InputError(f"state {s!r} is not an integer in 0..{n - 1}")
-            start[s] = 1
+        n, off = self.size, self.semigroup
+        start = bytearray(len(self.transitions))
+        for i in elements:
+            if type(i) is not int or not 0 <= i < n:
+                raise InputError(f"element index {i!r} is not an integer in 0..{n - 1}")
+            start[i + off] = 1
         action = self._left_action
         order = [bytes(start)]
         index = {order[0]: 0}
@@ -579,9 +560,10 @@ class FiniteQuotient:
         accepting = frozenset(i for i, v in enumerate(order) if v[0])
         return Dfa(self.alphabet, len(order), tuple(rows), accepting)
 
-    def class_of(self, w: "Word | Iterable[int]") -> int:
-        """The element of a word: one run of the Cayley graph."""
-        idxs = w.indices if isinstance(w, Word) else tuple(w)
+    def class_of(self, w: "Word | Iterable[str | int]") -> int:
+        """The element of a word, given as a ``Word`` over the alphabet or
+        by letter names or indices: one run of the Cayley graph."""
+        idxs = _letter_indices(self.alphabet, w)
         if self.semigroup and not idxs:
             raise PreconditionError("the empty word is outside a semigroup-mode universe")
         t = self.transitions
@@ -635,8 +617,7 @@ def joint_quotient(dfas: Sequence[Dfa], *, max_size: int | None = None) -> Finit
         raise InputError("need at least one language")
     alph = dfas[0].alphabet
     dfas = [canonicalise(d) for d in dfas]
-    closure = transition_closure(alph, dfas, semigroup=False, max_size=max_size)
-    return FiniteQuotient(alph, False, closure.delta)
+    return transition_closure(alph, dfas, semigroup=False, max_size=max_size).quotient(alph)
 
 
 # -- biactions -------------------------------------------------------------

@@ -45,7 +45,6 @@ from .monoids import (
     FiniteMonoid,
     GeneratedClosure,
     MonoidMorphism,
-    closure_language,
     generate_closure,
 )
 
@@ -422,9 +421,7 @@ def exists_language(
     ext = _require_extended(tau)
     clo = exists_closure(tau, max_size=max_size)
     clopen = HitClopen("hit", frozenset(accept))
-    return closure_language(
-        ext.base, clo, lambda i: clopen.contains(clo.elements[i][0])
-    )
+    return clo.language(ext.base, lambda e: clopen.contains(e[0]))
 
 
 def recognises_exists(tau: MonoidMorphism, accept: Iterable[int], w: Word) -> bool:
@@ -506,9 +503,7 @@ def split_language(
     clo, _ = split_closure(phi1, phi2, letter, max_size=max_size)
     want = frozenset(itertools.product(tuple(v1), tuple(v2)))
     clopen = HitClopen("hit", want)
-    return closure_language(
-        alph, clo, lambda i: clopen.contains(clo.elements[i][0])
-    )
+    return clo.language(alph, lambda e: clopen.contains(e[0]))
 
 
 # -- the local morphism: one split component per letter ----------------------
@@ -532,20 +527,15 @@ class LocalSchutz:
     def elements(self) -> list:
         return self.closure.elements
 
-    def evaluate(self, w: "Word | Iterable[int]") -> tuple:
-        i = 0  # index of the unit element
-        for c in _letter_indices(self.alphabet, w):
-            i = self.closure.delta[i][c]
-        return self.closure.elements[i]
+    def evaluate(self, w: "Word | Iterable[str | int]") -> tuple:
+        clo = self.closure
+        return clo.elements[clo.quotient(self.alphabet).class_of(w)]
 
     def mul(self, p: tuple, q: tuple) -> tuple:
         return _local_mul(self.product, p, q)
 
     def language_of(self, accept: Callable[[tuple], bool]) -> Dfa:
-        clo = self.closure
-        return closure_language(
-            self.alphabet, clo, lambda i: accept(clo.elements[i])
-        )
+        return self.closure.language(self.alphabet, accept)
 
 
 def _local_mul(product: BinarySchutz, p: tuple, q: tuple) -> tuple:

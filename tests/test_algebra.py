@@ -8,7 +8,9 @@ from langrec import (
     Alphabet,
     Dfa,
     FiniteMonoid,
+    FiniteQuotient,
     InputError,
+    LanguageAlgebra,
     Word,
     algebra_equal,
     algebra_leq,
@@ -24,9 +26,7 @@ from langrec import (
     inverse_image,
     joint_quotient,
     left_quotient,
-    membership,
     recognised_algebra,
-    recognised_language,
     regex_to_dfa,
     right_quotient,
     schutz_sum,
@@ -40,7 +40,7 @@ from langrec import languages
 from langrec.campaigns import corpus_dfas
 from langrec.languages import _canonical, _minimise
 from langrec.marking import ExtendedAlphabet
-from langrec.monoids import closure_language, generate_closure
+from langrec.monoids import generate_closure
 
 AB = Alphabet(("a", "b"))
 A1 = Alphabet(("a",))
@@ -99,22 +99,35 @@ class TestGenerateAlgebra:
             assert atom.accepts(rep)
             assert alg.atom_of(rep) == alg.atoms.index(atom)
 
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_atom_of_reads_only_letters_of_its_alphabet(self, semigroup):
+        alg = generate_algebra([regex_to_dfa("(a|b)*a", AB)], AB, semigroup=semigroup)
+        for w in ("ab", "ba", "bba"):
+            assert alg.atom_of(w) == alg.atom_of(AB.word(w).indices) == alg.atom_of(AB.word(w))
+        assert alg.atom_of(["a", 1]) == alg.atom_of("ab")
+        for bad in ([-1], [True], [False], [2], [0.0], [None], ["c"], [0, -1]):
+            with pytest.raises(InputError, match="is not a letter of|unknown letter"):
+                alg.atom_of(bad)
+        for other in (Alphabet(("a", "b", "c")), A1):
+            with pytest.raises(InputError, match="the word is over"):
+                alg.atom_of(Word(other, (0,)))
+
 
 class TestMembership:
     def test_empty_always_member(self):
         for gens in ((), ("(ab)*",)):
             alg = generate_algebra([regex_to_dfa(g, AB) for g in gens], AB)
-            assert membership(empty_language(AB), alg)
+            assert alg.member(empty_language(AB))
 
     def test_generator_is_member(self):
         l = regex_to_dfa("(a|b)*a(a|b)*", AB)
-        assert membership(l, generate_algebra([l]))
+        assert generate_algebra([l]).member(l)
 
     def test_atom_splitter_is_not_member(self):
         l = regex_to_dfa("(a|b)*a(a|b)*", AB)
         alg = generate_algebra([l])
         # words starting with a split the b* atom (b* contains ε and b)
-        assert not membership(regex_to_dfa("a(a|b)*", AB), alg)
+        assert not alg.member(regex_to_dfa("a(a|b)*", AB))
 
     def test_member_from_unknown_atom_refused(self):
         alg = generate_algebra([regex_to_dfa("a(a|b)*", AB)], semigroup=True)
@@ -136,7 +149,7 @@ class TestDualRecogniser:
         assert dual.monoid.size == syn.monoid.size == 2
         # the dual evaluation recognises every member
         for i, atom in enumerate(alg.atoms):
-            assert recognised_language(dual.tau, {i}) == atom
+            assert dual.tau.preimage({i}) == atom
         assert dual.tau.preimage({alg.atom_of(AB.word("a"))}) == l
 
     def test_well_defined_on_corpus(self):
@@ -357,21 +370,19 @@ UNION_ALGEBRAS = {
 
 
 def assert_unions_match_minimisation(alg, subsets):
-    """Every atom, the seeded subsets of states, and the empty and full
-    unions equal the minimised Cayley graph with those states accepting."""
-    n = len(alg.transitions)
-    for i in range(alg.atom_count):
-        want = _canonical(alg.alphabet, alg.transitions, {i + alg.semigroup}, 0)
+    """Every atom, the seeded subsets of atoms, and the empty and full
+    unions equal the minimised Cayley graph with those atoms' states
+    accepting."""
+    n, off = alg.atom_count, alg.semigroup
+    for i in range(n):
+        want = _canonical(alg.alphabet, alg.transitions, {i + off}, 0)
         assert alg.atoms[i] == alg.member_from_atoms([i]) == want
-    rng = random.Random(n)
-    states = [set(), set(range(n))]
-    states += [{s for s in range(n) if rng.random() < 0.5} for _ in range(subsets)]
-    for subset in states:
-        want = _canonical(alg.alphabet, alg.transitions, subset, 0)
-        assert alg.union_language(subset) == want
-        if not alg.semigroup or 0 not in subset:
-            atoms = [s - alg.semigroup for s in subset]
-            assert alg.member_from_atoms(atoms) == want
+    rng = random.Random(len(alg.transitions))
+    atoms = [set(), set(range(n))]
+    atoms += [{i for i in range(n) if rng.random() < 0.5} for _ in range(subsets)]
+    for subset in atoms:
+        want = _canonical(alg.alphabet, alg.transitions, {i + off for i in subset}, 0)
+        assert alg.member_from_atoms(subset) == want
 
 
 class TestUnionLanguage:
@@ -396,25 +407,23 @@ class TestUnionLanguage:
         )
         want = [_canonical(AB, alg.transitions, {i + 1}, 0) for i in range(alg.atom_count)]
         want_union = _canonical(AB, alg.transitions, {1, 3}, 0)
-        want_closure = _canonical(AB, closure.cayley_graph(), {1, 2}, 0)
+        want_closure = _canonical(AB, closure.transitions, {1, 2}, 0)
         monkeypatch.setattr(languages, "_minimise", refuse)
         with pytest.raises(AssertionError, match="_minimise was called"):
             _canonical(AB, alg.transitions, {1}, 0)
         assert list(alg.atoms) == want
         assert alg.member_from_atoms([0, 2]) == want_union
-        assert closure_language(AB, closure, {0, 1}.__contains__) == want_closure
+        assert closure.language(AB, {(1, 0), (0, 1)}.__contains__) == want_closure
 
     def test_refuses_bad_atom_indices(self):
+        assert LanguageAlgebra.member_from_atoms is FiniteQuotient.union_language
         for semigroup in (False, True):
             alg = generate_algebra([regex_to_dfa("a(a|b)*", AB)], AB, semigroup=semigroup)
             for bad in (1.0, True, False, "1", None, -1, alg.atom_count):
-                with pytest.raises(InputError, match="atom index"):
+                with pytest.raises(InputError, match="element index .* is not an integer"):
                     alg.member_from_atoms([bad])
-                with pytest.raises(InputError, match="atom index"):
+                with pytest.raises(InputError, match="element index .* is not an integer"):
                     alg.member_from_atoms([0, bad])
-            for bad in (1.0, True, -1, len(alg.transitions)):
-                with pytest.raises(InputError, match="not an integer"):
-                    alg.union_language([bad])
 
 
 # -- the transition closure against the syntactic-monoid oracle ------------
@@ -455,7 +464,7 @@ class TestTransitionClosureOracle:
             closure, _ = syntactic_product_closure(gens, semigroup)
             assert alg.atom_count == len(closure.elements)
             # one atom per closure element, word by word
-            g, off = closure.cayley_graph(), not closure.unit_first
+            g, off = closure.transitions, closure.semigroup
             pairs = set()
             for t in AB.tuples_upto(5, 1 if semigroup else 0):
                 state = 0
@@ -471,17 +480,20 @@ class TestTransitionClosureOracle:
             q = joint_quotient(gens)
             closure, mul = syntactic_product_closure(gens, False)
             elems = closure.elements
+            index = {x: i for i, x in enumerate(elems)}
+            assert len(index) == len(elems)
             assert q.monoid.table == tuple(
-                tuple(closure.index[mul(x, y)] for y in elems) for x in elems
+                tuple(index[mul(x, y)] for y in elems) for x in elems
             )
-            assert q.morphism.letter_images == tuple(closure.letter_targets)
+            letters = closure.transitions[0]
+            assert q.morphism.letter_images == tuple(letters)
             # the first word of each element, words in shortlex order
             least: dict[int, tuple[int, ...]] = {}
             length = 0
             while len(least) < len(elems):
                 for t in itertools.product(range(len(AB)), repeat=length):
-                    x = functools.reduce(mul, (elems[closure.letter_targets[c]] for c in t), elems[0])
-                    least.setdefault(closure.index[x], t)
+                    x = functools.reduce(mul, (elems[letters[c]] for c in t), elems[0])
+                    least.setdefault(index[x], t)
                 length += 1
             assert [w.indices for w in q.reps] == [least[i] for i in range(len(elems))]
 

@@ -308,6 +308,7 @@ class TestLetterReader:
         u = universal_language(AB)
         mw = MarkedWord(AB.word("ab"), 0)
         return {
+            "atom_of": lambda c: b.atom_of([c]),
             "evaluate": lambda c: phi.evaluate([c]),
             "factorizations": lambda c: factorizations(q, 0, c),
             "lemma_witness_check": lambda c: lemma_witness_check(q, b, 0, c),
@@ -316,7 +317,8 @@ class TestLetterReader:
         }
 
     @pytest.mark.parametrize("name", [
-        "evaluate", "factorizations", "lemma_witness_check", "marked_concat", "replace_at_mark",
+        "atom_of", "evaluate", "factorizations", "lemma_witness_check", "marked_concat",
+        "replace_at_mark",
     ])
     def test_names_and_indices_agree_and_others_are_refused(self, name):
         call = self.callers()[name]

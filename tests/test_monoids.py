@@ -1,3 +1,4 @@
+import functools
 import itertools
 import json
 import random
@@ -31,19 +32,19 @@ from langrec import (
     morphism_preserves_actions,
     nonempty_universal,
     recognised_algebra,
-    recognised_language,
     regex_to_dfa,
     regular_biaction,
     syntactic_monoid,
     universal_language,
 )
+from langrec import monoids
 from langrec.algebra import algebra_equal
 from langrec.campaigns import CORPUS_REGEXES
 from langrec.equations import _atom_map
 from langrec.languages import _canonical, canonicalise
 from langrec.marking import ExtendedAlphabet
-from langrec.monoids import _associativity_defect, _light_defect, closure_language
-from langrec.schutz import exists_closure
+from langrec.monoids import FiniteQuotient, _associativity_defect, _light_defect
+from langrec.schutz import exists_closure, exists_letter_images, marked_split_set
 
 AB = Alphabet(("a", "b"))
 A1 = Alphabet(("a",))
@@ -289,7 +290,7 @@ class TestSyntacticMonoid:
         for r in CORPUS_REGEXES:
             l = regex_to_dfa(r, AB)
             syn = syntactic_monoid(l)
-            assert recognised_language(syn.morphism, syn.accepting) == l
+            assert syn.morphism.preimage(syn.accepting) == l
 
     def test_non_minimal_dfa_gives_the_syntactic_monoid(self):
         # a 4-state DFA of a* with two unreachable states and two equivalent ones
@@ -338,42 +339,49 @@ class TestEvaluate:
         with pytest.raises(PreconditionError):
             h.evaluate(Word(AB, ()))
 
+    def test_letter_images_must_be_integers_in_range(self):
+        u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
+        for bad in ((True, 0), (0, False), (1.0, 0), (0, "1"), (None, 0), (-1, 0), (0, 2)):
+            with pytest.raises(InputError, match=r"^letter image .* is not an integer in 0\.\.1$"):
+                MonoidMorphism(AB, u1, bad)
+
 
 class TestRecognisedLanguage:
     def test_empty_accepting_set(self):
         syn = syntactic_monoid(regex_to_dfa("(ab)*", AB))
-        assert recognised_language(syn.morphism, frozenset()) == empty_language(AB)
+        assert syn.morphism.preimage(frozenset()) == empty_language(AB)
 
     def test_full_accepting_set(self):
         syn = syntactic_monoid(regex_to_dfa("(ab)*", AB))
         full = frozenset(range(syn.monoid.size))
-        assert recognised_language(syn.morphism, full) == universal_language(AB)
+        assert syn.morphism.preimage(full) == universal_language(AB)
 
     def test_full_accepting_set_semigroup(self):
         s = FiniteMonoid(((0, 0), (1, 1)))
         h = MonoidMorphism(AB, s, (0, 1))
-        assert recognised_language(h, {0, 1}) == nonempty_universal(AB)
+        assert h.preimage({0, 1}) == nonempty_universal(AB)
 
     def test_image_is_generated_once(self, monkeypatch):
         calls = []
-        image = MonoidMorphism.image
+        generate = monoids.generate_closure
 
-        def counted(self):
-            calls.append(self)
-            return image(self)
+        def counted(images, *args, **kwargs):
+            calls.append(images)
+            return generate(images, *args, **kwargs)
 
-        monkeypatch.setattr(MonoidMorphism, "image", counted)
+        monkeypatch.setattr(monoids, "generate_closure", counted)
         u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
         h = MonoidMorphism(AB, u1, (1, 0))
         assert [h.preimage(v) for v in ({0}, {1}, {0, 1})] == [
             regex_to_dfa("b*", AB), regex_to_dfa("(a|b)*a(a|b)*", AB), universal_language(AB),
         ]
-        assert calls == [h]
+        assert h.image.elements == [0, 1]
+        assert calls == [h.letter_images]
 
     def test_preimage_matches_brute_force(self):
         u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
         h = MonoidMorphism(AB, u1, (1, 0))
-        l = recognised_language(h, {1})
+        l = h.preimage({1})
         for t in AB.tuples_upto(6):
             assert l.accepts(t) == (0 in t)
 
@@ -562,18 +570,18 @@ class TestQuotientSaturation:
             assert q.saturation(l) is None
 
 
-def canonical_closure_language(alph, clo, accept):
+def minimised_language(alph, clo, accept):
     """The minimisation oracle: the Cayley graph of the closure with the
-    accepted classes' states, trimmed, minimised and renumbered."""
-    off = not clo.unit_first
-    acc = {i + off for i in range(len(clo.elements)) if accept(i)}
-    return _canonical(alph, clo.cayley_graph(), acc, 0)
+    accepted labels' states, trimmed, minimised and renumbered."""
+    acc = {i + clo.semigroup for i, e in enumerate(clo.elements) if accept(e)}
+    return _canonical(alph, clo.transitions, acc, 0)
 
 
 def oracle_closures():
     """Unary Schutzenberger closures over monoids and semigroups, local
     Schutzenberger closures, and plain semigroup images, with the
-    alphabet each reads."""
+    alphabet each reads and the (letter images, product, unit) that
+    generate it."""
     rng = random.Random(11)
     ext = ExtendedAlphabet(AB)
     u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
@@ -585,19 +593,27 @@ def oracle_closures():
                   "('a#0'|'b#0')* 'b#1' 'a#0' 'b#0'*"):
         taus.append(syntactic_monoid(regex_to_dfa(regex, ext.ext)).morphism)
     for tau in taus:
-        out.append((f"unary-{tau.target!r}-{tau.letter_images}", AB, exists_closure(tau)))
+        product = UnarySchutz(tau.target)
+        generators = (exists_letter_images(tau), product.mul,
+                      None if product.semigroup else product.unit())
+        out.append((f"unary-{tau.target!r}-{tau.letter_images}", AB, exists_closure(tau), generators))
     starts_a = syntactic_monoid(regex_to_dfa("a(a|b)*", AB)).morphism  # 3 elements
     pairs = [(MonoidMorphism(AB, u1, (0, 1)), MonoidMorphism(AB, u1, (1, 0))),
              (MonoidMorphism(AB, z2, (0, 1)), MonoidMorphism(AB, u1, (0, 1))),
              (starts_a, starts_a)]  # 25, 30 and 59 elements
     for phi1, phi2 in pairs:
         loc = local_schutz_morphism(phi1, phi2)
-        out.append((f"local-{phi1.letter_images}-{phi2.letter_images}", AB, loc.closure))
+        images = [(tuple(marked_split_set(phi1, phi2, a, Word(AB, (c,))) for a in range(len(AB))),
+                   phi1.letter_images[c], phi2.letter_images[c]) for c in range(len(AB))]
+        unit = (tuple(frozenset() for _ in AB.letters), phi1.target.identity, phi2.target.identity)
+        out.append((f"local-{phi1.letter_images}-{phi2.letter_images}", AB, loc.closure,
+                    (images, loc.mul, unit)))
     abc = Alphabet(("a", "b", "c"))
     for s in enumerate_semigroups(3)[::9]:
         for alph in (AB, abc):
             images = tuple(rng.randrange(s.size) for _ in alph.letters)
-            out.append((f"semigroup-{s.table}-{images}", alph, MonoidMorphism(alph, s, images).image()))
+            out.append((f"semigroup-{s.table}-{images}", alph, MonoidMorphism(alph, s, images).image,
+                        (images, s.mul, None)))
     return out
 
 
@@ -605,19 +621,35 @@ class TestClosureLanguage:
     def test_matches_minimisation_oracle(self):
         rng = random.Random(12)
         modes = set()
-        for name, alph, clo in oracle_closures():
-            modes.add(clo.unit_first)
+        for name, alph, clo, _ in oracle_closures():
+            modes.add(clo.semigroup)
             n = len(clo.elements)
             subsets = [frozenset(), frozenset(range(n))] + [
                 frozenset(i for i in range(n) if rng.random() < 0.5) for _ in range(6)
             ]
             for keep in subsets:
-                want = canonical_closure_language(alph, clo, keep.__contains__)
-                assert closure_language(alph, clo, keep.__contains__) == want, name
+                labels = [clo.elements[i] for i in keep]
+                want = minimised_language(alph, clo, labels.__contains__)
+                assert clo.language(alph, labels.__contains__) == want, name
         assert modes == {False, True}
         # the quotient kept on a closure is rebuilt for another alphabet
         upper = Alphabet(tuple(c.upper() for c in alph.letters))
-        assert closure_language(upper, clo, bool) == canonical_closure_language(upper, clo, bool)
+        accept = clo.elements[-1].__eq__
+        assert clo.language(upper, accept) == minimised_language(upper, clo, accept)
+
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_numbering_is_the_quotients(self, semigroup):
+        """Element i of a closure is the product of the letter images
+        along its quotient's i-th representative, and its graph is a
+        Cayley graph that FiniteQuotient accepts as it stands."""
+        closures = [c for c in oracle_closures() if c[2].semigroup == semigroup]
+        assert closures
+        for name, alph, clo, (images, mul, unit) in closures:
+            q = FiniteQuotient(alph, clo.semigroup, clo.transitions)
+            assert q == clo.quotient(alph) and q.size == len(clo.elements), name
+            for rep, e in zip(clo.quotient(alph).reps, clo.elements):
+                factors = [images[c] for c in rep.indices]
+                assert functools.reduce(mul, factors, *([] if semigroup else [unit])) == e, name
 
 
 class TestClosureCeilingEnvironment:

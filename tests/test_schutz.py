@@ -511,7 +511,7 @@ class TestAgainstFrozensetOracles:
             loc = local_schutz_morphism(phi1, phi2)
             clo = loc.closure
             assert len(clo.elements) in (534, 38)
-            images = [clo.elements[j] for j in clo.letter_targets]
+            images = [clo.elements[j] for j in clo.transitions[0]]
             for i, e in enumerate(clo.elements):
                 for c, img in enumerate(images):
                     (ss, m, n), (ts, x, y) = e, img
@@ -521,7 +521,7 @@ class TestAgainstFrozensetOracles:
                         m1.table[m][x],
                         m2.table[n][y],
                     )
-                    assert loc.mul(e, img) == want == clo.elements[clo.delta[i][c]]
+                    assert loc.mul(e, img) == want == clo.elements[clo.transitions[i][c]]
 
 
 class TestRefusedInputs:
