@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Mapping, Sequence
 
-from .errors import InputError, InvariantError, ResourceLimitError
+from .errors import InputError, InvariantError
 from .languages import (
     Alphabet,
     Dfa,
@@ -45,13 +45,10 @@ from .languages import (
 from .monoids import (
     FiniteMonoid,
     FiniteQuotient,
-    GeneratedClosure,
     MonoidMorphism,
     all_morphisms,
     transition_closure,
 )
-
-_DEFAULT_MAX_ATOMS = 4000
 
 
 @dataclass(frozen=True)
@@ -114,28 +111,12 @@ def algebra_leq(b1: FiniteQuotient, b2: LanguageAlgebra) -> bool:
 # -- construction ---------------------------------------------------------
 
 
-def _closure_algebra(
-    alph: Alphabet,
-    generators: Sequence[Dfa],
-    closure: GeneratedClosure,
-    max_atoms: int,
-) -> LanguageAlgebra:
-    """The algebra whose atoms are the classes of a letter-generated
-    closure.  Distinct elements are distinct atoms and the closure is
-    numbered breadth-first, so its Cayley graph is the atom machine."""
-    count = len(closure.elements)
-    if count > max_atoms:
-        raise ResourceLimitError(f"{count} atoms exceed the bound {max_atoms}")
-    return LanguageAlgebra(alph, closure.semigroup, closure.transitions, tuple(generators))
-
-
 def generate_algebra(
     generators: Sequence[Dfa],
     alph: Alphabet | None = None,
     *,
     semigroup: bool = False,
     max_states: int | None = None,
-    max_atoms: int = _DEFAULT_MAX_ATOMS,
 ) -> LanguageAlgebra:
     """Smallest quotient-closed Boolean algebra containing the generators.
 
@@ -152,7 +133,9 @@ def generate_algebra(
     universe = nonempty_universal(alph) if semigroup else universal_language(alph)
     generators = [intersection(g, universe) for g in generators]
     closure = transition_closure(alph, generators, semigroup=semigroup, max_size=max_states)
-    return _closure_algebra(alph, generators, closure, max_atoms)
+    # distinct elements are distinct atoms, and the closure is numbered
+    # breadth-first, so its Cayley graph is the atom machine
+    return LanguageAlgebra(alph, semigroup, closure.transitions, tuple(generators))
 
 
 def trivial_algebra(alph: Alphabet, semigroup: bool = False) -> LanguageAlgebra:
@@ -276,9 +259,7 @@ def recognised_algebra(
     alph: Alphabet,
     *,
     semigroup: bool | None = None,
-    max_morphisms: int = 1_000_000,
     max_size: int | None = None,
-    max_atoms: int = _DEFAULT_MAX_ATOMS,
 ) -> LanguageAlgebra:
     """Boolean algebra generated by every preimage h^-1(V) over every
     morphism h from the free monoid (semigroup) into m.
@@ -291,11 +272,11 @@ def recognised_algebra(
         semigroup = m.is_semigroup
     if semigroup is False and m.is_semigroup:
         raise InputError("monoid-mode algebra needs a monoid with identity")
-    hs = all_morphisms(alph, m, max_count=max_morphisms)
+    hs = all_morphisms(alph, m)
     # a word leads the start state of the Cayley graph of h's image to
     # h(w), and h(w) fixes where it leads every other state
     graphs = (h.image.transitions for h in hs)
     cayley = [Dfa(alph, len(g), g, frozenset()) for g in graphs]
     closure = transition_closure(alph, cayley, semigroup=semigroup, max_size=max_size)
-    alg = _closure_algebra(alph, (), closure, max_atoms)
+    alg = LanguageAlgebra(alph, semigroup, closure.transitions, ())
     return replace(alg, generators=alg.atoms)

@@ -414,7 +414,7 @@ def run_laws(seed: int = 0, binary_sample_triples: int = 2000) -> Report:
 # -- thm4: languages of the unary product, semigroup mode ----------------------
 
 
-def _thm4_instance(s: FiniteMonoid, *, max_size: int, max_atoms: int) -> bool:
+def _thm4_instance(s: FiniteMonoid, max_size: int) -> bool:
     """The algebra of the unary product equals the one generated by the
     base algebra together with existential projections of the
     doubled-alphabet languages the base recognises.
@@ -429,12 +429,8 @@ def _thm4_instance(s: FiniteMonoid, *, max_size: int, max_atoms: int) -> bool:
     alph = AB
     ext = ExtendedAlphabet(alph)
     diamond, _ = UnarySchutz(s).as_finite_monoid(max_base=3)
-    lhs = recognised_algebra(
-        diamond, alph, semigroup=True, max_size=max_size, max_atoms=max_atoms
-    )
-    base_alg = recognised_algebra(
-        s, alph, semigroup=True, max_size=max_size, max_atoms=max_atoms
-    )
+    lhs = recognised_algebra(diamond, alph, semigroup=True, max_size=max_size)
+    base_alg = recognised_algebra(s, alph, semigroup=True, max_size=max_size)
     gens: list[Dfa] = list(base_alg.atoms)
     seen: set[Dfa] = set(gens)
     for h in all_morphisms(ext.ext, s):
@@ -443,18 +439,16 @@ def _thm4_instance(s: FiniteMonoid, *, max_size: int, max_atoms: int) -> bool:
             if projected not in seen:
                 seen.add(projected)
                 gens.append(projected)
-    rhs = generate_algebra(
-        gens, alph, semigroup=True, max_states=max_size, max_atoms=max_atoms
-    )
+    rhs = generate_algebra(gens, alph, semigroup=True, max_states=max_size)
     return algebra_equal(lhs, rhs)
 
 
-def _thm4_record(s: FiniteMonoid, limit_status: str, **bounds) -> dict:
+def _thm4_record(s: FiniteMonoid, limit_status: str, max_size: int) -> dict:
     """One thm4 instance; a resource limit gives ``limit_status`` with the
     limit's message."""
     record = {"size": s.size, "table": [list(r) for r in s.table]}
     try:
-        ok = _thm4_instance(s, **bounds)
+        ok = _thm4_instance(s, max_size)
     except ResourceLimitError as exc:
         return {**record, "status": limit_status, "reason": str(exc)}
     return {**record, "status": "pass" if ok else "fail"}
@@ -467,12 +461,15 @@ def run_thm4(
     max_atoms: int = 1500,
 ) -> Report:
     """Every semigroup of size 1 and 2 is required, so a resource limit
-    fails it; a size-3 draw that hits a limit is skipped and replaced."""
-    bounds = {"max_size": max_size, "max_atoms": max_atoms}
-    rep = Report("thm4", seed, {"size3_samples": size3_samples, **bounds})
+    fails it; a size-3 draw that hits a limit is skipped and replaced.
+    The atoms are the closures' elements, so the smaller of the two
+    bounds is the one closure ceiling."""
+    rep = Report("thm4", seed, {"size3_samples": size3_samples,
+                                "max_size": max_size, "max_atoms": max_atoms})
+    bound = min(max_size, max_atoms)
     for n in (1, 2):
         for s in enumerate_semigroups(n):
-            rep.add(**_thm4_record(s, "fail", **bounds))
+            rep.add(**_thm4_record(s, "fail", bound))
     rng = random.Random(seed)
     pool = list(enumerate_semigroups(3))
     rng.shuffle(pool)
@@ -480,7 +477,7 @@ def run_thm4(
     for s in pool:
         if done >= size3_samples:
             break
-        record = _thm4_record(s, "skip", **bounds)
+        record = _thm4_record(s, "skip", bound)
         rep.add(**record)
         done += record["status"] != "skip"
     if done < size3_samples:
@@ -702,7 +699,7 @@ _THM11_K_POOL: dict[tuple[str, ...], tuple[str, ...]] = {
 
 
 def run_thm11(seed: int = 0, instances: int = 100, max_joint: int = 6,
-              max_quotient: int = 2000, max_attempts_factor: int = 200) -> Report:
+              max_attempts_factor: int = 200) -> Report:
     rep = Report("thm11", seed, {"instances": instances, "max_joint": max_joint})
     rng = random.Random(seed)
     done = 0
@@ -716,15 +713,12 @@ def run_thm11(seed: int = 0, instances: int = 100, max_joint: int = 6,
         try:
             b = generate_algebra([regex_to_dfa(g, alph) for g in gens], alph)
             k = regex_to_dfa(k_regex, alph)
-            q = eq.bsum2_quotient(k, b, max_size=max_quotient)
+            q = eq.bsum2_quotient(k, b, max_size=max_joint)
         except ResourceLimitError:
             skipped += 1
             continue
-        if q.size > max_joint:
-            skipped += 1
-            continue
         direct = eq.bsum2_membership_direct(k, b)
-        by_equations = eq.bsum2_membership_by_equations(k, b, max_size=max_quotient)
+        by_equations = eq.bsum2_membership_by_equations(k, b, max_size=max_joint)
         agree = direct == by_equations
         witness = None
         if not direct:
@@ -810,7 +804,7 @@ def run_lemmas(seed: int = 0, max_len: int = 5, witness_samples: int = 100) -> R
         for gens in ((), ("(a|b)*a(a|b)*",), ("a(a|b)*",), ("b*",))
     ]
     quotients = [
-        eq.bsum2_quotient(universal_language(AB), b, max_size=2000) for b in pool
+        eq.bsum2_quotient(universal_language(AB), b) for b in pool
     ]
     checked = 0
     for _ in range(witness_samples):

@@ -160,8 +160,8 @@ def _cmd_construct(args) -> int:
     elif kind == "schutz1":
         m = _load_monoid(args)
         product = UnarySchutz(m)
-        bound = args.max_size if args.max_size is not None else 6
-        mfm, _ = product.as_finite_monoid(max_base=bound)
+        bound = {} if args.max_size is None else {"max_base": args.max_size}
+        mfm, _ = product.as_finite_monoid(**bound)
         _write(args, "schutz1.monoid.json", _dump(mfm.to_json_dict()))
         print(f"unary product: {mfm.size} elements "
               f"({'semigroup' if m.is_semigroup else 'monoid'} mode)")
@@ -169,8 +169,8 @@ def _cmd_construct(args) -> int:
         m = _load_monoid(args, "input")
         n = _load_monoid(args, "input2")
         product = BinarySchutz(m, n)
-        bound = args.max_size if args.max_size is not None else 512
-        mfm, _ = product.as_finite_monoid(max_carrier=bound)
+        bound = {} if args.max_size is None else {"max_carrier": args.max_size}
+        mfm, _ = product.as_finite_monoid(**bound)
         _write(args, "schutz2.monoid.json", _dump(mfm.to_json_dict()))
         print(f"binary product: {mfm.size} elements")
     elif kind == "algebra":

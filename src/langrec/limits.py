@@ -17,6 +17,8 @@ DEFAULT_CLOSURE = 100_000
 def closure_limit(requested: int | None = None) -> int:
     """Effective ceiling: explicit argument, else env var, else default."""
     if requested is not None:
+        if type(requested) is not int:  # a bool or a float is no bound
+            raise InputError(f"closure limit must be an integer, got {requested!r}")
         if requested < 1:
             raise InputError(f"closure limit must be positive, got {requested}")
         return requested

@@ -317,9 +317,10 @@ class MonoidMorphism:
     def preimage(self, accept: Iterable[int]) -> Dfa:
         """Canonical DFA of the inverse image of a set of elements."""
         want = frozenset(accept)
-        for v in want:
-            if not (0 <= v < self.target.size):
-                raise InputError(f"element {v} out of range")
+        n = self.target.size
+        for v in want:  # True and 1.0 equal 1, but are not elements
+            if type(v) is not int or not 0 <= v < n:
+                raise InputError(f"element {v!r} is not an integer in 0..{n - 1}")
         return self.image.language(self.alphabet, want.__contains__)
 
 

@@ -11,6 +11,7 @@ from langrec import (
     FiniteQuotient,
     InputError,
     LanguageAlgebra,
+    ResourceLimitError,
     Word,
     algebra_equal,
     algebra_leq,
@@ -254,11 +255,30 @@ class TestAlgebraEquality:
 
 class TestRecognisedAlgebraResource:
     def test_atom_bound(self):
-        from langrec import ResourceLimitError
-
         z3 = FiniteMonoid(((0, 1, 2), (1, 2, 0), (2, 0, 1)), identity=0)
         with pytest.raises(ResourceLimitError):
-            recognised_algebra(z3, AB, max_atoms=2)
+            recognised_algebra(z3, AB, max_size=2)
+
+
+class TestAtomCeiling:
+    """The atoms are the elements of one transition closure, so the
+    closure's ceiling is the only bound on their count."""
+
+    # a is the 7-cycle and b swaps states 0 and 1: the transition monoid
+    # is the symmetric group S7, and the algebra has 7! atoms
+    S7 = Dfa(AB, 7, tuple(((q + 1) % 7, {0: 1, 1: 0}.get(q, q)) for q in range(7)), {0})
+
+    def test_default_ceiling_admits_the_symmetric_group(self):
+        assert generate_algebra([self.S7]).atom_count == 5040
+
+    def test_explicit_bound(self):
+        with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 5039 elements$"):
+            generate_algebra([self.S7], max_states=5039)
+
+    def test_environment_bound(self, monkeypatch):
+        monkeypatch.setenv("LANGREC_MAX_CLOSURE", "5039")
+        with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 5039 elements$"):
+            generate_algebra([self.S7])
 
 
 # -- the atom machine ------------------------------------------------------

@@ -378,6 +378,13 @@ class TestRecognisedLanguage:
         assert h.image.elements == [0, 1]
         assert calls == [h.letter_images]
 
+    def test_preimage_refuses_what_is_not_an_element(self):
+        u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
+        h = MonoidMorphism(AB, u1, (1, 0))
+        for bad in (True, 1.0, "1", None, -1, 2):
+            with pytest.raises(InputError, match=r"^element .* is not an integer in 0\.\.1$"):
+                h.preimage({bad})
+
     def test_preimage_matches_brute_force(self):
         u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
         h = MonoidMorphism(AB, u1, (1, 0))
@@ -679,3 +686,8 @@ class TestClosureCeilingEnvironment:
         monkeypatch.setenv("LANGREC_MAX_CLOSURE", raw)
         with pytest.raises(InputError, match=f"^LANGREC_MAX_CLOSURE {message}"):
             syntactic_monoid(self.L)
+
+    @pytest.mark.parametrize("bound", [5.5, True, "10", 6.0])
+    def test_explicit_bound_must_be_an_integer(self, bound):
+        with pytest.raises(InputError, match="^closure limit must be an integer"):
+            syntactic_monoid(self.L, max_size=bound)
