@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -29,10 +30,21 @@ from .algebra import (
 from .campaigns import _CAMPAIGNS, run_campaign
 from .errors import InputError, LangrecError
 from .languages import Alphabet, Dfa, Word, left_quotient, right_quotient
+from .limits import closure_limit
 from .marking import exists_projection
 from .monoids import FiniteMonoid, syntactic_monoid
 from .regexes import dfa_to_regex, regex_to_dfa
 from .schutz import BinarySchutz, UnarySchutz
+
+# writing, summing or tabulating n atoms costs about n*n, so the algebra
+# constructions bound their closure well below the default ceiling
+_ALGEBRA_CLOSURE = 4000
+
+
+def _algebra_ceiling() -> int:
+    """Closure ceiling of ``construct algebra|bsum|dualrec``:
+    ``LANGREC_MAX_CLOSURE`` when it is set, else 4000."""
+    return closure_limit(None if os.environ.get("LANGREC_MAX_CLOSURE") else _ALGEBRA_CLOSURE)
 
 
 def _parse_alphabet(spec: str | None) -> Alphabet:
@@ -89,7 +101,7 @@ def _load_algebra(args, which: str = "input") -> LanguageAlgebra:
                 raise InputError(f"unreadable generator entry: {g!r}")
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed algebra file: {exc}") from exc
-    return generate_algebra(gens, alph, semigroup=semigroup)
+    return generate_algebra(gens, alph, semigroup=semigroup, max_states=_algebra_ceiling())
 
 
 def _write(args, name: str, text: str) -> Path:
@@ -179,7 +191,7 @@ def _cmd_construct(args) -> int:
     elif kind == "bsum":
         a1 = _load_algebra(args, "input")
         a2 = _load_algebra(args, "input2")
-        _write_algebra(args, "bsum", schutz_sum(a1, a2))
+        _write_algebra(args, "bsum", schutz_sum(a1, a2, max_states=_algebra_ceiling()))
     elif kind == "dualrec":
         alg = _load_algebra(args)
         dual = dual_recogniser(alg)

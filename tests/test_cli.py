@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from langrec import Alphabet, Dfa, FiniteMonoid, regex_to_dfa
+from langrec import Alphabet, Dfa, FiniteMonoid, campaigns, regex_to_dfa
 from langrec.cli import main
 
 AB = Alphabet(("a", "b"))
@@ -243,6 +243,40 @@ class TestConstruct:
         got = Dfa.from_json((tmp_path / "exists.dfa.json").read_text())
         assert got == regex_to_dfa("(a|b)*a(a|b)*", AB)
 
+    @pytest.mark.parametrize("kind", ["algebra", "bsum", "dualrec"])
+    def test_algebra_constructions_refuse_a_symmetric_group(self, tmp_path, capsys, kind):
+        # a is the 8-cycle and b swaps states 0 and 1: the transition
+        # monoid is S8, whose 40 320 atoms would cost about 1.6e9 table
+        # entries or atom-DFA states to write out
+        s8 = Dfa(AB, 8, tuple(((q + 1) % 8, {0: 1, 1: 0}.get(q, q)) for q in range(8)), {0})
+        alg_file = tmp_path / "s8.json"
+        alg_file.write_text(json.dumps(
+            {"alphabet": ["a", "b"], "generators": [{"dfa": s8.to_json_dict()}]}
+        ))
+        out = tmp_path / "out"
+        extra = ["--input2", str(alg_file)] if kind == "bsum" else []
+        code = main(["construct", kind, "--input", str(alg_file), *extra, "--out", str(out)])
+        assert code == 3
+        assert "submonoid closure exceeded 4000 elements" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_algebra_ceiling_follows_the_environment(self, tmp_path, capsys, monkeypatch):
+        from langrec.cli import _algebra_ceiling
+
+        assert _algebra_ceiling() == 4000
+        monkeypatch.setenv("LANGREC_MAX_CLOSURE", "1000000")
+        assert _algebra_ceiling() == 1000000
+        # the algebra of (a|b)*a(a|b)* has 2 atoms; a DFA, not a regex,
+        # so that no subset construction meets the bound first
+        some_a = regex_to_dfa("(a|b)*a(a|b)*", AB)
+        alg_file = tmp_path / "alg.json"
+        alg_file.write_text(json.dumps(
+            {"alphabet": ["a", "b"], "generators": [{"dfa": some_a.to_json_dict()}]}
+        ))
+        monkeypatch.setenv("LANGREC_MAX_CLOSURE", "1")
+        assert main(["construct", "algebra", "--input", str(alg_file), "--out", str(tmp_path)]) == 3
+        assert "submonoid closure exceeded 1 elements" in capsys.readouterr().err
+
     def test_max_size_refused_where_nothing_is_bounded(self, tmp_path):
         alg_file = tmp_path / "alg.json"
         alg_file.write_text(json.dumps({"alphabet": ["a", "b"], "generators": ["a*"]}))
@@ -318,11 +352,16 @@ class TestVerify:
         assert code == 2
         assert out == "" and "--json" in err
 
-    def test_thm4_max_size_reaches_the_campaign(self, capsys):
+    def test_thm4_max_size_reaches_the_campaign(self, capsys, monkeypatch):
+        bounds = []
+        real = campaigns._thm4_instance
+        monkeypatch.setattr(campaigns, "_thm4_instance",
+                            lambda s, max_size: bounds.append(max_size) or real(s, max_size))
         code = main(["verify", "thm4", "--samples", "1", "--max-size", "5000"])
         summary = json.loads(capsys.readouterr().out.strip().splitlines()[-1])["summary"]
         assert code == 0
         assert summary["bounds"]["max_size"] == 5000
+        assert bounds and set(bounds) == {5000}
 
     @pytest.mark.parametrize("argv, flag", [
         (("cor9", "--max-size", "0"), "--max-size"),
