@@ -18,7 +18,6 @@ from .languages import (
     Alphabet,
     Dfa,
     Word,
-    alphabet,
     boolean_combine,
     complement,
     concat,

@@ -21,8 +21,6 @@ from .algebra import (
     dual_recogniser,
     generate_algebra,
     recognised_algebra,
-    schutz_sum,
-    trivial_algebra,
 )
 from .errors import InputError, ResourceLimitError
 from .languages import (
@@ -526,7 +524,7 @@ def run_thm8(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int 
     def check(phi1, phi2, record, rng) -> str:
         detail = ""
         for c in range(len(AB)):
-            clo, _ = split_closure(phi1, phi2, c, max_size=max_size)
+            clo = split_closure(phi1, phi2, c, max_size=max_size)
             for v1 in _all_subsets(phi1.target.size):
                 l1 = phi1.preimage(v1)
                 got1 = clo.language(AB, lambda e: e[1] in v1)
@@ -715,17 +713,19 @@ def run_thm11(seed: int = 0, instances: int = 100, max_joint: int = 6,
         except ResourceLimitError:
             skipped += 1
             continue
-        direct = eq.bsum2_membership_direct(k, b)
-        by_equations = eq.bsum2_membership_by_equations(k, b, max_size=max_joint)
+        # the decisions of bsum2_membership_direct, _by_equations and
+        # separation_witness, on this draw's one quotient and one sum
+        total = eq._trivial_sum(b)
+        direct = total.member(k)
+        by_equations = eq._equations_hold(q, k, b)
         agree = direct == by_equations
         witness = None
         if not direct:
-            pair = eq.separation_witness(k, b)
+            pair = eq._split_words(k, total)
             if pair is None:
                 agree = False
             else:
                 u, v = pair
-                total = schutz_sum(b, trivial_algebra(alph))
                 valid = (
                     k.accepts(u) and not k.accepts(v)
                     and total.atom_of(u) == total.atom_of(v)

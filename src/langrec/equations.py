@@ -58,8 +58,9 @@ class UltrafilterApprox:
     point: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.point < self.quotient.size):
-            raise InputError("point out of range for the quotient")
+        n = self.quotient.size
+        if type(self.point) is not int or not 0 <= self.point < n:
+            raise InputError(f"point {self.point!r} is not an integer in 0..{n - 1}")
 
     @classmethod
     def of_word(cls, quotient: FiniteQuotient, w: "Word | Iterable[int]") -> "UltrafilterApprox":
@@ -275,7 +276,12 @@ def bsum2_membership_by_equations(
     The contract — validated, not assumed — is agreement with direct
     membership in ``schutz_sum(b, trivial_algebra(...))``.
     """
-    q = bsum2_quotient(k, b, max_size=max_size)
+    return _equations_hold(bsum2_quotient(k, b, max_size=max_size), k, b)
+
+
+def _equations_hold(q: FiniteQuotient, k: Dfa, b: LanguageAlgebra) -> bool:
+    """The verdict of ``bsum2_membership_by_equations`` on the joint
+    quotient q of k and b."""
     sat = q.saturation(k)
     if sat is None:
         raise PreconditionError("candidate not recognised by its own joint quotient")
@@ -287,7 +293,11 @@ def bsum2_membership_by_equations(
 
 def bsum2_membership_direct(k: Dfa, b: LanguageAlgebra, **bounds) -> bool:
     """Oracle: direct closure membership in the sum with the trivial algebra."""
-    return schutz_sum(b, trivial_algebra(b.alphabet, b.semigroup), **bounds).member(k)
+    return _trivial_sum(b, **bounds).member(k)
+
+
+def _trivial_sum(b: LanguageAlgebra, **bounds) -> LanguageAlgebra:
+    return schutz_sum(b, trivial_algebra(b.alphabet, b.semigroup), **bounds)
 
 
 def separation_witness(
@@ -299,7 +309,11 @@ def separation_witness(
     finds the split atoms; only the least one's DFA is built."""
     if k.alphabet != b.alphabet:
         raise InputError("candidate and algebra must share an alphabet")
-    total = schutz_sum(b, trivial_algebra(b.alphabet, b.semigroup), **bounds)
+    return _split_words(k, _trivial_sum(b, **bounds))
+
+
+def _split_words(k: Dfa, total: LanguageAlgebra) -> tuple[Word, Word] | None:
+    """``separation_witness`` against the built sum ``total``."""
     verdicts: dict[int, set[bool]] = {}
     for s, q in _pairs(total.transitions, 0, k.transitions, k.initial):
         verdicts.setdefault(s, set()).add(q in k.accepting)

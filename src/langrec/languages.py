@@ -70,10 +70,6 @@ class Alphabet:
         return f"Alphabet({','.join(self.letters)})"
 
 
-def alphabet(*letters: str) -> Alphabet:
-    return Alphabet(tuple(letters))
-
-
 @dataclass(frozen=True)
 class Word:
     """Finite sequence of letter indices over a fixed alphabet."""
@@ -203,9 +199,8 @@ class Dfa:
             state = t[state][c]
         return state
 
-    def accepts(self, w: "Word | Iterable[int]") -> bool:
-        idxs = w.indices if isinstance(w, Word) else tuple(w)
-        return self.run(self.initial, idxs) in self.accepting
+    def accepts(self, w: "Word | Iterable[str | int]") -> bool:
+        return self.run(self.initial, _letter_indices(self.alphabet, w)) in self.accepting
 
     # -- queries ------------------------------------------------------
 

@@ -65,10 +65,9 @@ class MarkedWord:
     position: int
 
     def __post_init__(self) -> None:
-        if not (0 <= self.position < len(self.word)):
-            raise InputError(
-                f"mark {self.position} out of range for a word of length {len(self.word)}"
-            )
+        n = len(self.word)
+        if type(self.position) is not int or not 0 <= self.position < n:
+            raise InputError(f"mark {self.position!r} is not an integer in 0..{n - 1}")
 
     @classmethod
     def parse(cls, alph: Alphabet, text: str) -> "MarkedWord":

@@ -644,8 +644,8 @@ class Biaction:
                 raise InputError("need one carrier self-map per monoid element")
             for row in comp:
                 for v in row:
-                    if not (0 <= v < n):
-                        raise InputError("action component out of carrier range")
+                    if type(v) is not int or not 0 <= v < n:
+                        raise InputError(f"action component {v!r} is not an integer in 0..{n - 1}")
         defect = self.law_defect()
         if defect is not None:
             raise InputError(f"action laws violated: {defect}")

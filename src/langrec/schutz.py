@@ -19,17 +19,25 @@ through the split maps zeta_a, the pairs (prefix value, suffix value)
 at every occurrence of a letter; it recognises marked concatenations
 and, through them, concatenation.
 
-Representation.  Inside a product a subset of the points (M for the
-unary product, M x N in row-major order for the binary one) is an int
-bitmask, bit i standing for point i.  For every base element there is
-one left-image and one right-image map from masks to masks, memoised
-per product instance and filled on first use, so the first component of
-a product is one lookup in each map and one ``|``.  Elements cross the
-boundary as (frozenset, m[, n]) tuples: masks are read off frozensets
-through a memo that refuses points outside the carrier, and the
-frozenset of a mask is built once and interned.  The carrier lists the
-subsets by size, then lexicographically; a materialised table numbers
-the element (S, m, n) as rank(S) * |M||N| + m * |N| + n.
+Both products are one construction: Pfin(X) x X for X = M, or for
+X = M x N with M acting on the left factor of a point and N on the
+right one.  The private ``_PowersetProduct`` holds what they share (the
+memos below, the carrier, the unit and the materialised table); each
+product keeps its own ``mul`` and point actions, written out in its own
+components.
+
+Representation.  Inside a product a subset of the points of X (in
+row-major order for M x N) is an int bitmask, bit i standing for point
+i.  For every element of the first base there is one left-image map,
+and for every element of the last base one right-image map, from masks
+to masks, memoised per product instance and filled on first use, so the
+first component of a product is one lookup in each map and one ``|``.
+Elements cross the boundary as (frozenset, m[, n]) tuples: masks are
+read off frozensets through a memo that refuses points outside the
+carrier, and the frozenset of a mask is built once and interned.  The
+carrier lists the subsets by size, then lexicographically; a
+materialised table numbers the element (S, m, n) as
+rank(S) * |M||N| + m * |N| + n.
 """
 
 from __future__ import annotations
@@ -117,25 +125,6 @@ def _low_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _set_label(m: FiniteMonoid, s: frozenset[int]) -> str:
-    return "{" + ",".join(m.label(x) for x in sorted(s)) + "}"
-
-
-def _table(order: list[int], width: int, row_specs: list) -> tuple[tuple[int, ...], ...]:
-    """Materialised product table.  ``order`` lists the carrier's masks.
-    For each mask S, each (left map, columns) of ``row_specs`` is one row,
-    in which column (T, j) holds rank(left[T] | right_j[S]) * width +
-    cell_j for the j-th (right_j, cell_j) of ``columns``."""
-    rank = {mask: r * width for r, mask in enumerate(order)}
-    specs = [([left[t] for t in order], columns) for left, columns in row_specs]
-    rows = []
-    for s in order:
-        for left_t, columns in specs:
-            firsts = [(right[s], cell) for right, cell in columns]
-            rows.append(tuple(rank[lt | f] + c for lt in left_t for f, c in firsts))
-    return tuple(rows)
-
-
 def _too_large(what: str, size: int, bound: str, limit: int) -> ResourceLimitError:
     return ResourceLimitError(
         f"{what} has {size} elements, above the materialisation bound "
@@ -144,38 +133,100 @@ def _too_large(what: str, size: int, bound: str, limit: int) -> ResourceLimitErr
 
 
 @dataclass(frozen=True)
-class UnarySchutz:
-    """The product Pfin(M) x M; elements are (frozenset, element) pairs."""
+class _PowersetProduct:
+    """Pfin(X) x X for X the product of one or two bases.  The points of
+    X are the base elements for one base and the pairs for two; the
+    first base acts on the left of a point, the last one on its right."""
 
-    base: FiniteMonoid
+    _bases: tuple[FiniteMonoid, ...] = field(init=False, repr=False, compare=False)
+    _components: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _masks: _Masks = field(init=False, repr=False, compare=False)
     _sets: _Sets = field(init=False, repr=False, compare=False)
     _left: list[_Image] = field(init=False, repr=False, compare=False)
     _right: list[_Image] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        t = self.base.table
-        n = self.base.size
+    def _wire(self, *bases: FiniteMonoid) -> None:
+        first, last = bases[0], bases[-1]
+        comps = tuple(itertools.product(*(range(b.size) for b in bases)))
+        stride = len(comps) // first.size  # of the first component
+        masks = _Masks(list(range(first.size)) if len(bases) == 1 else list(comps))
         set_ = object.__setattr__
-        set_(self, "_masks", _Masks(list(range(n))))
-        set_(self, "_sets", _Sets(self._masks))
-        set_(self, "_left", [_Image([1 << t[m][x] for x in range(n)]) for m in range(n)])
-        set_(self, "_right", [_Image([1 << t[x][m] for x in range(n)]) for m in range(n)])
+        set_(self, "_bases", bases)
+        set_(self, "_components", comps)
+        set_(self, "_masks", masks)
+        set_(self, "_sets", _Sets(masks))
+        # point i = c goes to the point whose first (last) component is
+        # the image of c's first (last) one
+        set_(self, "_left", [
+            _Image([1 << (i + (row[c[0]] - c[0]) * stride) for i, c in enumerate(comps)])
+            for row in first.table
+        ])
+        set_(self, "_right", [
+            _Image([1 << (i + last.table[c[-1]][n] - c[-1]) for i, c in enumerate(comps)])
+            for n in range(last.size)
+        ])
 
     @property
     def semigroup(self) -> bool:
-        return self.base.is_semigroup
+        return self._bases[0].is_semigroup
 
     @property
     def size(self) -> int:
-        n = self.base.size
-        subsets = 2**n - (1 if self.semigroup else 0)
-        return subsets * n
+        points = len(self._components)
+        return (2**points - self.semigroup) * points
 
-    def unit(self) -> tuple[frozenset, int]:
+    def unit(self) -> tuple:
         if self.semigroup:
             raise PreconditionError("a semigroup-mode product has no unit")
-        return (self._sets[0], self.base.identity)
+        return (self._sets[0], *(b.identity for b in self._bases))
+
+    def carrier(self) -> Iterator[tuple]:
+        """All elements, subsets by size then lex, components row-major."""
+        comps, sets = self._components, self._sets
+        for mask in self._masks.order(self.semigroup):
+            s = (sets[mask],)
+            for c in comps:
+                yield s + c
+
+    def _materialise(self) -> tuple[FiniteMonoid, tuple[tuple, ...]]:
+        """Materialised multiplication table with canonical element order:
+        (S, c) is numbered rank(S) * |X| + (index of c).  The row of (S, c)
+        in column (T, d) holds S.(last of d) | (first of c).T and c.d."""
+        bases, comps = self._bases, self._components
+        width = len(comps)
+        index = {c: i for i, c in enumerate(comps)}
+        order = list(self._masks.order(self.semigroup))
+        rank = {mask: r * width for r, mask in enumerate(order)}
+        lefts = [[left[t] for t in order] for left in self._left]
+        specs = [(lefts[c[0]], [
+            (self._right[d[-1]], index[tuple(b.table[x][y] for b, x, y in zip(bases, c, d))])
+            for d in comps
+        ]) for c in comps]
+        rows = []
+        for s in order:
+            for left_t, columns in specs:
+                firsts = [(right[s], cell) for right, cell in columns]
+                rows.append(tuple(rank[lt | f] + cell for lt in left_t for f, cell in firsts))
+        comp_labels = [",".join(b.label(x) for b, x in zip(bases, c)) for c in comps]
+        point_labels = comp_labels if len(bases) == 1 else [f"({lab})" for lab in comp_labels]
+        labels = []
+        for mask in order:
+            s = ",".join(point_labels[low.bit_length() - 1] for low in _low_bits(mask))
+            labels += [f"({{{s}}},{lab})" for lab in comp_labels]
+        # the unit ({}, e[, f]) has rank 0
+        identity = None if self.semigroup else index[tuple(b.identity for b in bases)]
+        monoid = FiniteMonoid(tuple(rows), identity=identity, labels=tuple(labels))
+        return monoid, tuple(self.carrier())
+
+
+@dataclass(frozen=True)
+class UnarySchutz(_PowersetProduct):
+    """The product Pfin(M) x M; elements are (frozenset, element) pairs."""
+
+    base: FiniteMonoid
+
+    def __post_init__(self) -> None:
+        self._wire(self.base)
 
     def mul(
         self, p: tuple[frozenset, int], q: tuple[frozenset, int]
@@ -185,13 +236,6 @@ class UnarySchutz:
         masks = self._masks
         first = self._right[n][masks[s]] | self._left[m][masks[t]]
         return (self._sets[first], self.base.table[m][n])
-
-    def carrier(self) -> Iterator[tuple[frozenset, int]]:
-        """All elements, subsets by size then lex, base element minor."""
-        for mask in self._masks.order(self.semigroup):
-            s = self._sets[mask]
-            for m in range(self.base.size):
-                yield (s, m)
 
     # the actions of the product on itself, written out as in the space
     # construction; they must coincide with left/right multiplication
@@ -218,68 +262,24 @@ class UnarySchutz:
     def as_finite_monoid(
         self, max_base: int = _MATERIALISE_BASE_LIMIT
     ) -> tuple[FiniteMonoid, tuple[tuple[frozenset, int], ...]]:
-        """Materialised multiplication table with canonical element order."""
         n = self.base.size
         if n > max_base:
             raise _too_large("the unary product's base", n, "max_base", max_base)
-        t = self.base.table
-        order = list(self._masks.order(self.semigroup))
-        table = _table(order, n, [
-            (self._left[m], [(self._right[y], t[m][y]) for y in range(n)])
-            for m in range(n)
-        ])
-        elems = tuple(self.carrier())
-        labels = tuple(
-            f"({_set_label(self.base, s)},{self.base.label(m)})" for s, m in elems
-        )
-        # the unit ({}, e) has rank 0
-        identity = None if self.semigroup else self.base.identity
-        return FiniteMonoid(table, identity=identity, labels=labels), elems
+        return self._materialise()
 
 
 @dataclass(frozen=True)
-class BinarySchutz:
+class BinarySchutz(_PowersetProduct):
     """The product Pfin(M x N) x M x N; elements are (frozenset of pairs,
     element of M, element of N) triples."""
 
     left_base: FiniteMonoid
     right_base: FiniteMonoid
-    _masks: _Masks = field(init=False, repr=False, compare=False)
-    _sets: _Sets = field(init=False, repr=False, compare=False)
-    _left: list[_Image] = field(init=False, repr=False, compare=False)
-    _right: list[_Image] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.left_base.is_semigroup != self.right_base.is_semigroup:
             raise InputError("bases must both be monoids or both semigroups")
-        lt, rt = self.left_base.table, self.right_base.table
-        a, b = self.left_base.size, self.right_base.size
-        points = [(x, y) for x in range(a) for y in range(b)]
-        set_ = object.__setattr__
-        set_(self, "_masks", _Masks(points))
-        set_(self, "_sets", _Sets(self._masks))
-        # m acts on the left factor of each point, n on the right one
-        set_(self, "_left", [
-            _Image([1 << (lt[m][x] * b + y) for x, y in points]) for m in range(a)
-        ])
-        set_(self, "_right", [
-            _Image([1 << (x * b + rt[y][n]) for x, y in points]) for n in range(b)
-        ])
-
-    @property
-    def semigroup(self) -> bool:
-        return self.left_base.is_semigroup
-
-    @property
-    def size(self) -> int:
-        pairs = self.left_base.size * self.right_base.size
-        subsets = 2**pairs - (1 if self.semigroup else 0)
-        return subsets * self.left_base.size * self.right_base.size
-
-    def unit(self) -> tuple[frozenset, int, int]:
-        if self.semigroup:
-            raise PreconditionError("a semigroup-mode product has no unit")
-        return (self._sets[0], self.left_base.identity, self.right_base.identity)
+        self._wire(self.left_base, self.right_base)
 
     def mul(self, p, q):
         s, m1, n1 = p
@@ -287,13 +287,6 @@ class BinarySchutz:
         masks = self._masks
         first = self._left[m1][masks[t]] | self._right[n2][masks[s]]
         return (self._sets[first], self.left_base.table[m1][m2], self.right_base.table[n1][n2])
-
-    def carrier(self) -> Iterator[tuple[frozenset, int, int]]:
-        for mask in self._masks.order(self.semigroup):
-            s = self._sets[mask]
-            for m in range(self.left_base.size):
-                for n in range(self.right_base.size):
-                    yield (s, m, n)
 
     # actions on points (Z, x, y), written out as in the space construction
     def left_action(self, p, point):
@@ -318,30 +311,7 @@ class BinarySchutz:
         if self.size > max_carrier:
             raise _too_large("the binary product's carrier", self.size,
                              "max_carrier", max_carrier)
-        lt, rt = self.left_base.table, self.right_base.table
-        a, b = self.left_base.size, self.right_base.size
-        order = list(self._masks.order(self.semigroup))
-        table = _table(order, a * b, [
-            (self._left[m1], [
-                (self._right[n2], lt[m1][m2] * b + rt[n1][n2])
-                for m2 in range(a) for n2 in range(b)
-            ])
-            for m1 in range(a) for n1 in range(b)
-        ])
-        elems = tuple(self.carrier())
-
-        def lab(e):
-            s, m, n = e
-            pairs = ",".join(
-                f"({self.left_base.label(x)},{self.right_base.label(y)})"
-                for x, y in sorted(s)
-            )
-            return f"({{{pairs}}},{self.left_base.label(m)},{self.right_base.label(n)})"
-
-        identity = None  # the unit ({}, e, f) has rank 0
-        if not self.semigroup:
-            identity = self.left_base.identity * b + self.right_base.identity
-        return FiniteMonoid(table, identity=identity, labels=tuple(lab(e) for e in elems)), elems
+        return self._materialise()
 
 
 # -- hit/miss clopens -------------------------------------------------------
@@ -476,15 +446,14 @@ def split_closure(
     letter: "str | int",
     *,
     max_size: int | None = None,
-) -> tuple[GeneratedClosure, BinarySchutz]:
+) -> GeneratedClosure:
     product = BinarySchutz(phi1.target, phi2.target)
-    clo = generate_closure(
+    return generate_closure(
         split_letter_images(phi1, phi2, letter),
         product.mul,
         product.unit(),
         max_size=max_size,
     )
-    return clo, product
 
 
 def split_language(
@@ -500,7 +469,7 @@ def split_language(
     the content of the global concatenation theorem says this equals the
     marked concatenation of the two preimages."""
     alph = _require_shared(phi1, phi2)
-    clo, _ = split_closure(phi1, phi2, letter, max_size=max_size)
+    clo = split_closure(phi1, phi2, letter, max_size=max_size)
     want = frozenset(itertools.product(tuple(v1), tuple(v2)))
     clopen = HitClopen("hit", want)
     return clo.language(alph, lambda e: clopen.contains(e[0]))

@@ -5,6 +5,7 @@ import pytest
 from langrec import (
     Alphabet,
     EquationInstance,
+    InputError,
     PreconditionError,
     ResourceLimitError,
     UltrafilterApprox,
@@ -86,6 +87,14 @@ def separation_by_atom_dfas(k, b):
             u, v = inside.shortest_accepted(), outside.shortest_accepted()
             return i, (Word(k.alphabet, u), Word(k.alphabet, v))
     return None, None
+
+
+def test_points_must_be_integers_in_range():
+    q = joint_quotient([regex_to_dfa("(aa)*", A1)])
+    assert q.size == 2
+    for bad in (-1, 2, True, False, 1.0, None):
+        with pytest.raises(InputError, match=r"^point .* is not an integer in 0\.\.1$"):
+            UltrafilterApprox(q, bad)
 
 
 class TestSatisfiesEquation:

@@ -308,6 +308,7 @@ class TestLetterReader:
         u = universal_language(AB)
         mw = MarkedWord(AB.word("ab"), 0)
         return {
+            "accepts": lambda c: regex_to_dfa("b", AB).accepts((c,)),
             "atom_of": lambda c: b.atom_of([c]),
             "evaluate": lambda c: phi.evaluate([c]),
             "factorizations": lambda c: factorizations(q, 0, c),
@@ -317,7 +318,7 @@ class TestLetterReader:
         }
 
     @pytest.mark.parametrize("name", [
-        "atom_of", "evaluate", "factorizations", "lemma_witness_check", "marked_concat",
+        "accepts", "atom_of", "evaluate", "factorizations", "lemma_witness_check", "marked_concat",
         "replace_at_mark",
     ])
     def test_names_and_indices_agree_and_others_are_refused(self, name):
@@ -331,6 +332,15 @@ class TestLetterReader:
         q = bsum2_quotient(universal_language(AB), generate_algebra([], AB))
         found = [f for p in range(q.monoid.size) for f in factorizations(q, p, "b")]
         assert found and {f.letter for f in found} == {1}
+
+    def test_accepts_reads_words_names_and_indices(self):
+        d = regex_to_dfa("ab", AB)
+        assert d.accepts(AB.word("ab")) and d.accepts(["a", 1]) and not d.accepts((0,))
+        for bad in ([0.0], [0, -1], [0, 2], ("ab",)):
+            with pytest.raises(InputError):
+                d.accepts(bad)
+        with pytest.raises(InputError, match="the word is over"):
+            d.accepts(Alphabet(("a", "b", "c")).word("ab"))
 
     def test_evaluate_refuses_letters_inside_a_word(self):
         phi = syntactic_monoid(regex_to_dfa("(ab)*", AB)).morphism

@@ -180,6 +180,9 @@ class TestMarkedWordParsing:
     def test_position_bounds(self):
         with pytest.raises(InputError):
             MarkedWord(AB.word("ab"), 2)
+        for bad in (-1, 2, True, False, 0.0, 1.0, "0", None):
+            with pytest.raises(InputError, match=r" is not an integer in 0\.\.1$"):
+                MarkedWord(AB.word("ab"), bad)
         with pytest.raises(InputError):
             MarkedWord.parse(AB, "ε@0")
 

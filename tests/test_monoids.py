@@ -8,6 +8,7 @@ import pytest
 
 from langrec import (
     Alphabet,
+    Biaction,
     BinarySchutz,
     Dfa,
     FiniteMonoid,
@@ -472,6 +473,16 @@ class TestBiactions:
         u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
         b = regular_biaction(u1)
         assert not morphism_preserves_actions((1, 0), b, b)
+
+    def test_entries_must_be_integers_in_range(self):
+        u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
+        b = regular_biaction(u1)
+        for side in ("left", "right"):
+            for bad in (True, 1.0, -1, 2, None):
+                rows = [list(r) for r in getattr(b, side)]
+                rows[1][1] = bad
+                with pytest.raises(InputError, match=r"^action component .* is not an integer in 0\.\.1$"):
+                    Biaction(u1, 2, **{"left": b.left, "right": b.right, side: rows})
 
 
 class TestJointQuotient:

@@ -1,11 +1,12 @@
 """Campaign reports are byte-deterministic: golden digests of every
-default verify run, and the failure path of the thm10 check."""
+default verify run, the builds of one thm11 draw, and the failure path
+of the thm10 check."""
 
 import hashlib
 
 import pytest
 
-from langrec import campaigns
+from langrec import campaigns, equations
 from langrec.campaigns import (
     run_cor9,
     run_laws,
@@ -76,6 +77,21 @@ GOLDEN = {
 def test_report_digest(name):
     run, digest = GOLDEN[name]
     assert hashlib.sha256(run().json_lines().encode("utf-8")).hexdigest() == digest
+
+
+def test_thm11_builds_each_quotient_and_sum_once(monkeypatch):
+    builds = {"bsum2_quotient": 0, "schutz_sum": 0}
+    for name in builds:
+        def counted(*args, _build=getattr(equations, name), _name=name, **kwargs):
+            builds[_name] += 1
+            return _build(*args, **kwargs)
+
+        monkeypatch.setattr(equations, name, counted)
+    report = run_thm11(instances=40)
+    assert report.ok
+    # one quotient per draw, kept or skipped, and one sum per kept draw
+    assert builds == {"bsum2_quotient": 40 + report.bounds["skipped_draws"], "schutz_sum": 40}
+    assert any(inst["witness"] for inst in report.instances)
 
 
 def test_thm10_fails_when_the_algebra_misses_marked_concatenations(monkeypatch):
