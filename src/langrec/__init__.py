@@ -42,7 +42,6 @@ from .monoids import (
     FiniteMonoid,
     FiniteQuotient,
     MonoidMorphism,
-    SyntacticMonoid,
     all_morphisms,
     enumerate_monoids,
     enumerate_semigroups,
@@ -68,7 +67,6 @@ from .marking import (
     tag_unmarked,
 )
 from .algebra import (
-    DualRecogniser,
     LanguageAlgebra,
     algebra_equal,
     algebra_leq,

@@ -21,7 +21,7 @@ union of atoms is again one: the DFA of a member is read off the
 machine's left letter action (``FiniteQuotient.union_language`` over
 atom indices, named ``member_from_atoms`` here), with no minimisation.
 The quotient's table, atom(u) * atom(v) = atom(uv), and its evaluation
-morphism make the algebra's dual recogniser.
+morphism ``tau`` make the algebra its own dual recogniser.
 """
 
 from __future__ import annotations
@@ -64,13 +64,17 @@ class LanguageAlgebra(FiniteQuotient):
     # the quotient's queries, named for atoms
     atom_count = FiniteQuotient.size
     atom_of = FiniteQuotient.class_of
-    saturation = FiniteQuotient.saturation
     member_from_atoms = FiniteQuotient.union_language
 
     @property
     def atom_reps(self) -> tuple[Word, ...]:
         """The shortlex-least word of each atom, in increasing order."""
         return self.reps
+
+    @property
+    def tau(self) -> MonoidMorphism:
+        """The dual recogniser's evaluation morphism, word to atom."""
+        return self.morphism
 
     @cached_property
     def atoms(self) -> tuple[Dfa, ...]:
@@ -200,50 +204,30 @@ def schutz_sum(b1: LanguageAlgebra, b2: LanguageAlgebra, **bounds) -> LanguageAl
 # -- dual recogniser -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DualRecogniser:
-    """The atoms of a quotient-closed algebra with their concatenation
-    monoid and the evaluation morphism sending a word to its atom."""
-
-    algebra: LanguageAlgebra
-    quotient: FiniteQuotient
-
-    @property
-    def monoid(self) -> FiniteMonoid:
-        return self.quotient.monoid
-
-    @property
-    def tau(self) -> MonoidMorphism:
-        return self.quotient.morphism
-
-
-def dual_recogniser(b: LanguageAlgebra) -> DualRecogniser:
+def dual_recogniser(b: LanguageAlgebra) -> LanguageAlgebra:
     """Atoms as a finite recogniser: atom(u) * atom(v) := atom(uv).
 
-    The recogniser is the algebra's atom machine as a finite quotient,
-    whose table entry (i, j) is the atom of the i-th representative
-    followed by the j-th.  Well-definedness comes from quotient closure;
-    it is re-checked by ``FiniteMonoid`` here and on all short words by
-    ``check_dual_well_defined``.
+    The recogniser is the algebra's atom machine itself, whose table
+    entry (i, j) is the atom of the i-th representative followed by the
+    j-th and whose ``tau`` sends a word to its atom.  Well-definedness
+    comes from quotient closure; it is re-checked by ``FiniteMonoid``
+    here and on all short words by ``check_dual_well_defined``.
     """
-    quotient = FiniteQuotient(b.alphabet, b.semigroup, b.transitions)
     try:
-        quotient.monoid  # builds the table, and FiniteMonoid checks it
+        b.monoid  # builds the table, and FiniteMonoid checks it
     except InputError as exc:
         raise InvariantError(f"atom multiplication is ill-defined: {exc}") from exc
-    return DualRecogniser(b, quotient)
+    return b
 
 
-def check_dual_well_defined(
-    b: LanguageAlgebra, dual: DualRecogniser, max_len: int = 4
-) -> bool:
+def check_dual_well_defined(b: LanguageAlgebra, max_len: int = 4) -> bool:
     """Exhaustively re-derive the atom multiplication from all short words:
     any two words in one atom must act identically on every atom."""
-    table = dual.monoid.table
+    table = dual_recogniser(b).monoid.table
     min_len = 1 if b.semigroup else 0
     for t in b.alphabet.tuples_upto(max_len, min_len):
         i = b.atom_of(t)
-        if dual.tau.evaluate(t) != i:
+        if b.tau.evaluate(t) != i:
             return False
         for u in b.alphabet.tuples_upto(max_len, min_len):
             if b.atom_of(t + u) != table[i][b.atom_of(u)]:

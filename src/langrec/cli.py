@@ -36,13 +36,15 @@ from .monoids import FiniteMonoid, syntactic_monoid
 from .regexes import dfa_to_regex, regex_to_dfa
 from .schutz import BinarySchutz, UnarySchutz
 
-# writing, summing or tabulating n atoms costs about n*n, so the algebra
-# constructions bound their closure well below the default ceiling
+# writing, summing or tabulating n atoms or elements costs about n*n, so
+# the algebra and syntactic-monoid constructions bound their closure well
+# below the default ceiling
 _ALGEBRA_CLOSURE = 4000
 
 
 def _algebra_ceiling() -> int:
-    """Closure ceiling of ``construct algebra|bsum|dualrec``:
+    """Closure ceiling of ``construct synmon|algebra|bsum|dualrec``
+    without ``--max-size``:
     ``LANGREC_MAX_CLOSURE`` when it is set, else 4000."""
     return closure_limit(None if os.environ.get("LANGREC_MAX_CLOSURE") else _ALGEBRA_CLOSURE)
 
@@ -144,16 +146,17 @@ def _cmd_construct(args) -> int:
         raise InputError(f"--max-size has no meaning for the {kind} construction")
     if kind == "synmon":
         l = _load_dfa(args)
-        syn = syntactic_monoid(l, max_size=args.max_size)
+        bound = _algebra_ceiling() if args.max_size is None else args.max_size
+        syn = syntactic_monoid(l, max_size=bound)
+        accepting = sorted(syn.saturation(l))
         _write(args, "synmon.monoid.json", _dump(syn.monoid.to_json_dict()))
         _write(args, "synmon.recogniser.json", _dump({
             "alphabet": list(l.alphabet.letters),
             "letter_images": list(syn.morphism.letter_images),
-            "accepting": sorted(syn.accepting),
+            "accepting": accepting,
             "monoid": syn.monoid.to_json_dict(),
         }))
-        print(f"syntactic monoid: {syn.monoid.size} elements, "
-              f"accepting {sorted(syn.accepting)}")
+        print(f"syntactic monoid: {syn.monoid.size} elements, accepting {accepting}")
     elif kind == "quotient":
         l = _load_dfa(args)
         if args.word is None:
@@ -193,16 +196,15 @@ def _cmd_construct(args) -> int:
         a2 = _load_algebra(args, "input2")
         _write_algebra(args, "bsum", schutz_sum(a1, a2, max_states=_algebra_ceiling()))
     elif kind == "dualrec":
-        alg = _load_algebra(args)
-        dual = dual_recogniser(alg)
-        _write(args, "dualrec.monoid.json", _dump(dual.monoid.to_json_dict()))
+        alg = dual_recogniser(_load_algebra(args))
+        _write(args, "dualrec.monoid.json", _dump(alg.monoid.to_json_dict()))
         _write(args, "dualrec.recogniser.json", _dump({
             "alphabet": list(alg.alphabet.letters),
-            "letter_images": list(dual.tau.letter_images),
-            "atom_representatives": [w.text() for w in dual.quotient.reps],
-            "monoid": dual.monoid.to_json_dict(),
+            "letter_images": list(alg.tau.letter_images),
+            "atom_representatives": [w.text() for w in alg.atom_reps],
+            "monoid": alg.monoid.to_json_dict(),
         }))
-        print(f"dual recogniser: {dual.monoid.size} atoms")
+        print(f"dual recogniser: {alg.monoid.size} atoms")
     else:
         raise InputError(f"unknown construction {kind!r}")
     return 0

@@ -57,14 +57,18 @@ class Alphabet:
         return Word.parse(self, text)
 
     def tuples_upto(self, max_len: int, min_len: int = 0) -> Iterator[tuple[int, ...]]:
-        """All index tuples of length min_len..max_len in length-then-lex order."""
+        """All index tuples of length min_len..max_len in length-then-lex
+        order; the bounds are checked at the call, not on first use."""
+        for n in (max_len, min_len):
+            if type(n) is not int or n < 0:  # a bool or a float is no length
+                raise InputError(f"word length bound {n!r} is not an integer >= 0")
         k = len(self.letters)
-        for length in range(min_len, max_len + 1):
-            yield from itertools.product(range(k), repeat=length)
+        return itertools.chain.from_iterable(
+            itertools.product(range(k), repeat=n) for n in range(min_len, max_len + 1)
+        )
 
     def words_upto(self, max_len: int, min_len: int = 0) -> Iterator["Word"]:
-        for t in self.tuples_upto(max_len, min_len):
-            yield Word(self, t)
+        return (Word(self, t) for t in self.tuples_upto(max_len, min_len))
 
     def __repr__(self) -> str:
         return f"Alphabet({','.join(self.letters)})"

@@ -342,21 +342,11 @@ def all_morphisms(
 # -- syntactic monoids -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SyntacticMonoid:
-    """Transition monoid of a canonical minimal DFA, with the evaluation
-    morphism and the accepting subset that cuts out the language."""
-
-    monoid: FiniteMonoid
-    morphism: MonoidMorphism
-    accepting: frozenset[int]
-
-
-def syntactic_monoid(l: Dfa, max_size: int | None = None) -> SyntacticMonoid:
-    """The joint quotient of L alone, with the elements whose words lie
-    in L."""
-    q = joint_quotient([l], max_size=max_size)
-    return SyntacticMonoid(q.monoid, q.morphism, q.saturation(l))
+def syntactic_monoid(l: Dfa, max_size: int | None = None) -> FiniteQuotient:
+    """The joint quotient of L alone: its ``monoid`` is the syntactic
+    monoid, ``morphism`` the evaluation and ``saturation(l)`` the
+    elements whose words lie in L."""
+    return joint_quotient([l], max_size=max_size)
 
 
 def is_minimal_recogniser(m: FiniteMonoid, accept: Iterable[int], max_size: int = 6) -> bool:

@@ -10,6 +10,7 @@ from langrec import (
     FiniteMonoid,
     FiniteQuotient,
     InputError,
+    InvariantError,
     LanguageAlgebra,
     ResourceLimitError,
     Word,
@@ -156,8 +157,7 @@ class TestDualRecogniser:
     def test_well_defined_on_corpus(self):
         for gens in ((), ("(a|b)*a(a|b)*",), ("(ab)*",), ("(aa)*", "b*")):
             alg = generate_algebra([regex_to_dfa(g, AB) for g in gens], AB)
-            dual = dual_recogniser(alg)
-            assert check_dual_well_defined(alg, dual, max_len=4)
+            assert check_dual_well_defined(alg, max_len=4)
 
     def test_dual_monoid_recognises_superalgebra(self):
         for gens in (("(a|b)*a(a|b)*",), ("(ab)*",)):
@@ -171,6 +171,27 @@ class TestDualRecogniser:
         dual = dual_recogniser(alg)
         e = dual.monoid.identity
         assert alg.atoms[e].accepts(())
+
+    def test_is_the_algebra_itself(self):
+        alg = generate_algebra([regex_to_dfa("(ab)*", AB)])
+        assert dual_recogniser(alg) is alg
+        assert alg.tau is alg.morphism
+
+    # breadth-first numbered graphs over {a, b} that are not Cayley graphs
+
+    def test_non_associative_table_is_an_invariant_error(self):
+        bad = LanguageAlgebra(AB, False, [(0, 1), (2, 0), (0, 0)], ())
+        with pytest.raises(InvariantError, match=r"not associative at \(1, 1, 2\)"):
+            dual_recogniser(bad)
+
+    def test_word_check_catches_an_associative_table(self):
+        bad = LanguageAlgebra(AB, False, [(0, 1), (0, 2), (0, 0)], ())
+        assert dual_recogniser(bad) is bad  # Light's test passes
+        assert check_dual_well_defined(bad, max_len=0)
+        assert not check_dual_well_defined(bad, max_len=3)
+        for max_len in (-1, 1.5, True, None):  # refused, not passed vacuously
+            with pytest.raises(InputError, match="word length bound"):
+                check_dual_well_defined(bad, max_len=max_len)
 
 
 class TestSchutzSum:
@@ -539,7 +560,9 @@ class TestTransitionClosureOracle:
         # duality: the recogniser of an algebra is the joint syntactic
         # monoid of its atoms, representatives and labels included
         b = CORPUS_ALGEBRAS[name]
-        assert dual_recogniser(b).quotient == joint_quotient(list(b.atoms))
+        dual, q = dual_recogniser(b), joint_quotient(list(b.atoms))
+        assert (dual.alphabet, dual.semigroup, dual.transitions) == (
+            q.alphabet, q.semigroup, q.transitions)
 
     @corpus_algebra
     def test_dual_table_is_the_atom_of_concatenated_representatives(self, alg):

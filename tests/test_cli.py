@@ -243,19 +243,22 @@ class TestConstruct:
         got = Dfa.from_json((tmp_path / "exists.dfa.json").read_text())
         assert got == regex_to_dfa("(a|b)*a(a|b)*", AB)
 
-    @pytest.mark.parametrize("kind", ["algebra", "bsum", "dualrec"])
+    @pytest.mark.parametrize("kind", ["synmon", "algebra", "bsum", "dualrec"])
     def test_algebra_constructions_refuse_a_symmetric_group(self, tmp_path, capsys, kind):
         # a is the 8-cycle and b swaps states 0 and 1: the transition
         # monoid is S8, whose 40 320 atoms would cost about 1.6e9 table
         # entries or atom-DFA states to write out
         s8 = Dfa(AB, 8, tuple(((q + 1) % 8, {0: 1, 1: 0}.get(q, q)) for q in range(8)), {0})
+        dfa_file = tmp_path / "s8.dfa.json"
+        dfa_file.write_text(s8.to_json())
         alg_file = tmp_path / "s8.json"
         alg_file.write_text(json.dumps(
             {"alphabet": ["a", "b"], "generators": [{"dfa": s8.to_json_dict()}]}
         ))
         out = tmp_path / "out"
         extra = ["--input2", str(alg_file)] if kind == "bsum" else []
-        code = main(["construct", kind, "--input", str(alg_file), *extra, "--out", str(out)])
+        source = dfa_file if kind == "synmon" else alg_file
+        code = main(["construct", kind, "--input", str(source), *extra, "--out", str(out)])
         assert code == 3
         assert "submonoid closure exceeded 4000 elements" in capsys.readouterr().err
         assert not out.exists()

@@ -284,7 +284,7 @@ class TestAtomMap:
     def test_semigroup_mode_matches_representatives(self):
         b = generate_algebra([regex_to_dfa("(ab)*", AB)], AB, semigroup=True)
         finer = generate_algebra([regex_to_dfa(g, AB) for g in ("(ab)*", "a*")], AB, semigroup=True)
-        q = dual_recogniser(finer).quotient
+        q = dual_recogniser(finer)
         assert _atom_map(q, b) == [b.atom_of(rep) for rep in q.reps]
 
     def test_too_coarse_quotient_is_refused(self):
@@ -298,7 +298,7 @@ class TestAtomMap:
 
     def test_quotient_of_the_other_mode_is_refused(self):
         gens = [regex_to_dfa("(a|b)*a", AB)]
-        semigroup_q = dual_recogniser(generate_algebra(gens, AB, semigroup=True)).quotient
+        semigroup_q = dual_recogniser(generate_algebra(gens, AB, semigroup=True))
         with pytest.raises(PreconditionError):
             equation_set(semigroup_q, generate_algebra(gens, AB))
         with pytest.raises(PreconditionError):
@@ -335,7 +335,7 @@ class TestEquationSignatures:
         for gens, finer in ((("(ab)*",), ("(ab)*", "a*")), (("b(a|b)*",), ("b(a|b)*", "(a|b)*aa"))):
             b = generate_algebra([regex_to_dfa(g, AB) for g in gens], AB, semigroup=True)
             finer_b = generate_algebra([regex_to_dfa(g, AB) for g in finer], AB, semigroup=True)
-            q = dual_recogniser(finer_b).quotient
+            q = dual_recogniser(finer_b)
             atom_of = _atom_map(q, b)
             expected = [
                 (atom_of[x], tuple(

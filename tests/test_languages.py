@@ -291,6 +291,16 @@ class TestWords:
                 Word(AB, [0, bad])
         assert Word(AB, [1, 0]).indices == (1, 0)
 
+    def test_length_bounds_must_be_integers_at_least_zero(self):
+        for bad in (-1, 1.5, True, None, "2"):
+            for call in (AB.tuples_upto, AB.words_upto):
+                with pytest.raises(InputError, match="word length bound"):
+                    call(bad)
+                with pytest.raises(InputError, match="word length bound"):
+                    call(2, bad)
+        assert list(AB.tuples_upto(0, 1)) == []
+        assert list(AB.words_upto(1, 1)) == [AB.word("a"), AB.word("b")]
+
 
 class TestLetterReader:
     """Every operation that takes a letter reads it the same way: by name,

@@ -257,9 +257,10 @@ class TestFiniteMonoid:
 
 class TestSyntacticMonoid:
     def test_everything_language_gives_trivial_monoid(self):
-        syn = syntactic_monoid(universal_language(AB))
+        l = universal_language(AB)
+        syn = syntactic_monoid(l)
         assert syn.monoid.size == 1
-        assert syn.accepting == frozenset({0})
+        assert syn.saturation(l) == frozenset({0})
 
     def test_contains_a(self):
         l = regex_to_dfa("(a|b)*a(a|b)*", AB)
@@ -268,7 +269,7 @@ class TestSyntacticMonoid:
         z = syn.morphism.letter_images[0]
         assert syn.morphism.letter_images[1] == syn.monoid.identity
         assert syn.monoid.mul(z, z) == z
-        assert syn.accepting == frozenset({z})
+        assert syn.saturation(l) == frozenset({z})
         # oracle: brute-force two-sided congruence classes
         assert len(nerode_classes(l)) == syn.monoid.size
 
@@ -277,7 +278,7 @@ class TestSyntacticMonoid:
         syn = syntactic_monoid(l)
         assert syn.monoid.size == 2
         assert syn.monoid.table == ((0, 1), (1, 0))  # the two-element group
-        assert syn.accepting == frozenset({0})
+        assert syn.saturation(l) == frozenset({0})
         assert len(nerode_classes(l)) == 2
 
     def test_class_count_matches_oracle_on_corpus(self):
@@ -291,7 +292,7 @@ class TestSyntacticMonoid:
         for r in CORPUS_REGEXES:
             l = regex_to_dfa(r, AB)
             syn = syntactic_monoid(l)
-            assert syn.morphism.preimage(syn.accepting) == l
+            assert syn.morphism.preimage(syn.saturation(l)) == l
 
     def test_non_minimal_dfa_gives_the_syntactic_monoid(self):
         # a 4-state DFA of a* with two unreachable states and two equivalent ones
@@ -307,12 +308,21 @@ class TestSyntacticMonoid:
             assert syntactic_monoid(d) == syntactic_monoid(c)
             assert joint_quotient([d, c]) == joint_quotient([c])
 
+    def test_is_the_joint_quotient_with_no_table_until_read(self):
+        for r in CORPUS_REGEXES:
+            l = regex_to_dfa(r, AB)
+            syn = syntactic_monoid(l)
+            assert syn == joint_quotient([l])
+            assert "monoid" not in vars(syn)
+            syn.saturation(l)
+            assert "monoid" not in vars(syn)
+
     def test_minimality_by_congruence_enumeration(self):
         for r in CORPUS_REGEXES:
             l = regex_to_dfa(r, AB)
             syn = syntactic_monoid(l)
             if syn.monoid.size <= 4:
-                assert is_minimal_recogniser(syn.monoid, syn.accepting), r
+                assert is_minimal_recogniser(syn.monoid, syn.saturation(l)), r
 
 
 class TestEvaluate:
@@ -537,7 +547,7 @@ class TestCayleyGraph:
         assert q.saturation(regex_to_dfa("a*b", AB)) is not None
         assert b.saturation(regex_to_dfa("(a|b)*a", AB)) == {1}
         assert _atom_map(q, b) == [b.atom_of(rep) for rep in q.reps]
-        assert dual_recogniser(b).quotient.saturation(regex_to_dfa("(a|b)*b|ε", AB)) == {0, 2}
+        assert dual_recogniser(b).saturation(regex_to_dfa("(a|b)*b|ε", AB)) == {0, 2}
 
 
 def saturation_by_representatives(q, l):
@@ -563,7 +573,7 @@ class TestQuotientSaturation:
         found = set()
         for gens in (("(a|b)*a",), ("(ab)*", "a*"), ("b(a|b)*b",)):
             alg = generate_algebra([regex_to_dfa(g, AB) for g in gens], AB, semigroup=semigroup)
-            quotients = [dual_recogniser(alg).quotient]
+            quotients = [dual_recogniser(alg)]
             if not semigroup:
                 quotients.append(joint_quotient([regex_to_dfa(g, AB) for g in gens]))
             for q in quotients:
@@ -581,7 +591,7 @@ class TestQuotientSaturation:
 
     def test_semigroup_mode_refuses_the_empty_word(self):
         alg = generate_algebra([regex_to_dfa("(a|b)*a", AB)], AB, semigroup=True)
-        q = dual_recogniser(alg).quotient
+        q = dual_recogniser(alg)
         assert q.monoid.identity is None
         assert q.saturation(nonempty_universal(AB)) == frozenset(range(q.monoid.size))
         for l in (universal_language(AB), epsilon_language(AB), regex_to_dfa("(a|b)*a|ε", AB)):

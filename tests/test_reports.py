@@ -1,12 +1,12 @@
 """Campaign reports are byte-deterministic: golden digests of every
-default verify run, the builds of one thm11 draw, and the failure path
-of the thm10 check."""
+default verify run, the builds of one thm11 draw, the failure path of
+the thm10 check, and a word length that is no bound."""
 
 import hashlib
 
 import pytest
 
-from langrec import campaigns, equations
+from langrec import InputError, campaigns, equations
 from langrec.campaigns import (
     run_cor9,
     run_laws,
@@ -108,3 +108,9 @@ def test_thm10_fails_when_the_algebra_misses_marked_concatenations(monkeypatch):
     for inst in report.instances:
         assert inst["status"] == "fail"
         assert inst["detail"] == "recognised language outside the generated algebra"
+
+
+def test_prop2_refuses_a_negative_word_length():
+    # the commuting-square check reads every word up to max_len
+    with pytest.raises(InputError, match="word length bound -1"):
+        run_prop2(max_len=-1)

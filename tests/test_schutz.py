@@ -165,11 +165,12 @@ class TestExistsMorphism:
         ext = ExtendedAlphabet(AB)
         l_marked = regex_to_dfa("('a#0'|'b#0')* 'a#1' ('a#0'|'b#0')*", ext.ext)
         syn = syntactic_monoid(l_marked)
-        got = exists_language(syn.morphism, syn.accepting)
+        accepting = syn.saturation(l_marked)
+        got = exists_language(syn.morphism, accepting)
         assert got == exists_projection(l_marked)
         assert got == regex_to_dfa("(a|b)*a(a|b)*", AB)
-        assert recognises_exists(syn.morphism, syn.accepting, AB.word("ba"))
-        assert not recognises_exists(syn.morphism, syn.accepting, AB.word("bb"))
+        assert recognises_exists(syn.morphism, accepting, AB.word("ba"))
+        assert not recognises_exists(syn.morphism, accepting, AB.word("bb"))
 
     def test_empty_accepting_set_rejects_everything(self):
         ext = ExtendedAlphabet(AB)
