@@ -451,17 +451,10 @@ def _thm4_record(s: FiniteMonoid, limit_status: str, max_size: int) -> dict:
     return {**record, "status": "pass" if ok else "fail"}
 
 
-# the published report records a 1500-atom ceiling beside max_size; no
-# semigroup of size 3 or less gives an algebra of more than 18 atoms, so
-# max_size alone bounds the algebra closures
-_THM4_REPORTED_ATOMS = 1500
-
-
 def run_thm4(seed: int = 0, size3_samples: int = 10, max_size: int = 6000) -> Report:
     """Every semigroup of size 1 and 2 is required, so a resource limit
     fails it; a size-3 draw that hits a limit is skipped and replaced."""
-    rep = Report("thm4", seed, {"size3_samples": size3_samples, "max_size": max_size,
-                                "max_atoms": _THM4_REPORTED_ATOMS})
+    rep = Report("thm4", seed, {"size3_samples": size3_samples, "max_size": max_size})
     for n in (1, 2):
         for s in enumerate_semigroups(n):
             rep.add(**_thm4_record(s, "fail", max_size))

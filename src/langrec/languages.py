@@ -5,7 +5,10 @@ minimal complete DFA of its result: all states reachable, no two states
 language-equivalent, and states numbered by breadth-first discovery
 order from the initial state, exploring letters in alphabet order.  Two
 DFAs produced here denote the same language exactly when they are equal
-field by field, so language equality is structural equality.
+field by field, so language equality is structural equality.  That
+numbering is made in one place, ``_explore``, which also numbers the
+subset construction and every submonoid and transition closure, and
+checks their ceilings.
 """
 
 from __future__ import annotations
@@ -247,7 +250,10 @@ class Dfa:
     @classmethod
     def from_json_dict(cls, data: dict) -> "Dfa":
         try:
-            alph = Alphabet(tuple(data["alphabet"]))
+            letters = data["alphabet"]
+            if not isinstance(letters, list):  # a string would be read letter by letter
+                raise InputError(f"the alphabet must be a JSON list, got {letters!r}")
+            alph = Alphabet(tuple(letters))
             raw = cls(
                 alph,
                 _json_int(data["states"]),
@@ -288,6 +294,35 @@ def _json_int(value: object) -> int:
 # -- canonical form ----------------------------------------------------
 
 
+def _explore(
+    start, step: Callable[[object], Iterable], limit: int | None = None, what: str = ""
+) -> tuple[list, list[tuple[int, ...]]]:
+    """The states reachable from ``start``, numbered breadth-first in
+    discovery order, and each state's row of successor indices, where
+    ``step`` gives a state's successors, one per letter in alphabet
+    order.  Discovering state number ``limit`` raises
+    ``ResourceLimitError(what)``: at most ``limit`` states are kept."""
+    states = [start]
+    index = {start: 0}
+    rows = []
+    for s in states:
+        row = []
+        for t in step(s):
+            j = index.get(t)
+            if j is None:
+                j = index[t] = len(states)
+                if j == limit:
+                    raise ResourceLimitError(what)
+                states.append(t)
+            row.append(j)
+            # let go of t before ``step`` builds the next successor: a dead
+            # product left in the way of the next one's reallocations
+            # fragments the heap of a large closure
+            del t
+        rows.append(tuple(row))
+    return states, rows
+
+
 def _canonical(
     alph: Alphabet,
     transitions: Sequence[Sequence[int]],
@@ -295,20 +330,8 @@ def _canonical(
     initial: int,
 ) -> Dfa:
     """Trim, minimise (partition refinement), and BFS-renumber."""
-    k = len(alph)
     acc_in = set(accepting)
-
-    # reachable states, BFS in letter order
-    order = [initial]
-    pos = {initial: 0}
-    for q in order:
-        row = transitions[q]
-        for c in range(k):
-            r = row[c]
-            if r not in pos:
-                pos[r] = len(order)
-                order.append(r)
-    t = [[pos[transitions[q][c]] for c in range(k)] for q in order]
+    order, t = _explore(initial, transitions.__getitem__)
     acc = [q in acc_in for q in order]
     new_trans, reps = _minimise(t, acc)
     new_acc = frozenset(i for i, q in enumerate(reps) if acc[q])
@@ -348,20 +371,8 @@ def _minimise(
     rep: dict[int, int] = {}
     for q in range(n):
         rep.setdefault(part[q], q)
-
-    # BFS renumber over blocks, letters in alphabet order
-    start = part[0]
-    bfs = [start]
-    bpos = {start: 0}
-    for b in bfs:
-        q = rep[b]
-        for c in range(k):
-            nb = part[t[q][c]]
-            if nb not in bpos:
-                bpos[nb] = len(bfs)
-                bfs.append(nb)
-    new_trans = tuple(tuple(bpos[part[t[rep[b]][c]]] for c in range(k)) for b in bfs)
-    return new_trans, [rep[b] for b in bfs]
+    blocks, new_trans = _explore(part[0], lambda b: [part[r] for r in t[rep[b]]])
+    return tuple(new_trans), [rep[b] for b in blocks]
 
 
 def _pairs(
@@ -449,24 +460,8 @@ def _require_same_alphabet(l1: Dfa, l2: Dfa) -> None:
 
 def _product(l1: Dfa, l2: Dfa, keep: Callable[[bool, bool], bool]) -> Dfa:
     _require_same_alphabet(l1, l2)
-    k = len(l1.alphabet)
-    pairs: list[tuple[int, int]] = [(l1.initial, l2.initial)]
-    pos = {pairs[0]: 0}
-    trans: list[list[int]] = []
-    i = 0
-    while i < len(pairs):
-        q1, q2 = pairs[i]
-        row = []
-        for c in range(k):
-            r = (l1.transitions[q1][c], l2.transitions[q2][c])
-            j = pos.get(r)
-            if j is None:
-                j = len(pairs)
-                pos[r] = j
-                pairs.append(r)
-            row.append(j)
-        trans.append(row)
-        i += 1
+    t1, t2 = l1.transitions, l2.transitions
+    pairs, trans = _explore((l1.initial, l2.initial), lambda p: zip(t1[p[0]], t2[p[1]]))
     acc = {
         i
         for i, (q1, q2) in enumerate(pairs)
@@ -571,34 +566,18 @@ class Nfa:
 
     def determinize(self, max_states: int | None = None) -> Dfa:
         limit = closure_limit(max_states)
-        k = len(self.alphabet)
-        start = self._eclose(self.initials)
-        subsets: list[frozenset[int]] = [start]
-        pos = {start: 0}
-        trans: list[list[int]] = []
-        i = 0
-        while i < len(subsets):
-            s = subsets[i]
-            row = []
-            for c in range(k):
-                targets: set[int] = set()
-                for q in s:
-                    targets |= self.trans[q][c]
-                closed = self._eclose(targets)
-                j = pos.get(closed)
-                if j is None:
-                    j = len(subsets)
-                    if j >= limit:
-                        raise ResourceLimitError(
-                            f"subset construction exceeded {limit} states"
-                        )
-                    pos[closed] = j
-                    subsets.append(closed)
-                row.append(j)
-            trans.append(row)
-            i += 1
+        letters = range(len(self.alphabet))
+        trans = self.trans
+
+        def step(s: frozenset[int]) -> list[frozenset[int]]:
+            return [self._eclose(set().union(*(trans[q][c] for q in s))) for c in letters]
+
+        subsets, rows = _explore(
+            self._eclose(self.initials), step, limit,
+            f"subset construction exceeded {limit} states",
+        )
         acc = {i for i, s in enumerate(subsets) if s & self.finals}
-        return _canonical(self.alphabet, trans, acc, 0)
+        return _canonical(self.alphabet, rows, acc, 0)
 
 
 # -- concatenation-like operations --------------------------------------

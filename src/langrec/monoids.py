@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .languages import Alphabet, Dfa, Word, _state_labels, canonicalise
+from .languages import Alphabet, Dfa, Word, _explore, _state_labels, canonicalise
 from .languages import _json_int, _json_ints, _letter_indices
 from .limits import closure_limit
 
@@ -122,6 +122,9 @@ class FiniteMonoid:
                 object.__setattr__(self, "labels", tuple(self.labels))
             if len(self.labels) != n:
                 raise InputError("labels must name every element")
+            for name in self.labels:
+                if not isinstance(name, str):
+                    raise InputError(f"label {name!r} is not a string")
 
     @property
     def size(self) -> int:
@@ -185,10 +188,12 @@ class FiniteMonoid:
             table = tuple(map(_json_ints, data["table"]))
             identity = data.get("identity")
             labels = data.get("labels")
+            if labels is not None and not isinstance(labels, list):
+                raise InputError(f"labels must be a JSON list, got {labels!r}")
             m = cls(
                 table,
                 None if identity is None else _json_int(identity),
-                tuple(labels) if labels else None,
+                None if labels is None else tuple(labels),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed monoid file: {exc}") from exc
@@ -373,7 +378,7 @@ class GeneratedClosure:
     ``elements[i]`` labels the quotient's element i."""
 
     elements: list
-    transitions: list[list[int]]
+    transitions: list[tuple[int, ...]]
     semigroup: bool
     _quotient: "FiniteQuotient | None" = field(default=None, init=False, repr=False, compare=False)
 
@@ -404,29 +409,15 @@ def generate_closure(
     start state of its own, after which element i is state i + 1."""
     limit = closure_limit(max_size)
     semigroup = unit is None
-    elements: list = []
-    index: dict = {}
+    start = object() if semigroup else unit  # the empty word's own state
 
-    def intern(e) -> int:
-        j = index.get(e)
-        if j is None:
-            j = len(elements)
-            if j >= limit:
-                raise ResourceLimitError(f"submonoid closure exceeded {limit} elements")
-            index[e] = j
-            elements.append(e)
-        return j + semigroup
+    def step(x) -> Iterable:  # one product at a time, each dropped once numbered
+        return images if semigroup and x is start else (mul(x, g) for g in images)
 
-    if semigroup:  # the empty word's own state leads to the letters' images
-        transitions = [[intern(img) for img in images]]
-    else:
-        intern(unit)
-        transitions = []
-    i = 0
-    while i < len(elements):
-        transitions.append([intern(mul(elements[i], img)) for img in images])
-        i += 1
-    return GeneratedClosure(elements, transitions, semigroup)
+    states, transitions = _explore(  # a semigroup's start state is no element
+        start, step, limit + semigroup, f"submonoid closure exceeded {limit} elements"
+    )
+    return GeneratedClosure(states[semigroup:], transitions, semigroup)
 
 
 @dataclass(frozen=True)
@@ -535,6 +526,9 @@ class FiniteQuotient:
                 raise InputError(f"element index {i!r} is not an integer in 0..{n - 1}")
             start[i + off] = 1
         action = self._left_action
+        # the one breadth-first walk not routed through ``_explore``: this is
+        # the algebra layer's hottest query, and a step callback made it
+        # 10-30 % slower on quotients of 25 to 35 elements
         order = [bytes(start)]
         index = {order[0]: 0}
         rows = []

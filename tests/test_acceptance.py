@@ -61,7 +61,7 @@ def test_criterion_3_unary_product_languages():
     report = run_thm4(seed=103, size3_samples=10)
     _finish("3 unary-product-language-class", 600, started, report)
     assert _digest(report) == (
-        "a8cdaa2d9e6b5ad17bf927a6eec6c4b20fa09ceec72541e31536226de229dedf"
+        "9a5197d64c05a81f8afcd611c3f357269c9f15320ab3c1054dc5db6c1ae77f10"
     )
 
 

@@ -203,6 +203,31 @@ class TestConstruct:
         assert main(["construct", "algebra", "--input", str(alg_file), "--out", str(out)]) == 0
         assert len(json.loads((out / "algebra.json").read_text())["atom_files"]) == 5
 
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, None, []])
+    def test_algebra_semigroup_flag_must_be_a_json_boolean(self, tmp_path, capsys, flag):
+        # bool("false") is True: the string built the semigroup-mode algebra
+        alg_file = tmp_path / "alg.json"
+        spec = {"alphabet": ["a", "b"], "generators": ["a"]}
+        alg_file.write_text(json.dumps({**spec, "semigroup": flag}))
+        out = tmp_path / "out"
+        assert main(["construct", "algebra", "--input", str(alg_file), "--out", str(out)]) == 2
+        assert "semigroup must be true or false" in capsys.readouterr().err
+        assert not out.exists()
+        for semigroup, atoms in ((None, 3), (False, 3), (True, 2)):
+            given = spec if semigroup is None else {**spec, "semigroup": semigroup}
+            alg_file.write_text(json.dumps(given))
+            assert main(["construct", "algebra", "--input", str(alg_file), "--out", str(out)]) == 0
+            assert len(json.loads((out / "algebra.json").read_text())["atom_files"]) == atoms
+
+    def test_schutz1_refuses_labels_that_are_not_strings(self, tmp_path, capsys):
+        # a TypeError traceback and exit 1, the code of a failed verification, before
+        u1 = tmp_path / "u1.json"
+        u1.write_text(json.dumps({"table": [[0, 1], [1, 1]], "identity": 0, "labels": [1, 2]}))
+        out = tmp_path / "out"
+        assert main(["construct", "schutz1", "--input", str(u1), "--out", str(out)]) == 2
+        assert "label 1 is not a string" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_parse_error_exit_code(self, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

@@ -235,6 +235,15 @@ class TestSerialisation:
         with pytest.raises(InputError):
             Dfa.from_json('{"alphabet": ["a"], "states": 1}')
 
+    @pytest.mark.parametrize("letters", ["ab", {"a": 0, "b": 1}])
+    def test_alphabet_must_be_a_json_list(self, letters):
+        # a string would be read letter by letter: "a#0" as three letters
+        raw = {"alphabet": ["a", "b"], "states": 1, "initial": 0,
+               "accepting": [], "transitions": [[0, 0]]}
+        assert Dfa.from_json_dict(raw) == empty_language(AB)
+        with pytest.raises(InputError, match="alphabet must be a JSON list"):
+            Dfa.from_json_dict({**raw, "alphabet": letters})
+
     @pytest.mark.parametrize("field, value", [
         ("states", 2.7), ("states", "2"), ("initial", 0.0), ("initial", False),
         ("accepting", [1.0]), ("accepting", [True]), ("transitions", [[1, "0"], [1, 1]]),

@@ -25,6 +25,7 @@ from langrec import (
     empty_language,
     epsilon_language,
     enumerate_monoids,
+    exists_projection,
     enumerate_semigroups,
     generate_algebra,
     is_minimal_recogniser,
@@ -222,6 +223,21 @@ class TestFiniteMonoid:
     def test_json_entries_must_be_integers(self, data):
         with pytest.raises(InputError, match="JSON integer"):
             FiniteMonoid.from_json_dict(data)
+
+    def test_json_labels_must_be_a_list(self):
+        # a string would be read letter by letter: "1z" as the labels 1 and z
+        data = {"table": [[0, 1], [1, 1]], "identity": 0, "labels": ["1", "z"]}
+        assert FiniteMonoid.from_json_dict(data).labels == ("1", "z")
+        with pytest.raises(InputError, match="labels must be a JSON list"):
+            FiniteMonoid.from_json_dict({**data, "labels": "1z"})
+        # an empty list names no element, as the constructor already says
+        with pytest.raises(InputError, match="labels must name every element"):
+            FiniteMonoid.from_json_dict({**data, "labels": []})
+
+    @pytest.mark.parametrize("labels", [(1, 2), ("1", None), ("1", b"z")])
+    def test_labels_must_be_strings(self, labels):
+        with pytest.raises(InputError, match="is not a string"):
+            FiniteMonoid(((0, 1), (1, 1)), identity=0, labels=labels)
 
     @pytest.mark.parametrize("table, identity, bad", [
         (((0, 1), (1, 1.0)), 0, "table entry 1.0"),  # died with TypeError in Light's test
@@ -678,6 +694,42 @@ class TestClosureLanguage:
             for rep, e in zip(clo.quotient(alph).reps, clo.elements):
                 factors = [images[c] for c in rep.indices]
                 assert functools.reduce(mul, factors, *([] if semigroup else [unit])) == e, name
+
+
+class TestCeilingBoundary:
+    """A bound equal to the exact size passes and one less is refused:
+    the subset construction counts its subsets, a monoid-mode closure
+    its elements with the unit, and a semigroup-mode closure its
+    elements without the empty word's start state."""
+
+    def test_subset_construction(self):
+        # 7 subsets, which minimise to 5 states
+        ext = ExtendedAlphabet(AB).ext
+        l = regex_to_dfa("('a#0'|'b#0')* 'b#1' ('a#0'|'b#0')* 'a#0' ('a#0'|'b#0')", ext)
+        assert exists_projection(l, max_states=7).states == 5
+        with pytest.raises(ResourceLimitError, match="^subset construction exceeded 6 states$"):
+            exists_projection(l, max_states=6)
+
+    def test_monoid_mode_closure(self):
+        l = regex_to_dfa("(ab)*", AB)  # 6 elements, the unit among them
+        assert syntactic_monoid(l, max_size=6).size == 6
+        with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 5 elements$"):
+            syntactic_monoid(l, max_size=5)
+
+    def test_semigroup_mode_closure(self):
+        # Z/5 generated by 1: five elements after a start state that is none of them
+        def add(x, y):
+            return (x + y) % 5
+
+        clo = monoids.generate_closure([1], add, None, max_size=5)
+        assert clo.elements == [1, 2, 3, 4, 0] and len(clo.transitions) == 6
+        with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 4 elements$"):
+            monoids.generate_closure([1], add, None, max_size=4)
+        # the semigroup-mode algebra of (ab)* has 5 atoms; in monoid mode, 6
+        gens = [regex_to_dfa("(ab)*", AB)]
+        assert generate_algebra(gens, AB, semigroup=True, max_states=5).atom_count == 5
+        with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 4 elements$"):
+            generate_algebra(gens, AB, semigroup=True, max_states=4)
 
 
 class TestClosureCeilingEnvironment:

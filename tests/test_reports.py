@@ -35,7 +35,7 @@ GOLDEN = {
     ),
     "thm4-default": (
         run_thm4,
-        "db784276927133f19109167a4c4d36110c98b66f64a67a2f2a5211e569e4d283",
+        "c86c2f94f3d5b3e6bcf511e2746ac8e36564c13c342b7c9d202fad5cc98cde94",
     ),
     "thm10-default": (
         run_thm10,
