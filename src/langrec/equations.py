@@ -35,7 +35,7 @@ from .algebra import LanguageAlgebra, schutz_sum, trivial_algebra
 from .languages import (
     Dfa,
     Word,
-    _canonical,
+    _explore,
     _letter_indices,
     _pairs,
     _state_labels,
@@ -46,7 +46,13 @@ from .languages import (
     universal_language,
 )
 from .marking import MarkedWord, prefix_to_mark, replace_at_mark
-from .monoids import FiniteQuotient, transition_closure
+from .limits import closure_limit
+from .monoids import FiniteQuotient
+
+
+def _check_point(q: FiniteQuotient, point: int) -> None:
+    if type(point) is not int or not 0 <= point < q.size:
+        raise InputError(f"point {point!r} is not an integer in 0..{q.size - 1}")
 
 
 @dataclass(frozen=True)
@@ -58,9 +64,7 @@ class UltrafilterApprox:
     point: int
 
     def __post_init__(self) -> None:
-        n = self.quotient.size
-        if type(self.point) is not int or not 0 <= self.point < n:
-            raise InputError(f"point {self.point!r} is not an integer in 0..{n - 1}")
+        _check_point(self.quotient, self.point)
 
     @classmethod
     def of_word(cls, quotient: FiniteQuotient, w: "Word | Iterable[int]") -> "UltrafilterApprox":
@@ -116,6 +120,7 @@ def factorizations(
     q: FiniteQuotient, point: int, letter: "str | int"
 ) -> list[FactorizationClass]:
     """All (p, s) with p * eta(letter) * s = point, by table scan."""
+    _check_point(q, point)
     (a,) = _letter_indices(q.alphabet, (letter,))
     img = q.morphism.letter_images[a]
     table = q.monoid.table
@@ -175,23 +180,31 @@ def bsum2_quotient(
     k: Dfa, b: LanguageAlgebra, *, max_size: int | None = None
 ) -> FiniteQuotient:
     """Joint syntactic monoid of b's atoms, of every marked extension
-    atom.c.(all words), and of the candidate: one transition closure of
-    b's atom machine, whose transformations are b's own quotient, of K's
-    canonical DFA and of each extension's, which is the atom machine
-    plus an accepting sink that the atom's state enters on c."""
+    atom.c.(all words) and of the candidate K: the Cayley graph of the
+    triples (m, S, f) of the words w, where m is b's element of w, S the
+    bitmask of the pairs (b's element of u, c) of the splits w = u c v,
+    and f the map w induces on the states of K's canonical DFA.  From
+    b's element x, w enters atom.c.(all words) when S holds some (p, c)
+    with x p = atom, and leads x to x m otherwise: (m, S) is what w does
+    to b's atom machine and to every extension's minimal DFA."""
     if b.semigroup:
         raise PreconditionError("equation machinery works over full-word algebras")
     if k.alphabet != b.alphabet:
         raise InputError("candidate and algebra must share an alphabet")
-    alph, g = b.alphabet, b.transitions
-    sink = len(g)
-    dfas = [Dfa(alph, sink, g, frozenset()), canonicalise(k)]
-    for atom in range(sink):
-        for c in range(len(alph)):
-            rows = [list(row) for row in g] + [[sink] * len(alph)]
-            rows[atom][c] = sink
-            dfas.append(_canonical(alph, rows, (sink,), 0))
-    return transition_closure(alph, dfas, semigroup=False, max_size=max_size).quotient(alph)
+    alph, g, n = b.alphabet, b.transitions, len(b.alphabet)
+    kt = canonicalise(k).transitions
+    k_letters = [tuple(row[c] for row in kt) for c in range(n)]
+    limit = closure_limit(max_size)
+
+    def step(x: tuple[int, int, tuple[int, ...]]) -> Iterable:
+        m, splits, f = x
+        for c, k_c in enumerate(k_letters):
+            yield g[m][c], splits | 1 << (m * n + c), tuple(map(k_c.__getitem__, f))
+
+    _, rows = _explore(
+        (0, 0, tuple(range(len(kt)))), step, limit, f"submonoid closure exceeded {limit} elements"
+    )
+    return FiniteQuotient(alph, False, rows)
 
 
 def _reach_masks(g: Sequence[Sequence[int]]) -> list[int]:

@@ -67,6 +67,17 @@ def benchmark_draw(i):
     return k, generate_algebra(gens, alph)
 
 
+@pytest.fixture(scope="module")
+def sum_tower():
+    """B0 = the trivial algebra over {a, b} and B(n+1) = schutz_sum(Bn, B0),
+    up to B4: 1, 4, 21, 133 and 1 073 atoms."""
+    tower = [trivial_algebra(AB)]
+    for _ in range(4):
+        tower.append(schutz_sum(tower[-1], tower[0]))
+    assert [b.atom_count for b in tower] == [1, 4, 21, 133, 1073]
+    return tower
+
+
 def reachable_by_search(g, s):
     seen, todo = {s}, [s]
     while todo:
@@ -143,6 +154,13 @@ class TestPrefixClasses:
         q = joint_quotient([l])
         (mu,) = points(q, "b")
         assert prefix_classes(mu, "a") == frozenset()
+
+    def test_factorizations_refuse_points_outside_the_quotient(self):
+        q = joint_quotient([regex_to_dfa("(a|b)*a(a|b)*", AB)])
+        assert q.size == 2
+        for bad in (-1, 2, True, False, 1.0, None):
+            with pytest.raises(InputError, match=r"^point .* is not an integer in 0\.\.1$"):
+                factorizations(q, bad, "a")
 
     def test_factorizations_are_table_exact(self):
         l = regex_to_dfa("(a|b)*a(a|b)*", AB)
@@ -401,6 +419,22 @@ class TestJointQuotient:
             with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 1024 elements$"):
                 build(k, b, max_size=1024)
 
+    def test_ceiling_boundary(self, sum_tower, monkeypatch):
+        # draw 34, the largest of the first 300, and a candidate outside B4 over B3
+        cases = [benchmark_draw(34), (regex_to_dfa("(a|b)*a", AB), sum_tower[3])]
+        for (k, b), size in zip(cases, (3060, 1265)):
+            q = bsum2_quotient(k, b)
+            assert q.size == size
+            assert bsum2_quotient(k, b, max_size=size) == q
+            with pytest.raises(ResourceLimitError, match=f"^submonoid closure exceeded {size - 1} elements$"):
+                bsum2_quotient(k, b, max_size=size - 1)
+            monkeypatch.setenv("LANGREC_MAX_CLOSURE", str(size))
+            assert bsum2_quotient(k, b) == q
+            monkeypatch.setenv("LANGREC_MAX_CLOSURE", str(size - 1))
+            with pytest.raises(ResourceLimitError, match=f"^submonoid closure exceeded {size - 1} elements$"):
+                bsum2_quotient(k, b)
+            monkeypatch.delenv("LANGREC_MAX_CLOSURE")
+
     def test_decides_with_no_table_and_no_subset_construction(self, monkeypatch):
         def forbidden(*args, **kwargs):
             raise AssertionError("a multiplication table or a subset construction was built")
@@ -419,6 +453,29 @@ class TestJointQuotient:
         for k, b, direct, eqs in cases:
             assert bsum2_membership_by_equations(k, b) == direct
             assert equation_set(bsum2_quotient(k, b), b) == eqs
+
+
+class TestSumTower:
+    def test_joint_quotients_and_verdicts_over_b1_to_b3(self, sum_tower):
+        # two seeded candidates per level; B(n+1) is the sum that direct
+        # membership builds, so it is read off the tower, not rebuilt
+        rng = random.Random(0)
+        sizes, verdicts = [], []
+        for n in (1, 2, 3):
+            b = sum_tower[n]
+            for _ in range(2):
+                k = regex_to_dfa(random_regex(rng, AB, 3), AB)
+                q = bsum2_quotient(k, b)
+                assert q == marked_concat_quotient(k, b)
+                direct = sum_tower[n + 1].member(k)
+                assert bsum2_membership_by_equations(k, b) == direct
+                sizes.append(q.size)
+                verdicts.append(direct)
+        assert sizes == [21, 21, 133, 136, 1073, 1073]
+        assert verdicts == [True, True, True, False, True, True]
+        # a candidate in no level up to B4, refused over the largest B
+        k = regex_to_dfa("(a|b)*a", AB)
+        assert (bsum2_membership_by_equations(k, sum_tower[3]), sum_tower[4].member(k)) == (False, False)
 
 
 class TestWideDraws:
