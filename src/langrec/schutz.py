@@ -28,15 +28,17 @@ components.
 
 Representation.  Inside a product a subset of the points of X (in
 row-major order for M x N) is an int bitmask, bit i standing for point
-i.  For every element of the first base there is one left-image map,
-and for every element of the last base one right-image map, from masks
-to masks, memoised per product instance and filled on first use, so the
-first component of a product is one lookup in each map and one ``|``.
-Elements cross the boundary as (frozenset, m[, n]) tuples: masks are
-read off frozensets through a memo that refuses points outside the
-carrier, and the frozenset of a mask is built once and interned.  The
-carrier lists the subsets by size, then lexicographically; a
-materialised table numbers the element (S, m, n) as
+i, and each mask has one interned frozenset.  For every element of the
+first base there is one left-image memo, and for every element of the
+last base one right-image memo: plain dicts from an interned frozenset
+to the mask of its image.  The mask of a product's first component is
+one lookup in each and one ``|``, and its frozenset one lookup in the
+plain dict of interned sets.  A miss in any of the three fills them,
+reading the set's mask through a validating memo that refuses a point
+outside the carrier, so a foreign set is refused on first sight in
+either operand.  Elements cross the boundary as (frozenset, m[, n])
+tuples.  The carrier lists the subsets by size, then lexicographically;
+a materialised table numbers the element (S, m, n) as
 rank(S) * |M||N| + m * |N| + n.
 """
 
@@ -85,39 +87,6 @@ class _Masks(dict):
                 yield sum(1 << i for i in combo)
 
 
-class _Sets(dict):
-    """bitmask -> its frozenset of points, built once, interned and
-    entered in ``masks``."""
-
-    def __init__(self, masks: _Masks) -> None:
-        super().__init__()
-        self.masks = masks
-
-    def __missing__(self, mask: int) -> frozenset:
-        points = self.masks.points
-        s = frozenset(points[low.bit_length() - 1] for low in _low_bits(mask))
-        self[mask] = s
-        self.masks[s] = mask
-        return s
-
-
-class _Image(dict):
-    """bitmask -> bitmask of its image under one map of the points;
-    ``point_bits[i]`` is the bit of the image of point i."""
-
-    def __init__(self, point_bits: list[int]) -> None:
-        super().__init__()
-        self.point_bits = point_bits
-
-    def __missing__(self, mask: int) -> int:
-        point_bits = self.point_bits
-        out = 0
-        for low in _low_bits(mask):
-            out |= point_bits[low.bit_length() - 1]
-        self[mask] = out
-        return out
-
-
 def _low_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
@@ -140,31 +109,69 @@ class _PowersetProduct:
 
     _bases: tuple[FiniteMonoid, ...] = field(init=False, repr=False, compare=False)
     _components: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _first_table: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
+    _last_table: tuple[tuple[int, ...], ...] = field(init=False, repr=False, compare=False)
     _masks: _Masks = field(init=False, repr=False, compare=False)
-    _sets: _Sets = field(init=False, repr=False, compare=False)
-    _left: list[_Image] = field(init=False, repr=False, compare=False)
-    _right: list[_Image] = field(init=False, repr=False, compare=False)
+    _sets: dict[int, frozenset] = field(init=False, repr=False, compare=False)
+    _left: list[dict[frozenset, int]] = field(init=False, repr=False, compare=False)
+    _right: list[dict[frozenset, int]] = field(init=False, repr=False, compare=False)
+    _left_bits: list[list[int]] = field(init=False, repr=False, compare=False)
+    _right_bits: list[list[int]] = field(init=False, repr=False, compare=False)
 
     def _wire(self, *bases: FiniteMonoid) -> None:
         first, last = bases[0], bases[-1]
         comps = tuple(itertools.product(*(range(b.size) for b in bases)))
         stride = len(comps) // first.size  # of the first component
-        masks = _Masks(list(range(first.size)) if len(bases) == 1 else list(comps))
         set_ = object.__setattr__
         set_(self, "_bases", bases)
         set_(self, "_components", comps)
-        set_(self, "_masks", masks)
-        set_(self, "_sets", _Sets(masks))
-        # point i = c goes to the point whose first (last) component is
-        # the image of c's first (last) one
-        set_(self, "_left", [
-            _Image([1 << (i + (row[c[0]] - c[0]) * stride) for i, c in enumerate(comps)])
+        set_(self, "_first_table", first.table)
+        set_(self, "_last_table", last.table)
+        set_(self, "_masks", _Masks(list(range(first.size)) if len(bases) == 1 else list(comps)))
+        set_(self, "_sets", {})
+        set_(self, "_left", [{} for _ in range(first.size)])
+        set_(self, "_right", [{} for _ in range(last.size)])
+        # entry i of a map's bits is the bit of the image of point i = c:
+        # the point whose first (last) component is the image of c's
+        # first (last) one
+        set_(self, "_left_bits", [
+            [1 << (i + (row[c[0]] - c[0]) * stride) for i, c in enumerate(comps)]
             for row in first.table
         ])
-        set_(self, "_right", [
-            _Image([1 << (i + last.table[c[-1]][n] - c[-1]) for i, c in enumerate(comps)])
+        set_(self, "_right_bits", [
+            [1 << (i + last.table[c[-1]][n] - c[-1]) for i, c in enumerate(comps)]
             for n in range(last.size)
         ])
+
+    def _set(self, mask: int) -> frozenset:
+        """The interned frozenset of a mask, built and entered in the
+        memos on first use."""
+        s = self._sets.get(mask)
+        if s is None:
+            points = self._masks.points
+            s = frozenset(points[low.bit_length() - 1] for low in _low_bits(mask))
+            self._sets[mask] = s
+            self._masks[s] = mask
+        return s
+
+    def _image(self, memos: list[dict[frozenset, int]], bits: list[list[int]],
+               i: int, s: frozenset) -> int:
+        """Mask of the image of s under map i, memoised under the interned
+        set; refuses a point outside the carrier."""
+        out = memos[i].get(s)
+        if out is None:
+            mask = self._masks[s]
+            out = 0
+            for low in _low_bits(mask):
+                out |= bits[i][low.bit_length() - 1]
+            memos[i][self._set(mask)] = out
+        return out
+
+    def _fill(self, m: int, t: frozenset, n: int, s: frozenset) -> frozenset:
+        """The first component left_m(t) | right_n(s) after a memo miss:
+        fills both image memos and the interned set."""
+        return self._set(self._image(self._left, self._left_bits, m, t)
+                         | self._image(self._right, self._right_bits, n, s))
 
     @property
     def semigroup(self) -> bool:
@@ -178,13 +185,13 @@ class _PowersetProduct:
     def unit(self) -> tuple:
         if self.semigroup:
             raise PreconditionError("a semigroup-mode product has no unit")
-        return (self._sets[0], *(b.identity for b in self._bases))
+        return (self._set(0), *(b.identity for b in self._bases))
 
     def carrier(self) -> Iterator[tuple]:
         """All elements, subsets by size then lex, components row-major."""
-        comps, sets = self._components, self._sets
+        comps = self._components
         for mask in self._masks.order(self.semigroup):
-            s = (sets[mask],)
+            s = (self._set(mask),)
             for c in comps:
                 yield s + c
 
@@ -197,15 +204,19 @@ class _PowersetProduct:
         index = {c: i for i, c in enumerate(comps)}
         order = list(self._masks.order(self.semigroup))
         rank = {mask: r * width for r, mask in enumerate(order)}
-        lefts = [[left[t] for t in order] for left in self._left]
+        sets = [self._set(mask) for mask in order]
+        lefts = [[self._image(self._left, self._left_bits, i, s) for s in sets]
+                 for i in range(len(self._left))]
+        rights = [[self._image(self._right, self._right_bits, n, s) for s in sets]
+                  for n in range(len(self._right))]
         specs = [(lefts[c[0]], [
-            (self._right[d[-1]], index[tuple(b.table[x][y] for b, x, y in zip(bases, c, d))])
+            (rights[d[-1]], index[tuple(b.table[x][y] for b, x, y in zip(bases, c, d))])
             for d in comps
         ]) for c in comps]
         rows = []
-        for s in order:
+        for r in range(len(order)):
             for left_t, columns in specs:
-                firsts = [(right[s], cell) for right, cell in columns]
+                firsts = [(right[r], cell) for right, cell in columns]
                 rows.append(tuple(rank[lt | f] + cell for lt in left_t for f, cell in firsts))
         comp_labels = [",".join(b.label(x) for b, x in zip(bases, c)) for c in comps]
         point_labels = comp_labels if len(bases) == 1 else [f"({lab})" for lab in comp_labels]
@@ -233,9 +244,11 @@ class UnarySchutz(_PowersetProduct):
     ) -> tuple[frozenset, int]:
         s, m = p
         t, n = q
-        masks = self._masks
-        first = self._right[n][masks[s]] | self._left[m][masks[t]]
-        return (self._sets[first], self.base.table[m][n])
+        try:
+            first = self._sets[self._right[n][s] | self._left[m][t]]
+        except KeyError:
+            first = self._fill(m, t, n, s)
+        return (first, self._first_table[m][n])
 
     # the actions of the product on itself, written out as in the space
     # construction; they must coincide with left/right multiplication
@@ -244,20 +257,24 @@ class UnarySchutz(_PowersetProduct):
     ) -> tuple[frozenset, int]:
         s, m = p
         t, y = x
-        masks = self._masks
         # {e.y : e in S} u {m.z : z in T}
-        first = self._right[y][masks[s]] | self._left[m][masks[t]]
-        return (self._sets[first], self.base.table[m][y])
+        try:
+            first = self._sets[self._right[y][s] | self._left[m][t]]
+        except KeyError:
+            first = self._fill(m, t, y, s)
+        return (first, self._first_table[m][y])
 
     def right_action(
         self, p: tuple[frozenset, int], x: tuple[frozenset, int]
     ) -> tuple[frozenset, int]:
         s, m = p
         t, y = x
-        masks = self._masks
         # {y.e : e in S} u {z.m : z in T}
-        first = self._left[y][masks[s]] | self._right[m][masks[t]]
-        return (self._sets[first], self.base.table[y][m])
+        try:
+            first = self._sets[self._left[y][s] | self._right[m][t]]
+        except KeyError:
+            first = self._fill(y, s, m, t)
+        return (first, self._first_table[y][m])
 
     def as_finite_monoid(
         self, max_base: int = _MATERIALISE_BASE_LIMIT
@@ -284,26 +301,32 @@ class BinarySchutz(_PowersetProduct):
     def mul(self, p, q):
         s, m1, n1 = p
         t, m2, n2 = q
-        masks = self._masks
-        first = self._left[m1][masks[t]] | self._right[n2][masks[s]]
-        return (self._sets[first], self.left_base.table[m1][m2], self.right_base.table[n1][n2])
+        try:
+            first = self._sets[self._left[m1][t] | self._right[n2][s]]
+        except KeyError:
+            first = self._fill(m1, t, n2, s)
+        return (first, self._first_table[m1][m2], self._last_table[n1][n2])
 
     # actions on points (Z, x, y), written out as in the space construction
     def left_action(self, p, point):
         s, m1, n1 = p
         z, x, y = point
-        masks = self._masks
         # {(m1.u, v) : (u, v) in Z} u {(m, n.y) : (m, n) in S}
-        first = self._left[m1][masks[z]] | self._right[y][masks[s]]
-        return (self._sets[first], self.left_base.table[m1][x], self.right_base.table[n1][y])
+        try:
+            first = self._sets[self._left[m1][z] | self._right[y][s]]
+        except KeyError:
+            first = self._fill(m1, z, y, s)
+        return (first, self._first_table[m1][x], self._last_table[n1][y])
 
     def right_action(self, p, point):
         s, m1, n1 = p
         z, x, y = point
-        masks = self._masks
         # {(u, v.n1) : (u, v) in Z} u {(x.m, n) : (m, n) in S}
-        first = self._right[n1][masks[z]] | self._left[x][masks[s]]
-        return (self._sets[first], self.left_base.table[x][m1], self.right_base.table[y][n1])
+        try:
+            first = self._sets[self._right[n1][z] | self._left[x][s]]
+        except KeyError:
+            first = self._fill(x, s, n1, z)
+        return (first, self._first_table[x][m1], self._last_table[y][n1])
 
     def as_finite_monoid(
         self, max_carrier: int = _MATERIALISE_CARRIER_LIMIT
@@ -508,12 +531,19 @@ class LocalSchutz:
 
 
 def _local_mul(product: BinarySchutz, p: tuple, q: tuple) -> tuple:
+    """Each letter's split set multiplied as the first component of
+    ``BinarySchutz.mul``: one lookup in each image memo, one ``|`` and one
+    lookup of the interned set."""
     ss, m1, n1 = p
     ts, m2, n2 = q
-    first = tuple(
-        product.mul((s, m1, n1), (t, m2, n2))[0] for s, t in zip(ss, ts)
-    )
-    return (first, product.left_base.table[m1][m2], product.right_base.table[n1][n2])
+    sets, left, right = product._sets, product._left[m1], product._right[n2]
+    first = []
+    for s, t in zip(ss, ts):
+        try:
+            first.append(sets[left[t] | right[s]])
+        except KeyError:
+            first.append(product._fill(m1, t, n2, s))
+    return (tuple(first), product._first_table[m1][m2], product._last_table[n1][n2])
 
 
 def local_schutz_morphism(

@@ -50,7 +50,7 @@ def test_criterion_1_unary_recognition():
 def test_criterion_2_algebraic_laws():
     started = time.time()
     report = run_laws(seed=102)
-    _finish("2 product-algebraic-laws", 60, started, report)
+    _finish("2 product-algebraic-laws", 20, started, report)
     assert _digest(report) == (
         "37b350430b01e0c529071b29cdf87f0505cd3c82eb2cdf67f2fcbc44203352c4"
     )

@@ -31,6 +31,7 @@ from langrec import (
     split_letter_images,
     syntactic_monoid,
 )
+from langrec.campaigns import _biaction_ok
 from langrec.marking import ExtendedAlphabet, tag_unmarked
 from langrec.schutz import split_closure
 
@@ -333,9 +334,11 @@ class TestHitClopen:
 
 # -- the products against their frozenset formulas -----------------------------
 #
-# The library multiplies bitmasks through memoised image maps.  These
-# oracles are the product formulas written out on frozensets; the
-# materialised tables index whole result tuples in a dict.
+# The library multiplies bitmasks through image memos, plain dicts keyed
+# by the interned frozenset that a miss fills through the validating
+# frozenset-to-mask memo.  These oracles are the product formulas
+# written out on frozensets; the materialised tables index whole result
+# tuples in a dict.
 
 
 def _subsets(universe, nonempty):
@@ -543,6 +546,33 @@ class TestRefusedInputs:
         for op in (u.mul, u.left_action, u.right_action):
             with pytest.raises(InputError):
                 op((frozenset({0}), 1), (frozenset({2}), 0))
+
+    def test_warm_memos_refuse_foreign_sets_and_intern_equal_ones(self):
+        d, u = BinarySchutz(U1, Z2), UnarySchutz(Z2)
+        assert _biaction_ok(d) and _biaction_ok(u)  # fills every memo
+        cases = (
+            (d, (frozenset({(1, 1)}), 0, 0),
+             (frozenset({(2, 0)}), frozenset({(0, 1), (0, 2)}), frozenset({1}))),
+            (u, (frozenset({0}), 1), (frozenset({2}), frozenset({0, -1}), frozenset({(0, 0)}))),
+        )
+        for prod, inside, foreign in cases:
+            for outside in foreign:
+                for op in (prod.mul, prod.left_action, prod.right_action):
+                    with pytest.raises(InputError, match="is not in the carrier"):
+                        op(inside, (outside, *inside[1:]))
+                    with pytest.raises(InputError, match="is not in the carrier"):
+                        op((outside, *inside[1:]), inside)
+            # the unit fixes S, so each result is the set of e itself
+            unit = prod.unit()
+            for e in prod.carrier():
+                if not e[0]:
+                    continue
+                copy = (frozenset(list(e[0])), *e[1:])
+                assert copy[0] == e[0] and copy[0] is not e[0]
+                for got in (prod.mul(copy, unit), prod.mul(unit, copy),
+                            prod.left_action(copy, unit), prod.left_action(unit, copy),
+                            prod.right_action(copy, unit), prod.right_action(unit, copy)):
+                    assert got == e and got[0] is e[0]
 
     def test_bounds_name_the_size_the_limit_and_the_knob(self):
         z7 = FiniteMonoid(
