@@ -436,18 +436,6 @@ def nonempty_universal(alph: Alphabet) -> Dfa:
     return Dfa(alph, 2, ((1,) * k, (1,) * k), frozenset({1}))
 
 
-def letter_language(alph: Alphabet, name: str) -> Dfa:
-    i = alph.index(name)
-    k = len(alph)
-    # states: 0 start, 1 accept, 2 sink
-    trans = (
-        tuple(1 if c == i else 2 for c in range(k)),
-        (2,) * k,
-        (2,) * k,
-    )
-    return _canonical(alph, trans, {1}, 0)
-
-
 # -- Boolean operations ------------------------------------------------
 
 
@@ -535,7 +523,8 @@ def right_quotient(l: Dfa, w: Word) -> Dfa:
 
 
 class Nfa:
-    """Epsilon-NFA used internally for concatenation-like constructions."""
+    """Epsilon-NFA used internally for regex compilation and concatenation-like
+    constructions."""
 
     def __init__(
         self,

@@ -14,25 +14,24 @@ Text syntax:
     ( r )           grouping
 
 Precedence, loosest to tightest: ``|``, ``&``, juxtaposition, ``~``/``*``.
+
+A regex compiles through one Thompson ε-NFA of its whole AST (Thompson,
+CACM 11(6), 1968) and one subset construction, whose result is minimised
+and numbered canonically.  ``&`` and ``~`` have no ε-NFA fragment: the
+canonical DFA of each such subterm is compiled the same way, combined by
+a product or by flipping acceptance, and embedded in the enclosing NFA.
+``Concat(())`` denotes ε, ``Union(())`` ∅ and ``Intersect(())`` every
+word.  Parentheses and complements nest, and an AST's nodes stack, at
+most ``MAX_NESTING`` levels deep: parser and compiler recurse per level.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .errors import InputError
-from .languages import (
-    Alphabet,
-    Dfa,
-    complement,
-    concat,
-    empty_language,
-    epsilon_language,
-    intersection,
-    letter_language,
-    star,
-    union,
-)
+from .languages import Alphabet, Dfa, Nfa, complement, intersection, universal_language
 
 
 @dataclass(frozen=True)
@@ -82,6 +81,14 @@ class Star(Regex):
 
 _RESERVED = set("∅01ε.|&~*()'\"")
 
+# the parser takes six stack frames per parenthesis, the compiler up to
+# three per AST level; Python's default stack holds about a thousand
+MAX_NESTING = 100
+
+
+def _too_deep() -> InputError:
+    return InputError(f"regular expression nested more than {MAX_NESTING} levels deep")
+
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
     tokens: list[tuple[str, str]] = []
@@ -114,6 +121,7 @@ class _Parser:
     def __init__(self, tokens: list[tuple[str, str]]):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str] | None:
         return self.tokens[self.pos] if self.pos < len(self.tokens) else None
@@ -129,6 +137,14 @@ class _Parser:
         tok = self.take()
         if tok != ("sym", sym):
             raise InputError(f"expected {sym!r}, got {tok[1]!r}")
+
+    def nested(self, parse) -> Regex:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise _too_deep()
+        r = parse()
+        self.depth -= 1
+        return r
 
     def parse(self) -> Regex:
         r = self.union()
@@ -174,7 +190,7 @@ class _Parser:
     def term(self) -> Regex:
         if self.peek() == ("sym", "~"):
             self.take()
-            return Complement(self.term())
+            return Complement(self.nested(self.term))
         r = self.atom()
         while self.peek() == ("sym", "*"):
             self.take()
@@ -190,7 +206,7 @@ class _Parser:
         if val in ("ε", "1"):
             return Epsilon()
         if val == "(":
-            r = self.union()
+            r = self.nested(self.union)
             self.expect(")")
             return r
         raise InputError(f"unexpected {val!r} in regular expression")
@@ -200,19 +216,28 @@ def parse_regex(text: str) -> Regex:
     return _Parser(_tokenize(text)).parse()
 
 
-def regex_letters(r: Regex) -> set[str]:
-    if isinstance(r, Letter):
-        return {r.name}
+def _children(r: Regex) -> tuple[Regex, ...]:
     if isinstance(r, (Concat, Union, Intersect)):
-        out: set[str] = set()
-        for p in r.parts:
-            out |= regex_letters(p)
-        return out
-    if isinstance(r, Complement):
-        return regex_letters(r.inner)
-    if isinstance(r, Star):
-        return regex_letters(r.inner)
-    return set()
+        return r.parts
+    if isinstance(r, (Complement, Star)):
+        return (r.inner,)
+    return ()
+
+
+def regex_letters(r: Regex) -> set[str]:
+    """The letter names in ``r``.  An AST nested more than
+    ``MAX_NESTING`` levels deep is refused: compiling it would overflow
+    the stack."""
+    out: set[str] = set()
+    stack = [(r, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_NESTING:
+            raise _too_deep()
+        if isinstance(node, Letter):
+            out.add(node.name)
+        stack.extend((c, depth + 1) for c in _children(node))
+    return out
 
 
 def regex_to_dfa(r: "Regex | str", alph: Alphabet) -> Dfa:
@@ -226,33 +251,67 @@ def regex_to_dfa(r: "Regex | str", alph: Alphabet) -> Dfa:
 
 
 def _compile(r: Regex, alph: Alphabet) -> Dfa:
-    if isinstance(r, Empty):
-        return empty_language(alph)
-    if isinstance(r, Epsilon):
-        return epsilon_language(alph)
-    if isinstance(r, Letter):
-        return letter_language(alph, r.name)
-    if isinstance(r, Concat):
-        out = epsilon_language(alph)
-        for p in r.parts:
-            out = concat(out, _compile(p, alph))
-        return out
-    if isinstance(r, Union):
-        out = empty_language(alph)
-        for p in r.parts:
-            out = union(out, _compile(p, alph))
-        return out
+    """One subset construction over the Thompson ε-NFA of ``r``; an
+    ``&`` or ``~`` at the root combines its operands' DFAs instead."""
     if isinstance(r, Intersect):
         parts = [_compile(p, alph) for p in r.parts]
-        out = parts[0]
-        for p in parts[1:]:
-            out = intersection(out, p)
-        return out
+        return functools.reduce(intersection, parts or [universal_language(alph)])
     if isinstance(r, Complement):
         return complement(_compile(r.inner, alph))
-    if isinstance(r, Star):
-        return star(_compile(r.inner, alph))
-    raise InputError(f"unknown regex node {r!r}")
+    return _thompson(r, alph).determinize()
+
+
+def _thompson(r: Regex, alph: Alphabet) -> Nfa:
+    """Thompson's ε-NFA of ``r``: each node is a fragment with a fresh
+    start state that no edge enters and a fresh end state that no edge
+    leaves.  An ``&`` or ``~`` node embeds its canonical DFA."""
+    k = len(alph)
+    trans: list[list[set[int]]] = []
+    eps: list[set[int]] = []
+
+    def state() -> int:
+        trans.append([set() for _ in range(k)])
+        eps.append(set())
+        return len(eps) - 1
+
+    def build(r: Regex) -> tuple[int, int]:
+        s, e = state(), state()
+        if isinstance(r, Epsilon):
+            eps[s].add(e)
+        elif isinstance(r, Letter):
+            trans[s][alph.index(r.name)].add(e)
+        elif isinstance(r, Concat):
+            last = s
+            for p in r.parts:
+                ps, pe = build(p)
+                eps[last].add(ps)
+                last = pe
+            eps[last].add(e)
+        elif isinstance(r, Union):
+            for p in r.parts:
+                ps, pe = build(p)
+                eps[s].add(ps)
+                eps[pe].add(e)
+        elif isinstance(r, Star):
+            ps, pe = build(r.inner)
+            eps[s] |= {ps, e}
+            eps[pe] |= {ps, e}
+        elif isinstance(r, (Intersect, Complement)):
+            d = _compile(r, alph)
+            base = len(eps)
+            for row in d.transitions:
+                q = state()
+                for c, t in enumerate(row):
+                    trans[q][c].add(base + t)
+            eps[s].add(base + d.initial)
+            for q in d.accepting:
+                eps[base + q].add(e)
+        elif not isinstance(r, Empty):
+            raise InputError(f"unknown regex node {r!r}")
+        return s, e
+
+    start, end = build(r)
+    return Nfa(alph, len(eps), trans, eps, {start}, {end})
 
 
 def render_regex(r: Regex) -> str:

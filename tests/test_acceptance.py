@@ -124,7 +124,7 @@ def test_criterion_6_lemma_suite():
 def test_criterion_7_substrate_canonicity():
     started = time.time()
     report = run_canonicity(seed=107, samples=1000)
-    _finish("7 substrate-canonicity", 60, started, report)
+    _finish("7 substrate-canonicity", 10, started, report)
     assert _digest(report) == (
         "9f7b7a9d35e20b09459377a14eeea9eada6b04aab8c5f4643ae568d42c97a577"
     )

@@ -233,6 +233,12 @@ class TestConstruct:
         bad.write_text("{not json")
         assert main(["construct", "synmon", "--input", str(bad)]) == 2
 
+    def test_too_deeply_nested_regex_exit_code(self, tmp_path, capsys):
+        deep = "(" * 250 + "a" + ")" * 250
+        argv = ["construct", "synmon", "--regex", deep, "--alphabet", "a,b", "--out", str(tmp_path)]
+        assert main(argv) == 2
+        assert "nested more than" in capsys.readouterr().err
+
     def test_missing_input_exit_code(self):
         assert main(["construct", "synmon"]) == 2
 

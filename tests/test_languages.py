@@ -1,4 +1,6 @@
+import functools
 import random
+import time
 
 import pytest
 
@@ -20,10 +22,13 @@ from langrec import (
     intersection,
     left_quotient,
     marked_concat,
+    parse_regex,
     regex_to_dfa,
+    render_regex,
     replace_at_mark,
     right_quotient,
     same_language,
+    star,
     syntactic_monoid,
     union,
     universal_language,
@@ -36,6 +41,18 @@ from langrec.campaigns import (
     random_word,
 )
 from langrec.equations import lemma_witness_check
+from langrec.languages import canonicalise
+from langrec.regexes import (
+    MAX_NESTING,
+    Complement,
+    Concat,
+    Empty,
+    Epsilon,
+    Intersect,
+    Letter,
+    Star,
+    Union,
+)
 
 AB = Alphabet(("a", "b"))
 
@@ -76,6 +93,84 @@ class TestRegexToDfa:
     def test_intersection_and_difference_syntax(self):
         d = regex_to_dfa("(a|b)*a(a|b)* & (a|b)*b(a|b)*", AB)
         assert_matches_predicate(d, lambda s: "a" in s and "b" in s)
+
+
+def reference_compile(r, alph):
+    """The per-node combinator compile: a canonical DFA at every AST
+    node, combined by ``concat``, ``union``, ``star``, ``intersection``
+    and ``complement``.  An oracle independent of the one Thompson
+    ε-NFA that ``regex_to_dfa`` builds."""
+    if isinstance(r, Empty):
+        return empty_language(alph)
+    if isinstance(r, Epsilon):
+        return epsilon_language(alph)
+    if isinstance(r, Letter):
+        i, k = alph.index(r.name), len(alph)
+        row = tuple(1 if c == i else 2 for c in range(k))
+        return canonicalise(Dfa(alph, 3, (row, (2,) * k, (2,) * k), {1}))
+    parts = [reference_compile(p, alph) for p in getattr(r, "parts", ())]
+    if isinstance(r, Concat):
+        return functools.reduce(concat, parts, epsilon_language(alph))
+    if isinstance(r, Union):
+        return functools.reduce(union, parts, empty_language(alph))
+    if isinstance(r, Intersect):
+        return functools.reduce(intersection, parts, universal_language(alph))
+    if isinstance(r, Complement):
+        return complement(reference_compile(r.inner, alph))
+    return star(reference_compile(r.inner, alph))
+
+
+class TestRegexCompile:
+    """The one-ε-NFA compile against the per-node combinator compile."""
+
+    def test_agrees_with_the_per_node_compile(self):
+        rng = random.Random(19)
+        operators = set()
+        for alph in (AB, Alphabet(("a", "b", "c"))):
+            for depth in (3, 4):
+                for _ in range(250):
+                    r = random_regex(rng, alph, depth=depth)
+                    operators |= set(render_regex(r)) & set("∅ε|&~*")
+                    assert regex_to_dfa(r, alph) == reference_compile(r, alph), r
+        assert operators == set("∅ε|&~*")
+        for text in CORPUS_REGEXES:
+            assert regex_to_dfa(text, AB) == reference_compile(parse_regex(text), AB)
+
+    def test_empty_operand_lists(self):
+        assert regex_to_dfa(Concat(()), AB) == epsilon_language(AB)
+        assert regex_to_dfa(Union(()), AB) == empty_language(AB)
+        assert regex_to_dfa(Intersect(()), AB) == universal_language(AB)
+        assert regex_to_dfa(Concat((Letter("a"), Intersect(()))), AB) == regex_to_dfa("a(a|b)*", AB)
+
+    def test_nesting_deeper_than_the_stack_is_refused(self):
+        deep = "(" * 250 + "a" + ")" * 250
+        with pytest.raises(InputError, match="nested more than"):
+            regex_to_dfa(deep, AB)
+        r = Letter("a")
+        for i in range(1000):
+            r = (Star, Complement)[i % 2](r)
+        with pytest.raises(InputError, match="nested more than"):
+            regex_to_dfa(r, AB)
+
+    def test_nesting_up_to_the_bound_compiles(self):
+        n = MAX_NESTING
+        assert regex_to_dfa("(" * n + "a" + ")" * n, AB) == regex_to_dfa("a", AB)
+        with pytest.raises(InputError, match="nested more than"):
+            parse_regex("(" * (n + 1) + "a" + ")" * (n + 1))
+        # alternating ~ and * recurse through the most frames per level
+        r = Letter("a")
+        for i in range(n - 1):
+            r = (Star, Complement)[i % 2](r)
+        assert regex_to_dfa(r, AB) == reference_compile(r, AB)
+        with pytest.raises(InputError, match="nested more than"):
+            regex_to_dfa(Star(r), AB)
+
+    def test_long_concatenation_within_budget(self):
+        # a compile with a canonical DFA per prefix is cubic here: 16 s on
+        # a 2-core VM
+        started = time.perf_counter()
+        assert regex_to_dfa("a" * 400, AB).states == 402
+        assert time.perf_counter() - started < 5
 
 
 class TestBooleanOps:
