@@ -6,7 +6,10 @@ syntactic congruence: two words share an atom exactly when they lead
 every state of every generator's canonical DFA to the same state.  The
 atoms are thus the elements of one transition closure of the
 generators, and the closure's Cayley graph is the atom machine as it
-stands.
+stands.  The sum of two algebras over all words needs no generator DFA
+for that: its atoms are the classes of one morphism, which sends a word
+to its atom in each operand and to its splits around a marked letter,
+so ``schutz_sum`` closes those triples instead.
 
 An algebra is stored as its atom machine, a ``FiniteQuotient`` whose
 elements are the atoms: the minimal automaton on the atoms (plus a
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .errors import InputError, InvariantError
 from .languages import (
@@ -36,12 +39,14 @@ from .languages import (
     Dfa,
     Word,
     _canonical,
+    _explore,
     _state_labels,
     intersection,
     marked_concat,
     nonempty_universal,
     universal_language,
 )
+from .limits import closure_limit
 from .monoids import (
     FiniteMonoid,
     FiniteQuotient,
@@ -186,19 +191,69 @@ def transport(
 # -- the binary sum (marked concatenations adjoined) -----------------------
 
 
-def schutz_sum(b1: LanguageAlgebra, b2: LanguageAlgebra, **bounds) -> LanguageAlgebra:
+def schutz_sum(
+    b1: LanguageAlgebra, b2: LanguageAlgebra, *, max_states: int | None = None
+) -> LanguageAlgebra:
     """Algebra generated by both operands plus every marked concatenation
-    A1 a A2 of their atoms.  Marked concatenation distributes over union
-    in both arguments, so atom-level generators span all members."""
+    A1 c A2 of their atoms.  Marked concatenation distributes over union
+    in both arguments, so atom-level generators span all members.
+
+    In monoid mode the atom machine is the Cayley graph of the triples
+    (m1, S, m2) of the words w: m1 and m2 are w's atoms of b1 and b2,
+    and S holds, per atom y of b2, the bitmask of the pairs (atom x of
+    b1, letter c) of the splits w = u c v with u in x and v in y.  Such
+    a bit says that w lies in x c y, so two words share a triple exactly
+    when they share every generator, and the triples form a monoid:
+    they are the joint syntactic classes, with no generator DFA read.
+    ``max_states`` bounds the closure, and the generators (atoms of
+    both, then every marked concatenation) are built once it has
+    succeeded.  In semigroup mode a split with an empty prefix or
+    suffix is no generator, so the sum is the literal closure of the
+    generators' DFAs."""
     if b1.alphabet != b2.alphabet or b1.semigroup != b2.semigroup:
         raise InputError("operands must live over the same universe")
-    alph = b1.alphabet
-    gens: list[Dfa] = list(b1.atoms) + list(b2.atoms)
+    if b1.semigroup:
+        return _literal_sum(b1, b2, max_states=max_states)
+    g1, g2, k = b1.transitions, b2.transitions, len(b1.alphabet)
+    limit = closure_limit(max_states)
+    columns = [tuple(row[d] for row in g2) for d in range(k)]
+
+    def step(x: tuple[int, tuple[int, ...], int]) -> Iterator:
+        m1, masks, m2 = x
+        for d, column in enumerate(columns):
+            # w's splits u c v become the splits u c (v d) of w d, which
+            # gains one more, u = w and c = d with v = ε in b2's atom 0
+            moved = [0] * len(g2)
+            for z, mask in zip(column, masks):
+                moved[z] |= mask
+            moved[0] |= 1 << (m1 * k + d)
+            yield g1[m1][d], tuple(moved), g2[m2][d]
+
+    _, rows = _explore(
+        (0, (0,) * len(g2), 0), step, limit, f"submonoid closure exceeded {limit} elements"
+    )
+    return LanguageAlgebra(b1.alphabet, False, rows, tuple(_sum_generators(b1, b2)))
+
+
+def _sum_generators(b1: LanguageAlgebra, b2: LanguageAlgebra) -> list[Dfa]:
+    """The atoms of both operands, then every marked concatenation A1 c A2
+    of their atoms, A1 outermost and A2 innermost."""
+    gens = list(b1.atoms) + list(b2.atoms)
     for a1 in b1.atoms:
-        for c in range(len(alph)):
+        for c in range(len(b1.alphabet)):
             for a2 in b2.atoms:
                 gens.append(marked_concat(a1, c, a2))
-    return generate_algebra(gens, alph, semigroup=b1.semigroup, **bounds)
+    return gens
+
+
+def _literal_sum(
+    b1: LanguageAlgebra, b2: LanguageAlgebra, *, max_states: int | None = None
+) -> LanguageAlgebra:
+    """``schutz_sum`` as the transition closure of its generators' DFAs,
+    all built first: the only path in semigroup mode, and an oracle for
+    the triple closure in monoid mode."""
+    gens = _sum_generators(b1, b2)
+    return generate_algebra(gens, b1.alphabet, semigroup=b1.semigroup, max_states=max_states)
 
 
 # -- dual recogniser -------------------------------------------------------

@@ -31,7 +31,7 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import InputError, PreconditionError
-from .algebra import LanguageAlgebra, schutz_sum, trivial_algebra
+from .algebra import LanguageAlgebra, _literal_sum, trivial_algebra
 from .languages import (
     Dfa,
     Word,
@@ -310,7 +310,10 @@ def bsum2_membership_direct(k: Dfa, b: LanguageAlgebra, **bounds) -> bool:
 
 
 def _trivial_sum(b: LanguageAlgebra, **bounds) -> LanguageAlgebra:
-    return schutz_sum(b, trivial_algebra(b.alphabet, b.semigroup), **bounds)
+    """The sum of b with the trivial algebra, as the closure of its
+    literal generators' DFAs: no split-tracking triple, so the direct
+    oracle shares no construction with ``bsum2_quotient``."""
+    return _literal_sum(b, trivial_algebra(b.alphabet, b.semigroup), **bounds)
 
 
 def separation_witness(

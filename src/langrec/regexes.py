@@ -21,8 +21,9 @@ and numbered canonically.  ``&`` and ``~`` have no ε-NFA fragment: the
 canonical DFA of each such subterm is compiled the same way, combined by
 a product or by flipping acceptance, and embedded in the enclosing NFA.
 ``Concat(())`` denotes ε, ``Union(())`` ∅ and ``Intersect(())`` every
-word.  Parentheses and complements nest, and an AST's nodes stack, at
-most ``MAX_NESTING`` levels deep: parser and compiler recurse per level.
+word.  Parentheses, complements and postfix stars nest, and an AST's
+nodes stack, at most ``MAX_NESTING`` levels deep: parser, renderer and
+compiler recurse per level.
 """
 
 from __future__ import annotations
@@ -87,7 +88,10 @@ MAX_NESTING = 100
 
 
 def _too_deep() -> InputError:
-    return InputError(f"regular expression nested more than {MAX_NESTING} levels deep")
+    return InputError(
+        f"regular expression nested more than {MAX_NESTING} levels deep"
+        " (each parenthesis, complement and star is a level)"
+    )
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -192,8 +196,12 @@ class _Parser:
             self.take()
             return Complement(self.nested(self.term))
         r = self.atom()
+        stars = 0
         while self.peek() == ("sym", "*"):
             self.take()
+            stars += 1
+            if self.depth + stars > MAX_NESTING:  # each star wraps r once more
+                raise _too_deep()
             r = Star(r)
         return r
 

@@ -28,6 +28,7 @@ from langrec import (
     inverse_image,
     joint_quotient,
     left_quotient,
+    marked_concat,
     recognised_algebra,
     regex_to_dfa,
     right_quotient,
@@ -38,13 +39,15 @@ from langrec import (
     union,
     universal_language,
 )
-from langrec import languages
+from langrec import algebra, languages
+from langrec.algebra import _literal_sum
 from langrec.campaigns import corpus_dfas
 from langrec.languages import _canonical, _minimise
 from langrec.marking import ExtendedAlphabet
 from langrec.monoids import generate_closure
 
 AB = Alphabet(("a", "b"))
+ABC = Alphabet(("a", "b", "c"))
 A1 = Alphabet(("a",))
 
 
@@ -196,8 +199,6 @@ class TestDualRecogniser:
 
 class TestSchutzSum:
     def test_sum_with_trivial_adds_marked_extensions(self):
-        from langrec import marked_concat
-
         b = generate_algebra([regex_to_dfa("(a|b)*a(a|b)*", AB)])
         total = schutz_sum(b, trivial_algebra(AB))
         expected_gens = list(b.atoms) + [
@@ -238,6 +239,90 @@ class TestSchutzSum:
                 w = Word(AB, t)
                 assert total.member(left_quotient(w, atom))
                 assert total.member(right_quotient(atom, w))
+
+
+def sum_pool(semigroup, seed):
+    """Twelve seeded algebras of zero to two corpus languages."""
+    rng = random.Random(seed)
+    corpus = corpus_dfas()
+    return [generate_algebra([corpus[j] for j in rng.sample(range(len(corpus)), rng.randint(0, 2))],
+                             AB, semigroup=semigroup) for _ in range(12)]
+
+
+def sum_tower(alph, levels):
+    """B1..B(levels), with B0 the trivial algebra and B(n+1) = B(n) + B0."""
+    tower = [trivial_algebra(alph)]
+    for _ in range(levels):
+        tower.append(schutz_sum(tower[-1], tower[0]))
+    return tower[1:]
+
+
+def assert_sum_is_literal(b1, b2, max_states):
+    """``schutz_sum`` builds the algebra, generators and all, that the
+    closure of its literal generators' DFAs builds, or both meet the
+    ceiling; whether the literal closure does is returned."""
+    try:
+        want = _literal_sum(b1, b2, max_states=max_states)
+    except ResourceLimitError as exc:
+        with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
+            schutz_sum(b1, b2, max_states=max_states)
+        return False
+    got = schutz_sum(b1, b2, max_states=max_states)
+    assert (got.semigroup, got.transitions, got.generators) == (
+        want.semigroup, want.transitions, want.generators)
+    return True
+
+
+class TestSumTriples:
+    """In monoid mode ``schutz_sum`` is one closure of split-tracking
+    triples; the closure of the literal generators is its oracle."""
+
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_matches_the_literal_generators_on_corpus_pools(self, semigroup):
+        pool = sum_pool(semigroup, 5)
+        # every ordered pair in monoid mode; semigroup mode shares the path
+        pairs = zip(pool, pool[1:]) if semigroup else itertools.product(pool, repeat=2)
+        built = [assert_sum_is_literal(b1, b2, 600) for b1, b2 in pairs]
+        assert built.count(False) < len(built) // 4
+
+    @pytest.mark.parametrize("alph, atoms", [(AB, [4, 21, 133, 1073]), (ABC, [8, 439])],
+                             ids=["ab", "abc"])
+    def test_matches_the_literal_generators_on_the_tower(self, alph, atoms):
+        tower = sum_tower(alph, len(atoms))
+        assert [b.atom_count for b in tower] == atoms
+        trivial = trivial_algebra(alph)
+        for b in [trivial] + tower[:-1]:
+            assert assert_sum_is_literal(b, trivial, None)
+
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_ceiling_at_its_exact_size(self, semigroup):
+        b = generate_algebra([regex_to_dfa("a*b*", AB)], AB, semigroup=semigroup)
+        n = schutz_sum(b, b).atom_count
+        assert n == (240 if semigroup else 241)
+        assert schutz_sum(b, b, max_states=n).atom_count == n
+        with pytest.raises(ResourceLimitError, match=f"^submonoid closure exceeded {n - 1} elements$"):
+            schutz_sum(b, b, max_states=n - 1)
+
+    def test_ceiling_is_met_before_any_generator_is_built(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return marked_concat(*args)
+
+        monkeypatch.setattr(algebra, "marked_concat", counted)
+        b = generate_algebra([regex_to_dfa("(a|b)*a(a|b)(a|b)", AB)], AB)
+        with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 4000 elements$"):
+            schutz_sum(b, b, max_states=4000)
+        assert calls == []
+        # one marked concatenation per atom and letter, once the closure is in
+        assert schutz_sum(b, trivial_algebra(AB)).atom_count > 15
+        assert len(calls) == 15 * 2
+
+    def test_operands_over_different_universes_are_refused(self):
+        for other in (trivial_algebra(A1), trivial_algebra(AB, semigroup=True)):
+            with pytest.raises(InputError, match="same universe"):
+                schutz_sum(trivial_algebra(AB), other)
 
 
 class TestTransport:
@@ -399,7 +484,6 @@ def query_sum(base):
     return schutz_sum(b, b)
 
 
-ABC = Alphabet(("a", "b", "c"))
 UNION_ALGEBRAS = {
     **CORPUS_ALGEBRAS,
     **{f"{'semigroup' if semigroup else 'monoid'}-abc-{'+'.join(gens)}": generate_algebra(

@@ -294,6 +294,20 @@ class TestConstruct:
         assert "submonoid closure exceeded 4000 elements" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_bsum_ceiling_is_met_before_any_marked_concatenation(self, tmp_path, capsys, monkeypatch):
+        from langrec import algebra
+
+        # 15 atoms each, so 450 marked concatenations; the sum passes 4000 atoms
+        alg_file = tmp_path / "alg.json"
+        alg_file.write_text(json.dumps({"alphabet": ["a", "b"], "generators": ["(a|b)*a(a|b)(a|b)"]}))
+        calls = []
+        monkeypatch.setattr(algebra, "marked_concat", lambda *args: calls.append(args))
+        out = tmp_path / "out"
+        argv = ["construct", "bsum", "--input", str(alg_file), "--input2", str(alg_file)]
+        assert main([*argv, "--out", str(out)]) == 3
+        assert "submonoid closure exceeded 4000 elements" in capsys.readouterr().err
+        assert calls == [] and not out.exists()
+
     def test_algebra_ceiling_follows_the_environment(self, tmp_path, capsys, monkeypatch):
         from langrec.cli import _algebra_ceiling
 

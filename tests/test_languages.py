@@ -165,6 +165,19 @@ class TestRegexCompile:
         with pytest.raises(InputError, match="nested more than"):
             regex_to_dfa(Star(r), AB)
 
+    def test_each_postfix_star_is_a_nesting_level(self):
+        n = MAX_NESTING
+        for prefix, suffix in (("", ""), ("(" * (n // 2), ")" * (n // 2))):
+            inner = n - len(prefix)
+            r = parse_regex(prefix + "a" + "*" * inner + suffix)
+            assert parse_regex(render_regex(r)) == r
+            assert hash(r) == hash(parse_regex("a" + "*" * inner))
+            with pytest.raises(InputError, match="nested more than .* star is a level"):
+                parse_regex(prefix + "a" + "*" * (inner + 1) + suffix)
+        # a run of stars deeper than the stack is refused, not overflowed
+        with pytest.raises(InputError, match="nested more than"):
+            parse_regex("a" + "*" * 1200)
+
     def test_long_concatenation_within_budget(self):
         # a compile with a canonical DFA per prefix is cubic here: 16 s on
         # a 2-core VM
