@@ -9,29 +9,35 @@ generators, and the closure's Cayley graph is the atom machine as it
 stands.  The sum of two algebras over all words needs no generator DFA
 for that: its atoms are the classes of one morphism, which sends a word
 to its atom in each operand and to its splits around a marked letter,
-so ``schutz_sum`` closes those triples instead.
+so ``schutz_sum`` closes those triples instead.  Nor does ``transport``:
+a source word's atom is the atom of its image, one walk of the
+operand's machine.
 
 An algebra is stored as its atom machine, a ``FiniteQuotient`` whose
 elements are the atoms: the minimal automaton on the atoms (plus a
 start state for the empty word in semigroup mode), numbered
 breadth-first so that atom i is the i-th atom met in shortlex order.
 Two algebras over one universe are equal exactly when their machines
-are.  A word's atom is one run; a language is a member when one walk
-over the reachable (atom, state of L) pairs finds no atom split by it.
-Representative words and atom DFAs are built on first use.  The
-algebra is closed under word quotients, so every left quotient of a
-union of atoms is again one: the DFA of a member is read off the
-machine's left letter action (``FiniteQuotient.union_language`` over
-atom indices, named ``member_from_atoms`` here), with no minimisation.
-The quotient's table, atom(u) * atom(v) = atom(uv), and its evaluation
-morphism ``tau`` make the algebra its own dual recogniser.
+are, and ``==`` and ``hash`` read the machine alone: the generators an
+algebra was built from are no part of it.  Each constructor stores how
+to build them, and they are built on first read, like representative
+words and atom DFAs.  A word's atom is one run; a language is a member
+when one walk over the reachable (atom, state of L) pairs finds no atom
+split by it.  The algebra is closed under word quotients, so every left
+quotient of a union of atoms is again one: the DFA of a member is read
+off the machine's left letter action (``FiniteQuotient.union_language``
+over atom indices, named ``member_from_atoms`` here), with no
+minimisation.  The quotient's table, atom(u) * atom(v) = atom(uv),
+and its evaluation morphism ``tau`` make the algebra its own dual
+recogniser.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from operator import attrgetter
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InvariantError
 from .languages import (
@@ -60,11 +66,15 @@ from .monoids import (
 class LanguageAlgebra(FiniteQuotient):
     """Quotient-closed Boolean subalgebra of the languages over an
     alphabet, stored as its atom machine: the finite quotient whose
-    elements are the atoms, with the generators it was built from.
-    ``semigroup=True`` makes the universe the non-empty words and
-    complements relative to it."""
+    elements are the atoms.  ``semigroup=True`` makes the universe the
+    non-empty words and complements relative to it.  The generators the
+    algebra was built from are no part of it: the constructor stores
+    how to build them, and ``generators`` builds them on first read."""
 
-    generators: tuple[Dfa, ...]
+    # the algebra to its generators' DFAs, called once by ``generators``
+    _build_generators: Callable[["LanguageAlgebra"], Sequence[Dfa]] = field(
+        compare=False, repr=False
+    )
 
     # the quotient's queries, named for atoms
     atom_count = FiniteQuotient.size
@@ -80,6 +90,11 @@ class LanguageAlgebra(FiniteQuotient):
     def tau(self) -> MonoidMorphism:
         """The dual recogniser's evaluation morphism, word to atom."""
         return self.morphism
+
+    @cached_property
+    def generators(self) -> tuple[Dfa, ...]:
+        """The DFAs the algebra was built from, in construction order."""
+        return tuple(self._build_generators(self))
 
     @cached_property
     def atoms(self) -> tuple[Dfa, ...]:
@@ -137,14 +152,18 @@ def generate_algebra(
         if not generators:
             raise InputError("need an alphabet when no generators are given")
         alph = generators[0].alphabet
-    # the product with the universe is canonical, as the closure needs,
-    # and in semigroup mode it drops the empty word
-    universe = nonempty_universal(alph) if semigroup else universal_language(alph)
-    generators = [intersection(g, universe) for g in generators]
-    closure = transition_closure(alph, generators, semigroup=semigroup, max_size=max_states)
+    gens = _in_universe(generators, alph, semigroup)
+    closure = transition_closure(alph, gens, semigroup=semigroup, max_size=max_states)
     # distinct elements are distinct atoms, and the closure is numbered
     # breadth-first, so its Cayley graph is the atom machine
-    return LanguageAlgebra(alph, semigroup, closure.transitions, tuple(generators))
+    return LanguageAlgebra(alph, semigroup, closure.transitions, lambda _: gens)
+
+
+def _in_universe(dfas: Iterable[Dfa], alph: Alphabet, semigroup: bool) -> tuple[Dfa, ...]:
+    """Each DFA's product with the universe: canonical, as the closure
+    needs, and in semigroup mode with no empty word."""
+    universe = nonempty_universal(alph) if semigroup else universal_language(alph)
+    return tuple(intersection(d, universe) for d in dfas)
 
 
 def trivial_algebra(alph: Alphabet, semigroup: bool = False) -> LanguageAlgebra:
@@ -161,19 +180,28 @@ def inverse_image(
 ) -> Dfa:
     """Inverse image of L under the morphism sending each source letter
     to a word over L's alphabet."""
-    k = len(source)
-    images: list[tuple[int, ...]] = []
+    return _inverse_image(_letter_images(letter_map, source, l.alphabet), l, source)
+
+
+def _letter_images(
+    letter_map: Mapping[str, "str | Word"], source: Alphabet, target: Alphabet
+) -> tuple[tuple[int, ...], ...]:
+    """The letter indices of each source letter's image, in source order."""
+    images = []
     for name in source.letters:
         if name not in letter_map:
             raise InputError(f"letter {name!r} has no image")
         img = letter_map[name]
-        w = img if isinstance(img, Word) else Word.parse(l.alphabet, img)
-        if w.alphabet != l.alphabet:
+        w = img if isinstance(img, Word) else Word.parse(target, img)
+        if w.alphabet != target:
             raise InputError("letter images must be words over the target alphabet")
         images.append(w.indices)
-    trans = [
-        [l.run(q, images[c]) for c in range(k)] for q in range(l.states)
-    ]
+    return tuple(images)
+
+
+def _inverse_image(images: Sequence[tuple[int, ...]], l: Dfa, source: Alphabet) -> Dfa:
+    """``inverse_image`` along letter images already checked."""
+    trans = [[l.run(q, img) for img in images] for q in range(l.states)]
     return _canonical(source, trans, l.accepting, l.initial)
 
 
@@ -181,11 +209,41 @@ def transport(
     letter_map: Mapping[str, "str | Word"],
     b: LanguageAlgebra,
     source: Alphabet,
-    **bounds,
+    *,
+    max_states: int | None = None,
 ) -> LanguageAlgebra:
-    """The algebra of inverse images of b's members, quotient-closed."""
-    gens = [inverse_image(letter_map, a, source) for a in b.atoms]
-    return generate_algebra(gens, source, semigroup=b.semigroup, **bounds)
+    """The algebra over the source universe generated by the inverse
+    images of b's atoms under the morphism h sending each source letter
+    to a word over b's alphabet.
+
+    b's atoms are the classes of a congruence, so two source words
+    share an atom exactly when their images do: the atom machine is one
+    walk of b's machine along the letters' images.  In semigroup mode
+    the non-empty words sent to ε lie in no inverse image and form an
+    atom of their own.  ``max_states`` bounds the walk as it bounds a
+    closure; the generators are built on first read, from the images
+    given at the call."""
+    images = _letter_images(letter_map, source, b.alphabet)  # a snapshot
+    semigroup, g = b.semigroup, b.transitions
+    limit = closure_limit(max_states)
+
+    def step(x: int) -> Iterator[int]:
+        for img in images:
+            y = max(x, 0)  # the start state -1 reads as b's empty word
+            for c in img:
+                y = g[y][c]
+            yield y
+
+    _, rows = _explore(  # a semigroup's start state is no atom
+        -1 if semigroup else 0, step, limit + semigroup,
+        f"submonoid closure exceeded {limit} elements",
+    )
+
+    def generators(_: LanguageAlgebra) -> tuple[Dfa, ...]:
+        preimages = (_inverse_image(images, a, source) for a in b.atoms)
+        return _in_universe(preimages, source, semigroup)
+
+    return LanguageAlgebra(source, semigroup, rows, generators)
 
 
 # -- the binary sum (marked concatenations adjoined) -----------------------
@@ -206,10 +264,10 @@ def schutz_sum(
     when they share every generator, and the triples form a monoid:
     they are the joint syntactic classes, with no generator DFA read.
     ``max_states`` bounds the closure, and the generators (atoms of
-    both, then every marked concatenation) are built once it has
-    succeeded.  In semigroup mode a split with an empty prefix or
-    suffix is no generator, so the sum is the literal closure of the
-    generators' DFAs."""
+    both, then every marked concatenation) are built on first read.  In
+    semigroup mode a split with an empty prefix or suffix is no
+    generator, so the sum is the literal closure of the generators'
+    DFAs."""
     if b1.alphabet != b2.alphabet or b1.semigroup != b2.semigroup:
         raise InputError("operands must live over the same universe")
     if b1.semigroup:
@@ -232,7 +290,7 @@ def schutz_sum(
     _, rows = _explore(
         (0, (0,) * len(g2), 0), step, limit, f"submonoid closure exceeded {limit} elements"
     )
-    return LanguageAlgebra(b1.alphabet, False, rows, tuple(_sum_generators(b1, b2)))
+    return LanguageAlgebra(b1.alphabet, False, rows, lambda _: _sum_generators(b1, b2))
 
 
 def _sum_generators(b1: LanguageAlgebra, b2: LanguageAlgebra) -> list[Dfa]:
@@ -317,5 +375,5 @@ def recognised_algebra(
     graphs = (h.image.transitions for h in hs)
     cayley = [Dfa(alph, len(g), g, frozenset()) for g in graphs]
     closure = transition_closure(alph, cayley, semigroup=semigroup, max_size=max_size)
-    alg = LanguageAlgebra(alph, semigroup, closure.transitions, ())
-    return replace(alg, generators=alg.atoms)
+    # the atoms generate the algebra, each built once as an atom DFA
+    return LanguageAlgebra(alph, semigroup, closure.transitions, attrgetter("atoms"))

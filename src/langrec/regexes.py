@@ -22,8 +22,9 @@ canonical DFA of each such subterm is compiled the same way, combined by
 a product or by flipping acceptance, and embedded in the enclosing NFA.
 ``Concat(())`` denotes ε, ``Union(())`` ∅ and ``Intersect(())`` every
 word.  Parentheses, complements and postfix stars nest, and an AST's
-nodes stack, at most ``MAX_NESTING`` levels deep: parser, renderer and
-compiler recurse per level.
+operator nodes stack, at most ``MAX_NESTING`` levels deep (a letter or
+constant is no level): parser, renderer and compiler recurse per level.
+The parser checks both counts, so it refuses what the compiler would.
 """
 
 from __future__ import annotations
@@ -221,7 +222,11 @@ class _Parser:
 
 
 def parse_regex(text: str) -> Regex:
-    return _Parser(_tokenize(text)).parse()
+    r = _Parser(_tokenize(text)).parse()
+    # the compiler's count of levels, so that no regex parses that
+    # ``regex_to_dfa`` then refuses as too deep
+    regex_letters(r)
+    return r
 
 
 def _children(r: Regex) -> tuple[Regex, ...]:
@@ -233,18 +238,20 @@ def _children(r: Regex) -> tuple[Regex, ...]:
 
 
 def regex_letters(r: Regex) -> set[str]:
-    """The letter names in ``r``.  An AST nested more than
-    ``MAX_NESTING`` levels deep is refused: compiling it would overflow
-    the stack."""
+    """The letter names in ``r``.  An AST whose operator nodes nest
+    more than ``MAX_NESTING`` levels deep is refused: compiling it would
+    overflow the stack.  A leaf is no level, as a letter is none to the
+    parser."""
     out: set[str] = set()
-    stack = [(r, 1)]
+    stack = [(r, 0)]  # a node and the number of operators above it
     while stack:
         node, depth = stack.pop()
-        if depth > MAX_NESTING:
-            raise _too_deep()
         if isinstance(node, Letter):
             out.add(node.name)
-        stack.extend((c, depth + 1) for c in _children(node))
+        children = _children(node)
+        if children and depth == MAX_NESTING:
+            raise _too_deep()
+        stack.extend((c, depth + 1) for c in children)
     return out
 
 

@@ -183,12 +183,12 @@ class TestDualRecogniser:
     # breadth-first numbered graphs over {a, b} that are not Cayley graphs
 
     def test_non_associative_table_is_an_invariant_error(self):
-        bad = LanguageAlgebra(AB, False, [(0, 1), (2, 0), (0, 0)], ())
+        bad = LanguageAlgebra(AB, False, [(0, 1), (2, 0), (0, 0)], lambda _: ())
         with pytest.raises(InvariantError, match=r"not associative at \(1, 1, 2\)"):
             dual_recogniser(bad)
 
     def test_word_check_catches_an_associative_table(self):
-        bad = LanguageAlgebra(AB, False, [(0, 1), (0, 2), (0, 0)], ())
+        bad = LanguageAlgebra(AB, False, [(0, 1), (0, 2), (0, 0)], lambda _: ())
         assert dual_recogniser(bad) is bad  # Light's test passes
         assert check_dual_well_defined(bad, max_len=0)
         assert not check_dual_well_defined(bad, max_len=3)
@@ -315,14 +315,45 @@ class TestSumTriples:
         with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 4000 elements$"):
             schutz_sum(b, b, max_states=4000)
         assert calls == []
-        # one marked concatenation per atom and letter, once the closure is in
-        assert schutz_sum(b, trivial_algebra(AB)).atom_count > 15
+        # a sum that succeeds builds no generator either
+        total = schutz_sum(b, trivial_algebra(AB))
+        assert total.atom_count > 15
+        assert calls == []
+        # the first read builds one marked concatenation per atom and
+        # letter, and a second read builds none
+        assert len(total.generators) == 15 + 1 + 15 * 2
+        assert len(calls) == 15 * 2
+        assert total.generators is total.generators
         assert len(calls) == 15 * 2
 
     def test_operands_over_different_universes_are_refused(self):
         for other in (trivial_algebra(A1), trivial_algebra(AB, semigroup=True)):
             with pytest.raises(InputError, match="same universe"):
                 schutz_sum(trivial_algebra(AB), other)
+
+
+def literal_transport(letter_map, b, source, max_states=None):
+    """The algebra generated by the inverse images of b's atoms: the
+    definition ``transport`` walks b's machine instead of building."""
+    gens = [inverse_image(letter_map, a, source) for a in b.atoms]
+    return generate_algebra(gens, source, semigroup=b.semigroup, max_states=max_states)
+
+
+def assert_transport_is_literal(letter_map, b, source, max_states=None):
+    """``transport`` builds the algebra, generators and all, that its
+    literal definition builds, or both meet the ceiling with one
+    message; whether the literal closure does is returned."""
+    try:
+        want = literal_transport(letter_map, b, source, max_states)
+    except ResourceLimitError as exc:
+        with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
+            transport(letter_map, b, source, max_states=max_states)
+        return False
+    got = transport(letter_map, b, source, max_states=max_states)
+    assert (got.alphabet, got.semigroup, got.transitions) == (
+        want.alphabet, want.semigroup, want.transitions)
+    assert got.generators == want.generators
+    return True
 
 
 class TestTransport:
@@ -343,6 +374,61 @@ class TestTransport:
         l = regex_to_dfa("('a#0'|'b#0')*", ext.ext)
         assert inverse_image({"a": "a#0", "b": "b#0"}, l, AB) == universal_language(AB)
 
+    @pytest.mark.parametrize("semigroup", [False, True])
+    @pytest.mark.parametrize("source", [AB, ABC], ids=["ab", "abc"])
+    def test_matches_the_literal_inverse_images(self, semigroup, source):
+        rng = random.Random(21 + 2 * semigroup + len(source))
+        pool = sum_pool(semigroup, 3 + semigroup)
+        for _ in range(40):
+            letter_map = {c: "".join(rng.choice("ab") for _ in range(rng.randint(0, 3)))
+                          for c in source.letters}
+            assert assert_transport_is_literal(letter_map, rng.choice(pool), source)
+
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_empty_images(self, semigroup):
+        b = generate_algebra([regex_to_dfa("(ab)*", AB)], AB, semigroup=semigroup)
+        for letter_map in ({"a": "", "b": ""}, {"a": "ab", "b": ""}, {"a": "", "b": "ba"}):
+            assert assert_transport_is_literal(letter_map, b, AB)
+        for letter_map in ({"a": "", "b": "", "c": "a"}, {"a": "ab", "b": "", "c": ""}):
+            assert assert_transport_is_literal(letter_map, b, ABC)
+        # a non-empty word sent to ε lies in no inverse image: in semigroup
+        # mode it is an atom of its own, in monoid mode ε's atom
+        t = transport({"a": "ab", "b": ""}, b, AB)
+        assert t.atom_of("b") != t.atom_of("ab")
+        if semigroup:
+            assert all(not g.accepts("b") for g in t.generators)
+            assert t.atom_of("bb") == t.atom_of("b")
+        else:
+            assert t.atom_of("b") == t.atom_of(())
+
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_ceiling_at_its_exact_size(self, semigroup):
+        b = schutz_sum(*[generate_algebra([regex_to_dfa("a*b*", AB)], AB, semigroup=semigroup)] * 2)
+        letter_map = {"a": "ab", "b": "b", "c": "ba"}
+        n = transport(letter_map, b, ABC).atom_count
+        assert assert_transport_is_literal(letter_map, b, ABC, max_states=n)
+        assert not assert_transport_is_literal(letter_map, b, ABC, max_states=n - 1)
+        with pytest.raises(ResourceLimitError, match=f"^submonoid closure exceeded {n - 1} elements$"):
+            transport(letter_map, b, ABC, max_states=n - 1)
+
+    def test_letter_maps_are_validated_at_the_call(self):
+        b = generate_algebra([regex_to_dfa("(ab)*", AB)], AB)
+        with pytest.raises(InputError, match="^letter 'b' has no image$"):
+            transport({"a": "a"}, b, AB)
+        with pytest.raises(InputError, match="^letter images must be words over the target alphabet$"):
+            transport({"a": "a", "b": Word(A1, (0,))}, b, AB)
+        with pytest.raises(InputError, match="^letter images must be words over the target alphabet$"):
+            inverse_image({"a": "a", "b": Word(A1, (0,))}, b.atoms[0], AB)
+
+    def test_generators_keep_the_images_of_the_call(self):
+        b = generate_algebra([regex_to_dfa("(ab)*", AB)], AB)
+        letter_map = {"a": "ab", "b": "b"}
+        t = transport(letter_map, b, AB)
+        want = literal_transport(dict(letter_map), b, AB).generators
+        letter_map["a"] = "a"
+        del letter_map["b"]
+        assert t.generators == want
+
 
 class TestAlgebraEquality:
     def test_reflexive(self):
@@ -358,8 +444,24 @@ class TestAlgebraEquality:
     def test_distinguishes_modes(self):
         assert not algebra_equal(trivial_algebra(AB), trivial_algebra(AB, semigroup=True))
 
+    def test_equality_and_hash_ignore_the_generators(self):
+        b1 = generate_algebra([regex_to_dfa("(a|b)*a(a|b)*", AB)])
+        b2 = generate_algebra([regex_to_dfa("b*", AB)])
+        assert b1.generators != b2.generators
+        assert b1 == b2 and hash(b1) == hash(b2)
+        assert "generators" not in repr(b1)
+        assert b1 != trivial_algebra(AB)
+
 
 class TestRecognisedAlgebraResource:
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_generators_are_the_atoms(self, semigroup):
+        monoids = enumerate_monoids(2) + (enumerate_semigroups(2) if semigroup else ())
+        for m in monoids:
+            alg = recognised_algebra(m, AB, semigroup=semigroup)
+            assert alg.generators == alg.atoms
+            assert alg.generators[0] is alg.atoms[0]
+
     def test_atom_bound(self):
         z3 = FiniteMonoid(((0, 1, 2), (1, 2, 0), (2, 0, 1)), identity=0)
         with pytest.raises(ResourceLimitError):

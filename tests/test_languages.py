@@ -159,11 +159,32 @@ class TestRegexCompile:
             parse_regex("(" * (n + 1) + "a" + ")" * (n + 1))
         # alternating ~ and * recurse through the most frames per level
         r = Letter("a")
-        for i in range(n - 1):
+        for i in range(n):
             r = (Star, Complement)[i % 2](r)
         assert regex_to_dfa(r, AB) == reference_compile(r, AB)
         with pytest.raises(InputError, match="nested more than"):
             regex_to_dfa(Star(r), AB)
+
+    @pytest.mark.parametrize("prefix, suffix, want", [("~", "", "a"), ("", "*", "a*"), ("(", ")", "a")],
+                             ids=["complement", "star", "parenthesis"])
+    def test_parser_and_compiler_share_the_bound(self, prefix, suffix, want):
+        n = MAX_NESTING
+        text = prefix * n + "a" + suffix * n
+        r = parse_regex(text)
+        assert regex_to_dfa(text, AB) == regex_to_dfa(r, AB) == regex_to_dfa(want, AB)
+        deeper = prefix * (n + 1) + "a" + suffix * (n + 1)
+        for refuse in (parse_regex, lambda t: regex_to_dfa(t, AB)):
+            with pytest.raises(InputError, match="nested more than"):
+                refuse(deeper)
+        if prefix == "(":
+            return  # a parenthesis leaves no AST node
+        with pytest.raises(InputError, match="nested more than"):
+            regex_to_dfa((Complement if prefix else Star)(r), AB)
+        # a union above the levels is one more to the compiler, and the
+        # parser refuses what the compiler would
+        for refuse in (parse_regex, lambda t: regex_to_dfa(t, AB)):
+            with pytest.raises(InputError, match="nested more than"):
+                refuse("b|" + text)
 
     def test_each_postfix_star_is_a_nesting_level(self):
         n = MAX_NESTING
