@@ -68,7 +68,6 @@ from .marking import (
 )
 from .algebra import (
     LanguageAlgebra,
-    algebra_equal,
     algebra_leq,
     check_dual_well_defined,
     dual_recogniser,

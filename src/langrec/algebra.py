@@ -11,7 +11,8 @@ for that: its atoms are the classes of one morphism, which sends a word
 to its atom in each operand and to its splits around a marked letter,
 so ``schutz_sum`` closes those triples instead.  Nor does ``transport``:
 a source word's atom is the atom of its image, one walk of the
-operand's machine.
+operand's machine.  Nor does ``recognised_algebra``: an atom is a tuple
+of one image per morphism.
 
 An algebra is stored as its atom machine, a ``FiniteQuotient`` whose
 elements are the atoms: the minimal automaton on the atoms (plus a
@@ -36,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from operator import attrgetter
+from operator import attrgetter, getitem
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .errors import InputError, InvariantError
@@ -57,7 +58,9 @@ from .monoids import (
     FiniteMonoid,
     FiniteQuotient,
     MonoidMorphism,
+    _check_mode,
     all_morphisms,
+    generate_closure,
     transition_closure,
 )
 
@@ -112,15 +115,6 @@ class LanguageAlgebra(FiniteQuotient):
         return f"LanguageAlgebra({self.alphabet!r}, {mode}, atoms={self.atom_count})"
 
 
-def algebra_equal(b1: LanguageAlgebra, b2: LanguageAlgebra) -> bool:
-    """Equality of algebras via their canonical atom machines."""
-    return (
-        b1.alphabet == b2.alphabet
-        and b1.semigroup == b2.semigroup
-        and b1.transitions == b2.transitions
-    )
-
-
 def algebra_leq(b1: FiniteQuotient, b2: LanguageAlgebra) -> bool:
     """Whether every member of b1 is a member of b2: the words that lead
     b2's machine to one state all lead b1's machine to one state.  b1
@@ -148,6 +142,7 @@ def generate_algebra(
     separates them, that is, when they share a syntactic class of every
     generator: the atoms are the elements of the generators' transition
     closure, and ``max_states`` bounds it."""
+    _check_mode(semigroup)
     if alph is None:
         if not generators:
             raise InputError("need an alphabet when no generators are given")
@@ -361,19 +356,21 @@ def recognised_algebra(
     """Boolean algebra generated by every preimage h^-1(V) over every
     morphism h from the free monoid (semigroup) into m.
 
-    Its atoms are the fibres of the product of all morphisms, i.e. the
-    classes of words with one evaluation per morphism: the transition
-    closure of the morphisms' Cayley graphs.
+    Its atoms are the fibres of the product of all morphisms, the words
+    w with one tuple (h(w))_h: the closure of the letters' tuples
+    (h(c))_h, multiplied componentwise in m, is the atom machine.
     """
     if semigroup is None:
         semigroup = m.is_semigroup
-    if semigroup is False and m.is_semigroup:
+    _check_mode(semigroup)
+    if not semigroup and m.is_semigroup:
         raise InputError("monoid-mode algebra needs a monoid with identity")
     hs = all_morphisms(alph, m)
-    # a word leads the start state of the Cayley graph of h's image to
-    # h(w), and h(w) fixes where it leads every other state
-    graphs = (h.image.transitions for h in hs)
-    cayley = [Dfa(alph, len(g), g, frozenset()) for g in graphs]
-    closure = transition_closure(alph, cayley, semigroup=semigroup, max_size=max_size)
+    letters = list(zip(*(h.letter_images for h in hs)))
+    unit = None if semigroup else (m.identity,) * len(hs)
+    rows = m.table.__getitem__  # x * y is (x[i] * y[i])_i
+    closure = generate_closure(
+        letters, lambda x, y: tuple(map(getitem, map(rows, x), y)), unit, max_size=max_size
+    )
     # the atoms generate the algebra, each built once as an atom DFA
     return LanguageAlgebra(alph, semigroup, closure.transitions, attrgetter("atoms"))

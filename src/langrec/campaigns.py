@@ -11,11 +11,12 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable
 
 from .algebra import (
     LanguageAlgebra,
-    algebra_equal,
+    _literal_sum,
     algebra_leq,
     check_dual_well_defined,
     generate_algebra,
@@ -428,16 +429,11 @@ def _thm4_instance(s: FiniteMonoid, max_size: int) -> bool:
     diamond, _ = UnarySchutz(s).as_finite_monoid(max_base=3)
     lhs = recognised_algebra(diamond, alph, semigroup=True, max_size=max_size)
     base_alg = recognised_algebra(s, alph, semigroup=True, max_size=max_size)
-    gens: list[Dfa] = list(base_alg.atoms)
-    seen: set[Dfa] = set(gens)
-    for h in all_morphisms(ext.ext, s):
-        for m in range(s.size):
-            projected = exists_projection(h.preimage({m}))
-            if projected not in seen:
-                seen.add(projected)
-                gens.append(projected)
+    projected = [exists_projection(h.preimage({m}))
+                 for h in all_morphisms(ext.ext, s) for m in range(s.size)]
+    gens = list(dict.fromkeys(base_alg.atoms + tuple(projected)))
     rhs = generate_algebra(gens, alph, semigroup=True, max_states=max_size)
-    return algebra_equal(lhs, rhs)
+    return lhs == rhs
 
 
 def _thm4_record(s: FiniteMonoid, limit_status: str, max_size: int) -> dict:
@@ -538,23 +534,21 @@ def run_thm8(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int 
     return _pair_campaign(rep, pairs, max_monoid, check)
 
 
+def _image_algebra(phi: MonoidMorphism) -> LanguageAlgebra:
+    """The algebra of phi's preimages: the Cayley graph of phi's image,
+    whose atoms, the preimages of single elements, generate it."""
+    img = phi.image
+    return LanguageAlgebra(phi.alphabet, img.semigroup, img.transitions, attrgetter("atoms"))
+
+
 def _generated_concat_algebra(
-    phi1: MonoidMorphism, phi2: MonoidMorphism, **bounds
+    phi1: MonoidMorphism, phi2: MonoidMorphism, *, max_states: int | None = None
 ) -> LanguageAlgebra:
     """Algebra generated by both factor families and all their marked
-    concatenations; singleton accepting sets suffice because preimages
-    and marked concatenation distribute over unions."""
-    gens: list[Dfa] = []
-    for x in range(phi1.target.size):
-        gens.append(phi1.preimage({x}))
-    for y in range(phi2.target.size):
-        gens.append(phi2.preimage({y}))
-    for c in range(len(AB)):
-        for x in range(phi1.target.size):
-            l1 = phi1.preimage({x})
-            for y in range(phi2.target.size):
-                gens.append(marked_concat(l1, c, phi2.preimage({y})))
-    return generate_algebra(gens, AB, **bounds)
+    concatenations: the literal sum of the factors' algebras.  Their
+    atoms suffice because preimages and marked concatenation distribute
+    over unions, and an element outside an image has an empty preimage."""
+    return _literal_sum(_image_algebra(phi1), _image_algebra(phi2), max_states=max_states)
 
 
 def run_thm10(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int = 20000) -> Report:

@@ -304,20 +304,20 @@ def _equations_hold(q: FiniteQuotient, k: Dfa, b: LanguageAlgebra) -> bool:
     return all(side.setdefault(sig, x in sat) == (x in sat) for x, sig in sigs)
 
 
-def bsum2_membership_direct(k: Dfa, b: LanguageAlgebra, **bounds) -> bool:
+def bsum2_membership_direct(k: Dfa, b: LanguageAlgebra, *, max_states: int | None = None) -> bool:
     """Oracle: direct closure membership in the sum with the trivial algebra."""
-    return _trivial_sum(b, **bounds).member(k)
+    return _trivial_sum(b, max_states=max_states).member(k)
 
 
-def _trivial_sum(b: LanguageAlgebra, **bounds) -> LanguageAlgebra:
+def _trivial_sum(b: LanguageAlgebra, *, max_states: int | None = None) -> LanguageAlgebra:
     """The sum of b with the trivial algebra, as the closure of its
     literal generators' DFAs: no split-tracking triple, so the direct
     oracle shares no construction with ``bsum2_quotient``."""
-    return _literal_sum(b, trivial_algebra(b.alphabet, b.semigroup), **bounds)
+    return _literal_sum(b, trivial_algebra(b.alphabet, b.semigroup), max_states=max_states)
 
 
 def separation_witness(
-    k: Dfa, b: LanguageAlgebra, **bounds
+    k: Dfa, b: LanguageAlgebra, *, max_states: int | None = None
 ) -> tuple[Word, Word] | None:
     """If the candidate is outside the sum, the shortlex-least words in
     and out of K of the least atom of the sum that K splits; None
@@ -325,7 +325,7 @@ def separation_witness(
     finds the split atoms; only the least one's DFA is built."""
     if k.alphabet != b.alphabet:
         raise InputError("candidate and algebra must share an alphabet")
-    return _split_words(k, _trivial_sum(b, **bounds))
+    return _split_words(k, _trivial_sum(b, max_states=max_states))
 
 
 def _split_words(k: Dfa, total: LanguageAlgebra) -> tuple[Word, Word] | None:

@@ -420,6 +420,12 @@ def generate_closure(
     return GeneratedClosure(states[semigroup:], transitions, semigroup)
 
 
+def _check_mode(semigroup: bool) -> None:
+    """Refuse a mode flag such as 0, 2 or "no", which means neither mode."""
+    if type(semigroup) is not bool:
+        raise InputError(f"semigroup must be true or false, got {semigroup!r}")
+
+
 @dataclass(frozen=True)
 class FiniteQuotient:
     """A finite quotient of the free monoid (semigroup) on an alphabet,
@@ -437,6 +443,7 @@ class FiniteQuotient:
     _tree: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_mode(self.semigroup)
         g = tuple(map(tuple, self.transitions))
         object.__setattr__(self, "transitions", g)
         if not g:

@@ -12,9 +12,11 @@ from langrec import (
     InputError,
     InvariantError,
     LanguageAlgebra,
+    MonoidMorphism,
     ResourceLimitError,
+    UnarySchutz,
     Word,
-    algebra_equal,
+    all_morphisms,
     algebra_leq,
     check_dual_well_defined,
     difference,
@@ -28,6 +30,7 @@ from langrec import (
     inverse_image,
     joint_quotient,
     left_quotient,
+    local_schutz_morphism,
     marked_concat,
     recognised_algebra,
     regex_to_dfa,
@@ -39,12 +42,12 @@ from langrec import (
     union,
     universal_language,
 )
-from langrec import algebra, languages
+from langrec import algebra, languages, monoids
 from langrec.algebra import _literal_sum
-from langrec.campaigns import corpus_dfas
+from langrec.campaigns import _generated_concat_algebra, _image_algebra, _sample_pair, corpus_dfas
 from langrec.languages import _canonical, _minimise
 from langrec.marking import ExtendedAlphabet
-from langrec.monoids import generate_closure
+from langrec.monoids import generate_closure, transition_closure
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -206,7 +209,7 @@ class TestSchutzSum:
             for atom in b.atoms
             for c in range(2)
         ]
-        assert algebra_equal(total, generate_algebra(expected_gens, AB))
+        assert total == generate_algebra(expected_gens, AB)
 
     def test_trivial_sum_over_single_letter(self):
         total = schutz_sum(trivial_algebra(A1), trivial_algebra(A1))
@@ -360,7 +363,7 @@ class TestTransport:
     def test_identity_transport(self):
         b = generate_algebra([regex_to_dfa("(a|b)*a(a|b)*", AB)])
         same = transport({"a": "a", "b": "b"}, b, AB)
-        assert algebra_equal(b, same)
+        assert b == same
 
     def test_transport_along_unmarked_tagging(self):
         ext = ExtendedAlphabet(AB)
@@ -433,16 +436,14 @@ class TestTransport:
 class TestAlgebraEquality:
     def test_reflexive(self):
         b = generate_algebra([regex_to_dfa("(ab)*", AB)])
-        assert algebra_equal(b, b)
+        assert b == b
 
     def test_same_algebra_different_generators(self):
         l = regex_to_dfa("(a|b)*a(a|b)*", AB)
-        assert algebra_equal(
-            generate_algebra([l]), generate_algebra([regex_to_dfa("b*", AB)])
-        )
+        assert generate_algebra([l]) == generate_algebra([regex_to_dfa("b*", AB)])
 
     def test_distinguishes_modes(self):
-        assert not algebra_equal(trivial_algebra(AB), trivial_algebra(AB, semigroup=True))
+        assert trivial_algebra(AB) != trivial_algebra(AB, semigroup=True)
 
     def test_equality_and_hash_ignore_the_generators(self):
         b1 = generate_algebra([regex_to_dfa("(a|b)*a(a|b)*", AB)])
@@ -466,6 +467,177 @@ class TestRecognisedAlgebraResource:
         z3 = FiniteMonoid(((0, 1, 2), (1, 2, 0), (2, 0, 1)), identity=0)
         with pytest.raises(ResourceLimitError):
             recognised_algebra(z3, AB, max_size=2)
+
+
+def cayley_closure_algebra(m, alph, semigroup):
+    """The reference for ``recognised_algebra``: the transition closure
+    of every morphism's image Cayley graph, each a DFA accepting nothing."""
+    graphs = (h.image.transitions for h in all_morphisms(alph, m))
+    cayley = [Dfa(alph, len(g), g, frozenset()) for g in graphs]
+    return tuple(transition_closure(alph, cayley, semigroup=semigroup).transitions)
+
+
+def thm4_diamonds():
+    return [UnarySchutz(s).as_finite_monoid(max_base=3)[0] for s in enumerate_semigroups(2)]
+
+
+class TestRecognisedAlgebraClosure:
+    """``recognised_algebra`` is one closure of the letters' tuples
+    (h(c))_h over every morphism h, multiplied componentwise; it must
+    give the machine of the closure of the image Cayley graphs."""
+
+    @pytest.mark.parametrize("alph", [A1, AB], ids=["a", "ab"])
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_monoids_match_the_cayley_graph_closure(self, alph, semigroup):
+        for m in enumerate_monoids(1) + enumerate_monoids(2) + enumerate_monoids(3):
+            got = recognised_algebra(m, alph, semigroup=semigroup)
+            assert got.transitions == cayley_closure_algebra(m, alph, semigroup)
+
+    @pytest.mark.parametrize("alph", [A1, AB], ids=["a", "ab"])
+    def test_semigroups_match_the_cayley_graph_closure(self, alph):
+        for m in enumerate_semigroups(1) + enumerate_semigroups(2) + enumerate_semigroups(3):
+            got = recognised_algebra(m, alph)
+            assert got.semigroup
+            assert got.transitions == cayley_closure_algebra(m, alph, True)
+
+    def test_thm4_diamonds_match_the_cayley_graph_closure(self):
+        for diamond in thm4_diamonds():
+            got = recognised_algebra(diamond, AB, semigroup=True)
+            assert got.transitions == cayley_closure_algebra(diamond, AB, True)
+
+    def test_one_closure_and_no_transition_closure(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])  # the unit
+            return generate_closure(*args, **kwargs)
+
+        def refused(*args, **kwargs):
+            raise AssertionError("transition_closure called")
+
+        for module in (algebra, monoids):
+            monkeypatch.setattr(module, "generate_closure", counted)
+            monkeypatch.setattr(module, "transition_closure", refused)
+        u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
+        assert recognised_algebra(u1, AB).atom_count == 4
+        assert calls == [(0, 0, 0, 0)]  # one component per morphism
+        recognised_algebra(u1, AB, semigroup=True)
+        assert calls == [(0, 0, 0, 0), None]
+
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_ceiling_at_the_exact_size(self, semigroup):
+        for m in thm4_diamonds() if semigroup else enumerate_monoids(3):
+            n = recognised_algebra(m, AB, semigroup=semigroup).atom_count
+            assert recognised_algebra(m, AB, semigroup=semigroup, max_size=n).atom_count == n
+            with pytest.raises(ResourceLimitError, match=f"submonoid closure exceeded {n - 1} elements"):
+                recognised_algebra(m, AB, semigroup=semigroup, max_size=n - 1)
+
+
+class TestModeFlag:
+    """A ``semigroup`` flag that is not a bool is refused before any
+    closure runs: 2 and 0 passed truth tests as semigroup and monoid
+    mode, and "no" failed with a TypeError."""
+
+    @pytest.mark.parametrize("flag", [2, 0, 1, "no", None, 1.0])
+    def test_constructions_refuse_a_flag_that_is_not_a_bool(self, monkeypatch, flag):
+        def refused(*args, **kwargs):
+            raise AssertionError("a closure ran")
+
+        for module in (algebra, monoids):
+            monkeypatch.setattr(module, "generate_closure", refused)
+            monkeypatch.setattr(module, "transition_closure", refused)
+        builds = [
+            lambda: generate_algebra([regex_to_dfa("a", AB)], AB, semigroup=flag),
+            lambda: trivial_algebra(AB, flag),
+        ]
+        if flag is not None:  # None asks recognised_algebra for the monoid's own mode
+            builds.append(lambda: recognised_algebra(enumerate_semigroups(2)[0], AB, semigroup=flag))
+        for build in builds:
+            with pytest.raises(InputError, match="semigroup must be true or false"):
+                build()
+
+    @pytest.mark.parametrize("flag", [2, 0, 1, "no", None])
+    def test_every_quotient_refuses_a_flag_that_is_not_a_bool(self, flag):
+        with pytest.raises(InputError, match="semigroup must be true or false"):
+            FiniteQuotient(AB, flag, ((1, 1), (1, 1)))
+        with pytest.raises(InputError, match="semigroup must be true or false"):
+            LanguageAlgebra(AB, flag, ((0, 0),), lambda _: ())
+
+    def test_bool_flags_and_the_default_still_build(self):
+        assert generate_algebra([regex_to_dfa("a", AB)], AB, semigroup=True).atom_count == 2
+        assert trivial_algebra(AB, True).semigroup and not trivial_algebra(AB).semigroup
+        assert recognised_algebra(enumerate_semigroups(2)[0], AB).semigroup
+        with pytest.raises(InputError, match="needs a monoid with identity"):
+            recognised_algebra(enumerate_semigroups(2)[0], AB, semigroup=False)
+
+
+def looped_concat_algebra(phi1, phi2):
+    """The reference for thm10's algebra: the preimage of every element
+    of both targets and every marked concatenation of two, all built as
+    DFAs and closed."""
+    alph = phi1.alphabet
+    gens = [phi1.preimage({x}) for x in range(phi1.target.size)]
+    gens += [phi2.preimage({y}) for y in range(phi2.target.size)]
+    for c in range(len(alph)):
+        for x in range(phi1.target.size):
+            l1 = phi1.preimage({x})
+            for y in range(phi2.target.size):
+                gens.append(marked_concat(l1, c, phi2.preimage({y})))
+    return generate_algebra(gens, alph)
+
+
+def concat_pairs():
+    """40 seeded pairs over {a, b}, the benchmark's three fixed pairs, and
+    seeded pairs over {a} (targets of size <= 3) and {a, b, c} (<= 2)."""
+    rng = random.Random(0)
+    pairs = [_sample_pair(rng, 3) for _ in range(40)]
+    u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
+    z2 = FiniteMonoid(((0, 1), (1, 0)), identity=0)
+    for (m1, im1), (m2, im2) in (((u1, (0, 1)), (u1, (0, 1))), ((u1, (0, 1)), (u1, (1, 0))),
+                                 ((z2, (0, 1)), (u1, (0, 1)))):
+        pairs.append((MonoidMorphism(AB, m1, im1), MonoidMorphism(AB, m2, im2)))
+    rng = random.Random(1)
+    for alph, sizes in ((A1, (1, 2, 3)), (ABC, (1, 2))):
+        pool = [m for n in sizes for m in enumerate_monoids(n)]
+        for _ in range(6):
+            m1, m2 = rng.choice(pool), rng.choice(pool)
+            pairs.append(tuple(
+                MonoidMorphism(alph, m, tuple(rng.randrange(m.size) for _ in alph.letters))
+                for m in (m1, m2)
+            ))
+    return pairs
+
+
+class TestConcatAlgebra:
+    """Thm 10 as a four-way identity: the algebra generated by both
+    factors and their marked concatenations (looped reference, and the
+    literal sum of the factors' algebras), the split-tracking sum of
+    those algebras, and the Cayley graph of the local product-of-splits
+    morphism."""
+
+    def test_four_constructions_agree(self):
+        sizes = set()
+        for phi1, phi2 in concat_pairs():
+            got = _generated_concat_algebra(phi1, phi2)
+            assert got == looped_concat_algebra(phi1, phi2)
+            assert got == schutz_sum(_image_algebra(phi1), _image_algebra(phi2))
+            assert got.transitions == tuple(local_schutz_morphism(phi1, phi2).closure.transitions)
+            sizes.add((len(got.alphabet), got.atom_count))
+        assert {k for k, _ in sizes} == {1, 2, 3}
+        assert max(n for _, n in sizes) == 2635
+
+    def test_image_algebra_atoms_are_the_element_preimages(self):
+        for phi, _ in concat_pairs():
+            b = _image_algebra(phi)
+            assert b.atoms == tuple(phi.preimage({x}) for x in phi.image.elements)
+            assert b.generators == b.atoms
+
+    def test_ceiling_at_the_exact_size(self):
+        phi1, phi2 = concat_pairs()[-1]
+        n = _generated_concat_algebra(phi1, phi2).atom_count
+        assert _generated_concat_algebra(phi1, phi2, max_states=n).atom_count == n
+        with pytest.raises(ResourceLimitError, match=f"submonoid closure exceeded {n - 1} elements"):
+            _generated_concat_algebra(phi1, phi2, max_states=n - 1)
 
 
 class TestAtomCeiling:
@@ -570,7 +742,7 @@ class TestAtomMachine:
         alg.atom_of(AB.word("abba"))
         alg.saturation(regex_to_dfa("(a|b)*b", AB))
         alg.member_from_atoms([0, 3])
-        assert algebra_equal(alg, alg)
+        assert alg == alg
         dual_recogniser(alg)
         assert "atoms" not in vars(alg)
 
@@ -729,7 +901,7 @@ class TestTransitionClosureOracle:
         # a* with two accepting states for it and an unreachable state
         d = Dfa(AB, 4, ((1, 2), (0, 2), (2, 2), (0, 3)), frozenset({0, 1}), 0)
         alg = generate_algebra([d], AB, semigroup=semigroup)
-        assert algebra_equal(alg, generate_algebra([regex_to_dfa("a*", AB)], AB, semigroup=semigroup))
+        assert alg == generate_algebra([regex_to_dfa("a*", AB)], AB, semigroup=semigroup)
 
     @pytest.mark.parametrize("semigroup", [False, True])
     def test_atom_machines_are_minimal(self, semigroup):

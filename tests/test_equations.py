@@ -275,6 +275,16 @@ class TestSeparationWitness:
                 assert total.atom_of(u) == total.atom_of(v)
 
 
+    def test_max_states_bounds_the_sum_exactly(self):
+        b = generate_algebra([regex_to_dfa("(ab)*", AB)])
+        k = regex_to_dfa("(a|b)*ab", AB)
+        n = schutz_sum(b, trivial_algebra(AB)).atom_count
+        assert separation_witness(k, b, max_states=n) == separation_witness(k, b)
+        assert bsum2_membership_direct(k, b, max_states=n) == bsum2_membership_direct(k, b)
+        for decide in (separation_witness, bsum2_membership_direct):
+            with pytest.raises(ResourceLimitError, match=f"submonoid closure exceeded {n - 1} elements"):
+                decide(k, b, max_states=n - 1)
+
     def test_matches_the_per_atom_search(self):
         rng = random.Random(11)
         pool = ((), ("a*",), ("(a|b)*a",), ("(ab)*",), ("b(a|b)*",))
