@@ -251,13 +251,11 @@ def schutz_sum(
     A1 c A2 of their atoms.  Marked concatenation distributes over union
     in both arguments, so atom-level generators span all members.
 
-    In monoid mode the atom machine is the Cayley graph of the triples
-    (m1, S, m2) of the words w: m1 and m2 are w's atoms of b1 and b2,
-    and S holds, per atom y of b2, the bitmask of the pairs (atom x of
-    b1, letter c) of the splits w = u c v with u in x and v in y.  Such
-    a bit says that w lies in x c y, so two words share a triple exactly
-    when they share every generator, and the triples form a monoid:
-    they are the joint syntactic classes, with no generator DFA read.
+    In monoid mode the atom machine is the split closure of b1 and b2
+    with b2's machine riding along.  The bit (x, c) of w's mask at the
+    atom y of b2 says that w lies in x c y, so two words share (m1, S, m2)
+    exactly when they share every generator, and the triples form a
+    monoid: they are the joint syntactic classes, read from no DFA.
     ``max_states`` bounds the closure, and the generators (atoms of
     both, then every marked concatenation) are built on first read.  In
     semigroup mode a split with an empty prefix or suffix is no
@@ -267,25 +265,37 @@ def schutz_sum(
         raise InputError("operands must live over the same universe")
     if b1.semigroup:
         return _literal_sum(b1, b2, max_states=max_states)
-    g1, g2, k = b1.transitions, b2.transitions, len(b1.alphabet)
-    limit = closure_limit(max_states)
+    rows = _split_closure(b1.transitions, b2.transitions, b2.transitions, max_states)
+    return LanguageAlgebra(b1.alphabet, False, rows, lambda _: _sum_generators(b1, b2))
+
+
+def _split_closure(g1: Sequence, g2: Sequence, tail: Sequence, max_size: int | None) -> list:
+    """The split closure: the Cayley graph of the triples (m1, S, t) of
+    the words w, read from three Cayley graphs over one alphabet.  m1 is
+    w's element of g1, t its element of the rider ``tail``, and S holds,
+    per element y of g2, the bitmask of the pairs (element x of g1,
+    letter c) of the splits w = u c v with u in x and v in y.
+    ``max_size`` bounds the closure."""
+    k, limit = len(g1[0]), closure_limit(max_size)
     columns = [tuple(row[d] for row in g2) for d in range(k)]
+    zeros = [0] * len(g2)
 
     def step(x: tuple[int, tuple[int, ...], int]) -> Iterator:
-        m1, masks, m2 = x
+        m1, masks, t = x
+        row1, row_t, bit = g1[m1], tail[t], 1 << m1 * k
         for d, column in enumerate(columns):
             # w's splits u c v become the splits u c (v d) of w d, which
-            # gains one more, u = w and c = d with v = ε in b2's atom 0
-            moved = [0] * len(g2)
+            # gains one more, u = w and c = d with v = ε in g2's element 0
+            moved = zeros.copy()
+            moved[0] = bit << d
             for z, mask in zip(column, masks):
                 moved[z] |= mask
-            moved[0] |= 1 << (m1 * k + d)
-            yield g1[m1][d], tuple(moved), g2[m2][d]
+            yield row1[d], tuple(moved), row_t[d]
 
     _, rows = _explore(
         (0, (0,) * len(g2), 0), step, limit, f"submonoid closure exceeded {limit} elements"
     )
-    return LanguageAlgebra(b1.alphabet, False, rows, lambda _: _sum_generators(b1, b2))
+    return rows
 
 
 def _sum_generators(b1: LanguageAlgebra, b2: LanguageAlgebra) -> list[Dfa]:

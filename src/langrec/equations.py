@@ -12,13 +12,17 @@ For a quotient-closed algebra B, the defining condition of the equation
 set of "B plus marked concatenations with the full language" asks that
 the two points lie in the same B-atom and that, letter by letter, the
 factorisations p * eta(a) * q = point reach the same sets of B-atoms on
-the prefix side.  Every element of the quotient is realised by a word,
-so a factorisation in the quotient is exactly a word factorisation of
-its class, and the points p * eta(a) * q over all q are the states
-reachable from p * eta(a) in the Cayley graph: the decision builds no
-multiplication table, and the table scans below are its independent
-oracle.  The agreement with the direct closure oracle is re-validated
-empirically by the verification campaigns rather than assumed.
+the prefix side.  The quotient the decision reads is the joint one of
+B's atoms, their marked extensions and the candidate: the split closure
+that ``schutz_sum`` runs, here for the sum of B with the trivial
+algebra, with the candidate's syntactic machine riding along.  Every
+element of the quotient is realised by a word, so a factorisation in
+the quotient is exactly a word factorisation of its class, and the
+points p * eta(a) * q over all q are the states reachable from
+p * eta(a) in the Cayley graph: the decision builds no multiplication
+table, and the table scans below are its independent oracle.  The
+agreement with the direct closure oracle is re-validated empirically by
+the verification campaigns rather than assumed.
 """
 
 from __future__ import annotations
@@ -31,23 +35,20 @@ from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import InputError, PreconditionError
-from .algebra import LanguageAlgebra, _literal_sum, trivial_algebra
+from .algebra import LanguageAlgebra, _literal_sum, _split_closure, trivial_algebra
 from .languages import (
     Dfa,
     Word,
-    _explore,
     _letter_indices,
     _pairs,
     _state_labels,
-    canonicalise,
     difference,
     intersection,
     marked_concat,
     universal_language,
 )
 from .marking import MarkedWord, prefix_to_mark, replace_at_mark
-from .limits import closure_limit
-from .monoids import FiniteQuotient
+from .monoids import FiniteQuotient, syntactic_monoid
 
 
 def _check_point(q: FiniteQuotient, point: int) -> None:
@@ -180,31 +181,24 @@ def bsum2_quotient(
     k: Dfa, b: LanguageAlgebra, *, max_size: int | None = None
 ) -> FiniteQuotient:
     """Joint syntactic monoid of b's atoms, of every marked extension
-    atom.c.(all words) and of the candidate K: the Cayley graph of the
-    triples (m, S, f) of the words w, where m is b's element of w, S the
-    bitmask of the pairs (b's element of u, c) of the splits w = u c v,
-    and f the map w induces on the states of K's canonical DFA.  From
-    b's element x, w enters atom.c.(all words) when S holds some (p, c)
+    atom.c.(all words) and of the candidate K: the split closure of the
+    sum of b with the trivial algebra, with K's syntactic monoid riding
+    along.  A word w goes to the triple (m, S, t) of b's element of w,
+    the bitmask S of the pairs (b's element of u, c) of the splits
+    w = u c v, and w's element of K's syntactic monoid.  From b's
+    element x, w enters atom.c.(all words) when S holds some (p, c)
     with x p = atom, and leads x to x m otherwise: (m, S) is what w does
     to b's atom machine and to every extension's minimal DFA."""
     if b.semigroup:
         raise PreconditionError("equation machinery works over full-word algebras")
     if k.alphabet != b.alphabet:
         raise InputError("candidate and algebra must share an alphabet")
-    alph, g, n = b.alphabet, b.transitions, len(b.alphabet)
-    kt = canonicalise(k).transitions
-    k_letters = [tuple(row[c] for row in kt) for c in range(n)]
-    limit = closure_limit(max_size)
-
-    def step(x: tuple[int, int, tuple[int, ...]]) -> Iterable:
-        m, splits, f = x
-        for c, k_c in enumerate(k_letters):
-            yield g[m][c], splits | 1 << (m * n + c), tuple(map(k_c.__getitem__, f))
-
-    _, rows = _explore(
-        (0, 0, tuple(range(len(kt)))), step, limit, f"submonoid closure exceeded {limit} elements"
-    )
-    return FiniteQuotient(alph, False, rows)
+    # K's syntactic monoid is a quotient of the joint one, so its
+    # ceiling is met only where the joint closure's would be
+    rider = syntactic_monoid(k, max_size=max_size).transitions
+    trivial = ((0,) * len(b.alphabet),)  # the trivial algebra's one-state machine
+    rows = _split_closure(b.transitions, trivial, rider, max_size)
+    return FiniteQuotient(b.alphabet, False, rows)
 
 
 def _reach_masks(g: Sequence[Sequence[int]]) -> list[int]:

@@ -529,14 +529,12 @@ class Nfa:
     def __init__(
         self,
         alph: Alphabet,
-        n: int,
         trans: list[list[set[int]]],
         eps: list[set[int]],
         initials: set[int],
         finals: set[int],
     ):
         self.alphabet = alph
-        self.n = n
         self.trans = trans
         self.eps = eps
         self.initials = initials
@@ -589,7 +587,7 @@ def marked_concat(l1: Dfa, letter: "str | int", l2: Dfa) -> Dfa:
         trans.append([{off + l2.transitions[q][c]} for c in range(k)])
     eps: list[set[int]] = [set() for _ in range(n)]
     finals = {off + q for q in l2.accepting}
-    return Nfa(l1.alphabet, n, trans, eps, {l1.initial}, finals).determinize()
+    return Nfa(l1.alphabet, trans, eps, {l1.initial}, finals).determinize()
 
 
 def concat(l1: Dfa, l2: Dfa) -> Dfa:
@@ -608,7 +606,7 @@ def concat(l1: Dfa, l2: Dfa) -> Dfa:
     for q in l1.accepting:
         eps[q].add(off + l2.initial)
     finals = {off + q for q in l2.accepting}
-    return Nfa(l1.alphabet, n, trans, eps, {l1.initial}, finals).determinize()
+    return Nfa(l1.alphabet, trans, eps, {l1.initial}, finals).determinize()
 
 
 def star(l: Dfa) -> Dfa:
@@ -623,7 +621,7 @@ def star(l: Dfa) -> Dfa:
     for q in l.accepting:
         eps[1 + q].add(1 + l.initial)
     finals = {0} | {1 + q for q in l.accepting}
-    return Nfa(l.alphabet, n, trans, eps, {0}, finals).determinize()
+    return Nfa(l.alphabet, trans, eps, {0}, finals).determinize()
 
 
 def concat_decompose(l1: Dfa, l2: Dfa, verbatim: bool = False) -> Dfa:

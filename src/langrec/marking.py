@@ -33,9 +33,6 @@ class ExtendedAlphabet:
             names.append(f"{name}#1")
         return Alphabet(tuple(names))
 
-    def split(self, ext_index: int) -> tuple[int, int]:
-        return divmod(ext_index, 2)[0], ext_index % 2
-
     @staticmethod
     def match(alph: Alphabet) -> "ExtendedAlphabet | None":
         """Recover the base alphabet if `alph` has the doubled shape."""
@@ -197,5 +194,5 @@ def exists_projection(l: Dfa, max_states: int | None = None) -> Dfa:
         for q in range(restricted.states)
     ]
     eps: list[set[int]] = [set() for _ in range(restricted.states)]
-    nfa = Nfa(base, restricted.states, trans, eps, {restricted.initial}, set(restricted.accepting))
+    nfa = Nfa(base, trans, eps, {restricted.initial}, set(restricted.accepting))
     return nfa.determinize(max_states)

@@ -326,7 +326,7 @@ def _thompson(r: Regex, alph: Alphabet) -> Nfa:
         return s, e
 
     start, end = build(r)
-    return Nfa(alph, len(eps), trans, eps, {start}, {end})
+    return Nfa(alph, trans, eps, {start}, {end})
 
 
 def render_regex(r: Regex) -> str:

@@ -24,6 +24,7 @@ from langrec import (
     satisfies_equation,
     schutz_sum,
     separation_witness,
+    syntactic_monoid,
     trivial_algebra,
     universal_language,
 )
@@ -444,6 +445,22 @@ class TestJointQuotient:
             with pytest.raises(ResourceLimitError, match=f"^submonoid closure exceeded {size - 1} elements$"):
                 bsum2_quotient(k, b)
             monkeypatch.delenv("LANGREC_MAX_CLOSURE")
+
+    def test_ceiling_met_by_the_candidate_alone(self, monkeypatch):
+        # K's syntactic monoid alone has 15 elements, more than the ceiling
+        k = regex_to_dfa("(a|b)*a(a|b)(a|b)", AB)
+        assert syntactic_monoid(k).size == 15
+        for gens, size in (((), 17), (("b*",), 33)):
+            b = generate_algebra([regex_to_dfa(g, AB) for g in gens], AB)
+            with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 14 elements$"):
+                bsum2_quotient(k, b, max_size=14)
+            monkeypatch.setenv("LANGREC_MAX_CLOSURE", "14")
+            with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 14 elements$"):
+                bsum2_quotient(k, b)
+            monkeypatch.delenv("LANGREC_MAX_CLOSURE")
+            q = bsum2_quotient(k, b)
+            assert q == marked_concat_quotient(k, b)
+            assert q.size == size
 
     def test_decides_with_no_table_and_no_subset_construction(self, monkeypatch):
         def forbidden(*args, **kwargs):
