@@ -6,9 +6,11 @@ language-equivalent, and states numbered by breadth-first discovery
 order from the initial state, exploring letters in alphabet order.  Two
 DFAs produced here denote the same language exactly when they are equal
 field by field, so language equality is structural equality.  That
-numbering is made in one place, ``_explore``, which also numbers the
+numbering is made in one place, ``_explore``, which also numbers every
 subset construction and every submonoid and transition closure, and
-checks their ceilings.
+checks their ceilings.  ``_subset_dfa`` is the one subset construction:
+``marked_concat``, ``concat``, ``star``, ``exists_projection`` and the
+regex compiler each give it their own step function.
 """
 
 from __future__ import annotations
@@ -519,109 +521,78 @@ def right_quotient(l: Dfa, w: Word) -> Dfa:
     return _canonical(l.alphabet, l.transitions, acc, l.initial)
 
 
-# -- NFA machinery (internal) ------------------------------------------
+# -- subset constructions ----------------------------------------------
 
 
-class Nfa:
-    """Epsilon-NFA used internally for regex compilation and concatenation-like
-    constructions."""
-
-    def __init__(
-        self,
-        alph: Alphabet,
-        trans: list[list[set[int]]],
-        eps: list[set[int]],
-        initials: set[int],
-        finals: set[int],
-    ):
-        self.alphabet = alph
-        self.trans = trans
-        self.eps = eps
-        self.initials = initials
-        self.finals = finals
-
-    def _eclose(self, states: Iterable[int]) -> frozenset[int]:
-        out = set(states)
-        stack = list(out)
-        while stack:
-            q = stack.pop()
-            for r in self.eps[q]:
-                if r not in out:
-                    out.add(r)
-                    stack.append(r)
-        return frozenset(out)
-
-    def determinize(self, max_states: int | None = None) -> Dfa:
-        limit = closure_limit(max_states)
-        letters = range(len(self.alphabet))
-        trans = self.trans
-
-        def step(s: frozenset[int]) -> list[frozenset[int]]:
-            return [self._eclose(set().union(*(trans[q][c] for q in s))) for c in letters]
-
-        subsets, rows = _explore(
-            self._eclose(self.initials), step, limit,
-            f"subset construction exceeded {limit} states",
-        )
-        acc = {i for i, s in enumerate(subsets) if s & self.finals}
-        return _canonical(self.alphabet, rows, acc, 0)
+def _subset_dfa(
+    alph: Alphabet,
+    start,
+    step: Callable[[object], Iterable],
+    accepts: Callable[[object], bool],
+    max_states: int | None = None,
+) -> Dfa:
+    """The canonical DFA of a subset construction: ``step`` gives a
+    state's successor per letter, ``accepts`` tells which states accept.
+    At most ``closure_limit(max_states)`` states are built."""
+    limit = closure_limit(max_states)
+    states, rows = _explore(start, step, limit, f"subset construction exceeded {limit} states")
+    return _canonical(alph, rows, [i for i, s in enumerate(states) if accepts(s)], 0)
 
 
 # -- concatenation-like operations --------------------------------------
 
 
 def marked_concat(l1: Dfa, letter: "str | int", l2: Dfa) -> Dfa:
-    """The language { u a v : u in L1, v in L2 } for a single letter a."""
+    """The language { u a v : u in L1, v in L2 } for a single letter a:
+    the subset construction over pairs (state of L1, set of L2 states),
+    where reading a from an accepting L1 state starts a run of L2."""
     _require_same_alphabet(l1, l2)
     (a,) = _letter_indices(l1.alphabet, (letter,))
-    k = len(l1.alphabet)
-    off = l1.states
-    n = l1.states + l2.states
-    trans: list[list[set[int]]] = []
-    for q in range(l1.states):
-        row = [{l1.transitions[q][c]} for c in range(k)]
-        if q in l1.accepting:
-            row[a] = row[a] | {off + l2.initial}
-        trans.append(row)
-    for q in range(l2.states):
-        trans.append([{off + l2.transitions[q][c]} for c in range(k)])
-    eps: list[set[int]] = [set() for _ in range(n)]
-    finals = {off + q for q in l2.accepting}
-    return Nfa(l1.alphabet, trans, eps, {l1.initial}, finals).determinize()
+    t1, acc1, start2 = l1.transitions, l1.accepting, frozenset({l2.initial})
+    cols = list(zip(*l2.transitions))  # per letter, each L2 state's successor
+
+    def step(s: tuple[int, frozenset[int]]) -> Iterator[tuple[int, frozenset[int]]]:
+        p, tail = s
+        for c, col in enumerate(cols):
+            moved = frozenset(map(col.__getitem__, tail))
+            yield t1[p][c], (moved | start2 if c == a and p in acc1 else moved)
+
+    return _subset_dfa(
+        l1.alphabet, (l1.initial, frozenset()), step, lambda s: not l2.accepting.isdisjoint(s[1])
+    )
 
 
 def concat(l1: Dfa, l2: Dfa) -> Dfa:
-    """Classical concatenation via an epsilon-NFA; serves as the independent
-    construction against which ``concat_decompose`` is validated."""
+    """Classical concatenation: the subset construction over pairs (state
+    of L1, set of L2 states), where each accepting L1 state starts a run
+    of L2.  The independent construction against which
+    ``concat_decompose`` is validated."""
     _require_same_alphabet(l1, l2)
-    k = len(l1.alphabet)
-    off = l1.states
-    n = l1.states + l2.states
-    trans: list[list[set[int]]] = []
-    for q in range(l1.states):
-        trans.append([{l1.transitions[q][c]} for c in range(k)])
-    for q in range(l2.states):
-        trans.append([{off + l2.transitions[q][c]} for c in range(k)])
-    eps: list[set[int]] = [set() for _ in range(n)]
-    for q in l1.accepting:
-        eps[q].add(off + l2.initial)
-    finals = {off + q for q in l2.accepting}
-    return Nfa(l1.alphabet, trans, eps, {l1.initial}, finals).determinize()
+    t1, acc1, start2 = l1.transitions, l1.accepting, frozenset({l2.initial})
+    cols = list(zip(*l2.transitions))  # per letter, each L2 state's successor
+
+    def step(s: tuple[int, frozenset[int]]) -> Iterator[tuple[int, frozenset[int]]]:
+        p, tail = s
+        for p1, col in zip(t1[p], cols):
+            moved = frozenset(map(col.__getitem__, tail))
+            yield p1, (moved | start2 if p1 in acc1 else moved)
+
+    start = (l1.initial, start2 if l1.initial in acc1 else frozenset())
+    return _subset_dfa(l1.alphabet, start, step, lambda s: not l2.accepting.isdisjoint(s[1]))
 
 
 def star(l: Dfa) -> Dfa:
-    """Kleene star via an epsilon-NFA."""
-    k = len(l.alphabet)
-    n = l.states + 1
-    trans: list[list[set[int]]] = [[set() for _ in range(k)]]
-    for q in range(l.states):
-        trans.append([{1 + l.transitions[q][c]} for c in range(k)])
-    eps: list[set[int]] = [set() for _ in range(n)]
-    eps[0].add(1 + l.initial)
-    for q in l.accepting:
-        eps[1 + q].add(1 + l.initial)
-    finals = {0} | {1 + q for q in l.accepting}
-    return Nfa(l.alphabet, trans, eps, {0}, finals).determinize()
+    """Kleene star: the subset construction over sets of L's states, where
+    reaching an accepting state starts a new run of L.  The empty set is
+    the start state: it accepts ε and reads as L's initial state."""
+    acc, start, cols = l.accepting, frozenset({l.initial}), list(zip(*l.transitions))
+
+    def step(s: frozenset[int]) -> Iterator[frozenset[int]]:
+        for col in cols:
+            moved = frozenset(map(col.__getitem__, s or start))
+            yield moved if acc.isdisjoint(moved) else moved | start
+
+    return _subset_dfa(l.alphabet, frozenset(), step, lambda s: not s or not acc.isdisjoint(s))
 
 
 def concat_decompose(l1: Dfa, l2: Dfa, verbatim: bool = False) -> Dfa:
@@ -633,6 +604,8 @@ def concat_decompose(l1: Dfa, l2: Dfa, verbatim: bool = False) -> Dfa:
     which drops the words of L1 paired with the empty suffix; the flag
     exists so the uncorrected identity can be evaluated for comparison.
     """
+    if type(verbatim) is not bool:  # "no" or 0 would be read by truthiness
+        raise InputError(f"verbatim must be true or false, got {verbatim!r}")
     _require_same_alphabet(l1, l2)
     alph = l1.alphabet
     out = empty_language(alph)

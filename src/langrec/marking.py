@@ -15,7 +15,7 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import InputError
-from .languages import Alphabet, Dfa, Nfa, Word, _letter_indices, intersection
+from .languages import Alphabet, Dfa, Word, _canonical, _letter_indices, _subset_dfa, intersection
 
 
 @dataclass(frozen=True)
@@ -165,8 +165,6 @@ def one_mark_language(ext: ExtendedAlphabet) -> Dfa:
     rows = []
     for q, on_mark in ((0, 1), (1, 2), (2, 2)):
         rows.append(tuple(q if c % 2 == 0 else on_mark for c in range(k)))
-    from .languages import _canonical
-
     return _canonical(ext.ext, rows, {1}, 0)
 
 
@@ -176,7 +174,9 @@ def exists_projection(l: Dfa, max_states: int | None = None) -> Dfa:
     ``l`` is a language over a doubled alphabet; words with zero or
     several 1-tags are tolerated in ``l`` and ignored: the operation
     first intersects with the exactly-one-mark language, then projects
-    the tags away (nondeterministically), determinises and minimises.
+    the tags away by the subset construction over sets of the
+    intersection's states, where a base letter reads both of its tags.
+    ``max_states`` bounds the subsets built.
     """
     ext = ExtendedAlphabet.match(l.alphabet)
     if ext is None:
@@ -184,15 +184,12 @@ def exists_projection(l: Dfa, max_states: int | None = None) -> Dfa:
             f"alphabet {l.alphabet.letters} is not a doubled alphabet"
         )
     restricted = intersection(l, one_mark_language(ext))
-    base = ext.base
-    k = len(base)
-    trans = [
-        [
-            {restricted.transitions[q][2 * c], restricted.transitions[q][2 * c + 1]}
-            for c in range(k)
-        ]
-        for q in range(restricted.states)
-    ]
-    eps: list[set[int]] = [set() for _ in range(restricted.states)]
-    nfa = Nfa(base, trans, eps, {restricted.initial}, set(restricted.accepting))
-    return nfa.determinize(max_states)
+    t, acc = restricted.transitions, restricted.accepting
+
+    def step(s: frozenset[int]) -> Iterator[frozenset[int]]:
+        for c in range(0, len(l.alphabet), 2):  # both tags of one base letter
+            yield frozenset([t[q][c] for q in s] + [t[q][c + 1] for q in s])
+
+    return _subset_dfa(
+        ext.base, frozenset({restricted.initial}), step, lambda s: not acc.isdisjoint(s), max_states
+    )

@@ -33,7 +33,7 @@ import functools
 from dataclasses import dataclass
 
 from .errors import InputError
-from .languages import Alphabet, Dfa, Nfa, complement, intersection, universal_language
+from .languages import Alphabet, Dfa, _subset_dfa, complement, intersection, universal_language
 
 
 @dataclass(frozen=True)
@@ -273,13 +273,33 @@ def _compile(r: Regex, alph: Alphabet) -> Dfa:
         return functools.reduce(intersection, parts or [universal_language(alph)])
     if isinstance(r, Complement):
         return complement(_compile(r.inner, alph))
-    return _thompson(r, alph).determinize()
+    trans, eps, start, end = _thompson(r, alph)
+    letters = range(len(alph))
+
+    def step(s: frozenset[int]) -> list[frozenset[int]]:
+        return [_eclose(eps, set().union(*(trans[q][c] for q in s))) for c in letters]
+
+    return _subset_dfa(alph, _eclose(eps, {start}), step, lambda s: end in s)
 
 
-def _thompson(r: Regex, alph: Alphabet) -> Nfa:
-    """Thompson's ε-NFA of ``r``: each node is a fragment with a fresh
-    start state that no edge enters and a fresh end state that no edge
-    leaves.  An ``&`` or ``~`` node embeds its canonical DFA."""
+def _eclose(eps: list[set[int]], states: set[int]) -> frozenset[int]:
+    """The states reachable from ``states`` by ε-moves."""
+    out = set(states)
+    stack = list(out)
+    while stack:
+        q = stack.pop()
+        for r in eps[q]:
+            if r not in out:
+                out.add(r)
+                stack.append(r)
+    return frozenset(out)
+
+
+def _thompson(r: Regex, alph: Alphabet) -> tuple[list, list[set[int]], int, int]:
+    """Thompson's ε-NFA of ``r`` as its letter table, its ε table, its
+    start and its end state.  Each node is a fragment with a fresh start
+    state that no edge enters and a fresh end state that no edge leaves.
+    An ``&`` or ``~`` node embeds its canonical DFA."""
     k = len(alph)
     trans: list[list[set[int]]] = []
     eps: list[set[int]] = []
@@ -326,7 +346,7 @@ def _thompson(r: Regex, alph: Alphabet) -> Nfa:
         return s, e
 
     start, end = build(r)
-    return Nfa(alph, trans, eps, {start}, {end})
+    return trans, eps, start, end
 
 
 def render_regex(r: Regex) -> str:

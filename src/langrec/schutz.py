@@ -94,11 +94,16 @@ def _low_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-def _too_large(what: str, size: int, bound: str, limit: int) -> ResourceLimitError:
-    return ResourceLimitError(
-        f"{what} has {size} elements, above the materialisation bound "
-        f"{bound}={limit}; raise it with construct --max-size"
-    )
+def _check_bound(what: str, size: int, bound: str, limit: int) -> None:
+    """Refuse a materialisation bound that is no positive integer, and a
+    size above the bound."""
+    if type(limit) is not int or limit < 1:  # a bool or a float is no bound
+        raise InputError(f"{bound} must be a positive integer, got {limit!r}")
+    if size > limit:
+        raise ResourceLimitError(
+            f"{what} has {size} elements, above the materialisation bound "
+            f"{bound}={limit}; raise it with construct --max-size"
+        )
 
 
 @dataclass(frozen=True)
@@ -279,9 +284,7 @@ class UnarySchutz(_PowersetProduct):
     def as_finite_monoid(
         self, max_base: int = _MATERIALISE_BASE_LIMIT
     ) -> tuple[FiniteMonoid, tuple[tuple[frozenset, int], ...]]:
-        n = self.base.size
-        if n > max_base:
-            raise _too_large("the unary product's base", n, "max_base", max_base)
+        _check_bound("the unary product's base", self.base.size, "max_base", max_base)
         return self._materialise()
 
 
@@ -331,9 +334,7 @@ class BinarySchutz(_PowersetProduct):
     def as_finite_monoid(
         self, max_carrier: int = _MATERIALISE_CARRIER_LIMIT
     ) -> tuple[FiniteMonoid, tuple[tuple[frozenset, int, int], ...]]:
-        if self.size > max_carrier:
-            raise _too_large("the binary product's carrier", self.size,
-                             "max_carrier", max_carrier)
+        _check_bound("the binary product's carrier", self.size, "max_carrier", max_carrier)
         return self._materialise()
 
 

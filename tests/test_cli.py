@@ -250,6 +250,21 @@ class TestConstruct:
         p.write_text(z7.to_json())
         assert main(["construct", "schutz1", "--input", str(p), "--out", str(tmp_path)]) == 3
 
+    @pytest.mark.parametrize("kind, bound", [
+        ("schutz1", "max_base"), ("schutz2", "max_carrier"),
+    ])
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_schutz_refuses_a_bound_that_is_not_positive(self, tmp_path, capsys, kind, bound, size):
+        # an input error, not a resource limit to be raised with --max-size
+        p = tmp_path / "u1.json"
+        p.write_text(FiniteMonoid(((0, 1), (1, 1)), identity=0).to_json())
+        extra = ["--input2", str(p)] if kind == "schutz2" else []
+        out = tmp_path / "out"
+        argv = ["construct", kind, "--input", str(p), *extra, "--max-size", size, "--out", str(out)]
+        assert main(argv) == 2
+        assert f"{bound} must be a positive integer, got {size}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_synmon_max_size_bounds_the_monoid(self, tmp_path):
         # the syntactic monoid of a(a|b)* has 3 elements
         args = ["construct", "synmon", "--regex", "a(a|b)*", "--alphabet", "a,b",

@@ -36,7 +36,7 @@ from langrec.equations import (
     lemma_witness_check,
 )
 from langrec.campaigns import corpus_dfas, random_regex
-from langrec.languages import Nfa, difference, intersection, marked_concat, symmetric_difference
+from langrec.languages import difference, intersection, marked_concat, symmetric_difference
 from langrec.monoids import FiniteQuotient
 
 AB = Alphabet(("a", "b"))
@@ -476,7 +476,8 @@ class TestJointQuotient:
         monkeypatch.setattr(FiniteQuotient, "monoid", property(forbidden))
         monkeypatch.setattr("langrec.equations.marked_concat", forbidden)
         monkeypatch.setattr("langrec.languages.marked_concat", forbidden)
-        monkeypatch.setattr(Nfa, "determinize", forbidden)
+        for module in ("languages", "marking", "regexes"):  # each subset construction
+            monkeypatch.setattr(f"langrec.{module}._subset_dfa", forbidden)
         for k, b, direct, eqs in cases:
             assert bsum2_membership_by_equations(k, b) == direct
             assert equation_set(bsum2_quotient(k, b), b) == eqs

@@ -9,6 +9,7 @@ from langrec import (
     Dfa,
     InputError,
     MarkedWord,
+    ResourceLimitError,
     Word,
     boolean_combine,
     complement,
@@ -41,9 +42,12 @@ from langrec.campaigns import (
     random_word,
 )
 from langrec.equations import lemma_witness_check
-from langrec.languages import canonicalise
+from langrec.languages import _canonical, _explore, canonicalise
+from langrec.marking import ExtendedAlphabet, exists_projection, one_mark_language
 from langrec.regexes import (
     MAX_NESTING,
+    _children,
+    _thompson,
     Complement,
     Concat,
     Empty,
@@ -305,10 +309,199 @@ class TestConcatDecompose:
         assert verbatim != full
         assert union(verbatim, astar) == full
 
+    @pytest.mark.parametrize("flag", ["no", 0, 1, None])
+    def test_verbatim_flag_must_be_a_bool(self, flag):
+        d = regex_to_dfa("a*", AB)
+        with pytest.raises(InputError, match="^verbatim must be true or false"):
+            concat_decompose(d, d, verbatim=flag)
+
     def test_verbatim_form_equal_when_no_empty_suffix(self):
         l1 = regex_to_dfa("a*", AB)
         l2 = regex_to_dfa("b(a|b)*", AB)
         assert concat_decompose(l1, l2, verbatim=True) == concat_decompose(l1, l2)
+
+
+class Nfa:
+    """An ε-NFA and its subset construction, the reference for the
+    package's step-function subset constructions.  ``determinize`` returns
+    the canonical DFA and the number of subsets it built."""
+
+    def __init__(self, alph, trans, eps, initials, finals):
+        self.alphabet = alph
+        self.trans = trans
+        self.eps = eps
+        self.initials = initials
+        self.finals = finals
+
+    def _eclose(self, states):
+        out = set(states)
+        stack = list(out)
+        while stack:
+            q = stack.pop()
+            for r in self.eps[q]:
+                if r not in out:
+                    out.add(r)
+                    stack.append(r)
+        return frozenset(out)
+
+    def determinize(self):
+        letters = range(len(self.alphabet))
+        trans = self.trans
+
+        def step(s):
+            return [self._eclose(set().union(*(trans[q][c] for q in s))) for c in letters]
+
+        subsets, rows = _explore(self._eclose(self.initials), step)
+        acc = {i for i, s in enumerate(subsets) if s & self.finals}
+        return _canonical(self.alphabet, rows, acc, 0), len(subsets)
+
+
+def nfa_marked_concat(l1, a, l2):
+    """L1's states, then L2's; reading a from an accepting L1 state also
+    enters L2's initial state."""
+    k = len(l1.alphabet)
+    off = l1.states
+    trans = []
+    for q in range(l1.states):
+        row = [{l1.transitions[q][c]} for c in range(k)]
+        if q in l1.accepting:
+            row[a] = row[a] | {off + l2.initial}
+        trans.append(row)
+    for q in range(l2.states):
+        trans.append([{off + l2.transitions[q][c]} for c in range(k)])
+    eps = [set() for _ in range(l1.states + l2.states)]
+    finals = {off + q for q in l2.accepting}
+    return Nfa(l1.alphabet, trans, eps, {l1.initial}, finals).determinize()
+
+
+def nfa_concat(l1, l2):
+    """L1's states, then L2's, with an ε-move from each accepting L1 state
+    to L2's initial state."""
+    k = len(l1.alphabet)
+    off = l1.states
+    trans = []
+    for q in range(l1.states):
+        trans.append([{l1.transitions[q][c]} for c in range(k)])
+    for q in range(l2.states):
+        trans.append([{off + l2.transitions[q][c]} for c in range(k)])
+    eps = [set() for _ in range(l1.states + l2.states)]
+    for q in l1.accepting:
+        eps[q].add(off + l2.initial)
+    finals = {off + q for q in l2.accepting}
+    return Nfa(l1.alphabet, trans, eps, {l1.initial}, finals).determinize()
+
+
+def nfa_star(l):
+    """A fresh accepting start state 0, then L's states, with ε-moves to
+    L's initial state from state 0 and from each accepting state."""
+    k = len(l.alphabet)
+    trans = [[set() for _ in range(k)]]
+    for q in range(l.states):
+        trans.append([{1 + l.transitions[q][c]} for c in range(k)])
+    eps = [set() for _ in range(l.states + 1)]
+    eps[0].add(1 + l.initial)
+    for q in l.accepting:
+        eps[1 + q].add(1 + l.initial)
+    finals = {0} | {1 + q for q in l.accepting}
+    return Nfa(l.alphabet, trans, eps, {0}, finals).determinize()
+
+
+def nfa_exists_projection(l):
+    """The one-mark restriction of l, each base letter moving along both
+    of its tags."""
+    ext = ExtendedAlphabet.match(l.alphabet)
+    r = intersection(l, one_mark_language(ext))
+    trans = [
+        [{r.transitions[q][2 * c], r.transitions[q][2 * c + 1]} for c in range(len(ext.base))]
+        for q in range(r.states)
+    ]
+    eps = [set() for _ in range(r.states)]
+    return Nfa(ext.base, trans, eps, {r.initial}, set(r.accepting)).determinize()
+
+
+def nfa_regex(r, alph):
+    trans, eps, start, end = _thompson(r, alph)
+    return Nfa(alph, trans, eps, {start}, {end}).determinize()
+
+
+def has_product_node(r):
+    """Whether an ``&`` or ``~`` node, compiled by a subset construction
+    of its own, sits anywhere in r."""
+    return isinstance(r, (Intersect, Complement)) or any(map(has_product_node, _children(r)))
+
+
+class TestSubsetConstructions:
+    """Each subset construction against its ε-NFA reference: the same
+    canonical DFA, and a default ceiling equal to the reference's subset
+    count n passes while n - 1 is refused, so both build n subsets."""
+
+    ALPHABETS = [Alphabet(("a",)), AB, Alphabet(("a", "b", "c"))]
+
+    @staticmethod
+    def check(monkeypatch, build, reference):
+        want, n = reference
+        monkeypatch.setenv("LANGREC_MAX_CLOSURE", str(n))
+        assert build() == want
+        if n > 1:
+            monkeypatch.setenv("LANGREC_MAX_CLOSURE", str(n - 1))
+            with pytest.raises(ResourceLimitError, match=f"^subset construction exceeded {n - 1} states$"):
+                build()
+        monkeypatch.delenv("LANGREC_MAX_CLOSURE")
+
+    @staticmethod
+    def pool(rng, alph):
+        """∅, ε, seeded draws, and draws united with ε."""
+        draws = [random_regex(rng, alph, depth=rng.randint(2, 5)) for _ in range(10)]
+        draws[8:] = [Union((r, Epsilon())) for r in draws[8:]]
+        return [empty_language(alph), epsilon_language(alph)] + [regex_to_dfa(r, alph) for r in draws]
+
+    @pytest.mark.parametrize("alph", ALPHABETS, ids=["a", "ab", "abc"])
+    def test_concatenations_and_star(self, monkeypatch, alph):
+        monkeypatch.delenv("LANGREC_MAX_CLOSURE", raising=False)
+        pool = self.pool(random.Random(len(alph)), alph)
+        assert any(l.accepts(()) for l in pool[2:])
+        counts = set()
+        for l1 in pool:
+            self.check(monkeypatch, lambda: star(l1), nfa_star(l1))
+            for l2 in pool:
+                want = nfa_concat(l1, l2)
+                counts.add(want[1])
+                self.check(monkeypatch, lambda: concat(l1, l2), want)
+                for a in range(len(alph)):
+                    self.check(monkeypatch, lambda: marked_concat(l1, a, l2),
+                               nfa_marked_concat(l1, a, l2))
+        assert len(counts) > 3
+
+    @pytest.mark.parametrize("alph", ALPHABETS, ids=["a", "ab", "abc"])
+    def test_exists_projection(self, monkeypatch, alph):
+        monkeypatch.delenv("LANGREC_MAX_CLOSURE", raising=False)
+        rng = random.Random(10 + len(alph))
+        ext = ExtendedAlphabet(alph).ext
+        unmarked = Alphabet(tuple(f"{x}#0" for x in alph.letters))
+        counts = set()
+        for i in range(16):
+            # mostly one 1-tagged letter between two unmarked draws, so the
+            # one-mark restriction is seldom empty
+            if i % 4:
+                mark = Letter(f"{rng.choice(alph.letters)}#1")
+                r = Concat((random_regex(rng, unmarked, 3), mark, random_regex(rng, unmarked, 3)))
+            else:
+                r = random_regex(rng, ext, 4)
+            l = regex_to_dfa(r, ext)
+            want = nfa_exists_projection(l)
+            counts.add(want[1])
+            self.check(monkeypatch, lambda: exists_projection(l), want)
+        assert len(counts) > 3
+
+    @pytest.mark.parametrize("alph", ALPHABETS, ids=["a", "ab", "abc"])
+    def test_regex_compile(self, monkeypatch, alph):
+        monkeypatch.delenv("LANGREC_MAX_CLOSURE", raising=False)
+        rng = random.Random(20 + len(alph))
+        draws = [random_regex(rng, alph, depth=4) for _ in range(40)]
+        draws = [r for r in draws if not has_product_node(r)]
+        assert len(draws) > 20
+        for r in draws:
+            self.check(monkeypatch, lambda: regex_to_dfa(r, alph), nfa_regex(r, alph))
 
 
 class TestCanonicity:

@@ -96,6 +96,13 @@ class TestUnaryProduct:
         with pytest.raises(ResourceLimitError):
             UnarySchutz(z7).as_finite_monoid()
 
+    @pytest.mark.parametrize("bound", [True, 2.5, 0, -3])
+    def test_materialisation_bound_must_be_a_positive_integer(self, bound):
+        with pytest.raises(InputError, match="^max_base must be a positive integer"):
+            UnarySchutz(U1).as_finite_monoid(max_base=bound)
+        with pytest.raises(InputError, match="^max_carrier must be a positive integer"):
+            BinarySchutz(U1, U1).as_finite_monoid(max_carrier=bound)
+
 
 class TestUnaryActions:
     def test_unit_component_is_identity(self):
