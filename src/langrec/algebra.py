@@ -10,9 +10,9 @@ stands.  The sum of two algebras over all words needs no generator DFA
 for that: its atoms are the classes of one morphism, which sends a word
 to its atom in each operand and to its splits around a marked letter,
 so ``schutz_sum`` closes those triples instead.  Nor does ``transport``:
-a source word's atom is the atom of its image, one walk of the
-operand's machine.  Nor does ``recognised_algebra``: an atom is a tuple
-of one image per morphism.
+a source word's atom is the atom of its image, closed in the operand's
+machine.  Nor does ``recognised_algebra``: an atom is a tuple of one
+image per morphism.  Each of the three is one ``generate_closure``.
 
 An algebra is stored as its atom machine, a ``FiniteQuotient`` whose
 elements are the atoms: the minimal automaton on the atoms (plus a
@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from operator import attrgetter, getitem
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import InputError, InvariantError
 from .languages import (
@@ -46,14 +46,12 @@ from .languages import (
     Dfa,
     Word,
     _canonical,
-    _explore,
     _state_labels,
     intersection,
     marked_concat,
     nonempty_universal,
     universal_language,
 )
-from .limits import closure_limit
 from .monoids import (
     FiniteMonoid,
     FiniteQuotient,
@@ -182,6 +180,9 @@ def _letter_images(
     letter_map: Mapping[str, "str | Word"], source: Alphabet, target: Alphabet
 ) -> tuple[tuple[int, ...], ...]:
     """The letter indices of each source letter's image, in source order."""
+    for name in letter_map:
+        if name not in source:
+            raise InputError(f"letter {name!r} is not in the source alphabet {source.letters}")
     images = []
     for name in source.letters:
         if name not in letter_map:
@@ -212,33 +213,31 @@ def transport(
     to a word over b's alphabet.
 
     b's atoms are the classes of a congruence, so two source words
-    share an atom exactly when their images do: the atom machine is one
-    walk of b's machine along the letters' images.  In semigroup mode
-    the non-empty words sent to ε lie in no inverse image and form an
-    atom of their own.  ``max_states`` bounds the walk as it bounds a
-    closure; the generators are built on first read, from the images
-    given at the call."""
+    share an atom exactly when their images do: the atom machine is the
+    closure of the letters' images in b's Cayley graph, where x times y
+    is where any word reaching y leads x.  In semigroup mode the
+    non-empty words sent to ε lie in no inverse image and form an atom
+    of their own.  ``max_states`` bounds the closure; the generators are
+    built on first read, from the images given at the call."""
     images = _letter_images(letter_map, source, b.alphabet)  # a snapshot
-    semigroup, g = b.semigroup, b.transitions
-    limit = closure_limit(max_states)
+    g = b.transitions
 
-    def step(x: int) -> Iterator[int]:
-        for img in images:
-            y = max(x, 0)  # the start state -1 reads as b's empty word
-            for c in img:
-                y = g[y][c]
-            yield y
+    def run(x: int, word: tuple[int, ...]) -> int:
+        for c in word:
+            x = g[x][c]
+        return x
 
-    _, rows = _explore(  # a semigroup's start state is no atom
-        -1 if semigroup else 0, step, limit + semigroup,
-        f"submonoid closure exceeded {limit} elements",
+    reach = {run(0, img): img for img in images}  # one image word per element
+    unit = None if b.semigroup else 0
+    closure = generate_closure(
+        [run(0, img) for img in images], lambda x, y: run(x, reach[y]), unit, max_size=max_states
     )
 
     def generators(_: LanguageAlgebra) -> tuple[Dfa, ...]:
         preimages = (_inverse_image(images, a, source) for a in b.atoms)
-        return _in_universe(preimages, source, semigroup)
+        return _in_universe(preimages, source, b.semigroup)
 
-    return LanguageAlgebra(source, semigroup, rows, generators)
+    return LanguageAlgebra(source, b.semigroup, closure.transitions, generators)
 
 
 # -- the binary sum (marked concatenations adjoined) -----------------------
@@ -274,28 +273,23 @@ def _split_closure(g1: Sequence, g2: Sequence, tail: Sequence, max_size: int | N
     the words w, read from three Cayley graphs over one alphabet.  m1 is
     w's element of g1, t its element of the rider ``tail``, and S holds,
     per element y of g2, the bitmask of the pairs (element x of g1,
-    letter c) of the splits w = u c v with u in x and v in y.
-    ``max_size`` bounds the closure."""
-    k, limit = len(g1[0]), closure_limit(max_size)
+    letter c) of the splits w = u c v with u in x and v in y.  The
+    letters generate it; ``max_size`` bounds it."""
+    k = len(g1[0])
     columns = [tuple(row[d] for row in g2) for d in range(k)]
     zeros = [0] * len(g2)
 
-    def step(x: tuple[int, tuple[int, ...], int]) -> Iterator:
+    def mul(x: tuple[int, tuple[int, ...], int], d: int) -> tuple:
+        # w's splits u c v become the splits u c (v d) of w d, which gains
+        # one more, u = w and c = d with v = ε in g2's element 0
         m1, masks, t = x
-        row1, row_t, bit = g1[m1], tail[t], 1 << m1 * k
-        for d, column in enumerate(columns):
-            # w's splits u c v become the splits u c (v d) of w d, which
-            # gains one more, u = w and c = d with v = ε in g2's element 0
-            moved = zeros.copy()
-            moved[0] = bit << d
-            for z, mask in zip(column, masks):
-                moved[z] |= mask
-            yield row1[d], tuple(moved), row_t[d]
+        moved = zeros.copy()
+        moved[0] = 1 << m1 * k + d
+        for z, mask in zip(columns[d], masks):
+            moved[z] |= mask
+        return g1[m1][d], tuple(moved), tail[t][d]
 
-    _, rows = _explore(
-        (0, (0,) * len(g2), 0), step, limit, f"submonoid closure exceeded {limit} elements"
-    )
-    return rows
+    return generate_closure(range(k), mul, (0, tuple(zeros), 0), max_size=max_size).transitions
 
 
 def _sum_generators(b1: LanguageAlgebra, b2: LanguageAlgebra) -> list[Dfa]:

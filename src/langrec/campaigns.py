@@ -858,10 +858,13 @@ _FLAG_MINIMUM = {"samples": 1, "max_size": 1, "max_len": 0}
 def run_campaign(theorem: str, seed: int = 0, **flags: int | None) -> Report:
     """Run one campaign; identical settings give an identical report.  A
     flag left at None keeps the runner's default; a flag the campaign has
-    no parameter for, or a value below the flag's minimum, is refused."""
+    no parameter for, a seed or value that is not an ``int``, or a value
+    below the flag's minimum, is refused."""
     if theorem not in _CAMPAIGNS:
         raise InputError(f"unknown campaign {theorem!r}; choose from {sorted(_CAMPAIGNS)}")
     runner, parameters = _CAMPAIGNS[theorem]
+    if type(seed) is not int:  # True or 2.5 would be written into the report
+        raise InputError(f"--seed must be an integer, got {seed!r}")
     kwargs: dict = {"seed": seed}
     for flag, value in flags.items():
         if value is None:
@@ -869,6 +872,8 @@ def run_campaign(theorem: str, seed: int = 0, **flags: int | None) -> Report:
         name = f"--{flag.replace('_', '-')}"
         if flag not in parameters:
             raise InputError(f"{name} has no meaning for the {theorem} campaign")
+        if type(value) is not int:
+            raise InputError(f"{name} must be an integer, got {value!r}")
         if value < _FLAG_MINIMUM[flag]:
             raise InputError(f"{name} must be at least {_FLAG_MINIMUM[flag]}, got {value}")
         kwargs[parameters[flag]] = value

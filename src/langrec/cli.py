@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -29,8 +28,7 @@ from .algebra import (
 )
 from .campaigns import _CAMPAIGNS, run_campaign
 from .errors import InputError, LangrecError
-from .languages import Alphabet, Dfa, Word, left_quotient, right_quotient
-from .limits import closure_limit
+from .languages import Alphabet, Dfa, Word, closure_limit, left_quotient, right_quotient
 from .marking import exists_projection
 from .monoids import FiniteMonoid, syntactic_monoid
 from .regexes import dfa_to_regex, regex_to_dfa
@@ -46,7 +44,7 @@ def _algebra_ceiling() -> int:
     """Closure ceiling of ``construct synmon|algebra|bsum|dualrec``
     without ``--max-size``:
     ``LANGREC_MAX_CLOSURE`` when it is set, else 4000."""
-    return closure_limit(None if os.environ.get("LANGREC_MAX_CLOSURE") else _ALGEBRA_CLOSURE)
+    return closure_limit(default=_ALGEBRA_CLOSURE)
 
 
 def _parse_alphabet(spec: str | None) -> Alphabet:

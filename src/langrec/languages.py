@@ -7,22 +7,23 @@ order from the initial state, exploring letters in alphabet order.  Two
 DFAs produced here denote the same language exactly when they are equal
 field by field, so language equality is structural equality.  That
 numbering is made in one place, ``_explore``, which also numbers every
-subset construction and every submonoid and transition closure, and
-checks their ceilings.  ``_subset_dfa`` is the one subset construction:
-``marked_concat``, ``concat``, ``star``, ``exists_projection`` and the
-regex compiler each give it their own step function.
+subset construction and every closure.  Two builders bound it with
+``closure_limit``: ``_subset_dfa``, the one subset construction, to
+which ``marked_concat``, ``concat``, ``star``, ``exists_projection`` and
+the regex compiler give their step functions, and the one submonoid
+closure, ``monoids.generate_closure``.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import InputError, ResourceLimitError
-from .limits import closure_limit
 
 
 @dataclass(frozen=True)
@@ -293,7 +294,30 @@ def _json_int(value: object) -> int:
     return _json_ints((value,))[0]
 
 
-# -- canonical form ----------------------------------------------------
+# -- canonical form and closure ceilings -------------------------------
+
+DEFAULT_CLOSURE = 100_000
+
+
+def closure_limit(requested: int | None = None, *, default: int = DEFAULT_CLOSURE) -> int:
+    """Ceiling of a bounded ``_explore``: the explicit argument, else
+    the ``LANGREC_MAX_CLOSURE`` environment variable, else ``default``."""
+    if requested is not None:
+        if type(requested) is not int:  # a bool or a float is no bound
+            raise InputError(f"closure limit must be an integer, got {requested!r}")
+        if requested < 1:
+            raise InputError(f"closure limit must be positive, got {requested}")
+        return requested
+    raw = os.environ.get("LANGREC_MAX_CLOSURE")
+    if raw:
+        try:
+            value = int(raw)
+        except ValueError as exc:
+            raise InputError(f"LANGREC_MAX_CLOSURE is not an integer: {raw!r}") from exc
+        if value < 1:
+            raise InputError(f"LANGREC_MAX_CLOSURE must be positive, got {value}")
+        return value
+    return default
 
 
 def _explore(

@@ -22,8 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .languages import Alphabet, Dfa, Word, _explore, _state_labels, canonicalise
-from .languages import _json_int, _json_ints, _letter_indices
-from .limits import closure_limit
+from .languages import _json_int, _json_ints, _letter_indices, closure_limit
 
 _INT = frozenset({int})
 
@@ -321,12 +320,17 @@ class MonoidMorphism:
 
     def preimage(self, accept: Iterable[int]) -> Dfa:
         """Canonical DFA of the inverse image of a set of elements."""
-        want = frozenset(accept)
-        n = self.target.size
-        for v in want:  # True and 1.0 equal 1, but are not elements
-            if type(v) is not int or not 0 <= v < n:
-                raise InputError(f"element {v!r} is not an integer in 0..{n - 1}")
+        want = _elements(accept, self.target.size)
         return self.image.language(self.alphabet, want.__contains__)
+
+
+def _elements(values: Iterable[int], n: int) -> frozenset[int]:
+    """The values as a set of elements 0..n-1, each one checked."""
+    values = tuple(values)
+    for v in values:  # True and 1.0 equal 1, but are not elements
+        if type(v) is not int or not 0 <= v < n:
+            raise InputError(f"element {v!r} is not an integer in 0..{n - 1}")
+    return frozenset(values)
 
 
 def all_morphisms(
@@ -356,7 +360,7 @@ def syntactic_monoid(l: Dfa, max_size: int | None = None) -> FiniteQuotient:
 
 def is_minimal_recogniser(m: FiniteMonoid, accept: Iterable[int], max_size: int = 6) -> bool:
     """No proper quotient of m still separates `accept` from its complement."""
-    want = set(accept)
+    want = _elements(accept, m.size)
     for part in m.proper_congruences(max_size=max_size):
         blocks: dict[int, set[int]] = {}
         for x, b in enumerate(part):
@@ -412,7 +416,7 @@ def generate_closure(
     start = object() if semigroup else unit  # the empty word's own state
 
     def step(x) -> Iterable:  # one product at a time, each dropped once numbered
-        return images if semigroup and x is start else (mul(x, g) for g in images)
+        return images if semigroup and x is start else map(mul, itertools.repeat(x), images)
 
     states, transitions = _explore(  # a semigroup's start state is no element
         start, step, limit + semigroup, f"submonoid closure exceeded {limit} elements"
@@ -686,6 +690,8 @@ def morphism_preserves_actions(
     g = tuple(monoid_map) if monoid_map is not None else f
     if len(f) != src.carrier or len(g) != src.monoid.size:
         raise InputError("map sizes do not match the source structure")
+    _elements(f, dst.carrier)
+    _elements(g, dst.monoid.size)
     for m in range(src.monoid.size):
         fm = g[m]
         for x in range(src.carrier):

@@ -55,6 +55,7 @@ from .monoids import (
     FiniteMonoid,
     GeneratedClosure,
     MonoidMorphism,
+    _elements,
     generate_closure,
 )
 
@@ -413,15 +414,16 @@ def exists_language(
     """Canonical DFA of the words with some marking in tau^-1(accept),
     decided through the product-valued morphism and a hit clopen."""
     ext = _require_extended(tau)
+    clopen = HitClopen("hit", _elements(accept, tau.target.size))
     clo = exists_closure(tau, max_size=max_size)
-    clopen = HitClopen("hit", frozenset(accept))
     return clo.language(ext.base, lambda e: clopen.contains(e[0]))
 
 
 def recognises_exists(tau: MonoidMorphism, accept: Iterable[int], w: Word) -> bool:
     """Pointwise form: whether the profile of w lands in hit(V) x M."""
+    clopen = HitClopen("hit", _elements(accept, tau.target.size))
     marked, _ = exists_profile(tau, w)
-    return HitClopen("hit", frozenset(accept)).contains(marked)
+    return clopen.contains(marked)
 
 
 # -- split maps and the local recogniser for marked concatenation -----------
@@ -493,9 +495,9 @@ def split_language(
     the content of the global concatenation theorem says this equals the
     marked concatenation of the two preimages."""
     alph = _require_shared(phi1, phi2)
+    want = itertools.product(_elements(v1, phi1.target.size), _elements(v2, phi2.target.size))
+    clopen = HitClopen("hit", frozenset(want))
     clo = split_closure(phi1, phi2, letter, max_size=max_size)
-    want = frozenset(itertools.product(tuple(v1), tuple(v2)))
-    clopen = HitClopen("hit", want)
     return clo.language(alph, lambda e: clopen.contains(e[0]))
 
 

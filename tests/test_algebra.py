@@ -44,8 +44,14 @@ from langrec import (
 )
 from langrec import algebra, languages, monoids
 from langrec.algebra import _literal_sum
-from langrec.campaigns import _generated_concat_algebra, _image_algebra, _sample_pair, corpus_dfas
-from langrec.languages import _canonical, _minimise
+from langrec.campaigns import (
+    _generated_concat_algebra,
+    _image_algebra,
+    _sample_pair,
+    corpus_dfas,
+    random_regex,
+)
+from langrec.languages import _canonical, _explore, _minimise, closure_limit
 from langrec.marking import ExtendedAlphabet
 from langrec.monoids import generate_closure, transition_closure
 
@@ -422,6 +428,12 @@ class TestTransport:
             transport({"a": "a", "b": Word(A1, (0,))}, b, AB)
         with pytest.raises(InputError, match="^letter images must be words over the target alphabet$"):
             inverse_image({"a": "a", "b": Word(A1, (0,))}, b.atoms[0], AB)
+        # a key outside the source alphabet names no letter to send
+        outside = r"^letter 'z' is not in the source alphabet \('a', 'b'\)$"
+        with pytest.raises(InputError, match=outside):
+            transport({"a": "a", "b": "b", "z": "a"}, b, AB)
+        with pytest.raises(InputError, match=outside):
+            inverse_image({"a": "a", "b": "b", "z": "a"}, b.atoms[0], AB)
 
     def test_generators_keep_the_images_of_the_call(self):
         b = generate_algebra([regex_to_dfa("(ab)*", AB)], AB)
@@ -431,6 +443,100 @@ class TestTransport:
         letter_map["a"] = "a"
         del letter_map["b"]
         assert t.generators == want
+
+
+def walked_transport(letter_map, b, source, max_states=None):
+    """``transport``'s atom machine as one breadth-first walk of b's
+    machine along the letters' images, from a start state -1 of its own
+    in semigroup mode: the walk ``transport`` made before it became a
+    submonoid closure, kept as its reference."""
+    images = algebra._letter_images(letter_map, source, b.alphabet)
+    semigroup, g = b.semigroup, b.transitions
+    limit = closure_limit(max_states)
+
+    def step(x):
+        for img in images:
+            y = max(x, 0)  # the start state -1 reads as b's empty word
+            for c in img:
+                y = g[y][c]
+            yield y
+
+    _, rows = _explore(
+        -1 if semigroup else 0, step, limit + semigroup,
+        f"submonoid closure exceeded {limit} elements",
+    )
+    return tuple(rows)
+
+
+def seeded_transports(seed, count):
+    """Seeded (letter map, algebra, source) triples over one to three
+    letters on each side, some images ε, in both modes."""
+    rng = random.Random(seed)
+    alphabets = (A1, AB, ABC)
+    for _ in range(count):
+        target, source = rng.choice(alphabets), rng.choice(alphabets)
+        gens = [regex_to_dfa(random_regex(rng, target, 3), target) for _ in range(rng.randint(0, 2))]
+        b = generate_algebra(gens, target, semigroup=rng.random() < 0.5)
+        letter_map = {c: "".join(rng.choice(target.letters) for _ in range(rng.choice((0, 1, 1, 2, 3))))
+                      for c in source.letters}
+        yield letter_map, b, source
+
+
+class TestTransportClosure:
+    """``transport`` is one ``generate_closure`` of the letters' elements
+    of b; it numbers the Cayley graph that walking b's machine did."""
+
+    def test_matches_the_walk_on_seeded_algebras(self):
+        modes, epsilons, shared = set(), 0, 0
+        for letter_map, b, source in seeded_transports(25, 120):
+            got = transport(letter_map, b, source)
+            assert got.transitions == walked_transport(letter_map, b, source)
+            modes.add(b.semigroup)
+            epsilons += "" in letter_map.values()
+            # two letters whose different image words reach one element
+            words = set(letter_map.values()) - {""}
+            shared += len({b.atom_of(w) for w in words}) < len(words)
+        assert modes == {False, True} and epsilons >= 30 and shared >= 30
+
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_different_image_words_of_one_element(self, semigroup):
+        # a and aa lie in one atom of (a|b)*a(a|b)*, as do b and bb
+        b = generate_algebra([regex_to_dfa("(a|b)*a(a|b)*", AB)], AB, semigroup=semigroup)
+        assert b.atom_of("a") == b.atom_of("aa") and b.atom_of("b") == b.atom_of("bb")
+        for letter_map in ({"a": "a", "b": "aa", "c": ""}, {"a": "bb", "b": "b", "c": "ab"},
+                           {"a": "", "b": "", "c": "ba"}):
+            got = transport(letter_map, b, ABC)
+            assert got.transitions == walked_transport(letter_map, b, ABC)
+            assert assert_transport_is_literal(letter_map, b, ABC)
+
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_environment_ceiling_at_its_exact_size(self, semigroup, monkeypatch):
+        # the semigroup start state is not counted against the ceiling
+        b = schutz_sum(*[generate_algebra([regex_to_dfa("a*b*", AB)], AB, semigroup=semigroup)] * 2)
+        letter_map = {"a": "ab", "b": "", "c": "ba"}
+        n = transport(letter_map, b, ABC).atom_count
+        assert len(walked_transport(letter_map, b, ABC)) == n + semigroup
+        monkeypatch.setenv("LANGREC_MAX_CLOSURE", str(n))
+        assert transport(letter_map, b, ABC).atom_count == n
+        walked_transport(letter_map, b, ABC)
+        monkeypatch.setenv("LANGREC_MAX_CLOSURE", str(n - 1))
+        for build in (transport, walked_transport):
+            with pytest.raises(ResourceLimitError, match=f"^submonoid closure exceeded {n - 1} elements$"):
+                build(letter_map, b, ABC)
+
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_one_closure_per_call(self, semigroup, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return generate_closure(*args, **kwargs)
+
+        b = generate_algebra([regex_to_dfa("(ab)*", AB)], AB, semigroup=semigroup)
+        monkeypatch.setattr(algebra, "generate_closure", counted)
+        transport({"a": "ab", "b": "b"}, b, AB)
+        assert len(calls) == 1
+        assert calls[0][2] == (None if semigroup else 0)
 
 
 class TestAlgebraEquality:

@@ -35,9 +35,18 @@ from langrec.equations import (
     lemma_factor_violations,
     lemma_witness_check,
 )
+from langrec import algebra
 from langrec.campaigns import corpus_dfas, random_regex
-from langrec.languages import difference, intersection, marked_concat, symmetric_difference
-from langrec.monoids import FiniteQuotient
+from langrec.languages import (
+    _explore,
+    canonicalise,
+    closure_limit,
+    difference,
+    intersection,
+    marked_concat,
+    symmetric_difference,
+)
+from langrec.monoids import FiniteQuotient, generate_closure, transition_closure
 
 AB = Alphabet(("a", "b"))
 A1 = Alphabet(("a",))
@@ -481,6 +490,117 @@ class TestJointQuotient:
         for k, b, direct, eqs in cases:
             assert bsum2_membership_by_equations(k, b) == direct
             assert equation_set(bsum2_quotient(k, b), b) == eqs
+
+
+def walked_split_closure(g1, g2, tail, max_size=None):
+    """The split closure as one breadth-first walk that reads g1's row
+    and the rider's row once per triple, then steps every letter: the
+    walk ``_split_closure`` made before it became a submonoid closure,
+    kept as its reference."""
+    k, limit = len(g1[0]), closure_limit(max_size)
+    columns = [tuple(row[d] for row in g2) for d in range(k)]
+    zeros = [0] * len(g2)
+
+    def step(x):
+        m1, masks, t = x
+        row1, row_t, bit = g1[m1], tail[t], 1 << m1 * k
+        for d, column in enumerate(columns):
+            moved = zeros.copy()
+            moved[0] = bit << d
+            for z, mask in zip(column, masks):
+                moved[z] |= mask
+            yield row1[d], tuple(moved), row_t[d]
+
+    _, rows = _explore(
+        (0, (0,) * len(g2), 0), step, limit, f"submonoid closure exceeded {limit} elements"
+    )
+    return tuple(rows)
+
+
+def walked_bsum2(k, b, max_size=None):
+    """``bsum2_quotient``'s Cayley graph through ``walked_split_closure``."""
+    rider = transition_closure(k.alphabet, [canonicalise(k)], semigroup=False, max_size=max_size)
+    trivial = ((0,) * len(b.alphabet),)
+    return walked_split_closure(b.transitions, trivial, rider.transitions, max_size)
+
+
+class TestSplitClosure:
+    """``schutz_sum`` and ``bsum2_quotient`` close the split triples with
+    one ``generate_closure`` over the letters; it numbers the Cayley
+    graph that the letter-by-letter walk did."""
+
+    def test_sum_pairs_match_the_walk(self, sum_tower):
+        rng = random.Random(25)
+        pool = list(sum_tower[:4])
+        for alph in (A1, AB, A3):
+            for _ in range(4):
+                gens = [regex_to_dfa(random_regex(rng, alph, 2), alph) for _ in range(rng.randint(0, 2))]
+                pool.append(generate_algebra(gens, alph))
+        pairs = [(b1, b2) for b1 in pool for b2 in pool
+                 if b1.alphabet == b2.alphabet and b1.atom_count * b2.atom_count <= 150]
+        assert len({b1.alphabet for b1, _ in pairs}) == 3 and len(pairs) >= 60
+        built = 0
+        for b1, b2 in pairs:
+            g1, g2 = b1.transitions, b2.transitions
+            try:
+                want = walked_split_closure(g1, g2, g2, 2000)
+            except ResourceLimitError as exc:
+                with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
+                    schutz_sum(b1, b2, max_states=2000)
+                continue
+            assert schutz_sum(b1, b2, max_states=2000).transitions == want
+            built += 1
+        assert built >= 60
+
+    def test_joint_quotients_match_the_walk(self):
+        # the seeded draws of TestJointQuotient at their caps, and
+        # benchmark draws up to the largest of the first 300
+        refused = 0
+        for alph, cap in ((AB, 20), (A3, 60)):
+            rng = random.Random(23)
+            for _ in range(12):
+                gens = [regex_to_dfa(random_regex(rng, alph, 2), alph) for _ in range(rng.randint(0, 2))]
+                b = generate_algebra(gens, alph)
+                k = regex_to_dfa(random_regex(rng, alph, 2), alph)
+                try:
+                    want = walked_bsum2(k, b, cap)
+                except ResourceLimitError as exc:
+                    with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
+                        bsum2_quotient(k, b, max_size=cap)
+                    refused += 1
+                    continue
+                assert bsum2_quotient(k, b, max_size=cap).transitions == want
+        assert refused >= 4
+        for i in (0, 1, 2, 19, 34, 84, 122, 151):
+            k, b = benchmark_draw(i)
+            assert bsum2_quotient(k, b).transitions == walked_bsum2(k, b)
+
+    def test_environment_ceiling_at_its_exact_size(self, monkeypatch):
+        b = generate_algebra([regex_to_dfa("a*b*", AB)], AB)
+        g = b.transitions
+        n = schutz_sum(b, b).atom_count
+        assert n == len(walked_split_closure(g, g, g)) == 241
+        monkeypatch.setenv("LANGREC_MAX_CLOSURE", str(n))
+        assert schutz_sum(b, b).atom_count == n
+        monkeypatch.setenv("LANGREC_MAX_CLOSURE", str(n - 1))
+        message = f"^submonoid closure exceeded {n - 1} elements$"
+        with pytest.raises(ResourceLimitError, match=message):
+            schutz_sum(b, b)
+        with pytest.raises(ResourceLimitError, match=message):
+            walked_split_closure(g, g, g)
+
+    def test_one_closure_per_sum(self, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return generate_closure(*args, **kwargs)
+
+        b = generate_algebra([regex_to_dfa("(ab)*", AB)], AB)
+        monkeypatch.setattr(algebra, "generate_closure", counted)
+        schutz_sum(b, b)
+        assert len(calls) == 1
+        assert list(calls[0][0]) == [0, 1]  # the letters generate it
 
 
 class TestSumTower:

@@ -340,6 +340,13 @@ class TestSyntacticMonoid:
                 assert is_minimal_recogniser(syn.monoid, syn.saturation(l)), r
 
 
+    def test_minimality_refuses_what_is_not_an_element(self):
+        u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
+        assert is_minimal_recogniser(u1, {1})
+        for bad in (True, 1.0, 9, -1):
+            with pytest.raises(InputError, match=r"^element .* is not an integer in 0\.\.1$"):
+                is_minimal_recogniser(u1, {bad})
+
 class TestEvaluate:
     def test_empty_word_maps_to_identity(self):
         syn = syntactic_monoid(regex_to_dfa("(a|b)*a(a|b)*", AB))
@@ -506,6 +513,23 @@ class TestBiactions:
                 with pytest.raises(InputError, match=r"^action component .* is not an integer in 0\.\.1$"):
                     Biaction(u1, 2, **{"left": b.left, "right": b.right, side: rows})
 
+
+    def test_maps_must_send_into_the_target(self):
+        # each entry of either map indexes dst: True and 1.0 equal 1 but
+        # are no elements, and 5 names none
+        u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
+        r = regular_biaction(u1)
+        for bad in ((0, 5), (False, True), (0, 1.0), (0, -1)):
+            with pytest.raises(InputError, match=r"^element .* is not an integer in 0\.\.1$"):
+                morphism_preserves_actions(bad, r, r)
+            with pytest.raises(InputError, match=r"^element .* is not an integer in 0\.\.1$"):
+                morphism_preserves_actions((0, 1), r, r, monoid_map=bad)
+        # a carrier map into a larger carrier is checked against it
+        m = syntactic_monoid(regex_to_dfa("(ab)*", AB)).monoid
+        big = regular_biaction(m)
+        assert m.size > 2
+        with pytest.raises(InputError, match=r"^element 2 is not an integer in 0\.\.1$"):
+            morphism_preserves_actions(tuple(range(m.size)), big, r, monoid_map=(0,) * m.size)
 
 class TestJointQuotient:
     def test_reps_are_shortest(self):

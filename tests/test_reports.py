@@ -115,3 +115,17 @@ def test_prop2_refuses_a_negative_word_length():
     # the commuting-square check reads every word up to max_len
     with pytest.raises(InputError, match="word length bound -1"):
         run_prop2(max_len=-1)
+
+
+@pytest.mark.parametrize("seed, flags, message", [
+    (True, {}, "^--seed must be an integer, got True$"),
+    (1.0, {}, "^--seed must be an integer, got 1.0$"),
+    (0, {"samples": True}, "^--samples must be an integer, got True$"),
+    (0, {"samples": 2.5}, "^--samples must be an integer, got 2.5$"),
+    (0, {"max_size": "3"}, "^--max-size must be an integer, got '3'$"),
+    (0, {"max_len": False}, "^--max-len must be an integer, got False$"),
+])
+def test_campaign_seed_and_flags_must_be_integers(seed, flags, message):
+    # a bool or a float would run and be written into the report as given
+    with pytest.raises(InputError, match=message):
+        campaigns.run_campaign("prop2", seed, **flags)

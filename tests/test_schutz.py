@@ -614,6 +614,29 @@ class TestRefusedInputs:
         assert split_letter_images(phi1, phi2, "b") == split_letter_images(phi1, phi2, 1)
         assert marked_split_set(phi1, phi2, 0, w) == marked_split_set(phi1, phi2, "a", w)
 
+    def test_accepting_sets_hold_only_elements(self):
+        # True and 1.0 equal 1 but are no elements; 7 and -1 name none
+        ext = ExtendedAlphabet(AB)
+        tau = MonoidMorphism(ext.ext, U1, (0, 1, 1, 0))
+        z3 = FiniteMonoid(tuple(tuple((i + j) % 3 for j in range(3)) for i in range(3)), identity=0)
+        phi1, phi2 = MonoidMorphism(AB, U1, (1, 0)), MonoidMorphism(AB, z3, (1, 0))
+        w = AB.word("ab")
+        for bad in (True, 1.0, 7, -1, "1", None):
+            with pytest.raises(InputError, match=r"^element .* is not an integer in 0\.\.1$"):
+                exists_language(tau, {bad})
+            with pytest.raises(InputError, match=r"^element .* is not an integer in 0\.\.1$"):
+                recognises_exists(tau, {bad}, w)
+            with pytest.raises(InputError, match=r"^element .* is not an integer in 0\.\.1$"):
+                split_language(phi1, phi2, "a", {bad}, {0})
+        # v1 is checked against phi1's target and v2 against phi2's
+        with pytest.raises(InputError, match=r"^element 2 is not an integer in 0\.\.1$"):
+            split_language(phi1, phi2, "a", {2}, {0})
+        with pytest.raises(InputError, match=r"^element 3 is not an integer in 0\.\.2$"):
+            split_language(phi1, phi2, "a", {0}, {3})
+        assert split_language(phi1, phi2, "a", {1}, {2}) == marked_concat(
+            phi1.preimage({1}), "a", phi2.preimage({2}))
+        assert exists_language(tau, [1, 1]) == exists_language(tau, {1})
+
     def test_local_evaluation_reads_only_its_own_alphabet(self):
         phi1 = MonoidMorphism(AB, U1, (1, 0))
         phi2 = MonoidMorphism(AB, Z2, (1, 0))
