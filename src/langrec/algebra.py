@@ -50,7 +50,6 @@ from .languages import (
     intersection,
     marked_concat,
     nonempty_universal,
-    universal_language,
 )
 from .monoids import (
     FiniteMonoid,
@@ -153,10 +152,11 @@ def generate_algebra(
 
 
 def _in_universe(dfas: Iterable[Dfa], alph: Alphabet, semigroup: bool) -> tuple[Dfa, ...]:
-    """Each DFA's product with the universe: canonical, as the closure
-    needs, and in semigroup mode with no empty word."""
-    universe = nonempty_universal(alph) if semigroup else universal_language(alph)
-    return tuple(intersection(d, universe) for d in dfas)
+    """The DFAs as languages of the universe: in semigroup mode each
+    one's product with the non-empty words."""
+    if semigroup:
+        dfas = (intersection(d, nonempty_universal(alph)) for d in dfas)
+    return tuple(dfas)
 
 
 def trivial_algebra(alph: Alphabet, semigroup: bool = False) -> LanguageAlgebra:

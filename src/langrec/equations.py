@@ -42,7 +42,6 @@ from .languages import (
     _letter_indices,
     _pairs,
     _state_labels,
-    canonicalise,
     difference,
     intersection,
     marked_concat,
@@ -196,9 +195,7 @@ def bsum2_quotient(
         raise InputError("candidate and algebra must share an alphabet")
     # K's syntactic monoid is a quotient of the joint one, so its
     # ceiling is met only where the joint closure's would be
-    rider = transition_closure(
-        k.alphabet, [canonicalise(k)], semigroup=False, max_size=max_size
-    ).transitions
+    rider = transition_closure(k.alphabet, [k], semigroup=False, max_size=max_size).transitions
     trivial = ((0,) * len(b.alphabet),)  # the trivial algebra's one-state machine
     rows = _split_closure(b.transitions, trivial, rider, max_size)
     return FiniteQuotient(b.alphabet, False, rows)

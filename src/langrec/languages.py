@@ -168,9 +168,9 @@ def _letter_indices(alph: Alphabet, w: "Word | Iterable[str | int]") -> tuple[in
 class Dfa:
     """Canonical minimal complete DFA.
 
-    Instances should be built through the constructors in this module
-    (or ``canonicalise``), which guarantee minimality and the canonical
-    BFS state numbering; ``__init__`` validates shape only.
+    The constructor checks the table's shape and stores its trimmed,
+    minimised, breadth-first numbered form, initial state 0, so two
+    instances are equal exactly when they denote the same language.
     """
 
     alphabet: Alphabet
@@ -180,16 +180,15 @@ class Dfa:
     initial: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.transitions, tuple):
-            object.__setattr__(self, "transitions", tuple(tuple(r) for r in self.transitions))
-        if not isinstance(self.accepting, frozenset):
-            object.__setattr__(self, "accepting", frozenset(self.accepting))
+        if not isinstance(self.alphabet, Alphabet):
+            raise InputError(f"a DFA's alphabet must be an Alphabet, not {self.alphabet!r}")
         k, n = len(self.alphabet), self.states
+        table, acc = tuple(map(tuple, self.transitions)), set(self.accepting)  # each read once
         if type(n) is not int or n < 1:
             raise InputError(f"a complete DFA has at least one state, not {n!r}")
-        if len(self.transitions) != n:
+        if len(table) != n:
             raise InputError("transition table must have one row per state")
-        for row in self.transitions:
+        for row in table:
             if len(row) != k:
                 raise InputError("each transition row must cover the whole alphabet")
             for t in row:
@@ -197,9 +196,11 @@ class Dfa:
                     raise InputError(f"transition target {t!r} is not an integer in 0..{n - 1}")
         if type(self.initial) is not int or not 0 <= self.initial < n:
             raise InputError(f"initial state {self.initial!r} is not an integer in 0..{n - 1}")
-        for q in self.accepting:
+        for q in acc:
             if type(q) is not int or not 0 <= q < n:
                 raise InputError(f"accepting state {q!r} is not an integer in 0..{n - 1}")
+        canon = _canonical(self.alphabet, table, acc, self.initial)
+        vars(self).update(vars(canon))
 
     # -- evaluation ---------------------------------------------------
 
@@ -256,9 +257,8 @@ class Dfa:
             letters = data["alphabet"]
             if not isinstance(letters, list):  # a string would be read letter by letter
                 raise InputError(f"the alphabet must be a JSON list, got {letters!r}")
-            alph = Alphabet(tuple(letters))
-            raw = cls(
-                alph,
+            return cls(
+                Alphabet(tuple(letters)),
                 _json_int(data["states"]),
                 tuple(map(_json_ints, data["transitions"])),
                 frozenset(_json_ints(data["accepting"])),
@@ -266,7 +266,6 @@ class Dfa:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"malformed DFA file: {exc}") from exc
-        return canonicalise(raw)
 
     @classmethod
     def from_json(cls, text: str) -> "Dfa":
@@ -361,7 +360,16 @@ def _canonical(
     acc = [q in acc_in for q in order]
     new_trans, reps = _minimise(t, acc)
     new_acc = frozenset(i for i, q in enumerate(reps) if acc[q])
-    return Dfa(alph, len(new_trans), new_trans, new_acc, 0)
+    return _trusted_dfa(alph, new_trans, new_acc)
+
+
+def _trusted_dfa(alph: Alphabet, transitions: tuple, accepting: frozenset[int]) -> Dfa:
+    """The ``Dfa`` of fields that are canonical already, as the kernel's
+    own outputs are: no shape check and no minimisation."""
+    d = object.__new__(Dfa)
+    vars(d).update(alphabet=alph, states=len(transitions), transitions=transitions,
+                   accepting=accepting, initial=0)
+    return d
 
 
 def _minimise(
@@ -434,32 +442,28 @@ def _state_labels(
     return out
 
 
-def canonicalise(d: Dfa) -> Dfa:
-    return _canonical(d.alphabet, d.transitions, d.accepting, d.initial)
-
-
 # -- constant languages ------------------------------------------------
 
 
 def empty_language(alph: Alphabet) -> Dfa:
     k = len(alph)
-    return Dfa(alph, 1, ((0,) * k,), frozenset())
+    return _trusted_dfa(alph, ((0,) * k,), frozenset())
 
 
 def universal_language(alph: Alphabet) -> Dfa:
     k = len(alph)
-    return Dfa(alph, 1, ((0,) * k,), frozenset({0}))
+    return _trusted_dfa(alph, ((0,) * k,), frozenset({0}))
 
 
 def epsilon_language(alph: Alphabet) -> Dfa:
     k = len(alph)
-    return Dfa(alph, 2, ((1,) * k, (1,) * k), frozenset({0}))
+    return _trusted_dfa(alph, ((1,) * k, (1,) * k), frozenset({0}))
 
 
 def nonempty_universal(alph: Alphabet) -> Dfa:
     """All words of length >= 1."""
     k = len(alph)
-    return Dfa(alph, 2, ((1,) * k, (1,) * k), frozenset({1}))
+    return _trusted_dfa(alph, ((1,) * k, (1,) * k), frozenset({1}))
 
 
 # -- Boolean operations ------------------------------------------------
@@ -501,8 +505,8 @@ def symmetric_difference(l1: Dfa, l2: Dfa) -> Dfa:
 
 
 def complement(l: Dfa) -> Dfa:
-    acc = frozenset(range(l.states)) - l.accepting
-    return _canonical(l.alphabet, l.transitions, acc, l.initial)
+    """Flipping acceptance keeps a canonical DFA canonical."""
+    return _trusted_dfa(l.alphabet, l.transitions, frozenset(range(l.states)) - l.accepting)
 
 
 def boolean_combine(op: str, l1: Dfa, l2: Dfa | None = None) -> Dfa:

@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .languages import Alphabet, Dfa, Word, _explore, _state_labels, canonicalise
+from .languages import Alphabet, Dfa, Word, _explore, _state_labels, _trusted_dfa
 from .languages import _json_int, _json_ints, _letter_indices, closure_limit
 
 _INT = frozenset({int})
@@ -554,7 +554,7 @@ class FiniteQuotient:
                 row.append(j)
             rows.append(tuple(row))
         accepting = frozenset(i for i, v in enumerate(order) if v[0])
-        return Dfa(self.alphabet, len(order), tuple(rows), accepting)
+        return _trusted_dfa(self.alphabet, tuple(rows), accepting)
 
     def class_of(self, w: "Word | Iterable[str | int]") -> int:
         """The element of a word, given as a ``Word`` over the alphabet or
@@ -590,9 +590,9 @@ def transition_closure(
     """The transformations that words induce on the states of the DFAs:
     the letters acting on the disjoint union of the (deduplicated) DFAs'
     states, closed under composition, one element per tuple of target
-    states.  For canonical DFAs two words share an element exactly when
-    they share a syntactic class of every language.  In semigroup mode
-    the empty word is left out, so it has no element of its own."""
+    states.  Two words share an element exactly when they share a
+    syntactic class of every language.  In semigroup mode the empty
+    word is left out, so it has no element of its own."""
     rows: list[list[int]] = []
     for d in dict.fromkeys(dfas):
         if d.alphabet != alph:
@@ -608,11 +608,10 @@ def transition_closure(
 
 def joint_quotient(dfas: Sequence[Dfa], *, max_size: int | None = None) -> FiniteQuotient:
     """The joint syntactic monoid of several languages: the Cayley graph
-    of the transition closure of their canonical DFAs."""
+    of the transition closure of their DFAs."""
     if not dfas:
         raise InputError("need at least one language")
     alph = dfas[0].alphabet
-    dfas = [canonicalise(d) for d in dfas]
     return transition_closure(alph, dfas, semigroup=False, max_size=max_size).quotient(alph)
 
 

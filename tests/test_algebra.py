@@ -53,7 +53,7 @@ from langrec.campaigns import (
 )
 from langrec.languages import _canonical, _explore, _minimise, closure_limit
 from langrec.marking import ExtendedAlphabet
-from langrec.monoids import generate_closure, transition_closure
+from langrec.monoids import generate_closure
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -576,11 +576,17 @@ class TestRecognisedAlgebraResource:
 
 
 def cayley_closure_algebra(m, alph, semigroup):
-    """The reference for ``recognised_algebra``: the transition closure
-    of every morphism's image Cayley graph, each a DFA accepting nothing."""
-    graphs = (h.image.transitions for h in all_morphisms(alph, m))
-    cayley = [Dfa(alph, len(g), g, frozenset()) for g in graphs]
-    return tuple(transition_closure(alph, cayley, semigroup=semigroup).transitions)
+    """The reference for ``recognised_algebra``: the closure of the
+    letters acting on the disjoint union of every distinct image Cayley
+    graph of a morphism, multiplied by composition."""
+    rows = []
+    for g in dict.fromkeys(tuple(h.image.transitions) for h in all_morphisms(alph, m)):
+        off = len(rows)
+        rows += [[off + q for q in row] for row in g]
+    letters = [tuple(row[c] for row in rows) for c in range(len(alph))]
+    unit = None if semigroup else tuple(range(len(rows)))
+    closure = generate_closure(letters, lambda x, y: tuple(map(y.__getitem__, x)), unit)
+    return tuple(closure.transitions)
 
 
 def thm4_diamonds():
@@ -1005,8 +1011,10 @@ class TestTransitionClosureOracle:
     @pytest.mark.parametrize("semigroup", [False, True])
     def test_generators_need_not_be_minimal(self, semigroup):
         # a* with two accepting states for it and an unreachable state
-        d = Dfa(AB, 4, ((1, 2), (0, 2), (2, 2), (0, 3)), frozenset({0, 1}), 0)
+        table = ((1, 2), (0, 2), (2, 2), (0, 3))
+        d = Dfa(AB, 4, table, frozenset({0, 1}), 0)
         alg = generate_algebra([d], AB, semigroup=semigroup)
+        assert alg == generate_algebra([_canonical(AB, table, {0, 1}, 0)], AB, semigroup=semigroup)
         assert alg == generate_algebra([regex_to_dfa("a*", AB)], AB, semigroup=semigroup)
 
     @pytest.mark.parametrize("semigroup", [False, True])

@@ -39,7 +39,6 @@ from langrec import algebra
 from langrec.campaigns import corpus_dfas, random_regex
 from langrec.languages import (
     _explore,
-    canonicalise,
     closure_limit,
     difference,
     intersection,
@@ -519,7 +518,7 @@ def walked_split_closure(g1, g2, tail, max_size=None):
 
 def walked_bsum2(k, b, max_size=None):
     """``bsum2_quotient``'s Cayley graph through ``walked_split_closure``."""
-    rider = transition_closure(k.alphabet, [canonicalise(k)], semigroup=False, max_size=max_size)
+    rider = transition_closure(k.alphabet, [k], semigroup=False, max_size=max_size)
     trivial = ((0,) * len(b.alphabet),)
     return walked_split_closure(b.transitions, trivial, rider.transitions, max_size)
 

@@ -42,7 +42,7 @@ from langrec.campaigns import (
     random_word,
 )
 from langrec.equations import lemma_witness_check
-from langrec.languages import _canonical, _explore, canonicalise
+from langrec.languages import _canonical, _explore
 from langrec.marking import ExtendedAlphabet, exists_projection, one_mark_language
 from langrec.regexes import (
     MAX_NESTING,
@@ -111,7 +111,7 @@ def reference_compile(r, alph):
     if isinstance(r, Letter):
         i, k = alph.index(r.name), len(alph)
         row = tuple(1 if c == i else 2 for c in range(k))
-        return canonicalise(Dfa(alph, 3, (row, (2,) * k, (2,) * k), {1}))
+        return Dfa(alph, 3, (row, (2,) * k, (2,) * k), {1})
     parts = [reference_compile(p, alph) for p in getattr(r, "parts", ())]
     if isinstance(r, Concat):
         return functools.reduce(concat, parts, epsilon_language(alph))
@@ -504,7 +504,34 @@ class TestSubsetConstructions:
             self.check(monkeypatch, lambda: regex_to_dfa(r, alph), nfa_regex(r, alph))
 
 
+# hand-built tables that are not canonical, each with a regex of its
+# language: (states, transitions, accepting, initial, regex)
+RAW_TABLES = [
+    (2, ((0, 0), (1, 1)), {0}, 0, "(a|b)*"),  # an unreachable state
+    (2, ((0, 0), (1, 1)), {1}, 0, "∅"),  # the accepting state is unreachable
+    (3, ((1, 2), (1, 2), (1, 2)), {1, 2}, 0, "(a|b)(a|b)*"),  # two equivalent states
+    (3, ((2, 1), (1, 1), (2, 2)), {2}, 0, "a(a|b)*"),  # not numbered breadth-first
+    (3, ((0, 0), (2, 0), (2, 2)), {2}, 1, "a(a|b)*"),  # initial state 1
+]
+
+
 class TestCanonicity:
+    @pytest.mark.parametrize("states, transitions, accepting, initial, regex", RAW_TABLES)
+    def test_constructor_gives_the_canonical_form(self, states, transitions, accepting, initial, regex):
+        d = Dfa(AB, states, transitions, accepting, initial)
+        assert d == _canonical(AB, transitions, accepting, initial)
+        # a table and an accepting set that can be read only once
+        assert Dfa(AB, states, (iter(row) for row in transitions), iter(accepting), initial) == d
+        assert d.is_empty() == (d.shortest_accepted() is None)
+        kernel = corpus_dfas(AB) + [regex_to_dfa(regex, AB), empty_language(AB),
+                                    universal_language(AB), epsilon_language(AB)]
+        for e in kernel:
+            same = same_language(d, e)
+            assert (d == e) == same, e
+            assert hash(d) == hash(e) or not same, e
+        rebuilt = Dfa(d.alphabet, d.states, d.transitions, d.accepting, d.initial)
+        assert rebuilt == d and hash(rebuilt) == hash(d)
+
     def test_equivalent_regexes_compile_identically(self):
         rng = random.Random(23)
         for _ in range(250):
@@ -531,9 +558,7 @@ class TestCanonicity:
         for r in CORPUS_REGEXES:
             d = regex_to_dfa(r, AB)
             # re-canonicalising is the identity on canonical values
-            from langrec.languages import canonicalise
-
-            assert canonicalise(d) == d
+            assert _canonical(d.alphabet, d.transitions, d.accepting, d.initial) == d
 
 
 class TestSerialisation:
@@ -542,16 +567,21 @@ class TestSerialisation:
             d = regex_to_dfa(r, AB)
             assert Dfa.from_json(d.to_json()) == d
 
-    def test_non_canonical_file_is_canonicalised(self):
-        # two redundant states for the empty language
+    @pytest.mark.parametrize("states, transitions, accepting, initial, regex", [
+        (2, ((1, 1), (0, 0)), set(), 0, "∅"),  # two redundant states
+        *RAW_TABLES,
+    ])
+    def test_non_canonical_file_loads_in_canonical_form(
+        self, states, transitions, accepting, initial, regex
+    ):
         raw = {
             "alphabet": ["a", "b"],
-            "states": 2,
-            "initial": 0,
-            "accepting": [],
-            "transitions": [[1, 1], [0, 0]],
+            "states": states,
+            "initial": initial,
+            "accepting": sorted(accepting),
+            "transitions": [list(row) for row in transitions],
         }
-        assert Dfa.from_json_dict(raw) == empty_language(AB)
+        assert Dfa.from_json_dict(raw) == regex_to_dfa(regex, AB)
 
     def test_malformed_rejected(self):
         with pytest.raises(InputError):
@@ -591,6 +621,12 @@ class TestSerialisation:
         assert Dfa(AB, 2, ((1, 0), (1, 1)), frozenset({1})).to_json()
         with pytest.raises(InputError, match="at least one state|not an integer"):
             Dfa(AB, states, transitions, frozenset(accepting), initial)
+
+    @pytest.mark.parametrize("alphabet", ["ab", ("a", "b"), ["a", "b"], None])
+    def test_alphabet_must_be_an_alphabet(self, alphabet):
+        assert Dfa(AB, 1, ((0, 0),), {0}) == universal_language(AB)
+        with pytest.raises(InputError, match="alphabet must be an Alphabet"):
+            Dfa(alphabet, 1, ((0, 0),), {0})
 
 
 class TestWords:

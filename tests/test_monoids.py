@@ -21,6 +21,7 @@ from langrec import (
     Word,
     all_morphisms,
     bsum2_quotient,
+    complement,
     dual_recogniser,
     empty_language,
     epsilon_language,
@@ -39,10 +40,10 @@ from langrec import (
     syntactic_monoid,
     universal_language,
 )
-from langrec import monoids
+from langrec import languages, monoids
 from langrec.campaigns import CORPUS_REGEXES
 from langrec.equations import _atom_map
-from langrec.languages import _canonical, canonicalise
+from langrec.languages import _canonical
 from langrec.marking import ExtendedAlphabet
 from langrec.monoids import FiniteQuotient, _associativity_defect, _light_defect
 from langrec.schutz import exists_closure, exists_letter_images, marked_split_set
@@ -316,10 +317,10 @@ class TestSyntacticMonoid:
         assert joint_quotient([d]).monoid.size == 1
         rng = random.Random(3)
         for states in (2, 3, 5, 8):
-            d = Dfa(AB, states, tuple((rng.randrange(states), rng.randrange(states))
-                                      for _ in range(states)),
-                    {q for q in range(states) if rng.random() < 0.5})
-            c = canonicalise(d)
+            table = tuple((rng.randrange(states), rng.randrange(states)) for _ in range(states))
+            accepting = {q for q in range(states) if rng.random() < 0.5}
+            d = Dfa(AB, states, table, accepting)
+            c = _canonical(AB, table, accepting, 0)
             assert syntactic_monoid(d) == syntactic_monoid(c)
             assert joint_quotient([d, c]) == joint_quotient([c])
 
@@ -546,6 +547,21 @@ class TestJointQuotient:
         sat = q.saturation(l)
         assert sat is not None
         assert q.saturation(regex_to_dfa("a(a|b)*", AB)) is None
+
+    def test_canonical_inputs_are_not_minimised_again(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("_minimise was called")
+
+        dfas = [regex_to_dfa(r, AB) for r in CORPUS_REGEXES[:6]]
+        b = generate_algebra([regex_to_dfa("a*b*", AB)])
+
+        def build():
+            return (joint_quotient(dfas), syntactic_monoid(dfas[1]), bsum2_quotient(dfas[2], b),
+                    generate_algebra(dfas), complement(dfas[3]))
+
+        want = build()
+        monkeypatch.setattr(languages, "_minimise", refuse)
+        assert build() == want
 
 
 class TestCayleyGraph:
