@@ -28,7 +28,9 @@ split by it.  The algebra is closed under word quotients, so every left
 quotient of a union of atoms is again one: the DFA of a member is read
 off the machine's left letter action (``FiniteQuotient.union_language``
 over atom indices, named ``member_from_atoms`` here), with no
-minimisation.  The quotient's table, atom(u) * atom(v) = atom(uv),
+minimisation.  Its states are bitmasks of atom-machine states, and a
+letter maps one to its preimage under the letter's left action, a byte
+of the mask at a time.  The quotient's table, atom(u) * atom(v) = atom(uv),
 and its evaluation morphism ``tau`` make the algebra its own dual
 recogniser.
 """

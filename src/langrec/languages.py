@@ -180,8 +180,7 @@ class Dfa:
     initial: int = 0
 
     def __post_init__(self) -> None:
-        if not isinstance(self.alphabet, Alphabet):
-            raise InputError(f"a DFA's alphabet must be an Alphabet, not {self.alphabet!r}")
+        _check_alphabet(self.alphabet)
         k, n = len(self.alphabet), self.states
         table, acc = tuple(map(tuple, self.transitions)), set(self.accepting)  # each read once
         if type(n) is not int or n < 1:
@@ -363,6 +362,11 @@ def _canonical(
     return _trusted_dfa(alph, new_trans, new_acc)
 
 
+def _check_alphabet(alph: object) -> None:
+    if not isinstance(alph, Alphabet):
+        raise InputError(f"a DFA's alphabet must be an Alphabet, not {alph!r}")
+
+
 def _trusted_dfa(alph: Alphabet, transitions: tuple, accepting: frozenset[int]) -> Dfa:
     """The ``Dfa`` of fields that are canonical already, as the kernel's
     own outputs are: no shape check and no minimisation."""
@@ -445,25 +449,28 @@ def _state_labels(
 # -- constant languages ------------------------------------------------
 
 
+def _constant(alph: Alphabet, states: int, accepting: frozenset[int]) -> Dfa:
+    """The canonical DFA whose every letter leads to the last of its one
+    or two states."""
+    _check_alphabet(alph)
+    return _trusted_dfa(alph, ((states - 1,) * len(alph),) * states, accepting)
+
+
 def empty_language(alph: Alphabet) -> Dfa:
-    k = len(alph)
-    return _trusted_dfa(alph, ((0,) * k,), frozenset())
+    return _constant(alph, 1, frozenset())
 
 
 def universal_language(alph: Alphabet) -> Dfa:
-    k = len(alph)
-    return _trusted_dfa(alph, ((0,) * k,), frozenset({0}))
+    return _constant(alph, 1, frozenset({0}))
 
 
 def epsilon_language(alph: Alphabet) -> Dfa:
-    k = len(alph)
-    return _trusted_dfa(alph, ((1,) * k, (1,) * k), frozenset({0}))
+    return _constant(alph, 2, frozenset({0}))
 
 
 def nonempty_universal(alph: Alphabet) -> Dfa:
     """All words of length >= 1."""
-    k = len(alph)
-    return _trusted_dfa(alph, ((1,) * k, (1,) * k), frozenset({1}))
+    return _constant(alph, 2, frozenset({1}))
 
 
 # -- Boolean operations ------------------------------------------------

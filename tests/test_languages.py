@@ -23,6 +23,7 @@ from langrec import (
     intersection,
     left_quotient,
     marked_concat,
+    nonempty_universal,
     parse_regex,
     regex_to_dfa,
     render_regex,
@@ -627,6 +628,17 @@ class TestSerialisation:
         assert Dfa(AB, 1, ((0, 0),), {0}) == universal_language(AB)
         with pytest.raises(InputError, match="alphabet must be an Alphabet"):
             Dfa(alphabet, 1, ((0, 0),), {0})
+
+    @pytest.mark.parametrize("constant", [
+        empty_language, universal_language, epsilon_language, nonempty_universal,
+    ])
+    @pytest.mark.parametrize("alphabet", ["ab", ("a", "b"), ["a", "b"], None])
+    def test_constant_languages_need_an_alphabet(self, constant, alphabet):
+        """A string of letters is no alphabet: it would build a DFA
+        unequal to the same constant over the Alphabet."""
+        assert constant(AB).alphabet == AB
+        with pytest.raises(InputError, match="^a DFA's alphabet must be an Alphabet, not "):
+            constant(alphabet)
 
 
 class TestWords:

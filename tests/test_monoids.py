@@ -3,6 +3,7 @@ import itertools
 import json
 import random
 import sys
+from operator import itemgetter
 
 import pytest
 
@@ -37,7 +38,10 @@ from langrec import (
     recognised_algebra,
     regex_to_dfa,
     regular_biaction,
+    same_language,
+    schutz_sum,
     syntactic_monoid,
+    trivial_algebra,
     universal_language,
 )
 from langrec import languages, monoids
@@ -45,7 +49,12 @@ from langrec.campaigns import CORPUS_REGEXES
 from langrec.equations import _atom_map
 from langrec.languages import _canonical
 from langrec.marking import ExtendedAlphabet
-from langrec.monoids import FiniteQuotient, _associativity_defect, _light_defect
+from langrec.monoids import (
+    FiniteQuotient,
+    _associativity_defect,
+    _light_defect,
+    transition_closure,
+)
 from langrec.schutz import exists_closure, exists_letter_images, marked_split_set
 
 AB = Alphabet(("a", "b"))
@@ -730,6 +739,101 @@ class TestClosureLanguage:
             for rep, e in zip(clo.quotient(alph).reps, clo.elements):
                 factors = [images[c] for c in rep.indices]
                 assert functools.reduce(mul, factors, *([] if semigroup else [unit])) == e, name
+
+
+def union_language_by_gathers(q, elements):
+    """The reference walk: a word's state is the 0/1 vector over the
+    graph's states y saying whether the word followed by y's words lands
+    in the union, and reading a letter composes the vector with the
+    letter's left action through one itemgetter gather.  Returns the
+    transitions and accepting states of the DFA it numbers."""
+    g = q.transitions
+    start = bytearray(len(g))
+    for i in elements:
+        start[i + q.semigroup] = 1
+    action = []
+    for c in range(len(q.alphabet)):
+        lt = [g[0][c]]
+        for s, d in q._tree:
+            lt.append(g[lt[s]][d])
+        action.append(itemgetter(*lt) if len(g) > 1 else tuple)
+    order = [bytes(start)]
+    index = {order[0]: 0}
+    rows = []
+    for v in order:
+        row = []
+        for act in action:
+            w = bytes(act(v))
+            j = index.get(w)
+            if j is None:
+                j = index[w] = len(order)
+                order.append(w)
+            row.append(j)
+        rows.append(tuple(row))
+    return tuple(rows), frozenset(i for i, v in enumerate(order) if v[0])
+
+
+def union_oracle_quotients():
+    """Named quotients for the union walk: B + B for four one-language
+    algebras (44 to 241 atoms), semigroup-mode algebras and sums, the
+    trivial algebras, and transition closures of seeded random DFAs
+    whose Cayley graphs have 7, 8, 9, 16 and 17 states in each mode,
+    on either side of a byte of the state set."""
+    out = {}
+    for base in ("a", "(aa)*", "ab", "a*b*"):
+        b = generate_algebra([regex_to_dfa(base, AB)], AB)
+        out[f"sum-{base}"] = schutz_sum(b, b)
+    for gens in (("(a|b)*a",), ("(ab)*", "a*"), ("b(a|b)*b",)):
+        b = generate_algebra([regex_to_dfa(g, AB) for g in gens], AB, semigroup=True)
+        out[f"semigroup-{'+'.join(gens)}"] = b
+    b = generate_algebra([regex_to_dfa("a(a|b)*", AB)], AB, semigroup=True)
+    out["semigroup-sum-a(a|b)*"] = schutz_sum(b, b)
+    out["trivial"] = trivial_algebra(AB)
+    out["semigroup-trivial"] = trivial_algebra(AB, semigroup=True)
+    rng = random.Random(27)
+    edges = {}
+    while len(edges) < 10:
+        semigroup = rng.random() < 0.5
+        clo = transition_closure(AB, [random_dfa(rng, rng.randint(2, 4))], semigroup=semigroup)
+        if len(clo.transitions) in (7, 8, 9, 16, 17):
+            edges.setdefault((len(clo.transitions), semigroup), clo.quotient(AB))
+    for (states, semigroup), q in sorted(edges.items()):
+        out[f"{'semigroup' if semigroup else 'monoid'}-{states}-states"] = q
+    return out
+
+
+UNION_ORACLE_QUOTIENTS = union_oracle_quotients()
+
+
+class TestUnionLanguageWalk:
+    """``union_language`` holds a state as a bitmask of graph states and
+    reads a letter a byte at a time; its DFAs must equal, field for
+    field, those of the gather walk it replaced, and denote the
+    minimised Cayley graph's language."""
+
+    def test_byte_edges_and_modes_are_covered(self):
+        sizes = {(len(q.transitions), q.semigroup) for q in UNION_ORACLE_QUOTIENTS.values()}
+        assert {(n, m) for n in (7, 8, 9, 16, 17) for m in (False, True)} <= sizes
+        assert (1, False) in sizes and (241, False) in sizes
+
+    @pytest.mark.parametrize("name", list(UNION_ORACLE_QUOTIENTS))
+    def test_matches_gather_walk_and_minimisation(self, name):
+        q = UNION_ORACLE_QUOTIENTS[name]
+        n, off = q.size, q.semigroup
+        rng = random.Random(len(q.transitions))
+        subsets = [set(), set(range(n))] + [{i} for i in range(n)]
+        subsets += [{i for i in range(n) if rng.random() < 0.5} for _ in range(6)]
+        for subset in subsets:
+            d = q.union_language(subset)
+            assert (d.transitions, d.accepting) == union_language_by_gathers(q, subset), subset
+            assert same_language(d, _canonical(AB, q.transitions, {i + off for i in subset}, 0))
+
+    def test_accepts_duplicates_and_one_shot_generators(self):
+        # bad indices are refused by test_algebra's test_refuses_bad_atom_indices
+        q = UNION_ORACLE_QUOTIENTS["monoid-9-states"]
+        want = q.union_language([1, 7, 8])
+        assert q.union_language([8, 1, 7, 1, 8]) == want
+        assert q.union_language(i for i in (1, 7, 8)) == want
 
 
 class TestCeilingBoundary:
