@@ -18,7 +18,6 @@ from .languages import (
     Alphabet,
     Dfa,
     Word,
-    boolean_combine,
     complement,
     concat,
     concat_decompose,

@@ -22,10 +22,13 @@ Two algebras over one universe are equal exactly when their machines
 are, and ``==`` and ``hash`` read the machine alone: the generators an
 algebra was built from are no part of it.  Each constructor stores how
 to build them, and they are built on first read, like representative
-words and atom DFAs.  A word's atom is one run; a language is a member
-when one walk over the reachable (atom, state of L) pairs finds no atom
-split by it.  The algebra is closed under word quotients, so every left
-quotient of a union of atoms is again one: the DFA of a member is read
+words and atom DFAs; in semigroup mode so are their products with the
+non-empty words, since ``generate_algebra`` closes the DFAs as given:
+the closure reads no acceptance, and no empty word.  A word's atom is
+one run; a language is a member when one walk over the reachable
+(atom, state of L) pairs finds no atom split by it.  The algebra is
+closed under word quotients, so every left quotient of a union of
+atoms is again one: the DFA of a member is read
 off the machine's left letter action (``FiniteQuotient.union_language``
 over atom indices, named ``member_from_atoms`` here), with no
 minimisation.  Its states are bitmasks of atom-machine states, and a
@@ -48,6 +51,7 @@ from .languages import (
     Dfa,
     Word,
     _canonical,
+    _check_flag,
     _state_labels,
     intersection,
     marked_concat,
@@ -57,7 +61,6 @@ from .monoids import (
     FiniteMonoid,
     FiniteQuotient,
     MonoidMorphism,
-    _check_mode,
     all_morphisms,
     generate_closure,
     transition_closure,
@@ -140,22 +143,29 @@ def generate_algebra(
     Two words lie in one atom exactly when no quotient of a generator
     separates them, that is, when they share a syntactic class of every
     generator: the atoms are the elements of the generators' transition
-    closure, and ``max_states`` bounds it."""
-    _check_mode(semigroup)
+    closure, and ``max_states`` bounds it.  The closure reads neither
+    acceptance nor, in semigroup mode, the empty word, so it closes the
+    generators as given; their products with the non-empty words are
+    built on first read of ``generators``."""
+    _check_flag(semigroup, "semigroup")
+    gens = tuple(generators)
     if alph is None:
-        if not generators:
+        if not gens:
             raise InputError("need an alphabet when no generators are given")
-        alph = generators[0].alphabet
-    gens = _in_universe(generators, alph, semigroup)
+        alph = gens[0].alphabet
     closure = transition_closure(alph, gens, semigroup=semigroup, max_size=max_states)
     # distinct elements are distinct atoms, and the closure is numbered
     # breadth-first, so its Cayley graph is the atom machine
-    return LanguageAlgebra(alph, semigroup, closure.transitions, lambda _: gens)
+    return LanguageAlgebra(
+        alph, semigroup, closure.transitions, lambda _: _in_universe(gens, alph, semigroup)
+    )
 
 
 def _in_universe(dfas: Iterable[Dfa], alph: Alphabet, semigroup: bool) -> tuple[Dfa, ...]:
     """The DFAs as languages of the universe: in semigroup mode each
-    one's product with the non-empty words."""
+    one's product with the non-empty words.  It is called only from the
+    builders behind ``generators``, so the products are built on first
+    read, never for the atom machine."""
     if semigroup:
         dfas = (intersection(d, nonempty_universal(alph)) for d in dfas)
     return tuple(dfas)
@@ -368,7 +378,7 @@ def recognised_algebra(
     """
     if semigroup is None:
         semigroup = m.is_semigroup
-    _check_mode(semigroup)
+    _check_flag(semigroup, "semigroup")
     if not semigroup and m.is_semigroup:
         raise InputError("monoid-mode algebra needs a monoid with identity")
     hs = all_morphisms(alph, m)

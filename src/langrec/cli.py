@@ -236,7 +236,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--input", help="input file (DFA / monoid / algebra JSON)")
     c.add_argument("--input2", help="second input file where applicable")
     c.add_argument("--regex", help="inline regular expression instead of --input")
-    c.add_argument("--word", help="quotient word (w@i form is for marked words)")
+    c.add_argument("--word", help="word to quotient by (construct quotient)")
     c.add_argument("--side", choices=["left", "right"], help="quotient side")
     c.add_argument("--max-size", type=int, help="materialisation bound override")
     c.add_argument("--out", default=".", help="output directory")

@@ -39,6 +39,7 @@ from .algebra import LanguageAlgebra, _literal_sum, _split_closure, trivial_alge
 from .languages import (
     Dfa,
     Word,
+    _check_indices,
     _letter_indices,
     _pairs,
     _state_labels,
@@ -51,11 +52,6 @@ from .marking import MarkedWord, prefix_to_mark, replace_at_mark
 from .monoids import FiniteQuotient, transition_closure
 
 
-def _check_point(q: FiniteQuotient, point: int) -> None:
-    if type(point) is not int or not 0 <= point < q.size:
-        raise InputError(f"point {point!r} is not an integer in 0..{q.size - 1}")
-
-
 @dataclass(frozen=True)
 class UltrafilterApprox:
     """A point of a finite quotient, standing for the ultrafilters on
@@ -65,7 +61,7 @@ class UltrafilterApprox:
     point: int
 
     def __post_init__(self) -> None:
-        _check_point(self.quotient, self.point)
+        _check_indices((self.point,), self.quotient.size, "point")
 
     @classmethod
     def of_word(cls, quotient: FiniteQuotient, w: "Word | Iterable[int]") -> "UltrafilterApprox":
@@ -121,7 +117,7 @@ def factorizations(
     q: FiniteQuotient, point: int, letter: "str | int"
 ) -> list[FactorizationClass]:
     """All (p, s) with p * eta(letter) * s = point, by table scan."""
-    _check_point(q, point)
+    _check_indices((point,), q.size, "point")
     (a,) = _letter_indices(q.alphabet, (letter,))
     img = q.morphism.letter_images[a]
     table = q.monoid.table

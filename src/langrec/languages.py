@@ -26,6 +26,20 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .errors import InputError, ResourceLimitError
 
 
+def _check_indices(values: Iterable, n: int, what: str) -> None:
+    """Refuse the first value that is not an index 0..n-1: True and 1.0
+    equal 1, but are no index."""
+    for v in values:
+        if type(v) is not int or not 0 <= v < n:
+            raise InputError(f"{what} {v!r} is not an integer in 0..{n - 1}")
+
+
+def _check_flag(value: object, what: str) -> None:
+    """Refuse a flag such as 0, 2 or "no", which truthiness would read."""
+    if type(value) is not bool:
+        raise InputError(f"{what} must be true or false, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered finite set of distinct letter names."""
@@ -90,10 +104,7 @@ class Word:
     def __post_init__(self) -> None:
         if not isinstance(self.indices, tuple):
             object.__setattr__(self, "indices", tuple(self.indices))
-        k = len(self.alphabet)
-        for i in self.indices:
-            if type(i) is not int or not 0 <= i < k:
-                raise InputError(f"letter index {i!r} is not an integer in 0..{k - 1}")
+        _check_indices(self.indices, len(self.alphabet), "letter index")
 
     @classmethod
     def parse(cls, alph: Alphabet, text: str) -> "Word":
@@ -190,14 +201,9 @@ class Dfa:
         for row in table:
             if len(row) != k:
                 raise InputError("each transition row must cover the whole alphabet")
-            for t in row:
-                if type(t) is not int or not 0 <= t < n:
-                    raise InputError(f"transition target {t!r} is not an integer in 0..{n - 1}")
-        if type(self.initial) is not int or not 0 <= self.initial < n:
-            raise InputError(f"initial state {self.initial!r} is not an integer in 0..{n - 1}")
-        for q in acc:
-            if type(q) is not int or not 0 <= q < n:
-                raise InputError(f"accepting state {q!r} is not an integer in 0..{n - 1}")
+            _check_indices(row, n, "transition target")
+        _check_indices((self.initial,), n, "initial state")
+        _check_indices(acc, n, "accepting state")
         canon = _canonical(self.alphabet, table, acc, self.initial)
         vars(self).update(vars(canon))
 
@@ -218,23 +224,21 @@ class Dfa:
         return not self.accepting
 
     def shortest_accepted(self) -> tuple[int, ...] | None:
-        """Length-lex least accepted word, or None for the empty language."""
-        if self.initial in self.accepting:
-            return ()
-        words: dict[int, tuple[int, ...]] = {self.initial: ()}
-        frontier = [self.initial]
-        while frontier:
-            new: list[int] = []
-            for q in frontier:
-                for c in range(len(self.alphabet)):
-                    r = self.transitions[q][c]
-                    if r not in words:
-                        words[r] = words[q] + (c,)
-                        if r in self.accepting:
-                            return words[r]
-                        new.append(r)
-            frontier = new
-        return None
+        """Length-lex least accepted word, or None for the empty language.
+        The states are numbered breadth-first, so state i's least word is
+        its breadth-first tree word and the least accepting state's is
+        the answer; the tree is grown up to that state."""
+        if not self.accepting:
+            return None
+        last = min(self.accepting)
+        words = [()]
+        for row, word in zip(self.transitions, words):
+            if len(words) > last:
+                break
+            for c, r in enumerate(row):
+                if r == len(words):  # r is discovered here
+                    words.append(word + (c,))
+        return words[last]
 
     # -- serialisation ------------------------------------------------
 
@@ -516,22 +520,6 @@ def complement(l: Dfa) -> Dfa:
     return _trusted_dfa(l.alphabet, l.transitions, frozenset(range(l.states)) - l.accepting)
 
 
-def boolean_combine(op: str, l1: Dfa, l2: Dfa | None = None) -> Dfa:
-    """Set-theoretic combination; `complement` is unary, the rest binary."""
-    if op == "complement":
-        if l2 is not None:
-            raise InputError("complement takes a single operand")
-        return complement(l1)
-    if l2 is None:
-        raise InputError(f"{op} needs two operands")
-    table = {"union": union, "intersection": intersection, "difference": difference}
-    try:
-        f = table[op]
-    except KeyError:
-        raise InputError(f"unknown Boolean operation {op!r}") from None
-    return f(l1, l2)
-
-
 def same_language(l1: Dfa, l2: Dfa) -> bool:
     """Equality via product-automaton emptiness, independent of canonicity."""
     return symmetric_difference(l1, l2).is_empty()
@@ -639,8 +627,7 @@ def concat_decompose(l1: Dfa, l2: Dfa, verbatim: bool = False) -> Dfa:
     which drops the words of L1 paired with the empty suffix; the flag
     exists so the uncorrected identity can be evaluated for comparison.
     """
-    if type(verbatim) is not bool:  # "no" or 0 would be read by truthiness
-        raise InputError(f"verbatim must be true or false, got {verbatim!r}")
+    _check_flag(verbatim, "verbatim")
     _require_same_alphabet(l1, l2)
     alph = l1.alphabet
     out = empty_language(alph)

@@ -15,7 +15,8 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import InputError
-from .languages import Alphabet, Dfa, Word, _canonical, _letter_indices, _subset_dfa, intersection
+from .languages import Alphabet, Dfa, Word, _canonical, _check_indices, _letter_indices
+from .languages import _subset_dfa, intersection
 
 
 @dataclass(frozen=True)
@@ -62,9 +63,7 @@ class MarkedWord:
     position: int
 
     def __post_init__(self) -> None:
-        n = len(self.word)
-        if type(self.position) is not int or not 0 <= self.position < n:
-            raise InputError(f"mark {self.position!r} is not an integer in 0..{n - 1}")
+        _check_indices((self.position,), len(self.word), "mark")
 
     @classmethod
     def parse(cls, alph: Alphabet, text: str) -> "MarkedWord":

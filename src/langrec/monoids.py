@@ -22,7 +22,8 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .languages import Alphabet, Dfa, Word, _explore, _state_labels, _trusted_dfa
-from .languages import _json_int, _json_ints, _letter_indices, closure_limit
+from .languages import _check_flag, _check_indices, _json_int, _json_ints, _letter_indices
+from .languages import closure_limit
 
 _INT = frozenset({int})
 
@@ -111,8 +112,7 @@ class FiniteMonoid:
             raise InputError(f"multiplication not associative at {defect}")
         if self.identity is not None:
             e = self.identity
-            if type(e) is not int or not 0 <= e < n:
-                raise InputError(f"identity {e!r} is not an integer in 0..{n - 1}")
+            _check_indices((e,), n, "identity")
             for x in range(n):
                 if self.table[e][x] != x or self.table[x][e] != x:
                     raise InputError(f"element {e} is not a two-sided identity")
@@ -286,10 +286,7 @@ class MonoidMorphism:
             object.__setattr__(self, "letter_images", tuple(self.letter_images))
         if len(self.letter_images) != len(self.alphabet):
             raise InputError("need exactly one image per letter")
-        n = self.target.size
-        for v in self.letter_images:
-            if type(v) is not int or not 0 <= v < n:
-                raise InputError(f"letter image {v!r} is not an integer in 0..{n - 1}")
+        _check_indices(self.letter_images, self.target.size, "letter image")
 
     def evaluate(self, w: "Word | Iterable[str | int]") -> int:
         idxs = _letter_indices(self.alphabet, w)
@@ -327,9 +324,7 @@ class MonoidMorphism:
 def _elements(values: Iterable[int], n: int) -> frozenset[int]:
     """The values as a set of elements 0..n-1, each one checked."""
     values = tuple(values)
-    for v in values:  # True and 1.0 equal 1, but are not elements
-        if type(v) is not int or not 0 <= v < n:
-            raise InputError(f"element {v!r} is not an integer in 0..{n - 1}")
+    _check_indices(values, n, "element")
     return frozenset(values)
 
 
@@ -424,12 +419,6 @@ def generate_closure(
     return GeneratedClosure(states[semigroup:], transitions, semigroup)
 
 
-def _check_mode(semigroup: bool) -> None:
-    """Refuse a mode flag such as 0, 2 or "no", which means neither mode."""
-    if type(semigroup) is not bool:
-        raise InputError(f"semigroup must be true or false, got {semigroup!r}")
-
-
 _BITS = tuple(1 << i for i in range(8))
 
 
@@ -461,7 +450,7 @@ class FiniteQuotient:
     _tree: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_mode(self.semigroup)
+        _check_flag(self.semigroup, "semigroup")
         g = tuple(map(tuple, self.transitions))
         object.__setattr__(self, "transitions", g)
         if not g:
@@ -548,10 +537,10 @@ class FiniteQuotient:
         graph, where a word's state fixes where it leads every state, as
         for every quotient built by this package."""
         n, off = self.size, self.semigroup
+        elements = tuple(elements)
+        _check_indices(elements, n, "element index")
         start = 0
         for i in elements:
-            if type(i) is not int or not 0 <= i < n:
-                raise InputError(f"element index {i!r} is not an integer in 0..{n - 1}")
             start |= 1 << (i + off)
         tables = self._preimage_bytes
         nbytes = len(tables[0])
@@ -658,9 +647,7 @@ class Biaction:
             if len(comp) != m or any(len(r) != n for r in comp):
                 raise InputError("need one carrier self-map per monoid element")
             for row in comp:
-                for v in row:
-                    if type(v) is not int or not 0 <= v < n:
-                        raise InputError(f"action component {v!r} is not an integer in 0..{n - 1}")
+                _check_indices(row, n, "action component")
         defect = self.law_defect()
         if defect is not None:
             raise InputError(f"action laws violated: {defect}")

@@ -32,6 +32,7 @@ from langrec import (
     left_quotient,
     local_schutz_morphism,
     marked_concat,
+    nonempty_universal,
     recognised_algebra,
     regex_to_dfa,
     right_quotient,
@@ -42,7 +43,7 @@ from langrec import (
     union,
     universal_language,
 )
-from langrec import algebra, languages, monoids
+from langrec import algebra, equations, languages, monoids
 from langrec.algebra import _literal_sum
 from langrec.campaigns import (
     _generated_concat_algebra,
@@ -53,7 +54,7 @@ from langrec.campaigns import (
 )
 from langrec.languages import _canonical, _explore, _minimise, closure_limit
 from langrec.marking import ExtendedAlphabet
-from langrec.monoids import generate_closure
+from langrec.monoids import generate_closure, transition_closure
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -125,6 +126,50 @@ class TestGenerateAlgebra:
         for other in (Alphabet(("a", "b", "c")), A1):
             with pytest.raises(InputError, match="the word is over"):
                 alg.atom_of(Word(other, (0,)))
+
+
+def closure_of_products(gens, alph, semigroup):
+    """Reference: the transitions of the closure of each generator's
+    product with the universe, built before the closure."""
+    if semigroup:
+        gens = [intersection(d, nonempty_universal(alph)) for d in gens]
+    return tuple(transition_closure(alph, tuple(gens), semigroup=semigroup).transitions)
+
+
+class TestSemigroupGenerators:
+    def test_closing_the_given_dfas_matches_closing_their_products(self):
+        rng = random.Random(11)
+        for letters in ("a", "ab", "abc"):
+            alph = Alphabet(tuple(letters))
+            eps = epsilon_language(alph)
+            for _ in range(100):
+                gens = [regex_to_dfa(random_regex(rng, alph, 4), alph)
+                        for _ in range(rng.randint(0, 2))]
+                if gens:  # with and without ε: one product, two DFAs
+                    gens += [union(gens[0], eps), difference(gens[0], eps)]
+                for semigroup in (False, True):
+                    alg = generate_algebra(gens, alph, semigroup=semigroup)
+                    assert alg.transitions == closure_of_products(gens, alph, semigroup)
+                want = tuple(intersection(d, nonempty_universal(alph)) for d in gens)
+                assert generate_algebra(gens, alph, semigroup=True).generators == want
+
+    def test_no_product_is_built_before_the_generators_are_read(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("intersection was called")
+
+        gens = [regex_to_dfa("a*b*", AB), regex_to_dfa("(ab)*", AB)]
+        monkeypatch.setattr(algebra, "intersection", refused)
+        b = generate_algebra(gens, AB, semigroup=True)
+        assert schutz_sum(b, b).atom_count > b.atom_count
+        assert equations._trivial_sum(b).atom_count > b.atom_count  # separation_witness's sum
+        with pytest.raises(AssertionError, match="intersection was called"):
+            b.generators
+
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_a_generator_over_another_alphabet_is_refused(self, semigroup):
+        with pytest.raises(InputError, match="^the DFAs must share one alphabet$"):
+            generate_algebra([regex_to_dfa("a", AB), regex_to_dfa("a", A1)], AB,
+                             semigroup=semigroup)
 
 
 class TestMembership:

@@ -6,12 +6,15 @@ import pytest
 
 from langrec import (
     Alphabet,
+    Biaction,
     Dfa,
+    FiniteMonoid,
     InputError,
     MarkedWord,
+    MonoidMorphism,
     ResourceLimitError,
+    UltrafilterApprox,
     Word,
-    boolean_combine,
     complement,
     concat,
     concat_decompose,
@@ -21,6 +24,7 @@ from langrec import (
     factorizations,
     generate_algebra,
     intersection,
+    joint_quotient,
     left_quotient,
     marked_concat,
     nonempty_universal,
@@ -216,7 +220,6 @@ class TestBooleanOps:
     def test_union_with_empty_is_identity(self):
         l = regex_to_dfa("(a|b)*a(a|b)*", AB)
         assert union(l, empty_language(AB)) == l
-        assert boolean_combine("union", l, empty_language(AB)) == l
 
     def test_complement_involution(self):
         for r in CORPUS_REGEXES:
@@ -232,10 +235,6 @@ class TestBooleanOps:
     def test_alphabet_mismatch_is_input_error(self):
         with pytest.raises(InputError):
             union(universal_language(AB), universal_language(Alphabet(("a",))))
-
-    def test_complement_is_unary(self):
-        with pytest.raises(InputError):
-            boolean_combine("complement", universal_language(AB), universal_language(AB))
 
 
 class TestQuotients:
@@ -516,7 +515,37 @@ RAW_TABLES = [
 ]
 
 
+def shortest_accepted_by_bfs(d):
+    """Reference: the length-lex least accepted word, by a breadth-first
+    walk from the initial state that reads no state numbering."""
+    if d.initial in d.accepting:
+        return ()
+    words = {d.initial: ()}
+    frontier = [d.initial]
+    while frontier:
+        new = []
+        for q in frontier:
+            for c in range(len(d.alphabet)):
+                r = d.transitions[q][c]
+                if r not in words:
+                    words[r] = words[q] + (c,)
+                    if r in d.accepting:
+                        return words[r]
+                    new.append(r)
+        frontier = new
+    return None
+
+
 class TestCanonicity:
+    def test_shortest_accepted_matches_the_walk(self):
+        rng = random.Random(5)
+        dfas = corpus_dfas(AB) + [empty_language(AB), epsilon_language(AB)]
+        for letters in ("a", "ab", "abc"):
+            alph = Alphabet(tuple(letters))
+            dfas += [regex_to_dfa(random_regex(rng, alph, depth=4), alph) for _ in range(150)]
+        for d in dfas + [complement(d) for d in dfas]:
+            assert d.shortest_accepted() == shortest_accepted_by_bfs(d), d
+
     @pytest.mark.parametrize("states, transitions, accepting, initial, regex", RAW_TABLES)
     def test_constructor_gives_the_canonical_form(self, states, transitions, accepting, initial, regex):
         d = Dfa(AB, states, transitions, accepting, initial)
@@ -766,3 +795,49 @@ def test_package_exports_name_no_module():
     modules = [n for n in langrec.__all__ if isinstance(getattr(langrec, n), types.ModuleType)]
     assert modules == []
     assert "languages" not in langrec.__all__ and "Dfa" in langrec.__all__
+
+
+# -- the one index rule -------------------------------------------------------
+
+A1 = Alphabet(("a",))
+Z2 = FiniteMonoid(((0, 1), (1, 0)), identity=0)
+PARITY = joint_quotient([regex_to_dfa("(aa)*", A1)])  # the classes of ε and a
+SWAPS = ((0, 1), (1, 0))
+TABLE = ((0, 1), (1, 1))
+
+# (what, a build that reads the value v); every site has n = 2 indices.  A
+# site that reads a sequence is built twice: the value alone, and one bad
+# entry in an otherwise valid sequence
+INDEX_SITES = [
+    ("letter index", lambda v: Word(AB, (v,))),
+    ("letter index", lambda v: Word(AB, (1, 0, v, 1))),
+    ("transition target", lambda v: Dfa(AB, 2, ((v, 1), (1, 1)), {1})),
+    ("transition target", lambda v: Dfa(AB, 2, ((0, 1), (1, v)), {1})),
+    ("initial state", lambda v: Dfa(AB, 2, TABLE, {1}, v)),
+    ("accepting state", lambda v: Dfa(AB, 2, TABLE, {v})),
+    ("accepting state", lambda v: Dfa(AB, 2, TABLE, {0, v})),
+    ("mark", lambda v: MarkedWord(Word(AB, (0, 1)), v)),
+    ("identity", lambda v: FiniteMonoid(Z2.table, identity=v)),
+    ("letter image", lambda v: MonoidMorphism(A1, Z2, (v,))),
+    ("letter image", lambda v: MonoidMorphism(AB, Z2, (1, v))),
+    ("element", lambda v: MonoidMorphism(A1, Z2, (1,)).preimage([v])),
+    ("element", lambda v: MonoidMorphism(A1, Z2, (1,)).preimage([1, 0, v])),
+    ("element index", lambda v: PARITY.union_language([v])),
+    ("element index", lambda v: PARITY.union_language([1, 0, v])),
+    ("action component", lambda v: Biaction(Z2, 2, ((v, 1), (1, 0)), SWAPS)),
+    ("action component", lambda v: Biaction(Z2, 2, SWAPS, ((0, 1), (1, v)))),
+    ("point", lambda v: UltrafilterApprox(PARITY, v)),
+    ("point", lambda v: factorizations(PARITY, v, "a")),
+]
+
+
+@pytest.mark.parametrize("what, build, value", [
+    (what, build, v)
+    for what, build in INDEX_SITES
+    for v in (True, 1.0, -1, 2, None)
+    if not (what == "identity" and v is None)  # no identity: a semigroup
+])
+def test_every_index_boundary_gives_the_one_message(what, build, value):
+    with pytest.raises(InputError) as exc:
+        build(value)
+    assert str(exc.value) == f"{what} {value!r} is not an integer in 0..1"
