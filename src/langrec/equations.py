@@ -19,19 +19,20 @@ algebra, with the candidate's syntactic machine riding along.  Every
 element of the quotient is realised by a word, so a factorisation in
 the quotient is exactly a word factorisation of its class, and the
 points p * eta(a) * q over all q are the states reachable from
-p * eta(a) in the Cayley graph: the decision builds no multiplication
-table, and the table scans below are its independent oracle.  The
-agreement with the direct closure oracle is re-validated empirically by
-the verification campaigns rather than assumed.
+p * eta(a) in the Cayley graph.  One pass of Tarjan's algorithm labels
+the graph's strongly connected components; each p * eta(a) sets the bit
+(a, B-atom of p) on its component, and one walk down the condensation,
+sources first, ORs every component's bits into its successors.  A
+point's signature is its B-atom with its component's bits.  The
+decision builds no multiplication table, and the table scans below are
+its independent oracle.  The agreement with the direct closure oracle
+is re-validated empirically by the verification campaigns rather than
+assumed.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
-from functools import reduce
-from itertools import chain, count
-from operator import or_
 from typing import Iterable, Sequence
 
 from .errors import InputError, PreconditionError
@@ -197,76 +198,100 @@ def bsum2_quotient(
     return FiniteQuotient(b.alphabet, False, rows)
 
 
-def _reach_masks(g: Sequence[Sequence[int]]) -> list[int]:
-    """Per state of a graph whose states are all reachable from state 0,
-    the bitmask of the states reachable from it, by one iterative pass
-    of Tarjan's algorithm: a strongly connected component closes after
-    every component it leads to, and its states share one mask."""
+def _components(g: Sequence[Sequence[int]]) -> list[int]:
+    """Strongly connected component number of each state of a graph, by
+    one iterative pass of Tarjan's algorithm with an explicit next-edge
+    index per open state.  Components are numbered in the order they
+    close, so every edge leads to the same or a lower number."""
     n = len(g)
-    number, low = [1] + [0] * (n - 1), [1] + [0] * (n - 1)  # low: n + 1 once closed
-    reach = [1 << s for s in range(n)]
-    fresh = count(2)  # discovery numbers
-    opened, calls = [0], [(0, iter(g[0]))]
-    while calls:
-        v, targets = calls[-1]
-        for w in targets:
-            if not number[w]:  # descend, and take the edge again on return
-                calls[-1] = (v, chain((w,), targets))
-                calls.append((w, iter(g[w])))
-                number[w] = low[w] = next(fresh)
+    number, low = [0] * n, [0] * n  # discovery numbers from 1; low: n + 1 once closed
+    comp, nxt = [0] * n, [0] * n
+    fresh = closed = 0
+    opened: list[int] = []  # the states of the open components, in discovery order
+    for root in range(n):
+        if number[root]:
+            continue
+        fresh += 1
+        number[root] = low[root] = fresh
+        opened.append(root)
+        path = [root]
+        while path:
+            v = path[-1]
+            edges, i = g[v], nxt[v]
+            while i < len(edges):
+                w = edges[i]
+                if not number[w]:
+                    break
+                if low[w] < low[v]:
+                    low[v] = low[w]
+                i += 1
+            nxt[v] = i
+            if i < len(edges):  # descend, and take the edge again on return
+                fresh += 1
+                number[w] = low[w] = fresh
                 opened.append(w)
-                break
-            low[v] = min(low[v], low[w])
-            reach[v] |= reach[w]
-        else:
-            del calls[-1]
+                path.append(w)
+                continue
+            del path[-1]
             if low[v] == number[v]:  # v roots a component: close it
-                # the open states are stacked in discovery order
-                i = bisect_left(opened, number[v], key=number.__getitem__)
-                mask = reduce(or_, map(reach.__getitem__, opened[i:]))
-                for u in opened[i:]:
-                    reach[u], low[u] = mask, n + 1
-                del opened[i:]
-    return reach
+                while True:
+                    w = opened.pop()
+                    comp[w], low[w] = closed, n + 1
+                    if w == v:
+                        break
+                closed += 1
+    return comp
 
 
 def _equation_signatures(
     q: FiniteQuotient, b: LanguageAlgebra
-) -> list[tuple]:
-    """Per element: its B-atom plus, for every letter c, the set of atoms
-    of the prefix sides p of factorisations p * c * s, that is, of the p
-    from whose p * c the element is reachable (by a non-empty word in
-    semigroup mode).  Two elements form an equation of the sum exactly
-    when their signatures coincide."""
+) -> list[tuple[int, int]]:
+    """Per element x: its B-atom, and the bitmask holding bit
+    c * |B| + atom(p) for every letter c and every prefix side p of a
+    factorisation p * c * s = x, that is, for every p from whose p * c
+    the element is reachable (by a non-empty word in semigroup mode).
+    Two elements form an equation of the sum exactly when their
+    signatures coincide.  Each p * c sets its bit on its component, and
+    the masks are pushed down the condensation, sources first."""
     atom_of = _atom_map(q, b)
-    g, off = q.transitions, q.semigroup
-    reach = _reach_masks(g)
-    if off:
-        reach = [reduce(or_, map(reach.__getitem__, row)) >> 1 for row in g]
-    per_letter = []
-    for c in range(len(q.alphabet)):
-        masks = [0] * b.atom_count
-        for p, atom in enumerate(atom_of):
-            masks[atom] |= reach[g[p + off][c]]
-        per_letter.append(tuple(enumerate(masks)))
-    return [
-        (atom_of[x], tuple(frozenset(a for a, m in masks if m >> x & 1) for masks in per_letter))
-        for x in range(q.size)
-    ]
+    g, off, width = q.transitions, q.semigroup, b.atom_count
+    comp = _components(g)
+    masks = [0] * len(g)
+    for p, atom in enumerate(atom_of):
+        bit = 1 << atom
+        for v in g[p + off]:
+            masks[comp[v]] |= bit
+            bit <<= width
+    # an edge never leads to a higher component: take the highest first
+    for v in sorted(range(len(g)), key=comp.__getitem__, reverse=True):
+        m = masks[comp[v]]
+        for w in g[v]:
+            masks[comp[w]] |= m
+    if not off:
+        return [(atom, masks[comp[x]]) for x, atom in enumerate(atom_of)]
+    # the suffix is non-empty: read each element one edge past its sources
+    into = [0] * len(g)
+    for v, row in enumerate(g):
+        for w in row:
+            into[w] |= masks[comp[v]]
+    return [(atom, into[x + 1]) for x, atom in enumerate(atom_of)]
 
 
 def equation_set(
     q: FiniteQuotient, b: LanguageAlgebra
 ) -> list[EquationInstance]:
     """All equations of the finite-resolution set over the quotient,
-    with mu < nu (the reflexive pairs are omitted: they say nothing)."""
+    with mu < nu (the reflexive pairs are omitted: they say nothing),
+    ordered by mu and then nu."""
     sigs = _equation_signatures(q, b)
-    n = q.size
+    groups: dict[tuple[int, int], list[int]] = {}
+    for x, sig in enumerate(sigs):
+        groups.setdefault(sig, []).append(x)
     return [
         EquationInstance(UltrafilterApprox(q, i), UltrafilterApprox(q, j))
-        for i in range(n)
-        for j in range(i + 1, n)
-        if sigs[i] == sigs[j]
+        for i, sig in enumerate(sigs)
+        for j in groups[sig]
+        if i < j
     ]
 
 
@@ -289,7 +314,7 @@ def _equations_hold(q: FiniteQuotient, k: Dfa, b: LanguageAlgebra) -> bool:
     if sat is None:
         raise PreconditionError("candidate not recognised by its own joint quotient")
     # no signature may hold points on both sides of K
-    side: dict[tuple, bool] = {}
+    side: dict[tuple[int, int], bool] = {}
     sigs = enumerate(_equation_signatures(q, b))
     return all(side.setdefault(sig, x in sat) == (x in sat) for x, sig in sigs)
 

@@ -30,8 +30,8 @@ from langrec import (
 )
 from langrec.equations import (
     _atom_map,
+    _components,
     _equation_signatures,
-    _reach_masks,
     lemma_factor_violations,
     lemma_witness_check,
 )
@@ -95,6 +95,21 @@ def reachable_by_search(g, s):
                 seen.add(t)
                 todo.append(t)
     return sum(1 << t for t in seen)
+
+
+def packed_prefix_signatures(q, b):
+    """Per element, its B-atom and the bitmask of bits
+    c * |B| + atom(p) over the prefix sides p of its factorisations at
+    each letter c, read off the table scan of ``prefix_classes``."""
+    atom_of = _atom_map(q, b)
+    return [
+        (atom_of[x], sum(
+            1 << (c * b.atom_count + atom)
+            for c in range(len(q.alphabet))
+            for atom in {atom_of[p] for p in prefix_classes(UltrafilterApprox(q, x), c)}
+        ))
+        for x in range(q.size)
+    ]
 
 
 def separation_by_atom_dfas(k, b):
@@ -214,6 +229,27 @@ class TestEquationSet:
         pairs = equation_set(q, b)
         for e in pairs:
             assert in_equation_set(e, b)
+
+    @pytest.mark.parametrize("alph, seed", [(AB, 41), (A3, 43)])
+    def test_equation_set_matches_the_pair_scan(self, alph, seed):
+        # B from at most one generator, read on the joint quotient of its
+        # generator and two more: many points share a signature
+        rng = random.Random(seed)
+        counts = []
+        for _ in range(10):
+            gens = [regex_to_dfa(random_regex(rng, alph, 2), alph) for _ in range(rng.randint(0, 1))]
+            extra = [regex_to_dfa(random_regex(rng, alph, 3), alph) for _ in range(2)]
+            b = generate_algebra(gens, alph)
+            q = joint_quotient(gens + extra, max_size=80)
+            sigs = _equation_signatures(q, b)
+            expected = [
+                (i, j) for i in range(q.size) for j in range(i + 1, q.size) if sigs[i] == sigs[j]
+            ]
+            pairs = equation_set(q, b)
+            assert [(e.mu.point, e.nu.point) for e in pairs] == expected
+            assert all(e.quotient is q for e in pairs)
+            counts.append(len(expected))
+        assert min(counts) == 0 and max(counts) >= 7
 
 
 class TestMembershipDecision:
@@ -344,7 +380,7 @@ class TestAtomMap:
 
 class TestEquationSignatures:
     def test_match_prefix_classes_on_seeded_draws(self):
-        # the per-point factorisation scan is the oracle for the per-row fill
+        # the per-point factorisation scan is the oracle for the pushed masks
         rng = random.Random(31)
         sizes = []
         for i in range(16):
@@ -356,15 +392,7 @@ class TestEquationSignatures:
                 q = bsum2_quotient(k, b, max_size=60)
             except ResourceLimitError:
                 continue  # the cubic oracle would take seconds
-            atom_of = _atom_map(q, b)
-            expected = [
-                (atom_of[x], tuple(
-                    frozenset(atom_of[p] for p in prefix_classes(UltrafilterApprox(q, x), a))
-                    for a in range(len(alph))
-                ))
-                for x in range(q.monoid.size)
-            ]
-            assert _equation_signatures(q, b) == expected
+            assert _equation_signatures(q, b) == packed_prefix_signatures(q, b)
             sizes.append(q.monoid.size)
         assert len(sizes) >= 12 and max(sizes) > 40
 
@@ -373,37 +401,52 @@ class TestEquationSignatures:
             b = generate_algebra([regex_to_dfa(g, AB) for g in gens], AB, semigroup=True)
             finer_b = generate_algebra([regex_to_dfa(g, AB) for g in finer], AB, semigroup=True)
             q = dual_recogniser(finer_b)
-            atom_of = _atom_map(q, b)
-            expected = [
-                (atom_of[x], tuple(
-                    frozenset(atom_of[p] for p in prefix_classes(UltrafilterApprox(q, x), a))
-                    for a in range(2)
-                ))
-                for x in range(q.size)
-            ]
-            assert _equation_signatures(q, b) == expected
+            assert _equation_signatures(q, b) == packed_prefix_signatures(q, b)
+
+    def test_semigroup_mode_through_a_multi_state_cycle(self):
+        # word length mod 3 makes a three-state component of the Cayley
+        # graph; the words of length 2 make elements no non-empty suffix
+        # leads back to, which only the extra edge keeps off their masks
+        gens = [regex_to_dfa("((a|b)(a|b)(a|b))*", AB)]
+        finer = gens + [regex_to_dfa("(a|b)(a|b)|a(a|b)*", AB)]
+        b = generate_algebra(gens, AB, semigroup=True)
+        q = dual_recogniser(generate_algebra(finer, AB, semigroup=True))
+        g = q.transitions
+        comp = _components(g)
+        assert max(comp.count(c) for c in comp) == 3
+        assert any(comp.count(comp[x]) == 1 and x not in g[x] for x in range(1, len(g)))
+        sigs = _equation_signatures(q, b)
+        assert sigs == packed_prefix_signatures(q, b)
+        assert len(set(sigs)) < len(sigs)  # some pair forms an equation
 
 
-class TestReachMasks:
+class TestComponents:
+    @staticmethod
+    def check(g):
+        # one component exactly for states that reach each other, and no
+        # edge leading to a higher component
+        comp = _components(g)
+        reach = [reachable_by_search(g, s) for s in range(len(g))]
+        for s in range(len(g)):
+            assert {t for t in range(len(g)) if comp[t] == comp[s]} == {
+                t for t in range(len(g)) if reach[s] >> t & 1 and reach[t] >> s & 1
+            }
+        assert all(comp[t] <= comp[s] for s, row in enumerate(g) for t in row)
+        assert sorted(set(comp)) == list(range(len(set(comp))))
+
     def test_match_graph_search(self):
         rng = random.Random(5)
         for n in (1, 2, 5, 40, 300):
             for _ in range(4):
-                # a path through every state keeps them all reachable from 0
-                g = [[min(s + 1, n - 1)] + [rng.randrange(n) for _ in range(rng.randint(0, 2))]
-                     for s in range(n)]
-                rng.shuffle(g[0])
-                assert _reach_masks(g) == [reachable_by_search(g, s) for s in range(n)]
+                self.check([[rng.randrange(n) for _ in range(rng.randint(0, 3))] for _ in range(n)])
 
-    def test_cayley_graphs_and_a_long_path(self):
+    def test_cayley_graphs_and_long_paths(self):
         for regex in ("(a|b)*ab(a|b)", "(ab|ba)*", "a*b*"):
-            g = joint_quotient([regex_to_dfa(regex, AB)]).transitions
-            assert _reach_masks(g) == [reachable_by_search(g, s) for s in range(len(g))]
+            self.check(joint_quotient([regex_to_dfa(regex, AB)]).transitions)
         n = 5000  # deeper than the interpreter's recursion limit
-        masks = _reach_masks([[s + 1] for s in range(n - 1)] + [[0]])
-        assert masks == [(1 << n) - 1] * n
-        masks = _reach_masks([[s + 1] for s in range(n - 1)] + [[n - 1]])
-        assert masks == [(1 << n) - (1 << s) for s in range(n)]
+        assert _components([[s + 1] for s in range(n - 1)] + [[0]]) == [0] * n
+        comp = _components([[s + 1] for s in range(n - 1)] + [[n - 1]])
+        assert comp == [n - 1 - s for s in range(n)]
 
 
 class TestJointQuotient:
