@@ -18,6 +18,7 @@ from .languages import (
     Alphabet,
     Dfa,
     Word,
+    closure_ceiling,
     complement,
     concat,
     concat_decompose,

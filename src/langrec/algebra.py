@@ -45,7 +45,7 @@ from functools import cached_property
 from operator import attrgetter, getitem
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InputError, InvariantError
+from .errors import InputError, InvariantError, ResourceLimitError
 from .languages import (
     Alphabet,
     Dfa,
@@ -53,6 +53,7 @@ from .languages import (
     _canonical,
     _check_flag,
     _state_labels,
+    closure_limit,
     intersection,
     marked_concat,
     nonempty_universal,
@@ -136,14 +137,13 @@ def generate_algebra(
     alph: Alphabet | None = None,
     *,
     semigroup: bool = False,
-    max_states: int | None = None,
 ) -> LanguageAlgebra:
     """Smallest quotient-closed Boolean algebra containing the generators.
 
     Two words lie in one atom exactly when no quotient of a generator
     separates them, that is, when they share a syntactic class of every
     generator: the atoms are the elements of the generators' transition
-    closure, and ``max_states`` bounds it.  The closure reads neither
+    closure.  The closure reads neither
     acceptance nor, in semigroup mode, the empty word, so it closes the
     generators as given; their products with the non-empty words are
     built on first read of ``generators``."""
@@ -153,7 +153,7 @@ def generate_algebra(
         if not gens:
             raise InputError("need an alphabet when no generators are given")
         alph = gens[0].alphabet
-    closure = transition_closure(alph, gens, semigroup=semigroup, max_size=max_states)
+    closure = transition_closure(alph, gens, semigroup=semigroup)
     # distinct elements are distinct atoms, and the closure is numbered
     # breadth-first, so its Cayley graph is the atom machine
     return LanguageAlgebra(
@@ -217,8 +217,6 @@ def transport(
     letter_map: Mapping[str, "str | Word"],
     b: LanguageAlgebra,
     source: Alphabet,
-    *,
-    max_states: int | None = None,
 ) -> LanguageAlgebra:
     """The algebra over the source universe generated by the inverse
     images of b's atoms under the morphism h sending each source letter
@@ -229,8 +227,8 @@ def transport(
     closure of the letters' images in b's Cayley graph, where x times y
     is where any word reaching y leads x.  In semigroup mode the
     non-empty words sent to ε lie in no inverse image and form an atom
-    of their own.  ``max_states`` bounds the closure; the generators are
-    built on first read, from the images given at the call."""
+    of their own.  The generators are built on first read, from the
+    images given at the call."""
     images = _letter_images(letter_map, source, b.alphabet)  # a snapshot
     g = b.transitions
 
@@ -241,9 +239,7 @@ def transport(
 
     reach = {run(0, img): img for img in images}  # one image word per element
     unit = None if b.semigroup else 0
-    closure = generate_closure(
-        [run(0, img) for img in images], lambda x, y: run(x, reach[y]), unit, max_size=max_states
-    )
+    closure = generate_closure([run(0, img) for img in images], lambda x, y: run(x, reach[y]), unit)
 
     def generators(_: LanguageAlgebra) -> tuple[Dfa, ...]:
         preimages = (_inverse_image(images, a, source) for a in b.atoms)
@@ -255,9 +251,7 @@ def transport(
 # -- the binary sum (marked concatenations adjoined) -----------------------
 
 
-def schutz_sum(
-    b1: LanguageAlgebra, b2: LanguageAlgebra, *, max_states: int | None = None
-) -> LanguageAlgebra:
+def schutz_sum(b1: LanguageAlgebra, b2: LanguageAlgebra) -> LanguageAlgebra:
     """Algebra generated by both operands plus every marked concatenation
     A1 c A2 of their atoms.  Marked concatenation distributes over union
     in both arguments, so atom-level generators span all members.
@@ -267,26 +261,26 @@ def schutz_sum(
     atom y of b2 says that w lies in x c y, so two words share (m1, S, m2)
     exactly when they share every generator, and the triples form a
     monoid: they are the joint syntactic classes, read from no DFA.
-    ``max_states`` bounds the closure, and the generators (atoms of
-    both, then every marked concatenation) are built on first read.  In
+    The generators (atoms of both, then every marked concatenation) are
+    built on first read.  In
     semigroup mode a split with an empty prefix or suffix is no
     generator, so the sum is the literal closure of the generators'
     DFAs."""
     if b1.alphabet != b2.alphabet or b1.semigroup != b2.semigroup:
         raise InputError("operands must live over the same universe")
     if b1.semigroup:
-        return _literal_sum(b1, b2, max_states=max_states)
-    rows = _split_closure(b1.transitions, b2.transitions, b2.transitions, max_states)
+        return _literal_sum(b1, b2)
+    rows = _split_closure(b1.transitions, b2.transitions, b2.transitions)
     return LanguageAlgebra(b1.alphabet, False, rows, lambda _: _sum_generators(b1, b2))
 
 
-def _split_closure(g1: Sequence, g2: Sequence, tail: Sequence, max_size: int | None) -> list:
+def _split_closure(g1: Sequence, g2: Sequence, tail: Sequence) -> list:
     """The split closure: the Cayley graph of the triples (m1, S, t) of
     the words w, read from three Cayley graphs over one alphabet.  m1 is
     w's element of g1, t its element of the rider ``tail``, and S holds,
     per element y of g2, the bitmask of the pairs (element x of g1,
     letter c) of the splits w = u c v with u in x and v in y.  The
-    letters generate it; ``max_size`` bounds it."""
+    letters generate it."""
     k = len(g1[0])
     columns = [tuple(row[d] for row in g2) for d in range(k)]
     zeros = [0] * len(g2)
@@ -301,7 +295,7 @@ def _split_closure(g1: Sequence, g2: Sequence, tail: Sequence, max_size: int | N
             moved[z] |= mask
         return g1[m1][d], tuple(moved), tail[t][d]
 
-    return generate_closure(range(k), mul, (0, tuple(zeros), 0), max_size=max_size).transitions
+    return generate_closure(range(k), mul, (0, tuple(zeros), 0)).transitions
 
 
 def _sum_generators(b1: LanguageAlgebra, b2: LanguageAlgebra) -> list[Dfa]:
@@ -315,14 +309,20 @@ def _sum_generators(b1: LanguageAlgebra, b2: LanguageAlgebra) -> list[Dfa]:
     return gens
 
 
-def _literal_sum(
-    b1: LanguageAlgebra, b2: LanguageAlgebra, *, max_states: int | None = None
-) -> LanguageAlgebra:
+def _literal_sum(b1: LanguageAlgebra, b2: LanguageAlgebra) -> LanguageAlgebra:
     """``schutz_sum`` as the transition closure of its generators' DFAs,
     all built first: the only path in semigroup mode, and an oracle for
-    the triple closure in monoid mode."""
+    the triple closure in monoid mode.  More marked concatenations than
+    the closure ceiling are refused before any is built."""
+    count = b1.atom_count * len(b1.alphabet) * b2.atom_count
+    limit = closure_limit()
+    if count > limit:
+        raise ResourceLimitError(
+            f"literal sum needs {count} marked concatenations, above the closure ceiling"
+            f" {limit}; LANGREC_MAX_CLOSURE raises it"
+        )
     gens = _sum_generators(b1, b2)
-    return generate_algebra(gens, b1.alphabet, semigroup=b1.semigroup, max_states=max_states)
+    return generate_algebra(gens, b1.alphabet, semigroup=b1.semigroup)
 
 
 # -- dual recogniser -------------------------------------------------------
@@ -367,7 +367,6 @@ def recognised_algebra(
     alph: Alphabet,
     *,
     semigroup: bool | None = None,
-    max_size: int | None = None,
 ) -> LanguageAlgebra:
     """Boolean algebra generated by every preimage h^-1(V) over every
     morphism h from the free monoid (semigroup) into m.
@@ -385,8 +384,6 @@ def recognised_algebra(
     letters = list(zip(*(h.letter_images for h in hs)))
     unit = None if semigroup else (m.identity,) * len(hs)
     rows = m.table.__getitem__  # x * y is (x[i] * y[i])_i
-    closure = generate_closure(
-        letters, lambda x, y: tuple(map(getitem, map(rows, x), y)), unit, max_size=max_size
-    )
+    closure = generate_closure(letters, lambda x, y: tuple(map(getitem, map(rows, x), y)), unit)
     # the atoms generate the algebra, each built once as an atom DFA
     return LanguageAlgebra(alph, semigroup, closure.transitions, attrgetter("atoms"))

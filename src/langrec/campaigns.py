@@ -27,6 +27,7 @@ from .languages import (
     Alphabet,
     Dfa,
     Word,
+    closure_ceiling,
     concat,
     concat_decompose,
     left_quotient,
@@ -427,12 +428,14 @@ def _thm4_instance(s: FiniteMonoid, max_size: int) -> bool:
     alph = AB
     ext = ExtendedAlphabet(alph)
     diamond, _ = UnarySchutz(s).as_finite_monoid(max_base=3)
-    lhs = recognised_algebra(diamond, alph, semigroup=True, max_size=max_size)
-    base_alg = recognised_algebra(s, alph, semigroup=True, max_size=max_size)
+    with closure_ceiling(max_size):
+        lhs = recognised_algebra(diamond, alph, semigroup=True)
+        base_alg = recognised_algebra(s, alph, semigroup=True)
     projected = [exists_projection(h.preimage({m}))
                  for h in all_morphisms(ext.ext, s) for m in range(s.size)]
     gens = list(dict.fromkeys(base_alg.atoms + tuple(projected)))
-    rhs = generate_algebra(gens, alph, semigroup=True, max_states=max_size)
+    with closure_ceiling(max_size):
+        rhs = generate_algebra(gens, alph, semigroup=True)
     return lhs == rhs
 
 
@@ -512,7 +515,8 @@ def run_thm8(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int 
     def check(phi1, phi2, record, rng) -> str:
         detail = ""
         for c in range(len(AB)):
-            clo = split_closure(phi1, phi2, c, max_size=max_size)
+            with closure_ceiling(max_size):
+                clo = split_closure(phi1, phi2, c)
             for v1 in _all_subsets(phi1.target.size):
                 l1 = phi1.preimage(v1)
                 got1 = clo.language(AB, lambda e: e[1] in v1)
@@ -547,8 +551,10 @@ def _generated_concat_algebra(
     """Algebra generated by both factor families and all their marked
     concatenations: the literal sum of the factors' algebras.  Their
     atoms suffice because preimages and marked concatenation distribute
-    over unions, and an element outside an image has an empty preimage."""
-    return _literal_sum(_image_algebra(phi1), _image_algebra(phi2), max_states=max_states)
+    over unions, and an element outside an image has an empty preimage.
+    ``max_states``, when given, is the ceiling of all of its closures."""
+    with closure_ceiling(max_states):
+        return _literal_sum(_image_algebra(phi1), _image_algebra(phi2))
 
 
 def run_thm10(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int = 20000) -> Report:
@@ -560,10 +566,11 @@ def run_thm10(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int
     def check(phi1, phi2, record, rng) -> str:
         detail = ""
         record["elements"] = 0
-        loc = local_schutz_morphism(phi1, phi2, max_size=max_size)
-        elements = loc.elements()
-        record["elements"] = len(elements)
-        alg = _generated_concat_algebra(phi1, phi2, max_states=max_size)
+        with closure_ceiling(max_size):
+            loc = local_schutz_morphism(phi1, phi2)
+            elements = loc.elements()
+            record["elements"] = len(elements)
+            alg = _generated_concat_algebra(phi1, phi2)
         local = loc.closure.quotient(AB)
 
         def recognised(l: Dfa, accept: Callable[[tuple], bool]) -> bool:
@@ -599,7 +606,8 @@ def run_cor9(seed: int = 0, pairs: int = 20, max_monoid: int = 3,
     def check(phi1, phi2, record, rng) -> str:
         detail = ""
         record["corrections"] = 0
-        loc = local_schutz_morphism(phi1, phi2, max_size=max_size)
+        with closure_ceiling(max_size):
+            loc = local_schutz_morphism(phi1, phi2)
         for _ in range(subset_samples):
             v1 = frozenset(x for x in range(phi1.target.size) if rng.random() < 0.5)
             v2 = frozenset(y for y in range(phi2.target.size) if rng.random() < 0.5)

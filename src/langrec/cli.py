@@ -28,7 +28,8 @@ from .algebra import (
 )
 from .campaigns import _CAMPAIGNS, run_campaign
 from .errors import InputError, LangrecError
-from .languages import Alphabet, Dfa, Word, closure_limit, left_quotient, right_quotient
+from .languages import Alphabet, Dfa, Word, closure_ceiling, closure_limit
+from .languages import left_quotient, right_quotient
 from .marking import exists_projection
 from .monoids import FiniteMonoid, syntactic_monoid
 from .regexes import dfa_to_regex, regex_to_dfa
@@ -101,7 +102,8 @@ def _load_algebra(args, which: str = "input") -> LanguageAlgebra:
                 raise InputError(f"unreadable generator entry: {g!r}")
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed algebra file: {exc}") from exc
-    return generate_algebra(gens, alph, semigroup=semigroup, max_states=_algebra_ceiling())
+    with closure_ceiling(_algebra_ceiling()):
+        return generate_algebra(gens, alph, semigroup=semigroup)
 
 
 def _write(args, name: str, text: str) -> Path:
@@ -145,7 +147,8 @@ def _cmd_construct(args) -> int:
     if kind == "synmon":
         l = _load_dfa(args)
         bound = _algebra_ceiling() if args.max_size is None else args.max_size
-        syn = syntactic_monoid(l, max_size=bound)
+        with closure_ceiling(bound):
+            syn = syntactic_monoid(l)
         accepting = sorted(syn.saturation(l))
         _write(args, "synmon.monoid.json", _dump(syn.monoid.to_json_dict()))
         _write(args, "synmon.recogniser.json", _dump({
@@ -166,7 +169,8 @@ def _cmd_construct(args) -> int:
         print(f"{side} quotient by {w.text()}: {result.states} states")
     elif kind == "exists":
         l = _load_dfa(args)
-        result = exists_projection(l, max_states=args.max_size)
+        with closure_ceiling(args.max_size):
+            result = exists_projection(l)
         _write(args, "exists.dfa.json", _dump(result.to_json_dict()))
         print(f"existential projection: {result.states} states, "
               f"regex {dfa_to_regex(result)}")
@@ -192,7 +196,9 @@ def _cmd_construct(args) -> int:
     elif kind == "bsum":
         a1 = _load_algebra(args, "input")
         a2 = _load_algebra(args, "input2")
-        _write_algebra(args, "bsum", schutz_sum(a1, a2, max_states=_algebra_ceiling()))
+        with closure_ceiling(_algebra_ceiling()):
+            total = schutz_sum(a1, a2)
+        _write_algebra(args, "bsum", total)
     elif kind == "dualrec":
         alg = dual_recogniser(_load_algebra(args))
         _write(args, "dualrec.monoid.json", _dump(alg.monoid.to_json_dict()))

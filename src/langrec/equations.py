@@ -44,6 +44,7 @@ from .languages import (
     _letter_indices,
     _pairs,
     _state_labels,
+    closure_ceiling,
     difference,
     intersection,
     marked_concat,
@@ -185,16 +186,18 @@ def bsum2_quotient(
     w = u c v, and w's element of K's syntactic monoid.  From b's
     element x, w enters atom.c.(all words) when S holds some (p, c)
     with x p = atom, and leads x to x m otherwise: (m, S) is what w does
-    to b's atom machine and to every extension's minimal DFA."""
+    to b's atom machine and to every extension's minimal DFA.
+    ``max_size``, when given, is the closure ceiling of both closures."""
     if b.semigroup:
         raise PreconditionError("equation machinery works over full-word algebras")
     if k.alphabet != b.alphabet:
         raise InputError("candidate and algebra must share an alphabet")
-    # K's syntactic monoid is a quotient of the joint one, so its
-    # ceiling is met only where the joint closure's would be
-    rider = transition_closure(k.alphabet, [k], semigroup=False, max_size=max_size).transitions
-    trivial = ((0,) * len(b.alphabet),)  # the trivial algebra's one-state machine
-    rows = _split_closure(b.transitions, trivial, rider, max_size)
+    with closure_ceiling(max_size):
+        # K's syntactic monoid is a quotient of the joint one, so its
+        # ceiling is met only where the joint closure's would be
+        rider = transition_closure(k.alphabet, [k], semigroup=False).transitions
+        trivial = ((0,) * len(b.alphabet),)  # the trivial algebra's one-state machine
+        rows = _split_closure(b.transitions, trivial, rider)
     return FiniteQuotient(b.alphabet, False, rows)
 
 
@@ -295,16 +298,14 @@ def equation_set(
     ]
 
 
-def bsum2_membership_by_equations(
-    k: Dfa, b: LanguageAlgebra, *, max_size: int | None = None
-) -> bool:
+def bsum2_membership_by_equations(k: Dfa, b: LanguageAlgebra) -> bool:
     """Whether the candidate satisfies every finite-resolution equation
     of the sum of b with the trivial algebra.
 
     The contract — validated, not assumed — is agreement with direct
     membership in ``schutz_sum(b, trivial_algebra(...))``.
     """
-    return _equations_hold(bsum2_quotient(k, b, max_size=max_size), k, b)
+    return _equations_hold(bsum2_quotient(k, b), k, b)
 
 
 def _equations_hold(q: FiniteQuotient, k: Dfa, b: LanguageAlgebra) -> bool:
@@ -319,28 +320,26 @@ def _equations_hold(q: FiniteQuotient, k: Dfa, b: LanguageAlgebra) -> bool:
     return all(side.setdefault(sig, x in sat) == (x in sat) for x, sig in sigs)
 
 
-def bsum2_membership_direct(k: Dfa, b: LanguageAlgebra, *, max_states: int | None = None) -> bool:
+def bsum2_membership_direct(k: Dfa, b: LanguageAlgebra) -> bool:
     """Oracle: direct closure membership in the sum with the trivial algebra."""
-    return _trivial_sum(b, max_states=max_states).member(k)
+    return _trivial_sum(b).member(k)
 
 
-def _trivial_sum(b: LanguageAlgebra, *, max_states: int | None = None) -> LanguageAlgebra:
+def _trivial_sum(b: LanguageAlgebra) -> LanguageAlgebra:
     """The sum of b with the trivial algebra, as the closure of its
     literal generators' DFAs: no split-tracking triple, so the direct
     oracle shares no construction with ``bsum2_quotient``."""
-    return _literal_sum(b, trivial_algebra(b.alphabet, b.semigroup), max_states=max_states)
+    return _literal_sum(b, trivial_algebra(b.alphabet, b.semigroup))
 
 
-def separation_witness(
-    k: Dfa, b: LanguageAlgebra, *, max_states: int | None = None
-) -> tuple[Word, Word] | None:
+def separation_witness(k: Dfa, b: LanguageAlgebra) -> tuple[Word, Word] | None:
     """If the candidate is outside the sum, the shortlex-least words in
     and out of K of the least atom of the sum that K splits; None
     otherwise.  One walk over the reachable pairs (atom, state of K)
     finds the split atoms; only the least one's DFA is built."""
     if k.alphabet != b.alphabet:
         raise InputError("candidate and algebra must share an alphabet")
-    return _split_words(k, _trivial_sum(b, max_states=max_states))
+    return _split_words(k, _trivial_sum(b))
 
 
 def _split_words(k: Dfa, total: LanguageAlgebra) -> tuple[Word, Word] | None:

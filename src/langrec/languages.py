@@ -11,7 +11,11 @@ subset construction and every closure.  Two builders bound it with
 ``closure_limit``: ``_subset_dfa``, the one subset construction, to
 which ``marked_concat``, ``concat``, ``star``, ``exists_projection`` and
 the regex compiler give their step functions, and the one submonoid
-closure, ``monoids.generate_closure``.
+closure, ``monoids.generate_closure``.  The ceiling is set by scope, not
+per call: inside ``with closure_ceiling(n):`` every closure and subset
+construction, nested ones included, keeps at most n states; outside any
+scope the ``LANGREC_MAX_CLOSURE`` environment variable sets it, else
+100 000.
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from __future__ import annotations
 import itertools
 import json
 import os
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Iterator, Sequence
@@ -300,16 +306,36 @@ def _json_int(value: object) -> int:
 
 DEFAULT_CLOSURE = 100_000
 
+_CEILING: ContextVar[int | None] = ContextVar("closure_ceiling", default=None)
 
-def closure_limit(requested: int | None = None, *, default: int = DEFAULT_CLOSURE) -> int:
-    """Ceiling of a bounded ``_explore``: the explicit argument, else
-    the ``LANGREC_MAX_CLOSURE`` environment variable, else ``default``."""
-    if requested is not None:
-        if type(requested) is not int:  # a bool or a float is no bound
-            raise InputError(f"closure limit must be an integer, got {requested!r}")
-        if requested < 1:
-            raise InputError(f"closure limit must be positive, got {requested}")
-        return requested
+
+@contextmanager
+def closure_ceiling(limit: int | None) -> Iterator[None]:
+    """Bound every closure and subset construction run inside the block,
+    nested ones included, by ``limit`` states.  The innermost scope
+    wins, and the enclosing one holds again on leaving the block, by
+    an exception too; ``None`` keeps the enclosing ceiling."""
+    if limit is None:
+        yield
+        return
+    if type(limit) is not int:  # a bool or a float is no bound
+        raise InputError(f"closure limit must be an integer, got {limit!r}")
+    if limit < 1:
+        raise InputError(f"closure limit must be positive, got {limit}")
+    token = _CEILING.set(limit)
+    try:
+        yield
+    finally:
+        _CEILING.reset(token)
+
+
+def closure_limit(*, default: int = DEFAULT_CLOSURE) -> int:
+    """Ceiling of a bounded ``_explore``: the innermost
+    ``closure_ceiling`` scope, else the ``LANGREC_MAX_CLOSURE``
+    environment variable, else ``default``."""
+    scoped = _CEILING.get()
+    if scoped is not None:
+        return scoped
     raw = os.environ.get("LANGREC_MAX_CLOSURE")
     if raw:
         try:
@@ -552,12 +578,11 @@ def _subset_dfa(
     start,
     step: Callable[[object], Iterable],
     accepts: Callable[[object], bool],
-    max_states: int | None = None,
 ) -> Dfa:
     """The canonical DFA of a subset construction: ``step`` gives a
     state's successor per letter, ``accepts`` tells which states accept.
-    At most ``closure_limit(max_states)`` states are built."""
-    limit = closure_limit(max_states)
+    At most ``closure_limit()`` states are built."""
+    limit = closure_limit()
     states, rows = _explore(start, step, limit, f"subset construction exceeded {limit} states")
     return _canonical(alph, rows, [i for i, s in enumerate(states) if accepts(s)], 0)
 

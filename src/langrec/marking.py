@@ -167,7 +167,7 @@ def one_mark_language(ext: ExtendedAlphabet) -> Dfa:
     return _canonical(ext.ext, rows, {1}, 0)
 
 
-def exists_projection(l: Dfa, max_states: int | None = None) -> Dfa:
+def exists_projection(l: Dfa) -> Dfa:
     """The words admitting at least one marking that lands in ``l``.
 
     ``l`` is a language over a doubled alphabet; words with zero or
@@ -175,7 +175,6 @@ def exists_projection(l: Dfa, max_states: int | None = None) -> Dfa:
     first intersects with the exactly-one-mark language, then projects
     the tags away by the subset construction over sets of the
     intersection's states, where a base letter reads both of its tags.
-    ``max_states`` bounds the subsets built.
     """
     ext = ExtendedAlphabet.match(l.alphabet)
     if ext is None:
@@ -190,5 +189,5 @@ def exists_projection(l: Dfa, max_states: int | None = None) -> Dfa:
             yield frozenset([t[q][c] for q in s] + [t[q][c + 1] for q in s])
 
     return _subset_dfa(
-        ext.base, frozenset({restricted.initial}), step, lambda s: not acc.isdisjoint(s), max_states
+        ext.base, frozenset({restricted.initial}), step, lambda s: not acc.isdisjoint(s)
     )

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Sequence
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .languages import Alphabet, Dfa, Word, _explore, _state_labels, _trusted_dfa
 from .languages import _check_flag, _check_indices, _json_int, _json_ints, _letter_indices
-from .languages import closure_limit
+from .languages import closure_ceiling, closure_limit
 
 _INT = frozenset({int})
 
@@ -56,12 +56,20 @@ def _light_defect(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None
     order: every element that the products of the earlier picks do not
     reach.  A breadth-first numbered table over k letters costs
     O(k n^2); one that needs every element, such as a left-zero
-    semigroup, O(n^3)."""
-    reached = bytearray(len(table))  # the subsemigroup generated by the picks
+    semigroup, O(n^3).  So a pick that would take the generating set's
+    size times n above ``closure_limit()`` is refused; ``_built_monoid``
+    lifts that ceiling for the tables the package builds."""
+    n, limit = len(table), closure_limit()
+    reached = bytearray(n)  # the subsemigroup generated by the picks
     picks: list[int] = []
     for a, row_a in enumerate(table):
         if reached[a]:
             continue
+        if (len(picks) + 1) * n > limit:
+            raise ResourceLimitError(
+                f"associativity check of a {n}-element table exceeded {limit} rows"
+                f" at generator {len(picks) + 1}; LANGREC_MAX_CLOSURE raises the ceiling"
+            )
         composed = itemgetter(*row_a)  # for n = 1 an entry: the scan finds no y
         for x, tx in enumerate(table):
             xa = table[tx[a]]
@@ -84,8 +92,8 @@ def _light_defect(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None
 class FiniteMonoid:
     """Multiplication table; ``identity=None`` means semigroup mode.
 
-    Every table is checked for associativity on construction, whatever
-    its size, by Light's test (``_light_defect``).
+    Every table is checked for associativity on construction by Light's
+    test (``_light_defect``), which the closure ceiling bounds.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -142,32 +150,6 @@ class FiniteMonoid:
     def elements(self) -> range:
         return range(self.size)
 
-    # -- congruences ----------------------------------------------------
-
-    def is_congruence(self, part: Sequence[int]) -> bool:
-        """Whether a partition (block id per element) respects multiplication."""
-        n = self.size
-        reps: dict[int, int] = {}
-        for x in range(n):
-            reps.setdefault(part[x], x)
-        for x in range(n):
-            for y in range(n):
-                expected = part[self.table[reps[part[x]]][reps[part[y]]]]
-                if part[self.table[x][y]] != expected:
-                    return False
-        return True
-
-    def proper_congruences(self, max_size: int = 6) -> Iterable[tuple[int, ...]]:
-        """All congruences that merge at least two elements (size-bounded)."""
-        n = self.size
-        if n > max_size:
-            raise ResourceLimitError(f"congruence enumeration capped at size {max_size}")
-        for part in _set_partitions(n):
-            if max(part) == n - 1:
-                continue  # discrete partition
-            if self.is_congruence(part):
-                yield tuple(part)
-
     # -- serialisation ---------------------------------------------------
 
     def to_json_dict(self) -> dict:
@@ -213,19 +195,14 @@ class FiniteMonoid:
         return f"{kind}(size={self.size})"
 
 
-def _set_partitions(n: int) -> Iterable[list[int]]:
-    """Partitions of {0..n-1} as restricted-growth strings."""
-    part = [0] * n
-
-    def rec(i: int, maxb: int):
-        if i == n:
-            yield part
-            return
-        for b in range(maxb + 2):
-            part[i] = b
-            yield from rec(i + 1, max(maxb, b))
-
-    yield from rec(0, -1) if n else iter([[]])
+def _built_monoid(table: tuple, identity: int | None, labels: tuple[str, ...]) -> FiniteMonoid:
+    """A ``FiniteMonoid`` of a table that a closure or a product built:
+    the bound that built it already bounds n, and Light's test on it
+    reads at most n rows per generator, so its check is bounded by n^2
+    rather than by the closure ceiling.  A semigroup-mode product can
+    need almost every element as a generator."""
+    with closure_ceiling(len(table) ** 2):
+        return FiniteMonoid(table, identity, labels)
 
 
 TRIVIAL_MONOID = FiniteMonoid(((0,),), identity=0, labels=("1",))
@@ -311,9 +288,8 @@ class MonoidMorphism:
         images and labelled by element indices of the target; built once,
         with its Cayley quotient, for every preimage."""
         m = self.target
-        return generate_closure(
-            self.letter_images, lambda x, y: m.table[x][y], m.identity, max_size=m.size
-        )
+        with closure_ceiling(m.size):
+            return generate_closure(self.letter_images, lambda x, y: m.table[x][y], m.identity)
 
     def preimage(self, accept: Iterable[int]) -> Dfa:
         """Canonical DFA of the inverse image of a set of elements."""
@@ -346,23 +322,33 @@ def all_morphisms(
 # -- syntactic monoids -----------------------------------------------------
 
 
-def syntactic_monoid(l: Dfa, max_size: int | None = None) -> FiniteQuotient:
+def syntactic_monoid(l: Dfa) -> FiniteQuotient:
     """The joint quotient of L alone: its ``monoid`` is the syntactic
     monoid, ``morphism`` the evaluation and ``saturation(l)`` the
     elements whose words lie in L."""
-    return joint_quotient([l], max_size=max_size)
+    return joint_quotient([l])
 
 
-def is_minimal_recogniser(m: FiniteMonoid, accept: Iterable[int], max_size: int = 6) -> bool:
-    """No proper quotient of m still separates `accept` from its complement."""
+def is_minimal_recogniser(m: FiniteMonoid, accept: Iterable[int]) -> bool:
+    """No proper quotient of m still separates `accept` from its
+    complement.  Refining {accept, rest} until two elements x, y share a
+    block only when x a, y a and a x, a y do for every element a gives
+    the coarsest congruence that saturates `accept`; m is minimal when
+    it parts every element."""
     want = _elements(accept, m.size)
-    for part in m.proper_congruences(max_size=max_size):
-        blocks: dict[int, set[int]] = {}
-        for x, b in enumerate(part):
-            blocks.setdefault(b, set()).add(x)
-        if all(block <= want or not (block & want) for block in blocks.values()):
-            return False
-    return True
+    rows, cols = m.table, tuple(zip(*m.table))
+    block = [x in want for x in m.elements()]
+    count = len(set(block))
+    while True:
+        ids: dict[tuple, int] = {}
+        get = block.__getitem__
+        block = [
+            ids.setdefault((get(x), tuple(map(get, rows[x])), tuple(map(get, cols[x]))), len(ids))
+            for x in m.elements()
+        ]
+        if len(ids) == count:
+            return count == m.size
+        count = len(ids)
 
 
 # -- generated submonoids and finite quotients of the free monoid ----------
@@ -396,17 +382,11 @@ class GeneratedClosure:
         )
 
 
-def generate_closure(
-    images: Sequence,
-    mul: Callable,
-    unit,
-    *,
-    max_size: int | None = None,
-) -> GeneratedClosure:
+def generate_closure(images: Sequence, mul: Callable, unit) -> GeneratedClosure:
     """The closure of the images under ``mul``, numbered as a
     ``FiniteQuotient``: state 0 is the unit, or with ``unit=None`` a
     start state of its own, after which element i is state i + 1."""
-    limit = closure_limit(max_size)
+    limit = closure_limit()
     semigroup = unit is None
     start = object() if semigroup else unit  # the empty word's own state
 
@@ -496,7 +476,7 @@ class FiniteQuotient:
                 run.append(g[run[s]][c])
             table.append(tuple(x - off for x in run[off:]))
         labels = tuple(r.text() for r in self.reps)
-        return FiniteMonoid(tuple(table), None if off else 0, labels)
+        return _built_monoid(tuple(table), None if off else 0, labels)
 
     @cached_property
     def morphism(self) -> MonoidMorphism:
@@ -590,13 +570,7 @@ class FiniteQuotient:
         return frozenset(s - self.semigroup for s, hit in inside.items() if hit)
 
 
-def transition_closure(
-    alph: Alphabet,
-    dfas: Sequence[Dfa],
-    *,
-    semigroup: bool,
-    max_size: int | None = None,
-) -> GeneratedClosure:
+def transition_closure(alph: Alphabet, dfas: Sequence[Dfa], *, semigroup: bool) -> GeneratedClosure:
     """The transformations that words induce on the states of the DFAs:
     the letters acting on the disjoint union of the (deduplicated) DFAs'
     states, closed under composition, one element per tuple of target
@@ -611,18 +585,16 @@ def transition_closure(
         rows += [[off + q for q in row] for row in d.transitions]
     letters = [tuple(row[c] for row in rows) for c in range(len(alph))]
     unit = None if semigroup else tuple(range(len(rows)))
-    return generate_closure(
-        letters, lambda x, y: tuple(map(y.__getitem__, x)), unit, max_size=max_size
-    )
+    return generate_closure(letters, lambda x, y: tuple(map(y.__getitem__, x)), unit)
 
 
-def joint_quotient(dfas: Sequence[Dfa], *, max_size: int | None = None) -> FiniteQuotient:
+def joint_quotient(dfas: Sequence[Dfa]) -> FiniteQuotient:
     """The joint syntactic monoid of several languages: the Cayley graph
     of the transition closure of their DFAs."""
     if not dfas:
         raise InputError("need at least one language")
     alph = dfas[0].alphabet
-    return transition_closure(alph, dfas, semigroup=False, max_size=max_size).quotient(alph)
+    return transition_closure(alph, dfas, semigroup=False).quotient(alph)
 
 
 # -- biactions -------------------------------------------------------------

@@ -55,6 +55,7 @@ from .monoids import (
     FiniteMonoid,
     GeneratedClosure,
     MonoidMorphism,
+    _built_monoid,
     _elements,
     generate_closure,
 )
@@ -232,7 +233,7 @@ class _PowersetProduct:
             labels += [f"({{{s}}},{lab})" for lab in comp_labels]
         # the unit ({}, e[, f]) has rank 0
         identity = None if self.semigroup else index[tuple(b.identity for b in bases)]
-        monoid = FiniteMonoid(tuple(rows), identity=identity, labels=tuple(labels))
+        monoid = _built_monoid(tuple(rows), identity, tuple(labels))
         return monoid, tuple(self.carrier())
 
 
@@ -398,24 +399,18 @@ def exists_profile(tau: MonoidMorphism, w: Word) -> tuple[frozenset, int]:
     return (marked, plain)
 
 
-def exists_closure(
-    tau: MonoidMorphism, *, max_size: int | None = None
-) -> GeneratedClosure:
+def exists_closure(tau: MonoidMorphism) -> GeneratedClosure:
     product = UnarySchutz(tau.target)
     unit = None if product.semigroup else product.unit()
-    return generate_closure(
-        exists_letter_images(tau), product.mul, unit, max_size=max_size
-    )
+    return generate_closure(exists_letter_images(tau), product.mul, unit)
 
 
-def exists_language(
-    tau: MonoidMorphism, accept: Iterable[int], *, max_size: int | None = None
-) -> Dfa:
+def exists_language(tau: MonoidMorphism, accept: Iterable[int]) -> Dfa:
     """Canonical DFA of the words with some marking in tau^-1(accept),
     decided through the product-valued morphism and a hit clopen."""
     ext = _require_extended(tau)
     clopen = HitClopen("hit", _elements(accept, tau.target.size))
-    clo = exists_closure(tau, max_size=max_size)
+    clo = exists_closure(tau)
     return clo.language(ext.base, lambda e: clopen.contains(e[0]))
 
 
@@ -467,19 +462,10 @@ def split_letter_images(
 
 
 def split_closure(
-    phi1: MonoidMorphism,
-    phi2: MonoidMorphism,
-    letter: "str | int",
-    *,
-    max_size: int | None = None,
+    phi1: MonoidMorphism, phi2: MonoidMorphism, letter: "str | int"
 ) -> GeneratedClosure:
     product = BinarySchutz(phi1.target, phi2.target)
-    return generate_closure(
-        split_letter_images(phi1, phi2, letter),
-        product.mul,
-        product.unit(),
-        max_size=max_size,
-    )
+    return generate_closure(split_letter_images(phi1, phi2, letter), product.mul, product.unit())
 
 
 def split_language(
@@ -488,8 +474,6 @@ def split_language(
     letter: "str | int",
     v1: Iterable[int],
     v2: Iterable[int],
-    *,
-    max_size: int | None = None,
 ) -> Dfa:
     """Language recognised through hit(V1 x V2) on the split component;
     the content of the global concatenation theorem says this equals the
@@ -497,7 +481,7 @@ def split_language(
     alph = _require_shared(phi1, phi2)
     want = itertools.product(_elements(v1, phi1.target.size), _elements(v2, phi2.target.size))
     clopen = HitClopen("hit", frozenset(want))
-    clo = split_closure(phi1, phi2, letter, max_size=max_size)
+    clo = split_closure(phi1, phi2, letter)
     return clo.language(alph, lambda e: clopen.contains(e[0]))
 
 
@@ -549,12 +533,7 @@ def _local_mul(product: BinarySchutz, p: tuple, q: tuple) -> tuple:
     return (tuple(first), product._first_table[m1][m2], product._last_table[n1][n2])
 
 
-def local_schutz_morphism(
-    phi1: MonoidMorphism,
-    phi2: MonoidMorphism,
-    *,
-    max_size: int | None = None,
-) -> LocalSchutz:
+def local_schutz_morphism(phi1: MonoidMorphism, phi2: MonoidMorphism) -> LocalSchutz:
     alph = _require_shared(phi1, phi2)
     k = len(alph)
     product = BinarySchutz(phi1.target, phi2.target)
@@ -570,5 +549,5 @@ def local_schutz_morphism(
     def mul(p, q):
         return _local_mul(product, p, q)
 
-    closure = generate_closure(images, mul, unit, max_size=max_size)
+    closure = generate_closure(images, mul, unit)
     return LocalSchutz(phi1, phi2, closure, product)

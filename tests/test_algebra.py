@@ -52,7 +52,7 @@ from langrec.campaigns import (
     corpus_dfas,
     random_regex,
 )
-from langrec.languages import _canonical, _explore, _minimise, closure_limit
+from langrec.languages import _canonical, _explore, _minimise, closure_ceiling, closure_limit
 from langrec.marking import ExtendedAlphabet
 from langrec.monoids import generate_closure, transition_closure
 
@@ -311,17 +311,18 @@ def sum_tower(alph, levels):
     return tower[1:]
 
 
-def assert_sum_is_literal(b1, b2, max_states):
+def assert_sum_is_literal(b1, b2, ceiling):
     """``schutz_sum`` builds the algebra, generators and all, that the
     closure of its literal generators' DFAs builds, or both meet the
     ceiling; whether the literal closure does is returned."""
-    try:
-        want = _literal_sum(b1, b2, max_states=max_states)
-    except ResourceLimitError as exc:
-        with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
-            schutz_sum(b1, b2, max_states=max_states)
-        return False
-    got = schutz_sum(b1, b2, max_states=max_states)
+    with closure_ceiling(ceiling):
+        try:
+            want = _literal_sum(b1, b2)
+        except ResourceLimitError as exc:
+            with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
+                schutz_sum(b1, b2)
+            return False
+        got = schutz_sum(b1, b2)
     assert (got.semigroup, got.transitions, got.generators) == (
         want.semigroup, want.transitions, want.generators)
     return True
@@ -353,9 +354,11 @@ class TestSumTriples:
         b = generate_algebra([regex_to_dfa("a*b*", AB)], AB, semigroup=semigroup)
         n = schutz_sum(b, b).atom_count
         assert n == (240 if semigroup else 241)
-        assert schutz_sum(b, b, max_states=n).atom_count == n
-        with pytest.raises(ResourceLimitError, match=f"^submonoid closure exceeded {n - 1} elements$"):
-            schutz_sum(b, b, max_states=n - 1)
+        with closure_ceiling(n):
+            assert schutz_sum(b, b).atom_count == n
+        with closure_ceiling(n - 1):
+            with pytest.raises(ResourceLimitError, match=f"^submonoid closure exceeded {n - 1} elements$"):
+                schutz_sum(b, b)
 
     def test_ceiling_is_met_before_any_generator_is_built(self, monkeypatch):
         calls = []
@@ -366,8 +369,9 @@ class TestSumTriples:
 
         monkeypatch.setattr(algebra, "marked_concat", counted)
         b = generate_algebra([regex_to_dfa("(a|b)*a(a|b)(a|b)", AB)], AB)
-        with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 4000 elements$"):
-            schutz_sum(b, b, max_states=4000)
+        with closure_ceiling(4000):
+            with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 4000 elements$"):
+                schutz_sum(b, b)
         assert calls == []
         # a sum that succeeds builds no generator either
         total = schutz_sum(b, trivial_algebra(AB))
@@ -380,30 +384,53 @@ class TestSumTriples:
         assert total.generators is total.generators
         assert len(calls) == 15 * 2
 
+    def test_semigroup_mode_refuses_more_generators_than_the_ceiling(self, monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return marked_concat(*args)
+
+        monkeypatch.setattr(algebra, "marked_concat", counted)
+        b = generate_algebra([regex_to_dfa("(ab)*", AB)], AB, semigroup=True)
+        count = b.atom_count * 2 * b.atom_count
+        assert count == 50
+        monkeypatch.setenv("LANGREC_MAX_CLOSURE", str(count - 1))
+        with pytest.raises(ResourceLimitError, match=(
+                f"^literal sum needs {count} marked concatenations, above the closure"
+                f" ceiling {count - 1}; LANGREC_MAX_CLOSURE raises it$")):
+            schutz_sum(b, b)
+        assert calls == []
+        with closure_ceiling(count):  # the generators fit, the closure of 348 atoms does not
+            with pytest.raises(ResourceLimitError, match=f"^submonoid closure exceeded {count} elements$"):
+                schutz_sum(b, b)
+        assert len(calls) == count
+
     def test_operands_over_different_universes_are_refused(self):
         for other in (trivial_algebra(A1), trivial_algebra(AB, semigroup=True)):
             with pytest.raises(InputError, match="same universe"):
                 schutz_sum(trivial_algebra(AB), other)
 
 
-def literal_transport(letter_map, b, source, max_states=None):
+def literal_transport(letter_map, b, source):
     """The algebra generated by the inverse images of b's atoms: the
     definition ``transport`` walks b's machine instead of building."""
     gens = [inverse_image(letter_map, a, source) for a in b.atoms]
-    return generate_algebra(gens, source, semigroup=b.semigroup, max_states=max_states)
+    return generate_algebra(gens, source, semigroup=b.semigroup)
 
 
-def assert_transport_is_literal(letter_map, b, source, max_states=None):
+def assert_transport_is_literal(letter_map, b, source, ceiling=None):
     """``transport`` builds the algebra, generators and all, that its
     literal definition builds, or both meet the ceiling with one
     message; whether the literal closure does is returned."""
-    try:
-        want = literal_transport(letter_map, b, source, max_states)
-    except ResourceLimitError as exc:
-        with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
-            transport(letter_map, b, source, max_states=max_states)
-        return False
-    got = transport(letter_map, b, source, max_states=max_states)
+    with closure_ceiling(ceiling):
+        try:
+            want = literal_transport(letter_map, b, source)
+        except ResourceLimitError as exc:
+            with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
+                transport(letter_map, b, source)
+            return False
+        got = transport(letter_map, b, source)
     assert (got.alphabet, got.semigroup, got.transitions) == (
         want.alphabet, want.semigroup, want.transitions)
     assert got.generators == want.generators
@@ -460,10 +487,11 @@ class TestTransport:
         b = schutz_sum(*[generate_algebra([regex_to_dfa("a*b*", AB)], AB, semigroup=semigroup)] * 2)
         letter_map = {"a": "ab", "b": "b", "c": "ba"}
         n = transport(letter_map, b, ABC).atom_count
-        assert assert_transport_is_literal(letter_map, b, ABC, max_states=n)
-        assert not assert_transport_is_literal(letter_map, b, ABC, max_states=n - 1)
-        with pytest.raises(ResourceLimitError, match=f"^submonoid closure exceeded {n - 1} elements$"):
-            transport(letter_map, b, ABC, max_states=n - 1)
+        assert assert_transport_is_literal(letter_map, b, ABC, ceiling=n)
+        assert not assert_transport_is_literal(letter_map, b, ABC, ceiling=n - 1)
+        with closure_ceiling(n - 1):
+            with pytest.raises(ResourceLimitError, match=f"^submonoid closure exceeded {n - 1} elements$"):
+                transport(letter_map, b, ABC)
 
     def test_letter_maps_are_validated_at_the_call(self):
         b = generate_algebra([regex_to_dfa("(ab)*", AB)], AB)
@@ -490,14 +518,14 @@ class TestTransport:
         assert t.generators == want
 
 
-def walked_transport(letter_map, b, source, max_states=None):
+def walked_transport(letter_map, b, source):
     """``transport``'s atom machine as one breadth-first walk of b's
     machine along the letters' images, from a start state -1 of its own
     in semigroup mode: the walk ``transport`` made before it became a
     submonoid closure, kept as its reference."""
     images = algebra._letter_images(letter_map, source, b.alphabet)
     semigroup, g = b.semigroup, b.transitions
-    limit = closure_limit(max_states)
+    limit = closure_limit()
 
     def step(x):
         for img in images:
@@ -616,8 +644,8 @@ class TestRecognisedAlgebraResource:
 
     def test_atom_bound(self):
         z3 = FiniteMonoid(((0, 1, 2), (1, 2, 0), (2, 0, 1)), identity=0)
-        with pytest.raises(ResourceLimitError):
-            recognised_algebra(z3, AB, max_size=2)
+        with closure_ceiling(2), pytest.raises(ResourceLimitError):
+            recognised_algebra(z3, AB)
 
 
 def cayley_closure_algebra(m, alph, semigroup):
@@ -685,9 +713,11 @@ class TestRecognisedAlgebraClosure:
     def test_ceiling_at_the_exact_size(self, semigroup):
         for m in thm4_diamonds() if semigroup else enumerate_monoids(3):
             n = recognised_algebra(m, AB, semigroup=semigroup).atom_count
-            assert recognised_algebra(m, AB, semigroup=semigroup, max_size=n).atom_count == n
-            with pytest.raises(ResourceLimitError, match=f"submonoid closure exceeded {n - 1} elements"):
-                recognised_algebra(m, AB, semigroup=semigroup, max_size=n - 1)
+            with closure_ceiling(n):
+                assert recognised_algebra(m, AB, semigroup=semigroup).atom_count == n
+            with closure_ceiling(n - 1):
+                with pytest.raises(ResourceLimitError, match=f"submonoid closure exceeded {n - 1} elements"):
+                    recognised_algebra(m, AB, semigroup=semigroup)
 
 
 class TestModeFlag:
@@ -809,8 +839,9 @@ class TestAtomCeiling:
         assert generate_algebra([self.S7]).atom_count == 5040
 
     def test_explicit_bound(self):
-        with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 5039 elements$"):
-            generate_algebra([self.S7], max_states=5039)
+        with closure_ceiling(5039):
+            with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 5039 elements$"):
+                generate_algebra([self.S7])
 
     def test_environment_bound(self, monkeypatch):
         monkeypatch.setenv("LANGREC_MAX_CLOSURE", "5039")

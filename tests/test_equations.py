@@ -39,6 +39,7 @@ from langrec import algebra
 from langrec.campaigns import corpus_dfas, random_regex
 from langrec.languages import (
     _explore,
+    closure_ceiling,
     closure_limit,
     difference,
     intersection,
@@ -56,13 +57,15 @@ def points(q, *texts):
     return [UltrafilterApprox.of_word(q, Word.parse(q.alphabet, t)) for t in texts]
 
 
-def marked_concat_quotient(k, b, max_size=None):
+def marked_concat_quotient(k, b, ceiling=None):
     """The joint quotient of b's atom DFAs, of every marked extension
     atom.c.(all words) built by ``marked_concat``'s subset construction,
-    and of K: the direct form of ``bsum2_quotient``, kept as its oracle."""
+    and of K: the direct form of ``bsum2_quotient``, kept as its oracle.
+    ``ceiling`` bounds the joint closure alone."""
     univ = universal_language(b.alphabet)
     exts = [marked_concat(atom, c, univ) for atom in b.atoms for c in range(len(b.alphabet))]
-    return joint_quotient(list(b.atoms) + exts + [k], max_size=max_size)
+    with closure_ceiling(ceiling):
+        return joint_quotient(list(b.atoms) + exts + [k])
 
 
 def benchmark_draw(i):
@@ -240,7 +243,8 @@ class TestEquationSet:
             gens = [regex_to_dfa(random_regex(rng, alph, 2), alph) for _ in range(rng.randint(0, 1))]
             extra = [regex_to_dfa(random_regex(rng, alph, 3), alph) for _ in range(2)]
             b = generate_algebra(gens, alph)
-            q = joint_quotient(gens + extra, max_size=80)
+            with closure_ceiling(80):
+                q = joint_quotient(gens + extra)
             sigs = _equation_signatures(q, b)
             expected = [
                 (i, j) for i in range(q.size) for j in range(i + 1, q.size) if sigs[i] == sigs[j]
@@ -320,15 +324,17 @@ class TestSeparationWitness:
                 assert total.atom_of(u) == total.atom_of(v)
 
 
-    def test_max_states_bounds_the_sum_exactly(self):
+    def test_ceiling_bounds_the_sum_exactly(self):
         b = generate_algebra([regex_to_dfa("(ab)*", AB)])
         k = regex_to_dfa("(a|b)*ab", AB)
         n = schutz_sum(b, trivial_algebra(AB)).atom_count
-        assert separation_witness(k, b, max_states=n) == separation_witness(k, b)
-        assert bsum2_membership_direct(k, b, max_states=n) == bsum2_membership_direct(k, b)
+        want = separation_witness(k, b), bsum2_membership_direct(k, b)
+        with closure_ceiling(n):
+            assert (separation_witness(k, b), bsum2_membership_direct(k, b)) == want
         for decide in (separation_witness, bsum2_membership_direct):
-            with pytest.raises(ResourceLimitError, match=f"submonoid closure exceeded {n - 1} elements"):
-                decide(k, b, max_states=n - 1)
+            with closure_ceiling(n - 1):
+                with pytest.raises(ResourceLimitError, match=f"submonoid closure exceeded {n - 1} elements"):
+                    decide(k, b)
 
     def test_matches_the_per_atom_search(self):
         rng = random.Random(11)
@@ -389,7 +395,8 @@ class TestEquationSignatures:
             b = generate_algebra(gens, alph)
             k = regex_to_dfa(random_regex(rng, alph, 2), alph)
             try:
-                q = bsum2_quotient(k, b, max_size=60)
+                with closure_ceiling(60):
+                    q = bsum2_quotient(k, b)
             except ResourceLimitError:
                 continue  # the cubic oracle would take seconds
             assert _equation_signatures(q, b) == packed_prefix_signatures(q, b)
@@ -459,13 +466,14 @@ class TestJointQuotient:
             b = generate_algebra(gens, alph)
             k = regex_to_dfa(random_regex(rng, alph, 2), alph)
             try:
-                expected = marked_concat_quotient(k, b, max_size=cap)
+                expected = marked_concat_quotient(k, b, cap)
             except ResourceLimitError as exc:
-                with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
-                    bsum2_quotient(k, b, max_size=cap)
+                with closure_ceiling(cap), pytest.raises(ResourceLimitError, match=f"^{exc}$"):
+                    bsum2_quotient(k, b)
                 refused += 1
                 continue
-            assert bsum2_quotient(k, b, max_size=cap) == expected
+            with closure_ceiling(cap):
+                assert bsum2_quotient(k, b) == expected
             assert bsum2_quotient(k, b) == expected
             kept += 1
         assert kept >= 4 and refused >= 2
@@ -474,12 +482,15 @@ class TestJointQuotient:
         # the largest draws of the first 300 at cap 1 024, and one of the two refused there
         for i, size in ((151, 896), (84, 746), (19, 554)):
             k, b = benchmark_draw(i)
-            assert bsum2_quotient(k, b, max_size=1024) == marked_concat_quotient(k, b)
+            with closure_ceiling(1024):
+                assert bsum2_quotient(k, b) == marked_concat_quotient(k, b)
             assert bsum2_quotient(k, b).size == size
         k, b = benchmark_draw(122)
-        for build in (bsum2_quotient, marked_concat_quotient):
+        with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 1024 elements$"):
+            marked_concat_quotient(k, b, 1024)
+        with closure_ceiling(1024):
             with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 1024 elements$"):
-                build(k, b, max_size=1024)
+                bsum2_quotient(k, b)
 
     def test_ceiling_boundary(self, sum_tower, monkeypatch):
         # draw 34, the largest of the first 300, and a candidate outside B4 over B3
@@ -487,6 +498,12 @@ class TestJointQuotient:
         for (k, b), size in zip(cases, (3060, 1265)):
             q = bsum2_quotient(k, b)
             assert q.size == size
+            with closure_ceiling(size):
+                assert bsum2_quotient(k, b) == q
+            with closure_ceiling(size - 1):
+                with pytest.raises(ResourceLimitError, match=f"^submonoid closure exceeded {size - 1} elements$"):
+                    bsum2_quotient(k, b)
+            # the keyword ceiling is a scope around the call
             assert bsum2_quotient(k, b, max_size=size) == q
             with pytest.raises(ResourceLimitError, match=f"^submonoid closure exceeded {size - 1} elements$"):
                 bsum2_quotient(k, b, max_size=size - 1)
@@ -503,8 +520,9 @@ class TestJointQuotient:
         assert syntactic_monoid(k).size == 15
         for gens, size in (((), 17), (("b*",), 33)):
             b = generate_algebra([regex_to_dfa(g, AB) for g in gens], AB)
-            with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 14 elements$"):
-                bsum2_quotient(k, b, max_size=14)
+            with closure_ceiling(14):
+                with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 14 elements$"):
+                    bsum2_quotient(k, b)
             monkeypatch.setenv("LANGREC_MAX_CLOSURE", "14")
             with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 14 elements$"):
                 bsum2_quotient(k, b)
@@ -534,12 +552,12 @@ class TestJointQuotient:
             assert equation_set(bsum2_quotient(k, b), b) == eqs
 
 
-def walked_split_closure(g1, g2, tail, max_size=None):
+def walked_split_closure(g1, g2, tail):
     """The split closure as one breadth-first walk that reads g1's row
     and the rider's row once per triple, then steps every letter: the
     walk ``_split_closure`` made before it became a submonoid closure,
     kept as its reference."""
-    k, limit = len(g1[0]), closure_limit(max_size)
+    k, limit = len(g1[0]), closure_limit()
     columns = [tuple(row[d] for row in g2) for d in range(k)]
     zeros = [0] * len(g2)
 
@@ -559,11 +577,11 @@ def walked_split_closure(g1, g2, tail, max_size=None):
     return tuple(rows)
 
 
-def walked_bsum2(k, b, max_size=None):
+def walked_bsum2(k, b):
     """``bsum2_quotient``'s Cayley graph through ``walked_split_closure``."""
-    rider = transition_closure(k.alphabet, [k], semigroup=False, max_size=max_size)
+    rider = transition_closure(k.alphabet, [k], semigroup=False)
     trivial = ((0,) * len(b.alphabet),)
-    return walked_split_closure(b.transitions, trivial, rider.transitions, max_size)
+    return walked_split_closure(b.transitions, trivial, rider.transitions)
 
 
 class TestSplitClosure:
@@ -584,13 +602,14 @@ class TestSplitClosure:
         built = 0
         for b1, b2 in pairs:
             g1, g2 = b1.transitions, b2.transitions
-            try:
-                want = walked_split_closure(g1, g2, g2, 2000)
-            except ResourceLimitError as exc:
-                with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
-                    schutz_sum(b1, b2, max_states=2000)
-                continue
-            assert schutz_sum(b1, b2, max_states=2000).transitions == want
+            with closure_ceiling(2000):
+                try:
+                    want = walked_split_closure(g1, g2, g2)
+                except ResourceLimitError as exc:
+                    with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
+                        schutz_sum(b1, b2)
+                    continue
+                assert schutz_sum(b1, b2).transitions == want
             built += 1
         assert built >= 60
 
@@ -604,14 +623,15 @@ class TestSplitClosure:
                 gens = [regex_to_dfa(random_regex(rng, alph, 2), alph) for _ in range(rng.randint(0, 2))]
                 b = generate_algebra(gens, alph)
                 k = regex_to_dfa(random_regex(rng, alph, 2), alph)
-                try:
-                    want = walked_bsum2(k, b, cap)
-                except ResourceLimitError as exc:
-                    with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
-                        bsum2_quotient(k, b, max_size=cap)
-                    refused += 1
-                    continue
-                assert bsum2_quotient(k, b, max_size=cap).transitions == want
+                with closure_ceiling(cap):
+                    try:
+                        want = walked_bsum2(k, b)
+                    except ResourceLimitError as exc:
+                        with pytest.raises(ResourceLimitError, match=f"^{exc}$"):
+                            bsum2_quotient(k, b)
+                        refused += 1
+                        continue
+                    assert bsum2_quotient(k, b).transitions == want
         assert refused >= 4
         for i in (0, 1, 2, 19, 34, 84, 122, 151):
             k, b = benchmark_draw(i)

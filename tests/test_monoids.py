@@ -47,7 +47,7 @@ from langrec import (
 from langrec import languages, monoids
 from langrec.campaigns import CORPUS_REGEXES
 from langrec.equations import _atom_map
-from langrec.languages import _canonical
+from langrec.languages import _canonical, closure_ceiling, closure_limit
 from langrec.marking import ExtendedAlphabet
 from langrec.monoids import (
     FiniteQuotient,
@@ -188,6 +188,42 @@ class TestLightAssociativity:
         assert not touched_defect(u, 5, 6)
         assert self.check(u)
 
+    def test_left_zero_table_is_refused_at_the_default_ceiling(self, monkeypatch):
+        # every element is a generator: 400 of them times 400 rows
+        monkeypatch.delenv("LANGREC_MAX_CLOSURE", raising=False)
+        left_zero = tuple((x,) * 400 for x in range(400))
+        message = (r"^associativity check of a 400-element table exceeded 100000 rows"
+                   r" at generator 251; LANGREC_MAX_CLOSURE raises the ceiling$")
+        with pytest.raises(ResourceLimitError, match=message):
+            FiniteMonoid.from_json(json.dumps({"table": left_zero}))
+
+    @pytest.mark.parametrize("name", ["left-zero-80", "right-zero-80", "null-80"])
+    def test_ceiling_at_the_generating_set_size(self, name):
+        # Light's test picks every element: the products of the earlier
+        # picks reach none of the later ones
+        t = LARGE_TABLES[name]()
+        need = 80 * 80
+        with closure_ceiling(need):
+            FiniteMonoid(t)
+        with closure_ceiling(need - 1), pytest.raises(ResourceLimitError, match="exceeded"):
+            FiniteMonoid(t)
+
+    def test_tables_over_few_generators_pass_far_below_their_size(self):
+        # the cyclic group of 1 000 needs its unit and one generator
+        with closure_ceiling(2000):
+            assert FiniteMonoid(cyclic_group(1000), identity=0).size == 1000
+
+    def test_built_tables_are_bounded_by_what_built_them(self):
+        # a semigroup-mode product can need almost every element as a
+        # generator; its carrier bound, not the closure ceiling, bounds it
+        null2 = FiniteMonoid(((0, 0), (0, 0)))
+        with closure_ceiling(1):
+            m, _ = BinarySchutz(null2, null2).as_finite_monoid()
+        assert m.size == 60
+        # a quotient's table needs its unit and its letters: 3 x 6 rows
+        with closure_ceiling(6):
+            assert syntactic_monoid(regex_to_dfa("(ab)*", AB)).monoid.size == 6
+
     def test_no_numpy(self, monkeypatch):
         # the checks build and load large tables in pure Python
         monkeypatch.setitem(sys.modules, "numpy", None)
@@ -280,6 +316,51 @@ class TestFiniteMonoid:
                         assert m.mul(m.mul(x, y), z) == m.mul(x, m.mul(y, z))
 
 
+def set_partitions(n):
+    """Partitions of {0..n-1} as restricted-growth strings."""
+    part = [0] * n
+
+    def rec(i, top):
+        if i == n:
+            yield tuple(part)
+            return
+        for b in range(top + 2):
+            part[i] = b
+            yield from rec(i + 1, max(top, b))
+
+    yield from rec(0, -1)
+
+
+def proper_congruences(m):
+    """Every congruence of m that merges two elements, by enumerating
+    every partition: the oracle of ``is_minimal_recogniser``, kept to
+    6 elements (203 partitions)."""
+    assert m.size <= 6
+    for part in set_partitions(m.size):
+        if len(set(part)) < m.size and all(
+            part[m.mul(x, y)] == part[m.mul(x2, y2)]
+            for x in m.elements() for y in m.elements()
+            for x2 in m.elements() if part[x2] == part[x]
+            for y2 in m.elements() if part[y2] == part[y]
+        ):
+            yield part
+
+
+def merging_blocks(part):
+    groups = {}
+    for x, b in enumerate(part):
+        groups.setdefault(b, set()).add(x)
+    return groups.values()
+
+
+def minimal_by_enumeration(m, accept):
+    """No congruence that merges two elements saturates ``accept``."""
+    return not any(
+        all(b <= accept or not b & accept for b in merging_blocks(part))
+        for part in proper_congruences(m)
+    )
+
+
 class TestSyntacticMonoid:
     def test_everything_language_gives_trivial_monoid(self):
         l = universal_language(AB)
@@ -343,11 +424,35 @@ class TestSyntacticMonoid:
             assert "monoid" not in vars(syn)
 
     def test_minimality_by_congruence_enumeration(self):
+        negatives = 0
         for r in CORPUS_REGEXES:
             l = regex_to_dfa(r, AB)
             syn = syntactic_monoid(l)
-            if syn.monoid.size <= 4:
-                assert is_minimal_recogniser(syn.monoid, syn.saturation(l)), r
+            m, accept = syn.monoid, syn.saturation(l)
+            assert is_minimal_recogniser(m, accept), r
+            if m.size <= 6:
+                assert minimal_by_enumeration(m, accept), r
+            if m.size >= 2:
+                # the trivial quotient separates nothing from everything
+                for trivial in (frozenset(), frozenset(m.elements())):
+                    assert not is_minimal_recogniser(m, trivial), r
+                    if m.size <= 6:
+                        assert not minimal_by_enumeration(m, trivial), r
+                negatives += 1
+        assert negatives >= 10
+
+    def test_refinement_agrees_with_the_enumeration_on_small_tables(self):
+        tables = [m for n in (1, 2, 3, 4) for m in enumerate_monoids(n)]
+        tables += [s for n in (1, 2, 3) for s in enumerate_semigroups(n)]
+        verdicts = []
+        for m in tables:
+            blocks = [list(merging_blocks(part)) for part in proper_congruences(m)]
+            for mask in range(2 ** m.size):
+                accept = frozenset(x for x in m.elements() if mask >> x & 1)
+                want = not any(all(b <= accept or not b & accept for b in bs) for bs in blocks)
+                verdicts.append(is_minimal_recogniser(m, accept))
+                assert verdicts[-1] == want, (m.table, accept)
+        assert len(verdicts) == 3532 and 0 < verdicts.count(True) < len(verdicts)
 
 
     def test_minimality_refuses_what_is_not_an_element(self):
@@ -846,35 +951,43 @@ class TestCeilingBoundary:
         # 7 subsets, which minimise to 5 states
         ext = ExtendedAlphabet(AB).ext
         l = regex_to_dfa("('a#0'|'b#0')* 'b#1' ('a#0'|'b#0')* 'a#0' ('a#0'|'b#0')", ext)
-        assert exists_projection(l, max_states=7).states == 5
-        with pytest.raises(ResourceLimitError, match="^subset construction exceeded 6 states$"):
-            exists_projection(l, max_states=6)
+        with closure_ceiling(7):
+            assert exists_projection(l).states == 5
+        with closure_ceiling(6):
+            with pytest.raises(ResourceLimitError, match="^subset construction exceeded 6 states$"):
+                exists_projection(l)
 
     def test_monoid_mode_closure(self):
         l = regex_to_dfa("(ab)*", AB)  # 6 elements, the unit among them
-        assert syntactic_monoid(l, max_size=6).size == 6
-        with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 5 elements$"):
-            syntactic_monoid(l, max_size=5)
+        with closure_ceiling(6):
+            assert syntactic_monoid(l).size == 6
+        with closure_ceiling(5):
+            with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 5 elements$"):
+                syntactic_monoid(l)
 
     def test_semigroup_mode_closure(self):
         # Z/5 generated by 1: five elements after a start state that is none of them
         def add(x, y):
             return (x + y) % 5
 
-        clo = monoids.generate_closure([1], add, None, max_size=5)
+        with closure_ceiling(5):
+            clo = monoids.generate_closure([1], add, None)
         assert clo.elements == [1, 2, 3, 4, 0] and len(clo.transitions) == 6
-        with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 4 elements$"):
-            monoids.generate_closure([1], add, None, max_size=4)
+        with closure_ceiling(4):
+            with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 4 elements$"):
+                monoids.generate_closure([1], add, None)
         # the semigroup-mode algebra of (ab)* has 5 atoms; in monoid mode, 6
         gens = [regex_to_dfa("(ab)*", AB)]
-        assert generate_algebra(gens, AB, semigroup=True, max_states=5).atom_count == 5
-        with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 4 elements$"):
-            generate_algebra(gens, AB, semigroup=True, max_states=4)
+        with closure_ceiling(5):
+            assert generate_algebra(gens, AB, semigroup=True).atom_count == 5
+        with closure_ceiling(4):
+            with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 4 elements$"):
+                generate_algebra(gens, AB, semigroup=True)
 
 
 class TestClosureCeilingEnvironment:
-    """LANGREC_MAX_CLOSURE sets the default closure ceiling; an explicit
-    bound still wins, and values that are not positive integers are
+    """LANGREC_MAX_CLOSURE sets the default closure ceiling; a scope
+    still wins, and values that are not positive integers are
     refused."""
 
     L = regex_to_dfa("(ab)*", AB)  # syntactic monoid of 6 elements
@@ -883,7 +996,8 @@ class TestClosureCeilingEnvironment:
         monkeypatch.setenv("LANGREC_MAX_CLOSURE", "5")
         with pytest.raises(ResourceLimitError, match="exceeded 5 elements"):
             syntactic_monoid(self.L)
-        assert syntactic_monoid(self.L, max_size=6).monoid.size == 6
+        with closure_ceiling(6):
+            assert syntactic_monoid(self.L).monoid.size == 6
 
     def test_override_at_the_monoid_size_is_enough(self, monkeypatch):
         monkeypatch.setenv("LANGREC_MAX_CLOSURE", "6")
@@ -903,4 +1017,60 @@ class TestClosureCeilingEnvironment:
     @pytest.mark.parametrize("bound", [5.5, True, "10", 6.0])
     def test_explicit_bound_must_be_an_integer(self, bound):
         with pytest.raises(InputError, match="^closure limit must be an integer"):
-            syntactic_monoid(self.L, max_size=bound)
+            with closure_ceiling(bound):
+                syntactic_monoid(self.L)
+
+
+class TestClosureCeilingScope:
+    """``closure_ceiling`` scopes nest: the innermost wins, the enclosing
+    one holds again on leaving, by an exception too, and any scope wins
+    over LANGREC_MAX_CLOSURE."""
+
+    L = regex_to_dfa("(ab)*", AB)  # syntactic monoid of 6 elements
+
+    def test_innermost_scope_wins_and_the_outer_one_comes_back(self, monkeypatch):
+        monkeypatch.delenv("LANGREC_MAX_CLOSURE", raising=False)
+        with closure_ceiling(6):
+            with closure_ceiling(5):
+                assert closure_limit() == 5
+                with pytest.raises(ResourceLimitError, match="^submonoid closure exceeded 5 elements$"):
+                    syntactic_monoid(self.L)
+            assert closure_limit() == 6
+            assert syntactic_monoid(self.L).size == 6
+            with pytest.raises(ResourceLimitError):
+                with closure_ceiling(4):
+                    syntactic_monoid(self.L)
+            assert closure_limit() == 6
+        with closure_ceiling(5):
+            with closure_ceiling(6):  # an inner scope may raise the ceiling too
+                assert syntactic_monoid(self.L).size == 6
+        assert closure_limit() == languages.DEFAULT_CLOSURE
+
+    def test_none_keeps_the_enclosing_ceiling(self):
+        with closure_ceiling(5), closure_ceiling(None):
+            assert closure_limit() == 5
+
+    @pytest.mark.parametrize("env, scope", [("5", 6), ("6", 5)])
+    def test_scope_beats_the_environment(self, monkeypatch, env, scope):
+        monkeypatch.setenv("LANGREC_MAX_CLOSURE", env)
+        with closure_ceiling(scope):
+            assert closure_limit() == scope
+            if scope >= 6:
+                assert syntactic_monoid(self.L).size == 6
+            else:
+                with pytest.raises(ResourceLimitError, match=f"^submonoid closure exceeded {scope} elements$"):
+                    syntactic_monoid(self.L)
+        assert closure_limit() == int(env)
+
+    @pytest.mark.parametrize("bound, message", [
+        (True, "must be an integer, got True"),
+        (2.5, "must be an integer, got 2.5"),
+        (0, "must be positive, got 0"),
+        (-3, "must be positive, got -3"),
+    ])
+    def test_refused_bounds(self, bound, message):
+        with closure_ceiling(7):
+            with pytest.raises(InputError, match=f"^closure limit {message}$"):
+                with closure_ceiling(bound):
+                    pass
+            assert closure_limit() == 7

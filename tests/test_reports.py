@@ -129,3 +129,11 @@ def test_campaign_seed_and_flags_must_be_integers(seed, flags, message):
     # a bool or a float would run and be written into the report as given
     with pytest.raises(InputError, match=message):
         campaigns.run_campaign("prop2", seed, **flags)
+
+
+@pytest.mark.parametrize("name", ["thm8-seed3-pairs4-max5", "thm10-seed3-pairs4-max5",
+                                  "cor9-seed3-pairs4-max5", "thm11-default"])
+def test_campaign_bounds_win_over_the_environment(name, monkeypatch):
+    # each runner's own bound is a scope, which the environment does not raise
+    monkeypatch.setenv("LANGREC_MAX_CLOSURE", "1000000")
+    test_report_digest(name)
