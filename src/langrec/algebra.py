@@ -61,6 +61,7 @@ from .languages import (
 from .monoids import (
     FiniteMonoid,
     FiniteQuotient,
+    GeneratedClosure,
     MonoidMorphism,
     all_morphisms,
     generate_closure,
@@ -270,17 +271,19 @@ def schutz_sum(b1: LanguageAlgebra, b2: LanguageAlgebra) -> LanguageAlgebra:
         raise InputError("operands must live over the same universe")
     if b1.semigroup:
         return _literal_sum(b1, b2)
-    rows = _split_closure(b1.transitions, b2.transitions, b2.transitions)
+    rows = _split_closure(b1.transitions, b2.transitions, b2.transitions).transitions
     return LanguageAlgebra(b1.alphabet, False, rows, lambda _: _sum_generators(b1, b2))
 
 
-def _split_closure(g1: Sequence, g2: Sequence, tail: Sequence) -> list:
-    """The split closure: the Cayley graph of the triples (m1, S, t) of
-    the words w, read from three Cayley graphs over one alphabet.  m1 is
-    w's element of g1, t its element of the rider ``tail``, and S holds,
-    per element y of g2, the bitmask of the pairs (element x of g1,
-    letter c) of the splits w = u c v with u in x and v in y.  The
-    letters generate it."""
+def _split_closure(g1: Sequence, g2: Sequence, tail: Sequence) -> GeneratedClosure:
+    """The split closure: the triples (m1, S, t) of the words w, read
+    from three Cayley graphs over one alphabet, with their Cayley graph.
+    m1 is w's element of g1, t its element of the rider ``tail``, and S
+    holds, per element y of g2, the bitmask of the pairs (element x of
+    g1, letter c) of the splits w = u c v with u in x and v in y.  The
+    letters generate it.  The triples stay as the closure's labels, so
+    a caller reads an element's state of g1 or of the rider off its
+    label instead of walking the graph again."""
     k = len(g1[0])
     columns = [tuple(row[d] for row in g2) for d in range(k)]
     zeros = [0] * len(g2)
@@ -295,7 +298,7 @@ def _split_closure(g1: Sequence, g2: Sequence, tail: Sequence) -> list:
             moved[z] |= mask
         return g1[m1][d], tuple(moved), tail[t][d]
 
-    return generate_closure(range(k), mul, (0, tuple(zeros), 0)).transitions
+    return generate_closure(range(k), mul, (0, tuple(zeros), 0))
 
 
 def _sum_generators(b1: LanguageAlgebra, b2: LanguageAlgebra) -> list[Dfa]:

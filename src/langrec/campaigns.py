@@ -703,7 +703,8 @@ def run_thm11(seed: int = 0, instances: int = 100, max_joint: int = 6,
         try:
             b = generate_algebra([regex_to_dfa(g, alph) for g in gens], alph)
             k = regex_to_dfa(k_regex, alph)
-            q = eq.bsum2_quotient(k, b, max_size=max_joint)
+            with closure_ceiling(max_joint):
+                joint, sides = eq._joint_closure(k, b)
         except ResourceLimitError:
             skipped += 1
             continue
@@ -711,7 +712,7 @@ def run_thm11(seed: int = 0, instances: int = 100, max_joint: int = 6,
         # separation_witness, on this draw's one quotient and one sum
         total = eq._trivial_sum(b)
         direct = total.member(k)
-        by_equations = eq._equations_hold(q, k, b)
+        by_equations = eq._equations_hold(joint, sides, b)
         agree = direct == by_equations
         witness = None
         if not direct:
@@ -731,7 +732,7 @@ def run_thm11(seed: int = 0, instances: int = 100, max_joint: int = 6,
             alphabet=list(letters),
             algebra=list(gens),
             candidate=k_regex,
-            joint_size=q.size,
+            joint_size=len(joint.elements),
             direct_membership=direct,
             equation_membership=by_equations,
             agree=agree,

@@ -15,19 +15,25 @@ factorisations p * eta(a) * q = point reach the same sets of B-atoms on
 the prefix side.  The quotient the decision reads is the joint one of
 B's atoms, their marked extensions and the candidate: the split closure
 that ``schutz_sum`` runs, here for the sum of B with the trivial
-algebra, with the candidate's syntactic machine riding along.  Every
-element of the quotient is realised by a word, so a factorisation in
-the quotient is exactly a word factorisation of its class, and the
-points p * eta(a) * q over all q are the states reachable from
-p * eta(a) in the Cayley graph.  One pass of Tarjan's algorithm labels
-the graph's strongly connected components; each p * eta(a) sets the bit
-(a, B-atom of p) on its component, and one walk down the condensation,
-sources first, ORs every component's bits into its successors.  A
-point's signature is its B-atom with its component's bits.  The
-decision builds no multiplication table, and the table scans below are
-its independent oracle.  The agreement with the direct closure oracle
-is re-validated empirically by the verification campaigns rather than
-assumed.
+algebra, with the candidate's syntactic machine riding along.  Its
+elements are triples (B's element, split masks, K's element), and the
+decision reads them as they are: B's machine is its atom machine, so
+the first component is the element's B-atom, and the last one fixes
+its side of K.  Every element of the quotient is realised by a word, so
+a factorisation in the quotient is exactly a word factorisation of its
+class, and the points p * eta(a) * q over all q are the states
+reachable from p * eta(a) in the Cayley graph.  One pass of Tarjan's
+algorithm labels the graph's strongly connected components; each
+p * eta(a) sets the bit (a, B-atom of p) on its component, and one walk
+down the condensation, sources first, ORs every component's bits into
+its successors.  A point's signature is its B-atom with its component's
+bits.  The decision builds no multiplication table and no
+``FiniteQuotient``, and the table scans below are its independent
+oracle.  A quotient from outside carries no labels: ``equation_set``
+finds its B-atoms by one walk against B's atom machine (``_atom_map``),
+and ``saturation`` finds a language's side by one walk against its
+DFA.  The agreement with the direct closure oracle is re-validated
+empirically by the verification campaigns rather than assumed.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from .languages import (
     universal_language,
 )
 from .marking import MarkedWord, prefix_to_mark, replace_at_mark
-from .monoids import FiniteQuotient, transition_closure
+from .monoids import FiniteQuotient, GeneratedClosure, transition_closure
 
 
 @dataclass(frozen=True)
@@ -179,26 +185,34 @@ def bsum2_quotient(
     k: Dfa, b: LanguageAlgebra, *, max_size: int | None = None
 ) -> FiniteQuotient:
     """Joint syntactic monoid of b's atoms, of every marked extension
-    atom.c.(all words) and of the candidate K: the split closure of the
-    sum of b with the trivial algebra, with K's syntactic monoid riding
-    along.  A word w goes to the triple (m, S, t) of b's element of w,
-    the bitmask S of the pairs (b's element of u, c) of the splits
+    atom.c.(all words) and of the candidate K: the Cayley graph of
+    ``_joint_closure``, without its labels.  ``max_size``, when given,
+    is the closure ceiling of both closures."""
+    with closure_ceiling(max_size):
+        closure, _ = _joint_closure(k, b)
+    return FiniteQuotient(b.alphabet, False, closure.transitions)
+
+
+def _joint_closure(k: Dfa, b: LanguageAlgebra) -> tuple[GeneratedClosure, list[bool]]:
+    """The split closure of the sum of b with the trivial algebra, with
+    K's syntactic monoid riding along, and K's side of each element of
+    that monoid.  A word w goes to the triple (m, S, t) of b's element
+    of w, the bitmask S of the pairs (b's element of u, c) of the splits
     w = u c v, and w's element of K's syntactic monoid.  From b's
     element x, w enters atom.c.(all words) when S holds some (p, c)
     with x p = atom, and leads x to x m otherwise: (m, S) is what w does
-    to b's atom machine and to every extension's minimal DFA.
-    ``max_size``, when given, is the closure ceiling of both closures."""
+    to b's atom machine and to every extension's minimal DFA.  m is
+    w's B-atom, and w lies in K exactly when the side of t says so."""
     if b.semigroup:
         raise PreconditionError("equation machinery works over full-word algebras")
     if k.alphabet != b.alphabet:
         raise InputError("candidate and algebra must share an alphabet")
-    with closure_ceiling(max_size):
-        # K's syntactic monoid is a quotient of the joint one, so its
-        # ceiling is met only where the joint closure's would be
-        rider = transition_closure(k.alphabet, [k], semigroup=False).transitions
-        trivial = ((0,) * len(b.alphabet),)  # the trivial algebra's one-state machine
-        rows = _split_closure(b.transitions, trivial, rider)
-    return FiniteQuotient(b.alphabet, False, rows)
+    # K's syntactic monoid is a quotient of the joint one, so its
+    # ceiling is met only where the joint closure's would be
+    rider = transition_closure(k.alphabet, [k], semigroup=False)
+    trivial = ((0,) * len(b.alphabet),)  # the trivial algebra's one-state machine
+    closure = _split_closure(b.transitions, trivial, rider.transitions)
+    return closure, [f[k.initial] in k.accepting for f in rider.elements]
 
 
 def _components(g: Sequence[Sequence[int]]) -> list[int]:
@@ -247,22 +261,23 @@ def _components(g: Sequence[Sequence[int]]) -> list[int]:
 
 
 def _equation_signatures(
-    q: FiniteQuotient, b: LanguageAlgebra
+    g: Sequence[Sequence[int]], semigroup: bool, atom_of: Sequence[int], width: int
 ) -> list[tuple[int, int]]:
-    """Per element x: its B-atom, and the bitmask holding bit
-    c * |B| + atom(p) for every letter c and every prefix side p of a
-    factorisation p * c * s = x, that is, for every p from whose p * c
-    the element is reachable (by a non-empty word in semigroup mode).
-    Two elements form an equation of the sum exactly when their
-    signatures coincide.  Each p * c sets its bit on its component, and
-    the masks are pushed down the condensation, sources first."""
-    atom_of = _atom_map(q, b)
-    g, off, width = q.transitions, q.semigroup, b.atom_count
+    """Per element x of the quotient with Cayley graph g: its B-atom
+    ``atom_of[x]``, and the bitmask holding bit c * width + atom(p) for
+    every letter c and every prefix side p of a factorisation
+    p * c * s = x, that is, for every p from whose p * c the element is
+    reachable (by a non-empty word in semigroup mode).  width is B's
+    atom count.  Two elements form an equation of the sum exactly when
+    their signatures coincide.  Each p * c sets its bit on its
+    component, and the masks are pushed down the condensation, sources
+    first.  The verdict reads the atoms off the joint closure's triples;
+    ``equation_set`` finds them with ``_atom_map``."""
     comp = _components(g)
     masks = [0] * len(g)
     for p, atom in enumerate(atom_of):
         bit = 1 << atom
-        for v in g[p + off]:
+        for v in g[p + semigroup]:
             masks[comp[v]] |= bit
             bit <<= width
     # an edge never leads to a higher component: take the highest first
@@ -270,7 +285,7 @@ def _equation_signatures(
         m = masks[comp[v]]
         for w in g[v]:
             masks[comp[w]] |= m
-    if not off:
+    if not semigroup:
         return [(atom, masks[comp[x]]) for x, atom in enumerate(atom_of)]
     # the suffix is non-empty: read each element one edge past its sources
     into = [0] * len(g)
@@ -286,7 +301,7 @@ def equation_set(
     """All equations of the finite-resolution set over the quotient,
     with mu < nu (the reflexive pairs are omitted: they say nothing),
     ordered by mu and then nu."""
-    sigs = _equation_signatures(q, b)
+    sigs = _equation_signatures(q.transitions, q.semigroup, _atom_map(q, b), b.atom_count)
     groups: dict[tuple[int, int], list[int]] = {}
     for x, sig in enumerate(sigs):
         groups.setdefault(sig, []).append(x)
@@ -305,19 +320,23 @@ def bsum2_membership_by_equations(k: Dfa, b: LanguageAlgebra) -> bool:
     The contract — validated, not assumed — is agreement with direct
     membership in ``schutz_sum(b, trivial_algebra(...))``.
     """
-    return _equations_hold(bsum2_quotient(k, b), k, b)
+    return _equations_hold(*_joint_closure(k, b), b)
 
 
-def _equations_hold(q: FiniteQuotient, k: Dfa, b: LanguageAlgebra) -> bool:
+def _equations_hold(closure: GeneratedClosure, sides: Sequence[bool], b: LanguageAlgebra) -> bool:
     """The verdict of ``bsum2_membership_by_equations`` on the joint
-    quotient q of k and b."""
-    sat = q.saturation(k)
-    if sat is None:
-        raise PreconditionError("candidate not recognised by its own joint quotient")
+    closure of k and b and K's sides, as ``_joint_closure`` returns
+    them.  Each element's B-atom is the first component of its triple
+    and its side of K the side of the last one, so the Cayley graph is
+    walked for the signatures alone: not against B's atom machine
+    (``_atom_map``), nor against K's DFA (``saturation``)."""
+    elements = closure.elements
+    sigs = _equation_signatures(closure.transitions, False, [e[0] for e in elements], b.atom_count)
     # no signature may hold points on both sides of K
     side: dict[tuple[int, int], bool] = {}
-    sigs = enumerate(_equation_signatures(q, b))
-    return all(side.setdefault(sig, x in sat) == (x in sat) for x, sig in sigs)
+    return all(
+        side.setdefault(sig, sides[e[2]]) == sides[e[2]] for e, sig in zip(elements, sigs)
+    )
 
 
 def bsum2_membership_direct(k: Dfa, b: LanguageAlgebra) -> bool:

@@ -14,6 +14,7 @@ from langrec import (
     bsum2_membership_direct,
     bsum2_quotient,
     dual_recogniser,
+    empty_language,
     equation_set,
     factorizations,
     generate_algebra,
@@ -32,11 +33,14 @@ from langrec.equations import (
     _atom_map,
     _components,
     _equation_signatures,
+    _equations_hold,
+    _joint_closure,
+    _trivial_sum,
     lemma_factor_violations,
     lemma_witness_check,
 )
 from langrec import algebra
-from langrec.campaigns import corpus_dfas, random_regex
+from langrec.campaigns import _THM11_B_POOL, _THM11_K_POOL, corpus_dfas, random_regex
 from langrec.languages import (
     _explore,
     closure_ceiling,
@@ -98,6 +102,12 @@ def reachable_by_search(g, s):
                 seen.add(t)
                 todo.append(t)
     return sum(1 << t for t in seen)
+
+
+def quotient_signatures(q, b):
+    """``_equation_signatures`` on a quotient from outside, whose B-atoms
+    come from ``_atom_map``, as ``equation_set`` reads them."""
+    return _equation_signatures(q.transitions, q.semigroup, _atom_map(q, b), b.atom_count)
 
 
 def packed_prefix_signatures(q, b):
@@ -245,7 +255,7 @@ class TestEquationSet:
             b = generate_algebra(gens, alph)
             with closure_ceiling(80):
                 q = joint_quotient(gens + extra)
-            sigs = _equation_signatures(q, b)
+            sigs = quotient_signatures(q, b)
             expected = [
                 (i, j) for i in range(q.size) for j in range(i + 1, q.size) if sigs[i] == sigs[j]
             ]
@@ -291,6 +301,24 @@ class TestMembershipDecision:
             )
             k = regex_to_dfa(rng.choice(pools[alph]), alph)
             assert bsum2_membership_by_equations(k, b) == bsum2_membership_direct(k, b)
+
+    def test_refusals(self):
+        # the verdict builds its closure without bsum2_quotient, so its
+        # refusals are checked on the entry point itself
+        gens = [regex_to_dfa("(a|b)*a", AB)]
+        k = regex_to_dfa("(ab)*", AB)
+        with pytest.raises(PreconditionError, match="^equation machinery works over full-word algebras$"):
+            bsum2_membership_by_equations(k, generate_algebra(gens, AB, semigroup=True))
+        b = generate_algebra(gens, AB)
+        with pytest.raises(InputError, match="^candidate and algebra must share an alphabet$"):
+            bsum2_membership_by_equations(regex_to_dfa("(ab)*", A3), b)
+        size = bsum2_quotient(k, b).size
+        with closure_ceiling(size):
+            verdict = bsum2_membership_by_equations(k, b)
+        assert verdict == bsum2_membership_direct(k, b)
+        with closure_ceiling(size - 1):
+            with pytest.raises(ResourceLimitError, match=f"^submonoid closure exceeded {size - 1} elements$"):
+                bsum2_membership_by_equations(k, b)
 
 
 class TestSeparationWitness:
@@ -399,7 +427,7 @@ class TestEquationSignatures:
                     q = bsum2_quotient(k, b)
             except ResourceLimitError:
                 continue  # the cubic oracle would take seconds
-            assert _equation_signatures(q, b) == packed_prefix_signatures(q, b)
+            assert quotient_signatures(q, b) == packed_prefix_signatures(q, b)
             sizes.append(q.monoid.size)
         assert len(sizes) >= 12 and max(sizes) > 40
 
@@ -408,7 +436,7 @@ class TestEquationSignatures:
             b = generate_algebra([regex_to_dfa(g, AB) for g in gens], AB, semigroup=True)
             finer_b = generate_algebra([regex_to_dfa(g, AB) for g in finer], AB, semigroup=True)
             q = dual_recogniser(finer_b)
-            assert _equation_signatures(q, b) == packed_prefix_signatures(q, b)
+            assert quotient_signatures(q, b) == packed_prefix_signatures(q, b)
 
     def test_semigroup_mode_through_a_multi_state_cycle(self):
         # word length mod 3 makes a three-state component of the Cayley
@@ -422,7 +450,7 @@ class TestEquationSignatures:
         comp = _components(g)
         assert max(comp.count(c) for c in comp) == 3
         assert any(comp.count(comp[x]) == 1 and x not in g[x] for x in range(1, len(g)))
-        sigs = _equation_signatures(q, b)
+        sigs = quotient_signatures(q, b)
         assert sigs == packed_prefix_signatures(q, b)
         assert len(set(sigs)) < len(sigs)  # some pair forms an equation
 
@@ -663,6 +691,56 @@ class TestSplitClosure:
         schutz_sum(b, b)
         assert len(calls) == 1
         assert list(calls[0][0]) == [0, 1]  # the letters generate it
+
+
+class TestJointClosureLabels:
+    """The verdict reads each element's B-atom and K's side off the joint
+    closure's triples; the two walks over a built quotient, ``_atom_map``
+    and ``saturation``, are their oracle, and direct closure membership
+    the verdict's."""
+
+    @staticmethod
+    def check(k, b):
+        closure, sides = _joint_closure(k, b)
+        q = bsum2_quotient(k, b)
+        assert q.transitions == tuple(closure.transitions)
+        assert [e[0] for e in closure.elements] == _atom_map(q, b)
+        sat = q.saturation(k)
+        assert [sides[e[2]] for e in closure.elements] == [x in sat for x in range(q.size)]
+        verdict = _equations_hold(closure, sides, b)
+        assert verdict == _trivial_sum(b).member(k)
+        return q.size, verdict
+
+    def test_thm11_pools(self):
+        # every (B, K) pair the thm11 campaign draws from
+        results = []
+        with closure_ceiling(29):
+            for letters, gens in _THM11_B_POOL:
+                alph = Alphabet(letters)
+                b = generate_algebra([regex_to_dfa(g, alph) for g in gens], alph)
+                for regex in _THM11_K_POOL[letters]:
+                    results.append(self.check(regex_to_dfa(regex, alph), b))
+        assert len(results) == 112
+        assert max(size for size, _ in results) == 29
+        assert {verdict for _, verdict in results} == {True, False}
+
+    @pytest.mark.parametrize("alph, seed", [(AB, 69), (A3, 61)])
+    def test_seeded_draws_with_the_empty_and_full_candidates(self, alph, seed):
+        rng = random.Random(seed)
+        results = []
+        for _ in range(8):
+            gens = [regex_to_dfa(random_regex(rng, alph, 3), alph) for _ in range(rng.randint(1, 2))]
+            b = generate_algebra(gens, alph)
+            candidates = [regex_to_dfa(random_regex(rng, alph, 3), alph) for _ in range(3)]
+            for k in candidates + [empty_language(alph), universal_language(alph)]:
+                try:
+                    with closure_ceiling(300):
+                        results.append(self.check(k, b))
+                except ResourceLimitError:
+                    continue
+        assert len(results) >= 30
+        assert {verdict for _, verdict in results} == {True, False}
+        assert max(size for size, _ in results) > 100
 
 
 class TestSumTower:

@@ -81,7 +81,7 @@ def test_report_digest(name):
 
 def test_thm11_builds_each_quotient_and_sum_once(monkeypatch):
     # the direct side builds its sum through the literal generators
-    builds = {"bsum2_quotient": 0, "_literal_sum": 0}
+    builds = {"_joint_closure": 0, "_literal_sum": 0}
     for name in builds:
         def counted(*args, _build=getattr(equations, name), _name=name, **kwargs):
             builds[_name] += 1
@@ -91,7 +91,7 @@ def test_thm11_builds_each_quotient_and_sum_once(monkeypatch):
     report = run_thm11(instances=40)
     assert report.ok
     # one quotient per draw, kept or skipped, and one sum per kept draw
-    assert builds == {"bsum2_quotient": 40 + report.bounds["skipped_draws"], "_literal_sum": 40}
+    assert builds == {"_joint_closure": 40 + report.bounds["skipped_draws"], "_literal_sum": 40}
     assert any(inst["witness"] for inst in report.instances)
 
 
