@@ -9,7 +9,6 @@ denote the same language exactly when they compare equal.
 
 from .errors import (
     InputError,
-    InvariantError,
     LangrecError,
     PreconditionError,
     ResourceLimitError,

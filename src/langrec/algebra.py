@@ -45,7 +45,7 @@ from functools import cached_property
 from operator import attrgetter, getitem
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import InputError, InvariantError, ResourceLimitError
+from .errors import InputError, ResourceLimitError
 from .languages import (
     Alphabet,
     Dfa,
@@ -336,14 +336,10 @@ def dual_recogniser(b: LanguageAlgebra) -> LanguageAlgebra:
 
     The recogniser is the algebra's atom machine itself, whose table
     entry (i, j) is the atom of the i-th representative followed by the
-    j-th and whose ``tau`` sends a word to its atom.  Well-definedness
-    comes from quotient closure; it is re-checked by ``FiniteMonoid``
-    here and on all short words by ``check_dual_well_defined``.
+    j-th and whose ``tau`` sends a word to its atom.  It is well defined
+    because the machine is a Cayley graph, which its constructor checks;
+    ``check_dual_well_defined`` re-derives the table on all short words.
     """
-    try:
-        b.monoid  # builds the table, and FiniteMonoid checks it
-    except InputError as exc:
-        raise InvariantError(f"atom multiplication is ill-defined: {exc}") from exc
     return b
 
 

@@ -24,8 +24,3 @@ class PreconditionError(LangrecError):
 
     exit_code = 4
 
-
-class InvariantError(LangrecError):
-    """Internal invariant violation; indicates a bug, not bad input."""
-
-    exit_code = 70

@@ -26,6 +26,7 @@ from .languages import _check_flag, _check_indices, _json_int, _json_ints, _lett
 from .languages import closure_ceiling, closure_limit
 
 _INT = frozenset({int})
+_MAX_MORPHISMS = 1_000_000  # the letter-image assignments ``all_morphisms`` lists
 
 
 def _associativity_defect(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
@@ -57,8 +58,8 @@ def _light_defect(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None
     reach.  A breadth-first numbered table over k letters costs
     O(k n^2); one that needs every element, such as a left-zero
     semigroup, O(n^3).  So a pick that would take the generating set's
-    size times n above ``closure_limit()`` is refused; ``_built_monoid``
-    lifts that ceiling for the tables the package builds."""
+    size times n above ``closure_limit()`` is refused.  The tables the
+    package builds are associative by construction and skip it."""
     n, limit = len(table), closure_limit()
     reached = bytearray(n)  # the subsemigroup generated by the picks
     picks: list[int] = []
@@ -92,8 +93,8 @@ def _light_defect(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None
 class FiniteMonoid:
     """Multiplication table; ``identity=None`` means semigroup mode.
 
-    Every table is checked for associativity on construction by Light's
-    test (``_light_defect``), which the closure ceiling bounds.
+    Light's test (``_light_defect``) checks a table given to the
+    constructor, under the closure ceiling; built tables skip it.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -195,14 +196,13 @@ class FiniteMonoid:
         return f"{kind}(size={self.size})"
 
 
-def _built_monoid(table: tuple, identity: int | None, labels: tuple[str, ...]) -> FiniteMonoid:
-    """A ``FiniteMonoid`` of a table that a closure or a product built:
-    the bound that built it already bounds n, and Light's test on it
-    reads at most n rows per generator, so its check is bounded by n^2
-    rather than by the closure ceiling.  A semigroup-mode product can
-    need almost every element as a generator."""
-    with closure_ceiling(len(table) ** 2):
-        return FiniteMonoid(table, identity, labels)
+def _trusted_monoid(table: tuple, identity: int | None, labels: tuple | None) -> FiniteMonoid:
+    """The ``FiniteMonoid`` of a table associative by construction, as
+    the package's own tables are: no entry check, no identity scan and
+    no Light's test."""
+    m = object.__new__(FiniteMonoid)
+    vars(m).update(table=table, identity=identity, labels=labels)
+    return m
 
 
 TRIVIAL_MONOID = FiniteMonoid(((0,),), identity=0, labels=("1",))
@@ -220,7 +220,7 @@ def enumerate_semigroups(n: int) -> tuple[FiniteMonoid, ...]:
     for flat in itertools.product(range(n), repeat=n * n):
         table = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
         if _associativity_defect(table) is None:
-            out.append(FiniteMonoid(table, identity=None))
+            out.append(_trusted_monoid(table, None, None))
     return tuple(out)
 
 
@@ -242,7 +242,7 @@ def enumerate_monoids(n: int) -> tuple[FiniteMonoid, ...]:
             table[i][j] = v
         tt = tuple(tuple(r) for r in table)
         if _associativity_defect(tt) is None:
-            out.append(FiniteMonoid(tt, identity=0))
+            out.append(_trusted_monoid(tt, 0, None))
     return tuple(out)
 
 
@@ -304,15 +304,11 @@ def _elements(values: Iterable[int], n: int) -> frozenset[int]:
     return frozenset(values)
 
 
-def all_morphisms(
-    alph: Alphabet, m: FiniteMonoid, max_count: int = 1_000_000
-) -> list[MonoidMorphism]:
+def all_morphisms(alph: Alphabet, m: FiniteMonoid) -> list[MonoidMorphism]:
     """Every letter-image assignment, in lexicographic order."""
     total = m.size ** len(alph)
-    if total > max_count:
-        raise ResourceLimitError(
-            f"{total} morphisms exceed the enumeration bound {max_count}"
-        )
+    if total > _MAX_MORPHISMS:
+        raise ResourceLimitError(f"{total} morphisms exceed the enumeration bound {_MAX_MORPHISMS}")
     return [
         MonoidMorphism(alph, m, images)
         for images in itertools.product(range(m.size), repeat=len(alph))
@@ -421,22 +417,27 @@ class FiniteQuotient:
     alphabet order, so the elements come in shortlex order of their
     least words.  Element i is state i; in semigroup mode it is state
     i + 1, and only the empty word reaches state 0.  Representatives,
-    table and evaluation morphism are read off the graph on first use."""
+    table and evaluation morphism are read off the graph on first use.
+    The constructor checks that the words' kernel is a congruence: with
+    c.s the state of letter c followed by s's least word, c.t = (c.s) d
+    on each edge s -d-> t off the breadth-first tree, in O(n k^2)."""
 
     alphabet: Alphabet
     semigroup: bool
     transitions: tuple[tuple[int, ...], ...]
     # (parent, letter) of states 1, 2, ...: the breadth-first tree
     _tree: list[tuple[int, int]] = field(init=False, repr=False, compare=False)
+    # per letter c, its left action: the state c.s of each state s
+    _left: tuple[list[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         _check_flag(self.semigroup, "semigroup")
         g = tuple(map(tuple, self.transitions))
-        object.__setattr__(self, "transitions", g)
         if not g:
             raise InputError("a Cayley graph needs the empty word's state")
         unnumbered = "the Cayley graph is not numbered breadth-first"
         tree: list[tuple[int, int]] = []
+        loose: list[tuple[int, int, int]] = []  # the edges off the tree
         seen = 1  # states numbered so far
         for s, row in enumerate(g):
             if len(row) != len(self.alphabet):
@@ -447,9 +448,22 @@ class FiniteQuotient:
                 if t == seen < len(g):
                     tree.append((s, c))
                     seen += 1
-                elif not self.semigroup <= t < seen:
+                elif self.semigroup <= t < seen:
+                    loose.append((s, c, t))
+                else:
                     raise InputError(unnumbered)
-        object.__setattr__(self, "_tree", tree)
+        left = []
+        for c, first in enumerate(g[0]):
+            lt = [first]
+            for s, d in tree:
+                lt.append(g[lt[s]][d])
+            for s, d, t in loose:
+                if lt[t] != g[lt[s]][d]:
+                    c, d = self.alphabet.letters[c], self.alphabet.letters[d]
+                    raise InputError(f"not a Cayley graph: words of state {s} followed by"
+                                     f" {d!r} reach state {t}, but preceded by {c!r} they split")
+            left.append(lt)
+        vars(self).update(transitions=g, _tree=tree, _left=tuple(left))
 
     @property
     def size(self) -> int:
@@ -476,7 +490,7 @@ class FiniteQuotient:
                 run.append(g[run[s]][c])
             table.append(tuple(x - off for x in run[off:]))
         labels = tuple(r.text() for r in self.reps)
-        return _built_monoid(tuple(table), None if off else 0, labels)
+        return _trusted_monoid(tuple(table), None if off else 0, labels)
 
     @cached_property
     def morphism(self) -> MonoidMorphism:
@@ -488,15 +502,11 @@ class FiniteQuotient:
     def _preimage_bytes(self) -> tuple[tuple[_ByteUnion, ...], ...]:
         """Per letter c and per 8 states 8k..8k+7, the table that maps a
         non-zero byte of a state set (bit i for state 8k + i) to the
-        preimage of those states under c's left action y -> c.y, where
-        c.y is the state of c followed by y's least word: c.0 is c's
-        state and c.(s d) = (c.s) d along the breadth-first tree."""
+        preimage of those states under c's left action y -> c.y, which
+        the constructor computed."""
         g = self.transitions
         tables = []
-        for c in range(len(self.alphabet)):
-            lt = [g[0][c]]
-            for s, d in self._tree:
-                lt.append(g[lt[s]][d])
+        for lt in self._left:
             pre = [0] * len(g)
             for y, x in enumerate(lt):
                 pre[x] |= 1 << y
@@ -514,8 +524,8 @@ class FiniteQuotient:
         the union, since the states' word sets are disjoint and
         non-empty, so the sets numbered breadth-first, letters in order,
         are the canonical DFA.  This needs the graph to be a Cayley
-        graph, where a word's state fixes where it leads every state, as
-        for every quotient built by this package."""
+        graph, where a word's state fixes where it leads every state,
+        which the constructor checked."""
         n, off = self.size, self.semigroup
         elements = tuple(elements)
         _check_indices(elements, n, "element index")

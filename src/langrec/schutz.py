@@ -55,8 +55,8 @@ from .monoids import (
     FiniteMonoid,
     GeneratedClosure,
     MonoidMorphism,
-    _built_monoid,
     _elements,
+    _trusted_monoid,
     generate_closure,
 )
 
@@ -233,7 +233,7 @@ class _PowersetProduct:
             labels += [f"({{{s}}},{lab})" for lab in comp_labels]
         # the unit ({}, e[, f]) has rank 0
         identity = None if self.semigroup else index[tuple(b.identity for b in bases)]
-        monoid = _built_monoid(tuple(rows), identity, tuple(labels))
+        monoid = _trusted_monoid(tuple(rows), identity, tuple(labels))
         return monoid, tuple(self.carrier())
 
 

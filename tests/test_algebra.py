@@ -10,7 +10,6 @@ from langrec import (
     FiniteMonoid,
     FiniteQuotient,
     InputError,
-    InvariantError,
     LanguageAlgebra,
     MonoidMorphism,
     ResourceLimitError,
@@ -54,7 +53,7 @@ from langrec.campaigns import (
 )
 from langrec.languages import _canonical, _explore, _minimise, closure_ceiling, closure_limit
 from langrec.marking import ExtendedAlphabet
-from langrec.monoids import generate_closure, transition_closure
+from langrec.monoids import _light_defect, generate_closure, transition_closure
 
 AB = Alphabet(("a", "b"))
 ABC = Alphabet(("a", "b", "c"))
@@ -234,21 +233,52 @@ class TestDualRecogniser:
         assert dual_recogniser(alg) is alg
         assert alg.tau is alg.morphism
 
-    # breadth-first numbered graphs over {a, b} that are not Cayley graphs
+    # breadth-first numbered graphs that are not Cayley graphs: (a|b)*a's
+    # DFA, a graph whose table is not associative, one whose is, and
+    # one in semigroup mode
 
-    def test_non_associative_table_is_an_invariant_error(self):
-        bad = LanguageAlgebra(AB, False, [(0, 1), (2, 0), (0, 0)], lambda _: ())
-        with pytest.raises(InvariantError, match=r"not associative at \(1, 1, 2\)"):
-            dual_recogniser(bad)
+    @pytest.mark.parametrize("semigroup, graph", [
+        (False, ((1, 0), (1, 0))),
+        (False, ((0, 1), (2, 0), (0, 0))),
+        (False, ((0, 1), (0, 2), (0, 0))),
+        (True, ((1, 2), (1, 1), (2, 1))),
+    ])
+    def test_a_graph_that_is_no_cayley_graph_is_refused(self, semigroup, graph):
+        for build in (lambda: FiniteQuotient(AB, semigroup, graph),
+                      lambda: LanguageAlgebra(AB, semigroup, graph, lambda _: ())):
+            with pytest.raises(InputError, match="^not a Cayley graph: "):
+                build()
+
+    def test_the_refusal_names_the_state_and_both_letters(self):
+        message = ("^not a Cayley graph: words of state 0 followed by 'b' reach state 0,"
+                   " but preceded by 'a' they split$")
+        with pytest.raises(InputError, match=message):
+            FiniteQuotient(AB, False, ((1, 0), (1, 0)))
 
     def test_word_check_catches_an_associative_table(self):
-        bad = LanguageAlgebra(AB, False, [(0, 1), (0, 2), (0, 0)], lambda _: ())
-        assert dual_recogniser(bad) is bad  # Light's test passes
+        # the constructor refuses the graph, so the oracle gets it unchecked
+        bad = unchecked_algebra(AB, ((0, 1), (0, 2), (0, 0)))
+        assert dual_recogniser(bad) is bad
+        assert _light_defect(bad.monoid.table) is None  # Light's test passes
         assert check_dual_well_defined(bad, max_len=0)
         assert not check_dual_well_defined(bad, max_len=3)
         for max_len in (-1, 1.5, True, None):  # refused, not passed vacuously
             with pytest.raises(InputError, match="word length bound"):
                 check_dual_well_defined(bad, max_len=max_len)
+
+
+def unchecked_algebra(alph, graph):
+    """A monoid-mode ``LanguageAlgebra`` on a breadth-first numbered
+    graph, built around the constructor's checks."""
+    tree = []
+    for s, row in enumerate(graph):
+        for c, t in enumerate(row):
+            if t == len(tree) + 1:
+                tree.append((s, c))
+    b = object.__new__(LanguageAlgebra)
+    vars(b).update(alphabet=alph, semigroup=False, transitions=graph, _tree=tree,
+                   _build_generators=lambda _: ())
+    return b
 
 
 class TestSchutzSum:

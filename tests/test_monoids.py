@@ -215,12 +215,12 @@ class TestLightAssociativity:
 
     def test_built_tables_are_bounded_by_what_built_them(self):
         # a semigroup-mode product can need almost every element as a
-        # generator; its carrier bound, not the closure ceiling, bounds it
+        # generator; built tables skip Light's test, so no ceiling refuses them
         null2 = FiniteMonoid(((0, 0), (0, 0)))
         with closure_ceiling(1):
             m, _ = BinarySchutz(null2, null2).as_finite_monoid()
         assert m.size == 60
-        # a quotient's table needs its unit and its letters: 3 x 6 rows
+        # a 6-element quotient's closure fits a ceiling of 6, and its table needs no more
         with closure_ceiling(6):
             assert syntactic_monoid(regex_to_dfa("(ab)*", AB)).monoid.size == 6
 
@@ -229,6 +229,64 @@ class TestLightAssociativity:
         monkeypatch.setitem(sys.modules, "numpy", None)
         assert binary_schutz_2x3().size == 384
         assert FiniteMonoid.from_json(cyclic_group_file(1500)).size == 1500
+
+
+def assert_monoid_laws(m):
+    """Light's test, the triple loop up to 64 elements and the unit laws,
+    on a table that the package built without checking any of them."""
+    t, e = m.table, m.identity
+    with closure_ceiling(len(t) ** 2):  # at most n rows per generator
+        assert _light_defect(t) is None, "Light's test"
+    assert len(t) > 64 or _associativity_defect(t) is None, "the triple loop"
+    assert e is None or all(t[e][x] == x == t[x][e] for x in m.elements()), "the unit laws"
+
+
+def swap_two_cells(table):
+    """The table with its last row's first cell swapped with the first
+    cell of that row that differs from it."""
+    *rows, last = table
+    y = next((y for y, v in enumerate(last) if v != last[0]), 0)
+    last = list(last)
+    last[0], last[y] = last[y], last[0]
+    return (*rows, tuple(last))
+
+
+def corpus_quotients():
+    """The syntactic quotients of the corpus in both modes, the joint
+    quotients of seeded sets of 2 to 4 corpus languages and of the whole
+    corpus, and joint quotients of Thm 11."""
+    corpus = [regex_to_dfa(r, AB) for r in CORPUS_REGEXES]
+    rng = random.Random(23)
+    out = [generate_algebra([l], AB, semigroup=semigroup)
+           for semigroup in (False, True) for l in corpus]
+    out += [joint_quotient(rng.sample(corpus, rng.randint(2, 4))) for _ in range(12)]
+    out.append(joint_quotient(corpus))
+    b = generate_algebra([regex_to_dfa("(a|b)*a", AB)], AB)
+    out += [bsum2_quotient(k, b) for k in corpus[::4]]
+    return out
+
+
+class TestBuiltTablesAreAssociative:
+    """Finite quotients, products and enumerations build their tables
+    without Light's test; these tests run it on them."""
+
+    def test_corpus_quotients(self):
+        for q in corpus_quotients():
+            assert_monoid_laws(q.monoid)
+
+    def test_enumerated_tables(self):
+        for m in enumerate_semigroups(3) + enumerate_monoids(4):
+            assert_monoid_laws(m)
+
+    def test_a_builder_that_swaps_two_cells_is_caught(self, monkeypatch):
+        trusted = monoids._trusted_monoid
+        monkeypatch.setattr(monoids, "_trusted_monoid",
+                            lambda t, e, labels: trusted(swap_two_cells(t), e, labels))
+        with pytest.raises(AssertionError, match="Light's test"):
+            self.test_corpus_quotients()
+        with pytest.raises(AssertionError, match="Light's test"):
+            for m in monoids.enumerate_semigroups.__wrapped__(3):  # past the cache
+                assert_monoid_laws(m)
 
 
 class TestFiniteMonoid:
@@ -550,10 +608,16 @@ class TestAllMorphisms:
         m3 = enumerate_monoids(3)[0]
         assert len(all_morphisms(AB, m3)) == 9
 
-    def test_enumeration_bound(self):
-        m3 = enumerate_monoids(3)[0]
-        with pytest.raises(ResourceLimitError):
-            all_morphisms(AB, m3, max_count=8)
+    def test_enumeration_bound(self, monkeypatch):
+        # 4^10 = 1 048 576 letter-image assignments, refused before any is built
+        def refuse(*args):
+            raise AssertionError("a morphism was built")
+
+        monkeypatch.setattr(monoids, "MonoidMorphism", refuse)
+        alph = Alphabet(tuple("abcdefghij"))
+        message = r"^1048576 morphisms exceed the enumeration bound 1000000$"
+        with pytest.raises(ResourceLimitError, match=message):
+            all_morphisms(alph, enumerate_monoids(4)[0])
 
 
 class TestRecognisedAlgebra:
@@ -702,6 +766,25 @@ class TestCayleyGraph:
         with pytest.raises(InputError):
             FiniteQuotient(AB, semigroup, ())
 
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_refuses_exactly_the_graphs_whose_kernel_is_no_congruence(self, semigroup):
+        # every graph over {a, b} with up to 4 states that is numbered breadth-first
+        verdicts = []
+        for n in range(1, 5):
+            for flat in itertools.product(range(n), repeat=2 * n):
+                g = tuple(zip(flat[::2], flat[1::2]))
+                try:
+                    FiniteQuotient(AB, semigroup, g)
+                    ok = True
+                except InputError as exc:
+                    if "breadth-first" in str(exc):
+                        continue
+                    assert str(exc).startswith("not a Cayley graph: "), exc
+                    ok = False
+                assert ok == kernel_is_a_congruence(g), g
+                verdicts.append(ok)
+        assert set(verdicts) == {True, False}
+
     def test_queries_never_regenerate_the_image(self, monkeypatch):
         def image(self):
             raise AssertionError("the Cayley graph was rebuilt from the morphism")
@@ -714,6 +797,24 @@ class TestCayleyGraph:
         assert b.saturation(regex_to_dfa("(a|b)*a", AB)) == {1}
         assert _atom_map(q, b) == [b.atom_of(rep) for rep in q.reps]
         assert dual_recogniser(b).saturation(regex_to_dfa("(a|b)*b|ε", AB)) == {0, 2}
+
+
+def kernel_is_a_congruence(g):
+    """Whether words u and v that share a state of g always give c u and
+    c v one state: per letter c, the pairs (state of u, state of c u)
+    that the words reach, walked from (0, state of c), form a map."""
+    for first in g[0]:
+        image = {}
+        seen, todo = {(0, first)}, [(0, first)]
+        while todo:
+            s, t = todo.pop()
+            if image.setdefault(s, t) != t:
+                return False
+            for pair in zip(g[s], g[t]):
+                if pair not in seen:
+                    seen.add(pair)
+                    todo.append(pair)
+    return True
 
 
 def saturation_by_representatives(q, l):

@@ -31,8 +31,11 @@ from langrec import (
     split_letter_images,
     syntactic_monoid,
 )
-from langrec.campaigns import _biaction_ok
+from langrec import schutz
+from langrec.campaigns import _biaction_ok, _table_laws
+from langrec.languages import closure_ceiling
 from langrec.marking import ExtendedAlphabet, tag_unmarked
+from langrec.monoids import _associativity_defect, _light_defect
 from langrec.schutz import split_closure
 
 AB = Alphabet(("a", "b"))
@@ -449,9 +452,20 @@ def _element_pairs(elems, rng):
     return [(rng.choice(elems), rng.choice(elems)) for _ in range(300)]
 
 
+def assert_monoid_laws(m):
+    """Light's test, the triple loop up to 64 elements and the unit laws,
+    on a product table, which the package builds without checking any."""
+    t, e = m.table, m.identity
+    with closure_ceiling(len(t) ** 2):  # at most n rows per generator
+        assert _light_defect(t) is None, "Light's test"
+    assert len(t) > 64 or _associativity_defect(t) is None, "the triple loop"
+    assert e is None or all(t[e][x] == x == t[x][e] for x in m.elements()), "the unit laws"
+
+
 def _check_materialised(d, oracle):
     table, identity, labels, elems = oracle
     mfm, got_elems = d.as_finite_monoid()
+    assert_monoid_laws(mfm)
     assert got_elems == elems == tuple(d.carrier())
     assert mfm.table == table
     assert mfm.identity == identity
@@ -505,6 +519,26 @@ class TestAgainstFrozensetOracles:
         for _ in range(3):  # 378 elements each
             self._check_binary(rng.choice(enumerate_semigroups(3)),
                                rng.choice(enumerate_semigroups(2)), rng)
+
+    def test_a_builder_that_swaps_two_cells_is_caught(self, monkeypatch):
+        trusted = schutz._trusted_monoid
+
+        def swapped(table, identity, labels):
+            *rows, last = table
+            y = next(y for y, v in enumerate(last) if v != last[0])
+            last = list(last)
+            last[0], last[y] = last[y], last[0]
+            return trusted((*rows, tuple(last)), identity, labels)
+
+        m2 = enumerate_monoids(2)[-1]
+        products = [(UnarySchutz(m2), _unary_oracle(m2)),
+                    (BinarySchutz(m2, m2), _binary_oracle(m2, m2))]
+        assert all(_table_laws(d.as_finite_monoid()[0]) for d, _ in products)
+        monkeypatch.setattr(schutz, "_trusted_monoid", swapped)
+        for d, oracle in products:
+            with pytest.raises(AssertionError, match="Light's test"):
+                _check_materialised(d, oracle)
+            assert not _table_laws(d.as_finite_monoid()[0])  # the laws campaign's check
 
     def test_seeded_points_on_3x3_carriers(self):
         rng = random.Random(14)
