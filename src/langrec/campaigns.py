@@ -647,9 +647,7 @@ def run_cor9(seed: int = 0, pairs: int = 20, max_monoid: int = 3,
             assembled = l1 if eps_in_l2 else None
             for c in range(len(AB)):
                 piece = split_language(phi1, phi2, c, v1, quotient_targets[c])
-                expected_piece = marked_concat(
-                    l1, c, left_quotient(Word(AB, (c,)), l2)
-                )
+                expected_piece = marked_concat(l1, c, left_quotient((c,), l2))
                 if piece != expected_piece:
                     detail = "decomposition piece not recognised by the product"
                 assembled = piece if assembled is None else union(assembled, piece)
@@ -698,14 +696,17 @@ _THM11_K_POOL: dict[tuple[str, ...], tuple[str, ...]] = {
 }
 
 
-def run_thm11(seed: int = 0, instances: int = 100, max_joint: int = 6,
-              max_attempts_factor: int = 200) -> Report:
+# draws per kept instance before ``run_thm11`` gives up
+_THM11_ATTEMPTS_PER_INSTANCE = 200
+
+
+def run_thm11(seed: int = 0, instances: int = 100, max_joint: int = 6) -> Report:
     rep = Report("thm11", seed, {"instances": instances, "max_joint": max_joint})
     rng = random.Random(seed)
     done = 0
     attempts = 0
     skipped = 0
-    while done < instances and attempts < instances * max_attempts_factor:
+    while done < instances and attempts < instances * _THM11_ATTEMPTS_PER_INSTANCE:
         attempts += 1
         letters, gens = _THM11_B_POOL[rng.randrange(len(_THM11_B_POOL))]
         alph = Alphabet(letters)

@@ -28,7 +28,7 @@ from .algebra import (
 )
 from .campaigns import _CAMPAIGNS, run_campaign
 from .errors import InputError, LangrecError
-from .languages import Alphabet, Dfa, Word, closure_ceiling, closure_limit
+from .languages import Alphabet, Dfa, Word, _read_json, closure_ceiling, closure_limit
 from .languages import left_quotient, right_quotient
 from .marking import exists_projection
 from .monoids import FiniteMonoid, syntactic_monoid
@@ -56,34 +56,32 @@ def _parse_alphabet(spec: str | None) -> Alphabet:
 
 def _load_json(path: str) -> dict:
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError as exc:
         raise InputError(f"no such file: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: invalid JSON: {exc}") from exc
+    return _read_json(text, f"{path}: ")
 
 
-def _load_dfa(args, which: str = "input") -> Dfa:
-    path = getattr(args, which, None)
-    if path:
-        return Dfa.from_json_dict(_load_json(path))
-    if which == "input" and args.regex is not None:
+def _load_input(args, which: str, needs: str) -> dict:
+    """The JSON of the file that ``--which`` names."""
+    path = getattr(args, which)
+    if not path:
+        raise InputError(f"need --{which} FILE {needs}")
+    return _load_json(path)
+
+
+def _load_dfa(args) -> Dfa:
+    if args.regex is not None and not args.input:
         return regex_to_dfa(args.regex, _parse_alphabet(args.alphabet))
-    raise InputError(f"need --{which} FILE or --regex STR")
+    return Dfa.from_json_dict(_load_input(args, "input", "or --regex STR"))
 
 
 def _load_monoid(args, which: str = "input") -> FiniteMonoid:
-    path = getattr(args, which, None)
-    if not path:
-        raise InputError(f"need --{which} FILE with a monoid table")
-    return FiniteMonoid.from_json_dict(_load_json(path))
+    return FiniteMonoid.from_json_dict(_load_input(args, which, "with a monoid table"))
 
 
 def _load_algebra(args, which: str = "input") -> LanguageAlgebra:
-    path = getattr(args, which, None)
-    if not path:
-        raise InputError(f"need --{which} FILE with an algebra description")
-    data = _load_json(path)
+    data = _load_input(args, which, "with an algebra description")
     try:
         letters, entries = data["alphabet"], data.get("generators", [])
         if not isinstance(letters, list) or not isinstance(entries, list):

@@ -278,14 +278,19 @@ class Dfa:
 
     @classmethod
     def from_json(cls, text: str) -> "Dfa":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(_read_json(text))
 
     def __repr__(self) -> str:
         return f"Dfa({self.alphabet!r}, states={self.states}, accepting={sorted(self.accepting)})"
+
+
+def _read_json(text: str, where: str = "") -> object:
+    """The value ``text`` holds; a syntax error is an ``InputError``
+    whose message starts with ``where``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{where}invalid JSON: {exc}") from exc
 
 
 def _json_ints(values: Iterable) -> tuple[int, ...]:
@@ -554,19 +559,16 @@ def same_language(l1: Dfa, l2: Dfa) -> bool:
 # -- quotients ---------------------------------------------------------
 
 
-def left_quotient(w: Word, l: Dfa) -> Dfa:
+def left_quotient(w: "Word | Iterable[str | int]", l: Dfa) -> Dfa:
     """The language w^-1 L = { u : wu in L }."""
-    if w.alphabet != l.alphabet:
-        raise InputError("quotient word must be over the language's alphabet")
-    start = l.run(l.initial, w.indices)
+    start = l.run(l.initial, _letter_indices(l.alphabet, w))
     return _canonical(l.alphabet, l.transitions, l.accepting, start)
 
 
-def right_quotient(l: Dfa, w: Word) -> Dfa:
+def right_quotient(l: Dfa, w: "Word | Iterable[str | int]") -> Dfa:
     """The language L w^-1 = { u : uw in L }."""
-    if w.alphabet != l.alphabet:
-        raise InputError("quotient word must be over the language's alphabet")
-    acc = {q for q in range(l.states) if l.run(q, w.indices) in l.accepting}
+    idxs = _letter_indices(l.alphabet, w)
+    acc = {q for q in range(l.states) if l.run(q, idxs) in l.accepting}
     return _canonical(l.alphabet, l.transitions, acc, l.initial)
 
 
@@ -657,7 +659,7 @@ def concat_decompose(l1: Dfa, l2: Dfa, verbatim: bool = False) -> Dfa:
     alph = l1.alphabet
     out = empty_language(alph)
     for c in range(len(alph)):
-        q2 = left_quotient(Word(alph, (c,)), l2)
+        q2 = left_quotient((c,), l2)
         out = union(out, marked_concat(l1, c, q2))
     if not verbatim and l2.accepts(()):
         out = union(out, l1)

@@ -36,20 +36,10 @@ class ExtendedAlphabet:
 
     @staticmethod
     def match(alph: Alphabet) -> "ExtendedAlphabet | None":
-        """Recover the base alphabet if `alph` has the doubled shape."""
-        names = alph.letters
-        if len(names) % 2 != 0:
-            return None
-        base = []
-        for i in range(0, len(names), 2):
-            a, b = names[i], names[i + 1]
-            if not (a.endswith("#0") and b.endswith("#1")):
-                return None
-            if a[:-2] != b[:-2] or not a[:-2]:
-                return None
-            base.append(a[:-2])
+        """Recover the base alphabet if `alph` has the doubled shape: the
+        base is every other name without its last two characters."""
         try:
-            ext = ExtendedAlphabet(Alphabet(tuple(base)))
+            ext = ExtendedAlphabet(Alphabet(tuple(name[:-2] for name in alph.letters[::2])))
         except InputError:
             return None
         return ext if ext.ext == alph else None

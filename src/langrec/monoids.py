@@ -21,7 +21,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .languages import Alphabet, Dfa, Word, _explore, _state_labels, _trusted_dfa
+from .languages import Alphabet, Dfa, Word, _explore, _read_json, _state_labels, _trusted_dfa
 from .languages import _check_flag, _check_indices, _json_int, _json_ints, _letter_indices
 from .languages import closure_ceiling, closure_limit
 
@@ -185,11 +185,7 @@ class FiniteMonoid:
 
     @classmethod
     def from_json(cls, text: str) -> "FiniteMonoid":
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"invalid JSON: {exc}") from exc
-        return cls.from_json_dict(data)
+        return cls.from_json_dict(_read_json(text))
 
     def __repr__(self) -> str:
         kind = "Semigroup" if self.is_semigroup else "Monoid"
@@ -278,9 +274,6 @@ class MonoidMorphism:
         for c in idxs[1:]:
             acc = table[acc][self.letter_images[c]]
         return acc
-
-    def __call__(self, w: "Word | Iterable[int]") -> int:
-        return self.evaluate(w)
 
     @cached_property
     def image(self) -> "GeneratedClosure":

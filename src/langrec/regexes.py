@@ -5,7 +5,8 @@ Text syntax:
     ∅ or 0          empty language
     ε or 1          empty word
     a               single-character letter name
-    'a#0' / "a#0"   quoted letter name (required for multi-character names)
+    'a#0' / "a#0"   quoted letter name (required for multi-character names,
+                    whitespace and the symbols on this list)
     r s  /  r . s   concatenation
     r | s           union
     r & s           intersection
@@ -14,6 +15,8 @@ Text syntax:
     ( r )           grouping
 
 Precedence, loosest to tightest: ``|``, ``&``, juxtaposition, ``~``/``*``.
+``render_regex`` and ``dfa_to_regex`` quote a name as ``_letter_text``
+says; a name holding both quote characters has no text and is refused.
 
 A regex compiles through one Thompson ε-NFA of its whole AST (Thompson,
 CACM 11(6), 1968) and one subset construction, whose result is minimised
@@ -81,7 +84,8 @@ class Star(Regex):
     inner: Regex
 
 
-_RESERVED = set("∅01ε.|&~*()'\"")
+# the tokenizer's symbols and the two quote characters
+_RESERVED = "∅01ε.|&~*()'\""
 
 # the parser takes six stack frames per parenthesis, the compiler up to
 # three per AST level; Python's default stack holds about a thousand
@@ -93,6 +97,19 @@ def _too_deep() -> InputError:
         f"regular expression nested more than {MAX_NESTING} levels deep"
         " (each parenthesis, complement and star is a level)"
     )
+
+
+def _letter_text(name: str) -> str:
+    """A letter name as the tokenizer reads it back: bare when it is one
+    character that is neither reserved nor whitespace, else quoted with
+    ``'``, or with ``"`` when it holds ``'``; the one writer of names."""
+    if len(name) == 1 and name not in _RESERVED and not name.isspace():
+        return name
+    if "'" not in name:
+        return f"'{name}'"
+    if '"' not in name:
+        return f'"{name}"'
+    raise InputError(f"letter name {name!r} holds both quote characters: no regex can name it")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -113,7 +130,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
             tokens.append(("name", name))
             i = j + 1
             continue
-        if ch in "∅01ε.|&~*()":
+        if ch in _RESERVED:  # a symbol: the quotes were read above
             tokens.append(("sym", ch))
             i += 1
             continue
@@ -352,9 +369,6 @@ def _thompson(r: Regex, alph: Alphabet) -> tuple[list, list[set[int]], int, int]
 def render_regex(r: Regex) -> str:
     """Render an AST back to parseable text."""
 
-    def name(n: str) -> str:
-        return n if len(n) == 1 and n not in _RESERVED and not n.isspace() else f"'{n}'"
-
     def go(r: Regex, level: int) -> str:
         # level: 0 union, 1 intersect, 2 concat, 3 unary
         if isinstance(r, Empty):
@@ -362,7 +376,7 @@ def render_regex(r: Regex) -> str:
         if isinstance(r, Epsilon):
             return "ε"
         if isinstance(r, Letter):
-            return name(r.name)
+            return _letter_text(r.name)
         if isinstance(r, Union):
             s = "|".join(go(p, 1) for p in r.parts)
             return f"({s})" if level > 0 else s
@@ -423,10 +437,10 @@ def dfa_to_regex(d: Dfa) -> str:
     init, fin = n, n + 1
     # labels[p][q]: regex string or None for no edge
     lab: list[list[str | None]] = [[None] * (n + 2) for _ in range(n + 2)]
-    for p in range(n):
-        for c, name in enumerate(d.alphabet.letters):
-            tok = name if len(name) == 1 and name not in _RESERVED else f"'{name}'"
-            lab[p][d.transitions[p][c]] = _r_union(lab[p][d.transitions[p][c]], tok)
+    names = [_letter_text(name) for name in d.alphabet.letters]
+    for p, row in enumerate(d.transitions):
+        for q, name in zip(row, names):
+            lab[p][q] = _r_union(lab[p][q], name)
     lab[init][d.initial] = "ε"
     for q in d.accepting:
         lab[q][fin] = "ε"

@@ -44,6 +44,7 @@ rank(S) * |M||N| + m * |N| + n.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
@@ -387,11 +388,10 @@ def exists_letter_images(tau: MonoidMorphism) -> list[tuple[frozenset, int]]:
     return out
 
 
-def exists_profile(tau: MonoidMorphism, w: Word) -> tuple[frozenset, int]:
+def exists_profile(tau: MonoidMorphism, w: "Word | Iterable[str | int]") -> tuple[frozenset, int]:
     """Direct evaluation: all marked evaluations of w plus the plain one."""
     ext = _require_extended(tau)
-    if w.alphabet != ext.base:
-        raise InputError("word must be over the base alphabet")
+    w = Word(ext.base, _letter_indices(ext.base, w))
     marked = frozenset(tau.evaluate(tag_marked(m, ext)) for m in marked_words(w))
     if tau.target.identity is None and len(w) == 0:
         raise PreconditionError("empty word outside semigroup-mode domain")
@@ -414,7 +414,9 @@ def exists_language(tau: MonoidMorphism, accept: Iterable[int]) -> Dfa:
     return clo.language(ext.base, lambda e: clopen.contains(e[0]))
 
 
-def recognises_exists(tau: MonoidMorphism, accept: Iterable[int], w: Word) -> bool:
+def recognises_exists(
+    tau: MonoidMorphism, accept: Iterable[int], w: "Word | Iterable[str | int]"
+) -> bool:
     """Pointwise form: whether the profile of w lands in hit(V) x M."""
     clopen = HitClopen("hit", _elements(accept, tau.target.size))
     marked, _ = exists_profile(tau, w)
@@ -545,9 +547,5 @@ def local_schutz_morphism(phi1: MonoidMorphism, phi2: MonoidMorphism) -> LocalSc
         )
         images.append((splits, phi1.letter_images[c], phi2.letter_images[c]))
     unit = (tuple(frozenset() for _ in range(k)), unit_pair[0], unit_pair[1])
-
-    def mul(p, q):
-        return _local_mul(product, p, q)
-
-    closure = generate_closure(images, mul, unit)
+    closure = generate_closure(images, functools.partial(_local_mul, product), unit)
     return LocalSchutz(phi1, phi2, closure, product)

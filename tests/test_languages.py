@@ -21,6 +21,7 @@ from langrec import (
     bsum2_quotient,
     empty_language,
     epsilon_language,
+    exists_profile,
     factorizations,
     generate_algebra,
     intersection,
@@ -29,6 +30,7 @@ from langrec import (
     marked_concat,
     nonempty_universal,
     parse_regex,
+    recognises_exists,
     regex_to_dfa,
     render_regex,
     replace_at_mark,
@@ -760,6 +762,35 @@ class TestLetterReader:
         with pytest.raises(InputError, match="the word is over"):
             d.accepts(Alphabet(("a", "b", "c")).word("ab"))
 
+    @staticmethod
+    def word_callers():
+        l = regex_to_dfa("(a|b)*ab", AB)
+        marked = regex_to_dfa("('a#0'|'b#0')* 'a#1' ('a#0'|'b#0')*", ExtendedAlphabet(AB).ext)
+        syn = syntactic_monoid(marked)
+        tau, accepting = syn.morphism, syn.saturation(marked)
+        return {
+            "left_quotient": lambda w: left_quotient(w, l),
+            "right_quotient": lambda w: right_quotient(l, w),
+            "exists_profile": lambda w: exists_profile(tau, w),
+            "recognises_exists": lambda w: recognises_exists(tau, accepting, w),
+        }
+
+    @pytest.mark.parametrize("name", [
+        "left_quotient", "right_quotient", "exists_profile", "recognises_exists",
+    ])
+    def test_word_arguments_are_read_as_accepts_reads_them(self, name):
+        call = self.word_callers()[name]
+        assert len({call(text) for text in ("", "a", "ab", "bab", "bb")}) > 1
+        for text in ("", "a", "ab", "bab", "bb"):
+            w = AB.word(text)
+            assert call(text) == call(w.indices) == call(list(w.indices)) == call(w)
+        for other in (Alphabet(("a", "b", "c")), ExtendedAlphabet(AB).ext):
+            with pytest.raises(InputError, match="the word is over"):
+                call(Word(other, (0, 1)))
+        for bad in ([0, 2], [True], ["c"], [0.0]):
+            with pytest.raises(InputError):
+                call(bad)
+
     def test_evaluate_refuses_letters_inside_a_word(self):
         phi = syntactic_monoid(regex_to_dfa("(ab)*", AB)).morphism
         assert phi.evaluate(["a", 1]) == phi.evaluate(AB.word("ab"))
@@ -785,6 +816,49 @@ class TestRegexRendering:
         for r in CORPUS_REGEXES:
             d = regex_to_dfa(r, AB)
             assert regex_to_dfa(dfa_to_regex(d), AB) == d
+
+    # names that are whitespace, a quote, a reserved symbol, hold a quote
+    # or a space, or are longer than one character
+    AWKWARD = [
+        Alphabet((" ", "x")),
+        Alphabet(("'", '"')),
+        Alphabet(("a'b", "c")),
+        Alphabet(("a#0", "a#1")),
+        Alphabet(("xy", "|", "a b")),
+        Alphabet(("ε", "(", "*", "\t")),
+    ]
+
+    @pytest.mark.parametrize("alph", AWKWARD, ids=repr)
+    def test_every_written_regex_reads_back_as_its_language(self, alph):
+        from langrec import dfa_to_regex
+
+        rng = random.Random(len(alph))
+        for _ in range(40):
+            r = random_regex(rng, alph, depth=3)
+            d = regex_to_dfa(r, alph)
+            assert regex_to_dfa(dfa_to_regex(d), alph) == d
+            assert regex_to_dfa(render_regex(r), alph) == d
+
+    @pytest.mark.parametrize("name, text", [
+        ("a", "a"), (" ", "' '"), ("|", "'|'"), ("'", '"\'"'), ('"', "'\"'"), ("a'b", '"a\'b"'),
+        ("a#0", "'a#0'"),
+    ])
+    def test_a_name_is_bare_only_when_it_is_one_plain_character(self, name, text):
+        assert render_regex(Letter(name)) == text
+        assert parse_regex(text) == Letter(name)
+
+    def test_a_name_holding_both_quotes_has_no_text(self):
+        from langrec import dfa_to_regex
+
+        name = "a'\"b"
+        alph = Alphabet((name, "c"))
+        for write in (lambda: render_regex(Concat((Letter("c"), Letter(name)))),
+                      lambda: dfa_to_regex(regex_to_dfa(Letter(name), alph))):
+            with pytest.raises(InputError) as exc:
+                write()
+            assert str(exc.value) == (
+                f"letter name {name!r} holds both quote characters: no regex can name it"
+            )
 
 
 def test_package_exports_name_no_module():

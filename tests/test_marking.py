@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -198,3 +199,41 @@ class TestIteratedDoubling:
         assert once.alphabet == EXT.ext
         twice = exists_projection(once)
         assert twice == nonempty_universal(AB)
+
+
+def parsed_base(alph):
+    """The doubled-alphabet parser ``ExtendedAlphabet.match`` once used:
+    pairs of names ``x#0``, ``x#1`` with x non-empty, read pair by pair."""
+    names = alph.letters
+    if len(names) % 2 != 0:
+        return None
+    base = []
+    for i in range(0, len(names), 2):
+        a, b = names[i], names[i + 1]
+        if not (a.endswith("#0") and b.endswith("#1")):
+            return None
+        if a[:-2] != b[:-2] or not a[:-2]:
+            return None
+        base.append(a[:-2])
+    try:
+        ext = ExtendedAlphabet(Alphabet(tuple(base)))
+    except InputError:
+        return None
+    return ext if ext.ext == alph else None
+
+
+# names that are, hold or lack the tags, so that every alphabet of up to
+# four of them is matched or refused for some reason
+PIECES = ("a", "b", "#", "#0", "#1", "a#", "a#0", "a#1", "a#2", "b#0", "b#1",
+          "#0#0", "#0#1", "a#0#0", "a#0#1", "a#1#1")
+
+
+def test_match_agrees_with_the_pairwise_parser():
+    matched = 0
+    for n in range(1, 5):
+        for names in itertools.permutations(PIECES, n):
+            alph = Alphabet(names)
+            got = ExtendedAlphabet.match(alph)
+            assert got == parsed_base(alph), names
+            matched += got is not None
+    assert matched == 16  # bases a, b, #0, a#0 and the 12 pairs of them

@@ -1,8 +1,13 @@
 """Campaign reports are byte-deterministic: golden digests of every
-default verify run, the builds of one thm11 draw, the failure path of
-the thm10 check, and a word length that is no bound."""
+default verify run, also through ``python -m langrec``, the builds of
+one thm11 draw, the failure path of the thm10 check, and a word length
+that is no bound."""
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +82,17 @@ GOLDEN = {
 def test_report_digest(name):
     run, digest = GOLDEN[name]
     assert hashlib.sha256(run().json_lines().encode("utf-8")).hexdigest() == digest
+
+
+def test_module_entry_point_prints_the_published_report():
+    # ``python -m langrec`` runs ``langrec/__main__.py``, not ``cli.main`` in-process
+    proc = subprocess.run(
+        [sys.executable, "-m", "langrec", "verify", "lemmas", "--seed", "0"],
+        capture_output=True, cwd=Path(__file__).resolve().parents[1],
+        env={**os.environ, "PYTHONPATH": "src"},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN["lemmas-default"][1]
 
 
 def test_thm11_builds_each_quotient_and_sum_once(monkeypatch):
