@@ -51,6 +51,7 @@ from .languages import (
     Dfa,
     Word,
     _canonical,
+    _check_alphabet,
     _check_flag,
     _state_labels,
     closure_limit,
@@ -193,6 +194,7 @@ def _letter_images(
     letter_map: Mapping[str, "str | Word"], source: Alphabet, target: Alphabet
 ) -> tuple[tuple[int, ...], ...]:
     """The letter indices of each source letter's image, in source order."""
+    _check_alphabet(source)
     for name in letter_map:
         if name not in source:
             raise InputError(f"letter {name!r} is not in the source alphabet {source.letters}")

@@ -24,6 +24,7 @@ from .algebra import (
 )
 from .errors import InputError, ResourceLimitError
 from .languages import (
+    DEFAULT_CLOSURE,
     Alphabet,
     Dfa,
     Word,
@@ -58,6 +59,7 @@ from .regexes import (
     Regex,
     Star,
     Union,
+    _children,
     regex_to_dfa,
 )
 from .schutz import (
@@ -258,11 +260,7 @@ _REWRITES: tuple[Callable[[Regex], Regex], ...] = (
 
 
 def _subterm_count(r: Regex) -> int:
-    if isinstance(r, (Concat, Union, Intersect)):
-        return 1 + sum(_subterm_count(p) for p in r.parts)
-    if isinstance(r, (Complement, Star)):
-        return 1 + _subterm_count(r.inner)
-    return 1
+    return 1 + sum(map(_subterm_count, _children(r)))
 
 
 def _rewrite_at(r: Regex, target: int, rule: Callable[[Regex], Regex], counter: list[int]) -> Regex:
@@ -897,4 +895,5 @@ def run_campaign(theorem: str, seed: int = 0, **flags: int | None) -> Report:
         if value < _FLAG_MINIMUM[flag]:
             raise InputError(f"{name} must be at least {_FLAG_MINIMUM[flag]}, got {value}")
         kwargs[parameters[flag]] = value
-    return runner(**kwargs)
+    with closure_ceiling(DEFAULT_CLOSURE):  # no environment ceiling moves a report
+        return runner(**kwargs)

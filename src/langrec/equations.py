@@ -75,9 +75,6 @@ class UltrafilterApprox:
     def of_word(cls, quotient: FiniteQuotient, w: "Word | Iterable[int]") -> "UltrafilterApprox":
         return cls(quotient, quotient.class_of(w))
 
-    def representative(self) -> Word:
-        return self.quotient.reps[self.point]
-
 
 @dataclass(frozen=True)
 class EquationInstance:

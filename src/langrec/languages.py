@@ -5,9 +5,10 @@ minimal complete DFA of its result: all states reachable, no two states
 language-equivalent, and states numbered by breadth-first discovery
 order from the initial state, exploring letters in alphabet order.  Two
 DFAs produced here denote the same language exactly when they are equal
-field by field, so language equality is structural equality.  That
-numbering is made in one place, ``_explore``, which also numbers every
-subset construction and every closure.  Two builders bound it with
+field by field, so language equality is structural equality.  Every
+breadth-first numbering is made in one place, ``_explore``: each
+canonical DFA's, each subset construction's, each closure's and each
+union of a finite quotient's classes.  Two builders bound it with
 ``closure_limit``: ``_subset_dfa``, the one subset construction, to
 which ``marked_concat``, ``concat``, ``star``, ``exists_projection`` and
 the regex compiler give their step functions, and the one submonoid
@@ -108,6 +109,7 @@ class Word:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_alphabet(self.alphabet)
         if not isinstance(self.indices, tuple):
             object.__setattr__(self, "indices", tuple(self.indices))
         _check_indices(self.indices, len(self.alphabet), "letter index")
@@ -119,6 +121,8 @@ class Word:
         Whitespace separates letters explicitly; 'ε' or the empty string
         denotes the empty word.
         """
+        if not isinstance(text, str):
+            raise InputError(f"a word is read from a string, not {text!r}")
         text = text.strip()
         if text in ("", "ε"):
             return cls(alph, ())
@@ -163,15 +167,19 @@ class Word:
 
 def _letter_indices(alph: Alphabet, w: "Word | Iterable[str | int]") -> tuple[int, ...]:
     """Letter indices of a Word over alph, or of letters given by name or
-    by index; a word over another alphabet, an index out of range and a
-    bool are refused."""
+    by index; a word over another alphabet, a value that is no sequence,
+    an index out of range and a bool are refused."""
     if isinstance(w, Word):
         if w.alphabet != alph:
             raise InputError(f"the word is over {w.alphabet!r}, not {alph!r}")
         return w.indices
+    try:
+        letters = iter(w)
+    except TypeError:
+        raise InputError(f"{w!r} is not a word over {alph!r}") from None
     k = len(alph)
     out = []
-    for c in w:
+    for c in letters:
         if type(c) is int and 0 <= c < k:  # not a bool
             out.append(c)
         elif isinstance(c, str):

@@ -15,7 +15,8 @@ from functools import cached_property
 from typing import Iterator
 
 from .errors import InputError
-from .languages import Alphabet, Dfa, Word, _canonical, _check_indices, _letter_indices
+from .languages import Alphabet, Dfa, Word, _canonical, _check_alphabet, _check_indices
+from .languages import _letter_indices
 from .languages import _subset_dfa, intersection
 
 
@@ -25,6 +26,9 @@ class ExtendedAlphabet:
     interleaved in base order."""
 
     base: Alphabet
+
+    def __post_init__(self) -> None:
+        _check_alphabet(self.base)
 
     @cached_property
     def ext(self) -> Alphabet:
@@ -58,7 +62,7 @@ class MarkedWord:
     @classmethod
     def parse(cls, alph: Alphabet, text: str) -> "MarkedWord":
         """Parse the ``w@i`` form, e.g. ``bab@0``."""
-        if "@" not in text:
+        if not isinstance(text, str) or "@" not in text:
             raise InputError(f"marked word needs the w@i form, got {text!r}")
         left, _, right = text.rpartition("@")
         try:

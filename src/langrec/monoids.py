@@ -22,8 +22,8 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .languages import Alphabet, Dfa, Word, _explore, _read_json, _state_labels, _trusted_dfa
-from .languages import _check_flag, _check_indices, _json_int, _json_ints, _letter_indices
-from .languages import closure_ceiling, closure_limit
+from .languages import _check_alphabet, _check_flag, _check_indices, _json_int, _json_ints
+from .languages import _letter_indices, closure_ceiling, closure_limit
 
 _INT = frozenset({int})
 _MAX_MORPHISMS = 1_000_000  # the letter-image assignments ``all_morphisms`` lists
@@ -102,8 +102,7 @@ class FiniteMonoid:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        if not isinstance(self.table, tuple):
-            object.__setattr__(self, "table", tuple(tuple(r) for r in self.table))
+        object.__setattr__(self, "table", tuple(map(tuple, self.table)))
         n = len(self.table)
         if n == 0:
             raise InputError("a semigroup needs at least one element")
@@ -255,6 +254,7 @@ class MonoidMorphism:
     letter_images: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        _check_alphabet(self.alphabet)
         if not isinstance(self.letter_images, tuple):
             object.__setattr__(self, "letter_images", tuple(self.letter_images))
         if len(self.letter_images) != len(self.alphabet):
@@ -299,6 +299,7 @@ def _elements(values: Iterable[int], n: int) -> frozenset[int]:
 
 def all_morphisms(alph: Alphabet, m: FiniteMonoid) -> list[MonoidMorphism]:
     """Every letter-image assignment, in lexicographic order."""
+    _check_alphabet(alph)
     total = m.size ** len(alph)
     if total > _MAX_MORPHISMS:
         raise ResourceLimitError(f"{total} morphisms exceed the enumeration bound {_MAX_MORPHISMS}")
@@ -424,6 +425,7 @@ class FiniteQuotient:
     _left: tuple[list[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        _check_alphabet(self.alphabet)
         _check_flag(self.semigroup, "semigroup")
         g = tuple(map(tuple, self.transitions))
         if not g:
@@ -527,25 +529,18 @@ class FiniteQuotient:
             start |= 1 << (i + off)
         tables = self._preimage_bytes
         nbytes = len(tables[0])
-        # the one breadth-first walk not routed through ``_explore``: this is
-        # the algebra layer's hottest query, and a step callback made it
-        # 10-30 % slower on quotients of 25 to 35 elements
-        order = [start]
-        index = {start: 0}
-        rows = []
-        for v in order:
+
+        def step(v: int) -> list[int]:
             chunks = [(k, b) for k, b in enumerate(v.to_bytes(nbytes, "little")) if b]
-            row = []
+            out = []
             for chunk_tables in tables:
                 w = 0
                 for k, b in chunks:
                     w |= chunk_tables[k][b]
-                j = index.get(w)
-                if j is None:
-                    j = index[w] = len(order)
-                    order.append(w)
-                row.append(j)
-            rows.append(tuple(row))
+                out.append(w)
+            return out
+
+        order, rows = _explore(start, step)
         accepting = frozenset(i for i, v in enumerate(order) if v & 1)
         return _trusted_dfa(self.alphabet, tuple(rows), accepting)
 
@@ -580,6 +575,7 @@ def transition_closure(alph: Alphabet, dfas: Sequence[Dfa], *, semigroup: bool) 
     states.  Two words share an element exactly when they share a
     syntactic class of every language.  In semigroup mode the empty
     word is left out, so it has no element of its own."""
+    _check_alphabet(alph)
     rows: list[list[int]] = []
     for d in dict.fromkeys(dfas):
         if d.alphabet != alph:
@@ -613,10 +609,8 @@ class Biaction:
     right: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.left, tuple):
-            object.__setattr__(self, "left", tuple(tuple(r) for r in self.left))
-        if not isinstance(self.right, tuple):
-            object.__setattr__(self, "right", tuple(tuple(r) for r in self.right))
+        object.__setattr__(self, "left", tuple(map(tuple, self.left)))
+        object.__setattr__(self, "right", tuple(map(tuple, self.right)))
         m, n = self.monoid.size, self.carrier
         for comp in (self.left, self.right):
             if len(comp) != m or any(len(r) != n for r in comp):

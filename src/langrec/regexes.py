@@ -26,8 +26,9 @@ a product or by flipping acceptance, and embedded in the enclosing NFA.
 ``Concat(())`` denotes ε, ``Union(())`` ∅ and ``Intersect(())`` every
 word.  Parentheses, complements and postfix stars nest, and an AST's
 operator nodes stack, at most ``MAX_NESTING`` levels deep (a letter or
-constant is no level): parser, renderer and compiler recurse per level.
-The parser checks both counts, so it refuses what the compiler would.
+constant is no level): renderer and compiler recurse per level, the
+parser per parenthesis.  The parser checks both counts, so it refuses
+what the compiler would.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ import functools
 from dataclasses import dataclass
 
 from .errors import InputError
-from .languages import Alphabet, Dfa, _subset_dfa, complement, intersection, universal_language
+from .languages import Alphabet, Dfa, _check_alphabet, _subset_dfa, complement, intersection
+from .languages import universal_language
 
 
 @dataclass(frozen=True)
@@ -87,9 +89,12 @@ class Star(Regex):
 # the tokenizer's symbols and the two quote characters
 _RESERVED = "∅01ε.|&~*()'\""
 
-# the parser takes six stack frames per parenthesis, the compiler up to
-# three per AST level; Python's default stack holds about a thousand
+# the parser takes one stack frame per parenthesis and none per
+# complement or star, the compiler up to three per AST level; Python's
+# default stack holds about a thousand
 MAX_NESTING = 100
+
+_END = ("end", "")  # the token after the last
 
 
 def _too_deep() -> InputError:
@@ -139,107 +144,72 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-class _Parser:
-    def __init__(self, tokens: list[tuple[str, str]]):
-        self.tokens = tokens
-        self.pos = 0
-        self.depth = 0
-
-    def peek(self) -> tuple[str, str] | None:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def take(self) -> tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise InputError("unexpected end of regular expression")
-        self.pos += 1
-        return tok
-
-    def expect(self, sym: str) -> None:
-        tok = self.take()
-        if tok != ("sym", sym):
-            raise InputError(f"expected {sym!r}, got {tok[1]!r}")
-
-    def nested(self, parse) -> Regex:
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise _too_deep()
-        r = parse()
-        self.depth -= 1
-        return r
-
-    def parse(self) -> Regex:
-        r = self.union()
-        if self.peek() is not None:
-            raise InputError(f"trailing input at {self.peek()[1]!r}")
-        return r
-
-    def union(self) -> Regex:
-        parts = [self.inter()]
-        while self.peek() == ("sym", "|"):
-            self.take()
-            parts.append(self.inter())
-        return parts[0] if len(parts) == 1 else Union(tuple(parts))
-
-    def inter(self) -> Regex:
-        parts = [self.concatenation()]
-        while self.peek() == ("sym", "&"):
-            self.take()
-            parts.append(self.concatenation())
-        return parts[0] if len(parts) == 1 else Intersect(tuple(parts))
-
-    _STARTERS = {"∅", "0", "1", "ε", "~", "("}
-
-    def _starts_term(self) -> bool:
-        tok = self.peek()
-        if tok is None:
-            return False
-        kind, val = tok
-        if kind == "name":
-            return True
-        if val == ".":
-            return True
-        return val in self._STARTERS
-
-    def concatenation(self) -> Regex:
-        parts = [self.term()]
-        while self._starts_term():
-            if self.peek() == ("sym", "."):
-                self.take()
-            parts.append(self.term())
-        return parts[0] if len(parts) == 1 else Concat(tuple(parts))
-
-    def term(self) -> Regex:
-        if self.peek() == ("sym", "~"):
-            self.take()
-            return Complement(self.nested(self.term))
-        r = self.atom()
-        stars = 0
-        while self.peek() == ("sym", "*"):
-            self.take()
-            stars += 1
-            if self.depth + stars > MAX_NESTING:  # each star wraps r once more
-                raise _too_deep()
-            r = Star(r)
-        return r
-
-    def atom(self) -> Regex:
-        kind, val = self.take()
-        if kind == "name":
-            return Letter(val)
-        if val in ("∅", "0"):
-            return Empty()
-        if val in ("ε", "1"):
-            return Epsilon()
-        if val == "(":
-            r = self.nested(self.union)
-            self.expect(")")
-            return r
-        raise InputError(f"unexpected {val!r} in regular expression")
-
-
 def parse_regex(text: str) -> Regex:
-    r = _Parser(_tokenize(text)).parse()
+    """The AST of ``text``.  One loop reads a ``|``-list of ``&``-lists
+    of concatenations of terms, a term being complements, an atom and
+    stars; a parenthesis recurses, one stack frame per level."""
+    tokens = _tokenize(text) + [_END]
+    pos = 0
+
+    def group(depth: int) -> Regex:
+        """The regex from ``tokens[pos]`` up to its closing ``)`` or the
+        end, ``depth`` levels deep."""
+        nonlocal pos
+        unions, inters, parts = [], [], []  # the open |-, &- and concatenation lists
+        while True:
+            negs = 0  # each complement is a level around the starred atom
+            while tokens[pos] == ("sym", "~"):
+                pos, negs = pos + 1, negs + 1
+            level = depth + negs
+            if level > MAX_NESTING:
+                raise _too_deep()
+            kind, val = tokens[pos]
+            pos += 1
+            if kind == "name":
+                r = Letter(val)
+            elif kind == "end":
+                raise InputError("unexpected end of regular expression")
+            elif val in ("∅", "0"):
+                r = Empty()
+            elif val in ("ε", "1"):
+                r = Epsilon()
+            elif val == "(":
+                if level + 1 > MAX_NESTING:
+                    raise _too_deep()
+                r = group(level + 1)
+                if tokens[pos] == _END:  # else the group stopped at its ')'
+                    raise InputError("unexpected end of regular expression")
+                pos += 1
+            else:
+                raise InputError(f"unexpected {val!r} in regular expression")
+            while tokens[pos] == ("sym", "*"):
+                pos, level = pos + 1, level + 1  # each star wraps r once more
+                if level > MAX_NESTING:
+                    raise _too_deep()
+                r = Star(r)
+            for _ in range(negs):
+                r = Complement(r)
+            parts.append(r)
+            kind, val = tokens[pos]
+            if kind == "name" or kind == "sym" and val not in "&|)":  # the next term
+                if val == "." and kind == "sym":
+                    pos += 1
+                continue
+            inters.append(parts[0] if len(parts) == 1 else Concat(tuple(parts)))
+            parts = []
+            if val == "&":
+                pos += 1
+                continue
+            unions.append(inters[0] if len(inters) == 1 else Intersect(tuple(inters)))
+            inters = []
+            if val == "|":
+                pos += 1
+                continue
+            return unions[0] if len(unions) == 1 else Union(tuple(unions))
+
+    r = group(0)
+    if tokens[pos] != _END:
+        raise InputError(f"trailing input at {tokens[pos][1]!r}")
     # the compiler's count of levels, so that no regex parses that
     # ``regex_to_dfa`` then refuses as too deep
     regex_letters(r)
@@ -274,6 +244,7 @@ def regex_letters(r: Regex) -> set[str]:
 
 def regex_to_dfa(r: "Regex | str", alph: Alphabet) -> Dfa:
     """Compile to the canonical minimal DFA of the denoted language."""
+    _check_alphabet(alph)
     if isinstance(r, str):
         r = parse_regex(r)
     for name in regex_letters(r):
@@ -401,13 +372,9 @@ def render_regex(r: Regex) -> str:
 # -- informational regex recovery ---------------------------------------
 
 
-def _r_union(x: str | None, y: str | None) -> str | None:
-    if x is None:
+def _r_union(x: str | None, y: str) -> str:
+    if x is None or x == y:
         return y
-    if y is None:
-        return x
-    if x == y:
-        return x
     return f"{x}|{y}"
 
 

@@ -393,8 +393,6 @@ def exists_profile(tau: MonoidMorphism, w: "Word | Iterable[str | int]") -> tupl
     ext = _require_extended(tau)
     w = Word(ext.base, _letter_indices(ext.base, w))
     marked = frozenset(tau.evaluate(tag_marked(m, ext)) for m in marked_words(w))
-    if tau.target.identity is None and len(w) == 0:
-        raise PreconditionError("empty word outside semigroup-mode domain")
     plain = tau.evaluate(tag_unmarked(w, ext))
     return (marked, plain)
 

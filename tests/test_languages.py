@@ -1,5 +1,6 @@
 import functools
 import random
+import sys
 import time
 
 import pytest
@@ -175,6 +176,21 @@ class TestRegexCompile:
         assert regex_to_dfa(r, AB) == reference_compile(r, AB)
         with pytest.raises(InputError, match="nested more than"):
             regex_to_dfa(Star(r), AB)
+
+    def test_the_parser_takes_one_stack_frame_per_parenthesis(self):
+        n = MAX_NESTING
+        inner = "~" * (n // 4) + "(" * (n // 4) + "a" + ")" * (n // 4)
+        text = "(" * (n // 2) + inner + ")" * (n // 2)
+        frame, here = sys._getframe(), 0
+        while frame is not None:
+            frame, here = frame.f_back, here + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(here + n + 30)  # a frame per parenthesis, and a margin
+        try:
+            r = parse_regex(text)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert r == parse_regex("~" * (n // 4) + "a")
 
     @pytest.mark.parametrize("prefix, suffix, want", [("~", "", "a"), ("", "*", "a*"), ("(", ")", "a")],
                              ids=["complement", "star", "parenthesis"])

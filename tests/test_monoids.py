@@ -290,6 +290,16 @@ class TestBuiltTablesAreAssociative:
 
 
 class TestFiniteMonoid:
+    def test_rows_are_stored_as_tuples(self):
+        # a list row kept as given was unhashable, and mutating it made the
+        # checked table non-associative
+        rows = ([0, 1], [1, 1])
+        m = FiniteMonoid(rows, identity=0)
+        assert m.table == ((0, 1), (1, 1)) and hash(m) == hash(FiniteMonoid(m.table, 0))
+        assert hash(UnarySchutz(m)) == hash(UnarySchutz(FiniteMonoid(m.table, 0)))
+        rows[1][0] = 0
+        assert m.table == ((0, 1), (1, 1))
+
     def test_associativity_enforced(self):
         with pytest.raises(InputError):
             FiniteMonoid(((0, 1), (0, 0)))  # (1*1)*1 != 1*(1*1)
@@ -664,6 +674,14 @@ class TestRecognisedAlgebra:
 
 
 class TestBiactions:
+    def test_rows_are_stored_as_tuples(self):
+        m = FiniteMonoid(((0, 1), (1, 1)), identity=0)
+        left, right = ([0, 1], [1, 1]), ([0, 1], [1, 1])
+        act = Biaction(m, 2, left, right)
+        assert act == regular_biaction(m) and hash(act) == hash(regular_biaction(m))
+        left[1][0] = right[1][0] = 0
+        assert act.left == act.right == ((0, 1), (1, 1))
+
     def test_regular_biaction_laws(self):
         for n in (1, 2, 3):
             for m in enumerate_monoids(n):

@@ -11,21 +11,32 @@ from langrec import (
     Biaction,
     Dfa,
     EquationInstance,
+    ExtendedAlphabet,
     FiniteMonoid,
+    FiniteQuotient,
     HitClopen,
     InputError,
+    MarkedWord,
     MonoidMorphism,
     PreconditionError,
     UltrafilterApprox,
+    Word,
+    all_morphisms,
     exists_profile,
     generate_algebra,
+    inverse_image,
     joint_quotient,
+    left_quotient,
     local_schutz_morphism,
     morphism_preserves_actions,
     parse_regex,
+    recognised_algebra,
     regex_to_dfa,
     regular_biaction,
     separation_witness,
+    syntactic_monoid,
+    transport,
+    trivial_algebra,
 )
 from langrec.campaigns import run_campaign
 from langrec.cli import main
@@ -109,7 +120,46 @@ REFUSALS = [
      "invalid JSON: " + _json_error('{"states": 1,')),
     ("monoid-invalid-json", lambda: FiniteMonoid.from_json("[[0]"), InputError,
      "invalid JSON: " + _json_error("[[0]")),
+    # the empty word has no image under a semigroup morphism, plain or marked
+    ("exists-empty-word", lambda: exists_profile(
+        MonoidMorphism(ExtendedAlphabet(A1).ext, ZERO, (0, 0)), ()), PreconditionError,
+     "the empty word has no image under a semigroup morphism"),
+    ("regex-string-alphabet", lambda: regex_to_dfa("'ab'", "abc"), InputError,
+     "a DFA's alphabet must be an Alphabet, not 'abc'"),
+    # a word argument that is no sequence of letters, and a word's text
+    # that is no string
+    ("accepts-an-int", lambda: regex_to_dfa("a", AB).accepts(5), InputError,
+     "5 is not a word over Alphabet(a,b)"),
+    ("left-quotient-by-none", lambda: left_quotient(None, regex_to_dfa("a", AB)), InputError,
+     "None is not a word over Alphabet(a,b)"),
+    ("class-of-a-float", lambda: syntactic_monoid(regex_to_dfa("a", AB)).class_of(3.5),
+     InputError, "3.5 is not a word over Alphabet(a,b)"),
+    ("word-parse-an-int", lambda: Word.parse(AB, 5), InputError,
+     "a word is read from a string, not 5"),
+    ("marked-word-parse-an-int", lambda: MarkedWord.parse(AB, 3), InputError,
+     "marked word needs the w@i form, got 3"),
+    ("transport-int-image", lambda: transport({"a": 5, "b": "a"}, trivial_algebra(AB), AB),
+     InputError, "a word is read from a string, not 5"),
+    ("inverse-image-list-image", lambda: inverse_image(
+        {"a": ["a"], "b": "a"}, regex_to_dfa("a", AB), AB), InputError,
+     "a word is read from a string, not ['a']"),
 ]
+
+# a string of letters is no alphabet: the quoted letter 'ab' passed a
+# substring test against "abc" and was read as the letter a
+STRING_ALPHABETS = {
+    "regex_to_dfa": lambda s: regex_to_dfa("a", s),
+    "MonoidMorphism": lambda s: MonoidMorphism(s, U1, (1, 0)),
+    "FiniteQuotient": lambda s: FiniteQuotient(s, False, ((1, 1), (1, 1))),
+    "generate_algebra": lambda s: generate_algebra([], s),
+    "trivial_algebra": lambda s: trivial_algebra(s),
+    "recognised_algebra": lambda s: recognised_algebra(U1, s),
+    "all_morphisms": lambda s: all_morphisms(s, U1),
+    "Word": lambda s: Word(s, (0,)),
+    "ExtendedAlphabet": lambda s: ExtendedAlphabet(s),
+    "transport": lambda s: transport({"a": "a", "b": "b"}, trivial_algebra(AB), s),
+    "inverse_image": lambda s: inverse_image({"a": "a", "b": "b"}, regex_to_dfa("a", AB), s),
+}
 
 
 @pytest.mark.parametrize("build, error, message", [r[1:] for r in REFUSALS],
@@ -119,6 +169,16 @@ def test_refusal_message(build, error, message):
         build()
     assert type(exc.value) is error
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("site", sorted(STRING_ALPHABETS))
+def test_a_string_is_no_alphabet(site):
+    build = STRING_ALPHABETS[site]
+    build(AB)
+    with pytest.raises(InputError) as exc:
+        build("ab")
+    assert type(exc.value) is InputError
+    assert str(exc.value) == "a DFA's alphabet must be an Alphabet, not 'ab'"
 
 
 def test_dot_is_concatenation():

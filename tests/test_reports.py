@@ -1,5 +1,6 @@
 """Campaign reports are byte-deterministic: golden digests of every
-default verify run, also through ``python -m langrec``, the builds of
+default verify run, also through ``python -m langrec`` and under any
+``LANGREC_MAX_CLOSURE``, the builds of
 one thm11 draw, the failure path of the thm10 check, and a word length
 that is no bound."""
 
@@ -22,6 +23,7 @@ from langrec.campaigns import (
     run_thm10,
     run_thm11,
 )
+from langrec.cli import main
 
 # sha256 of Report.json_lines() of every default verify report; a change
 # here changes a published report
@@ -93,6 +95,18 @@ def test_module_entry_point_prints_the_published_report():
     )
     assert proc.returncode == 0, proc.stderr
     assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN["lemmas-default"][1]
+
+
+@pytest.mark.parametrize("name, env", [
+    *((name, "6") for name in ("prop2", "thm4", "thm8", "cor9", "thm10", "thm11", "lemmas")),
+    ("cor9", "40"),
+])
+def test_verify_reads_no_environment_ceiling(name, env, monkeypatch, capsys):
+    # each report is the published one however low the variable is set
+    monkeypatch.setenv("LANGREC_MAX_CLOSURE", env)
+    assert main(["verify", name]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == GOLDEN[f"{name}-default"][1]
 
 
 def test_thm11_builds_each_quotient_and_sum_once(monkeypatch):
