@@ -33,7 +33,9 @@ off the machine's left letter action (``FiniteQuotient.union_language``
 over atom indices, named ``member_from_atoms`` here), with no
 minimisation.  Its states are bitmasks of atom-machine states, and a
 letter maps one to its preimage under the letter's left action, a byte
-of the mask at a time.  The quotient's table, atom(u) * atom(v) = atom(uv),
+of the mask at a time.  The atom DFAs come from one shared walk over
+those masks (``FiniteQuotient.union_languages``), which steps a mask
+that many atoms reach only once.  The quotient's table, atom(u) * atom(v) = atom(uv),
 and its evaluation morphism ``tau`` make the algebra its own dual
 recogniser.
 """
@@ -106,8 +108,9 @@ class LanguageAlgebra(FiniteQuotient):
 
     @cached_property
     def atoms(self) -> tuple[Dfa, ...]:
-        """The atoms as canonical DFAs, in machine order."""
-        return tuple(self.member_from_atoms((i,)) for i in range(self.atom_count))
+        """The atoms as canonical DFAs, in machine order, from one shared
+        walk (``union_languages``)."""
+        return self.union_languages((i,) for i in range(self.atom_count))
 
     def member_count(self) -> int:
         return 2 ** self.atom_count
@@ -194,7 +197,7 @@ def _letter_images(
     letter_map: Mapping[str, "str | Word"], source: Alphabet, target: Alphabet
 ) -> tuple[tuple[int, ...], ...]:
     """The letter indices of each source letter's image, in source order."""
-    _check_alphabet(source)
+    _check_alphabet(source, "a source alphabet")
     for name in letter_map:
         if name not in source:
             raise InputError(f"letter {name!r} is not in the source alphabet {source.letters}")

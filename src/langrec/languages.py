@@ -41,6 +41,25 @@ def _check_indices(values: Iterable, n: int, what: str) -> None:
             raise InputError(f"{what} {v!r} is not an integer in 0..{n - 1}")
 
 
+def _as_tuple(values: object, what: str) -> tuple:
+    """``values`` as a tuple; a value that is no sequence is refused."""
+    if isinstance(values, tuple):
+        return values
+    try:
+        return tuple(values)
+    except TypeError:
+        raise InputError(f"{what} must be a sequence, not {values!r}") from None
+
+
+def _as_table(rows: object, what: str) -> tuple[tuple, ...]:
+    """``rows`` as a tuple of tuples; a table or a row that is no
+    sequence is refused."""
+    try:
+        return tuple(map(tuple, rows))
+    except TypeError:
+        raise InputError(f"{what} must be a sequence of rows, not {rows!r}") from None
+
+
 def _check_flag(value: object, what: str) -> None:
     """Refuse a flag such as 0, 2 or "no", which truthiness would read."""
     if type(value) is not bool:
@@ -54,8 +73,7 @@ class Alphabet:
     letters: tuple[str, ...]
 
     def __post_init__(self) -> None:
-        if not isinstance(self.letters, tuple):
-            object.__setattr__(self, "letters", tuple(self.letters))
+        object.__setattr__(self, "letters", _as_tuple(self.letters, "an alphabet's letters"))
         if not self.letters:
             raise InputError("an alphabet needs at least one letter")
         for name in self.letters:
@@ -109,9 +127,8 @@ class Word:
     indices: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_alphabet(self.alphabet)
-        if not isinstance(self.indices, tuple):
-            object.__setattr__(self, "indices", tuple(self.indices))
+        _check_alphabet(self.alphabet, "a word's alphabet")
+        object.__setattr__(self, "indices", _as_tuple(self.indices, "a word's letter indices"))
         _check_indices(self.indices, len(self.alphabet), "letter index")
 
     @classmethod
@@ -205,9 +222,10 @@ class Dfa:
     initial: int = 0
 
     def __post_init__(self) -> None:
-        _check_alphabet(self.alphabet)
+        _check_alphabet(self.alphabet, "a DFA's alphabet")
         k, n = len(self.alphabet), self.states
-        table, acc = tuple(map(tuple, self.transitions)), set(self.accepting)  # each read once
+        table = _as_table(self.transitions, "a transition table")  # each read once
+        acc = set(_as_tuple(self.accepting, "the accepting states"))
         if type(n) is not int or n < 1:
             raise InputError(f"a complete DFA has at least one state, not {n!r}")
         if len(table) != n:
@@ -405,9 +423,10 @@ def _canonical(
     return _trusted_dfa(alph, new_trans, new_acc)
 
 
-def _check_alphabet(alph: object) -> None:
+def _check_alphabet(alph: object, what: str) -> None:
+    """Refuse an alphabet that is no ``Alphabet``, ``what`` naming it."""
     if not isinstance(alph, Alphabet):
-        raise InputError(f"a DFA's alphabet must be an Alphabet, not {alph!r}")
+        raise InputError(f"{what} must be an Alphabet, not {alph!r}")
 
 
 def _trusted_dfa(alph: Alphabet, transitions: tuple, accepting: frozenset[int]) -> Dfa:
@@ -495,7 +514,7 @@ def _state_labels(
 def _constant(alph: Alphabet, states: int, accepting: frozenset[int]) -> Dfa:
     """The canonical DFA whose every letter leads to the last of its one
     or two states."""
-    _check_alphabet(alph)
+    _check_alphabet(alph, "a constant language's alphabet")
     return _trusted_dfa(alph, ((states - 1,) * len(alph),) * states, accepting)
 
 

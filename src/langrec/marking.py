@@ -28,7 +28,7 @@ class ExtendedAlphabet:
     base: Alphabet
 
     def __post_init__(self) -> None:
-        _check_alphabet(self.base)
+        _check_alphabet(self.base, "a base alphabet")
 
     @cached_property
     def ext(self) -> Alphabet:

@@ -22,8 +22,8 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .languages import Alphabet, Dfa, Word, _explore, _read_json, _state_labels, _trusted_dfa
-from .languages import _check_alphabet, _check_flag, _check_indices, _json_int, _json_ints
-from .languages import _letter_indices, closure_ceiling, closure_limit
+from .languages import _as_table, _as_tuple, _check_alphabet, _check_flag, _check_indices
+from .languages import _json_int, _json_ints, _letter_indices, closure_ceiling, closure_limit
 
 _INT = frozenset({int})
 _MAX_MORPHISMS = 1_000_000  # the letter-image assignments ``all_morphisms`` lists
@@ -102,7 +102,7 @@ class FiniteMonoid:
     labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "table", tuple(map(tuple, self.table)))
+        object.__setattr__(self, "table", _as_table(self.table, "a multiplication table"))
         n = len(self.table)
         if n == 0:
             raise InputError("a semigroup needs at least one element")
@@ -125,8 +125,7 @@ class FiniteMonoid:
                 if self.table[e][x] != x or self.table[x][e] != x:
                     raise InputError(f"element {e} is not a two-sided identity")
         if self.labels is not None:
-            if not isinstance(self.labels, tuple):
-                object.__setattr__(self, "labels", tuple(self.labels))
+            object.__setattr__(self, "labels", _as_tuple(self.labels, "labels"))
             if len(self.labels) != n:
                 raise InputError("labels must name every element")
             for name in self.labels:
@@ -254,9 +253,8 @@ class MonoidMorphism:
     letter_images: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        _check_alphabet(self.alphabet)
-        if not isinstance(self.letter_images, tuple):
-            object.__setattr__(self, "letter_images", tuple(self.letter_images))
+        _check_alphabet(self.alphabet, "a morphism's alphabet")
+        object.__setattr__(self, "letter_images", _as_tuple(self.letter_images, "letter images"))
         if len(self.letter_images) != len(self.alphabet):
             raise InputError("need exactly one image per letter")
         _check_indices(self.letter_images, self.target.size, "letter image")
@@ -299,7 +297,7 @@ def _elements(values: Iterable[int], n: int) -> frozenset[int]:
 
 def all_morphisms(alph: Alphabet, m: FiniteMonoid) -> list[MonoidMorphism]:
     """Every letter-image assignment, in lexicographic order."""
-    _check_alphabet(alph)
+    _check_alphabet(alph, "a morphism's alphabet")
     total = m.size ** len(alph)
     if total > _MAX_MORPHISMS:
         raise ResourceLimitError(f"{total} morphisms exceed the enumeration bound {_MAX_MORPHISMS}")
@@ -425,9 +423,9 @@ class FiniteQuotient:
     _left: tuple[list[int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        _check_alphabet(self.alphabet)
+        _check_alphabet(self.alphabet, "a quotient's alphabet")
         _check_flag(self.semigroup, "semigroup")
-        g = tuple(map(tuple, self.transitions))
+        g = _as_table(self.transitions, "a Cayley graph")
         if not g:
             raise InputError("a Cayley graph needs the empty word's state")
         unnumbered = "the Cayley graph is not numbered breadth-first"
@@ -510,23 +508,37 @@ class FiniteQuotient:
         return tuple(tables)
 
     def union_language(self, elements: Iterable[int]) -> Dfa:
-        """Canonical DFA of the union of the given elements' classes,
-        with no minimisation.  The state of a word u is the bitmask of
-        the graph's states y such that u followed by y's words lands in
-        the union; reading c takes the preimage of that set under c's
-        left action, a byte of the mask at a time, and a set accepts
-        when it holds state 0.  Distinct sets are distinct quotients of
-        the union, since the states' word sets are disjoint and
-        non-empty, so the sets numbered breadth-first, letters in order,
-        are the canonical DFA.  This needs the graph to be a Cayley
-        graph, where a word's state fixes where it leads every state,
-        which the constructor checked."""
+        """Canonical DFA of the union of the given elements' classes: the
+        one-union case of ``union_languages``."""
+        return self.union_languages((elements,))[0]
+
+    def union_languages(self, unions: Iterable[Iterable[int]]) -> tuple[Dfa, ...]:
+        """Canonical DFA of the union of each given collection of
+        elements' classes, in order, with no minimisation.  The state of
+        a word u is the bitmask of the graph's states y such that u
+        followed by y's words lands in the union; reading c takes the
+        preimage of that set under c's left action, a byte of the mask at
+        a time, and a set accepts when it holds state 0.  Distinct sets
+        are distinct quotients of the union, since the states' word sets
+        are disjoint and non-empty, so the sets numbered breadth-first,
+        letters in order, are the canonical DFA.  This needs the graph
+        to be a Cayley graph, where a word's state fixes where it leads
+        every state, which the constructor checked.  Every index is
+        checked before any walk.  Several unions share one walk, from a
+        root whose successors are their start sets, so a set reached
+        from many starts is stepped once; each DFA is then the
+        breadth-first renumbering of the part its start reaches."""
         n, off = self.size, self.semigroup
-        elements = tuple(elements)
-        _check_indices(elements, n, "element index")
-        start = 0
-        for i in elements:
-            start |= 1 << (i + off)
+        starts = []
+        for elements in unions:
+            elements = tuple(elements)
+            _check_indices(elements, n, "element index")
+            start = 0
+            for i in elements:
+                start |= 1 << (i + off)
+            starts.append(start)
+        if not starts:
+            return ()
         tables = self._preimage_bytes
         nbytes = len(tables[0])
 
@@ -540,9 +552,19 @@ class FiniteQuotient:
                 out.append(w)
             return out
 
-        order, rows = _explore(start, step)
-        accepting = frozenset(i for i, v in enumerate(order) if v & 1)
-        return _trusted_dfa(self.alphabet, tuple(rows), accepting)
+        if len(starts) == 1:  # the start's own order: no root, no renumbering
+            order, rows = _explore(starts[0], step)
+            accepting = frozenset(i for i, v in enumerate(order) if v & 1)
+            return (_trusted_dfa(self.alphabet, tuple(rows), accepting),)
+        order, graph = _explore(None, lambda v: starts if v is None else step(v))
+        accepts = [v is not None and v & 1 for v in order]
+        del order  # the sets themselves: only their acceptance is read again
+        out = []
+        for j in graph[0]:
+            sub, rows = _explore(j, graph.__getitem__)
+            accepting = frozenset(i for i, s in enumerate(sub) if accepts[s])
+            out.append(_trusted_dfa(self.alphabet, tuple(rows), accepting))
+        return tuple(out)
 
     def class_of(self, w: "Word | Iterable[str | int]") -> int:
         """The element of a word, given as a ``Word`` over the alphabet or
@@ -575,7 +597,7 @@ def transition_closure(alph: Alphabet, dfas: Sequence[Dfa], *, semigroup: bool) 
     states.  Two words share an element exactly when they share a
     syntactic class of every language.  In semigroup mode the empty
     word is left out, so it has no element of its own."""
-    _check_alphabet(alph)
+    _check_alphabet(alph, "a closure's alphabet")
     rows: list[list[int]] = []
     for d in dict.fromkeys(dfas):
         if d.alphabet != alph:
@@ -609,8 +631,8 @@ class Biaction:
     right: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "left", tuple(map(tuple, self.left)))
-        object.__setattr__(self, "right", tuple(map(tuple, self.right)))
+        object.__setattr__(self, "left", _as_table(self.left, "a left action"))
+        object.__setattr__(self, "right", _as_table(self.right, "a right action"))
         m, n = self.monoid.size, self.carrier
         for comp in (self.left, self.right):
             if len(comp) != m or any(len(r) != n for r in comp):

@@ -148,6 +148,8 @@ def parse_regex(text: str) -> Regex:
     """The AST of ``text``.  One loop reads a ``|``-list of ``&``-lists
     of concatenations of terms, a term being complements, an atom and
     stars; a parenthesis recurses, one stack frame per level."""
+    if not isinstance(text, str):
+        raise InputError(f"a regular expression is read from a string, not {text!r}")
     tokens = _tokenize(text) + [_END]
     pos = 0
 
@@ -244,7 +246,7 @@ def regex_letters(r: Regex) -> set[str]:
 
 def regex_to_dfa(r: "Regex | str", alph: Alphabet) -> Dfa:
     """Compile to the canonical minimal DFA of the denoted language."""
-    _check_alphabet(alph)
+    _check_alphabet(alph, "a regex's alphabet")
     if isinstance(r, str):
         r = parse_regex(r)
     for name in regex_letters(r):

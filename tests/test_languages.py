@@ -684,7 +684,7 @@ class TestSerialisation:
         """A string of letters is no alphabet: it would build a DFA
         unequal to the same constant over the Alphabet."""
         assert constant(AB).alphabet == AB
-        with pytest.raises(InputError, match="^a DFA's alphabet must be an Alphabet, not "):
+        with pytest.raises(InputError, match="^a constant language's alphabet must be an Alphabet, not "):
             constant(alphabet)
 
 

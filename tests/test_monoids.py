@@ -45,6 +45,7 @@ from langrec import (
     universal_language,
 )
 from langrec import languages, monoids
+from langrec.algebra import LanguageAlgebra
 from langrec.campaigns import CORPUS_REGEXES
 from langrec.equations import _atom_map
 from langrec.languages import _canonical, closure_ceiling, closure_limit
@@ -1033,7 +1034,8 @@ class TestUnionLanguageWalk:
     """``union_language`` holds a state as a bitmask of graph states and
     reads a letter a byte at a time; its DFAs must equal, field for
     field, those of the gather walk it replaced, and denote the
-    minimised Cayley graph's language."""
+    minimised Cayley graph's language.  ``union_languages`` builds many
+    unions from one shared walk and must give the same DFAs."""
 
     def test_byte_edges_and_modes_are_covered(self):
         sizes = {(len(q.transitions), q.semigroup) for q in UNION_ORACLE_QUOTIENTS.values()}
@@ -1047,9 +1049,13 @@ class TestUnionLanguageWalk:
         rng = random.Random(len(q.transitions))
         subsets = [set(), set(range(n))] + [{i} for i in range(n)]
         subsets += [{i for i in range(n) if rng.random() < 0.5} for _ in range(6)]
-        for subset in subsets:
+        shared = q.union_languages(subsets)  # one walk for all of them
+        assert len(shared) == len(subsets)
+        for subset, s in zip(subsets, shared):
+            want = union_language_by_gathers(q, subset)
             d = q.union_language(subset)
-            assert (d.transitions, d.accepting) == union_language_by_gathers(q, subset), subset
+            assert (d.transitions, d.accepting) == want, subset
+            assert (s.transitions, s.accepting) == want, subset
             assert same_language(d, _canonical(AB, q.transitions, {i + off for i in subset}, 0))
 
     def test_accepts_duplicates_and_one_shot_generators(self):
@@ -1058,6 +1064,43 @@ class TestUnionLanguageWalk:
         want = q.union_language([1, 7, 8])
         assert q.union_language([8, 1, 7, 1, 8]) == want
         assert q.union_language(i for i in (1, 7, 8)) == want
+        unions = ([1, 7, 8], [8, 1, 7, 1, 8], [2], (i for i in (1, 7, 8)), [1, 7, 8])
+        got = q.union_languages(u for u in unions)
+        assert got == (want, want, q.union_language([2]), want, want)
+
+    def test_no_union_and_the_empty_union(self):
+        q = UNION_ORACLE_QUOTIENTS["monoid-9-states"]
+        assert q.union_languages([]) == ()
+        assert q.union_languages([()]) == (empty_language(AB),)
+        assert q.union_languages([(), range(q.size)]) == (empty_language(AB), universal_language(AB))
+
+    def test_semigroup_mode(self):
+        q = UNION_ORACLE_QUOTIENTS["semigroup-17-states"]
+        n = q.size
+        got = q.union_languages([(), range(n), (0,), (0,)])
+        assert got[:2] == (empty_language(AB), nonempty_universal(AB))
+        assert got[2] == got[3] == q.union_language([0])
+        assert not got[2].accepts(())
+
+    def test_bad_index_in_a_later_union_is_refused_before_any_walk(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("walked before every index was checked")
+
+        monkeypatch.setattr(monoids, "_explore", refuse)
+        for q in (UNION_ORACLE_QUOTIENTS["monoid-9-states"], UNION_ORACLE_QUOTIENTS["semigroup-9-states"]):
+            for bad in (q.size, -1, True, 1.0, None):
+                with pytest.raises(InputError, match=f"^element index {bad!r} is not an integer"):
+                    q.union_languages([(0,), range(q.size), (1, bad)])
+
+    @pytest.mark.parametrize("name", [
+        name for name, q in UNION_ORACLE_QUOTIENTS.items() if isinstance(q, LanguageAlgebra)
+    ])
+    def test_atoms_match_per_atom_gather_walk(self, name):
+        alg = UNION_ORACLE_QUOTIENTS[name]
+        atoms = alg.atoms
+        assert len(atoms) == alg.atom_count
+        for i, d in enumerate(atoms):
+            assert (d.transitions, d.accepting) == union_language_by_gathers(alg, (i,)), i
 
 
 class TestCeilingBoundary:

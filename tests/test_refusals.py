@@ -125,7 +125,7 @@ REFUSALS = [
         MonoidMorphism(ExtendedAlphabet(A1).ext, ZERO, (0, 0)), ()), PreconditionError,
      "the empty word has no image under a semigroup morphism"),
     ("regex-string-alphabet", lambda: regex_to_dfa("'ab'", "abc"), InputError,
-     "a DFA's alphabet must be an Alphabet, not 'abc'"),
+     "a regex's alphabet must be an Alphabet, not 'abc'"),
     # a word argument that is no sequence of letters, and a word's text
     # that is no string
     ("accepts-an-int", lambda: regex_to_dfa("a", AB).accepts(5), InputError,
@@ -143,22 +143,45 @@ REFUSALS = [
     ("inverse-image-list-image", lambda: inverse_image(
         {"a": ["a"], "b": "a"}, regex_to_dfa("a", AB), AB), InputError,
      "a word is read from a string, not ['a']"),
+    # a table, row or letter sequence that is no sequence at all
+    ("monoid-int-row", lambda: FiniteMonoid((5,), 0), InputError,
+     "a multiplication table must be a sequence of rows, not (5,)"),
+    ("dfa-int-row", lambda: Dfa(AB, 1, (5,), {0}), InputError,
+     "a transition table must be a sequence of rows, not (5,)"),
+    ("dfa-int-accepting", lambda: Dfa(AB, 1, ((0, 0),), 5), InputError,
+     "the accepting states must be a sequence, not 5"),
+    ("quotient-int-row", lambda: FiniteQuotient(AB, False, (5,)), InputError,
+     "a Cayley graph must be a sequence of rows, not (5,)"),
+    ("biaction-int-row", lambda: Biaction(U1, 1, (5,), ((0,),)), InputError,
+     "a left action must be a sequence of rows, not (5,)"),
+    ("alphabet-int", lambda: Alphabet(5), InputError,
+     "an alphabet's letters must be a sequence, not 5"),
+    ("word-int", lambda: Word(AB, 5), InputError,
+     "a word's letter indices must be a sequence, not 5"),
+    ("morphism-int-images", lambda: MonoidMorphism(AB, U1, 5), InputError,
+     "letter images must be a sequence, not 5"),
+    ("regex-int", lambda: parse_regex(5), InputError,
+     "a regular expression is read from a string, not 5"),
 ]
 
 # a string of letters is no alphabet: the quoted letter 'ab' passed a
-# substring test against "abc" and was read as the letter a
+# substring test against "abc" and was read as the letter a.  Each site
+# names the alphabet it checks.
 STRING_ALPHABETS = {
-    "regex_to_dfa": lambda s: regex_to_dfa("a", s),
-    "MonoidMorphism": lambda s: MonoidMorphism(s, U1, (1, 0)),
-    "FiniteQuotient": lambda s: FiniteQuotient(s, False, ((1, 1), (1, 1))),
-    "generate_algebra": lambda s: generate_algebra([], s),
-    "trivial_algebra": lambda s: trivial_algebra(s),
-    "recognised_algebra": lambda s: recognised_algebra(U1, s),
-    "all_morphisms": lambda s: all_morphisms(s, U1),
-    "Word": lambda s: Word(s, (0,)),
-    "ExtendedAlphabet": lambda s: ExtendedAlphabet(s),
-    "transport": lambda s: transport({"a": "a", "b": "b"}, trivial_algebra(AB), s),
-    "inverse_image": lambda s: inverse_image({"a": "a", "b": "b"}, regex_to_dfa("a", AB), s),
+    "regex_to_dfa": (lambda s: regex_to_dfa("a", s), "a regex's alphabet"),
+    "MonoidMorphism": (lambda s: MonoidMorphism(s, U1, (1, 0)), "a morphism's alphabet"),
+    "FiniteQuotient": (lambda s: FiniteQuotient(s, False, ((1, 1), (1, 1))),
+                       "a quotient's alphabet"),
+    "generate_algebra": (lambda s: generate_algebra([], s), "a closure's alphabet"),
+    "trivial_algebra": (lambda s: trivial_algebra(s), "a closure's alphabet"),
+    "recognised_algebra": (lambda s: recognised_algebra(U1, s), "a morphism's alphabet"),
+    "all_morphisms": (lambda s: all_morphisms(s, U1), "a morphism's alphabet"),
+    "Word": (lambda s: Word(s, (0,)), "a word's alphabet"),
+    "ExtendedAlphabet": (lambda s: ExtendedAlphabet(s), "a base alphabet"),
+    "transport": (lambda s: transport({"a": "a", "b": "b"}, trivial_algebra(AB), s),
+                  "a source alphabet"),
+    "inverse_image": (lambda s: inverse_image({"a": "a", "b": "b"}, regex_to_dfa("a", AB), s),
+                      "a source alphabet"),
 }
 
 
@@ -173,12 +196,12 @@ def test_refusal_message(build, error, message):
 
 @pytest.mark.parametrize("site", sorted(STRING_ALPHABETS))
 def test_a_string_is_no_alphabet(site):
-    build = STRING_ALPHABETS[site]
+    build, what = STRING_ALPHABETS[site]
     build(AB)
     with pytest.raises(InputError) as exc:
         build("ab")
     assert type(exc.value) is InputError
-    assert str(exc.value) == "a DFA's alphabet must be an Alphabet, not 'ab'"
+    assert str(exc.value) == f"{what} must be an Alphabet, not 'ab'"
 
 
 def test_dot_is_concatenation():
