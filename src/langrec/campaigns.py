@@ -63,6 +63,7 @@ from .regexes import (
     regex_to_dfa,
 )
 from .schutz import (
+    _MATERIALISE_CARRIER_LIMIT,
     BinarySchutz,
     HitClopen,
     UnarySchutz,
@@ -362,7 +363,7 @@ def run_laws(seed: int = 0, binary_sample_triples: int = 2000) -> Report:
             ok = True
             for base in bases:
                 d = UnarySchutz(base)
-                mfm, elems = d.as_finite_monoid(max_base=3)
+                mfm, elems = d.as_finite_monoid()
                 expected = (2**n - (1 if kind == "semigroup" else 0)) * n
                 if mfm.size != d.size or d.size != expected or not _table_laws(mfm):
                     ok = False
@@ -390,8 +391,8 @@ def run_laws(seed: int = 0, binary_sample_triples: int = 2000) -> Report:
             mode = "exhaustive"
             for m1, m2 in pairs:
                 d = BinarySchutz(m1, m2)
-                if d.size <= 512:
-                    mfm, _ = d.as_finite_monoid(max_carrier=512)
+                if d.size <= _MATERIALISE_CARRIER_LIMIT:
+                    mfm, _ = d.as_finite_monoid()
                     if mfm.size != d.size or not _table_laws(mfm):
                         ok = False
                 else:
@@ -435,7 +436,7 @@ def _thm4_instance(s: FiniteMonoid, max_size: int) -> bool:
     """
     alph = AB
     ext = ExtendedAlphabet(alph)
-    diamond, _ = UnarySchutz(s).as_finite_monoid(max_base=3)
+    diamond, _ = UnarySchutz(s).as_finite_monoid()
     with closure_ceiling(max_size):
         lhs = recognised_algebra(diamond, alph, semigroup=True)
         base_alg = recognised_algebra(s, alph, semigroup=True)
@@ -515,7 +516,7 @@ def _pair_campaign(rep: Report, pairs: int, max_monoid: int, check: Callable[...
     return rep
 
 
-def run_thm8(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int = 20000) -> Report:
+def run_thm8(seed: int = 0, pairs: int = 20, max_monoid: int = 3) -> Report:
     """Global form: one split component recognises the marked
     concatenation through a hit clopen, and both factors through the
     base components."""
@@ -523,8 +524,7 @@ def run_thm8(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int 
     def check(phi1, phi2, record, rng) -> str:
         detail = ""
         for c in range(len(AB)):
-            with closure_ceiling(max_size):
-                clo = split_closure(phi1, phi2, c)
+            clo = split_closure(phi1, phi2, c)
             for v1 in _all_subsets(phi1.target.size):
                 l1 = phi1.preimage(v1)
                 got1 = clo.language(AB, lambda e: e[1] in v1)
@@ -565,7 +565,7 @@ def _generated_concat_algebra(
         return _literal_sum(_image_algebra(phi1), _image_algebra(phi2))
 
 
-def run_thm10(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int = 20000) -> Report:
+def run_thm10(seed: int = 0, pairs: int = 20, max_monoid: int = 3) -> Report:
     """Local form: the product-of-splits morphism recognises exactly the
     algebra generated by the factors and their marked concatenations:
     each generator is cut out by its predicate on elements, and the
@@ -574,11 +574,10 @@ def run_thm10(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int
     def check(phi1, phi2, record, rng) -> str:
         detail = ""
         record["elements"] = 0
-        with closure_ceiling(max_size):
-            loc = local_schutz_morphism(phi1, phi2)
-            elements = loc.elements()
-            record["elements"] = len(elements)
-            alg = _generated_concat_algebra(phi1, phi2)
+        loc = local_schutz_morphism(phi1, phi2)
+        elements = loc.elements()
+        record["elements"] = len(elements)
+        alg = _generated_concat_algebra(phi1, phi2)
         local = loc.closure.quotient(AB)
 
         def recognised(l: Dfa, accept: Callable[[tuple], bool]) -> bool:
@@ -606,7 +605,7 @@ def run_thm10(seed: int = 0, pairs: int = 20, max_monoid: int = 3, max_size: int
 
 
 def run_cor9(seed: int = 0, pairs: int = 20, max_monoid: int = 3,
-             subset_samples: int = 4, max_size: int = 20000) -> Report:
+             subset_samples: int = 4) -> Report:
     """Concatenation through the binary product: the decomposition into
     marked concatenations equals the classical construction and is
     recognised by the product-of-splits morphism."""
@@ -614,8 +613,7 @@ def run_cor9(seed: int = 0, pairs: int = 20, max_monoid: int = 3,
     def check(phi1, phi2, record, rng) -> str:
         detail = ""
         record["corrections"] = 0
-        with closure_ceiling(max_size):
-            loc = local_schutz_morphism(phi1, phi2)
+        loc = local_schutz_morphism(phi1, phi2)
         for _ in range(subset_samples):
             v1 = frozenset(x for x in range(phi1.target.size) if rng.random() < 0.5)
             v2 = frozenset(y for y in range(phi2.target.size) if rng.random() < 0.5)
@@ -767,7 +765,7 @@ def run_lemmas(seed: int = 0, max_len: int = 5, witness_samples: int = 100) -> R
     ok = True
     for n in (1, 2, 3):
         for base in enumerate_monoids(n):
-            mfm, elems = UnarySchutz(base).as_finite_monoid(max_base=3)
+            mfm, elems = UnarySchutz(base).as_finite_monoid()
             carrier_map = tuple(e[1] for e in elems)
             if not morphism_preserves_actions(
                 carrier_map, regular_biaction(mfm), regular_biaction(base)

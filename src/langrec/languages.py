@@ -66,6 +66,29 @@ def _check_flag(value: object, what: str) -> None:
         raise InputError(f"{what} must be true or false, got {value!r}")
 
 
+# the quote characters of a letter name in a word's text and in a regex
+_QUOTES = "'\""
+
+
+def _quote(name: str, what: str) -> str:
+    """``name`` between ``'``, or between ``"`` when it holds ``'``; a name
+    holding both has no text, and ``what`` says whose."""
+    for q in _QUOTES:
+        if q not in name:
+            return f"{q}{name}{q}"
+    raise InputError(f"letter name {name!r} holds both quote characters: no {what} can name it")
+
+
+def _read_quoted(text: str, i: int) -> tuple[str, int]:
+    """The name quoted at ``text[i]`` and the position after its closing quote."""
+    j = text.find(text[i], i + 1)
+    if j < 0:
+        raise InputError(f"unterminated quoted letter name at {text[i:]!r}")
+    if j == i + 1:
+        raise InputError("empty quoted letter name")
+    return text[i + 1 : j], j + 1
+
+
 @dataclass(frozen=True)
 class Alphabet:
     """Ordered finite set of distinct letter names."""
@@ -85,6 +108,13 @@ class Alphabet:
     @cached_property
     def _index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.letters)}
+
+    @cached_property
+    def _bare(self) -> frozenset[str]:
+        """The names a word's text writes unquoted: those holding no
+        whitespace and no quote character, but ε, the empty word."""
+        plain = (n for n in self.letters if not any(c.isspace() or c in _QUOTES for c in n))
+        return frozenset(plain) - {"ε"}
 
     def __len__(self) -> int:
         return len(self.letters)
@@ -133,37 +163,40 @@ class Word:
 
     @classmethod
     def parse(cls, alph: Alphabet, text: str) -> "Word":
-        """Parse a word by greedy longest-match against letter names.
-
-        Whitespace separates letters explicitly; 'ε' or the empty string
-        denotes the empty word.
-        """
+        """Read a word's text: 'ε' or the empty string is the empty word,
+        else letter names, each quoted with ``'`` or ``"``, or bare and
+        read by greedy longest match.  Whitespace between names is
+        skipped."""
         if not isinstance(text, str):
             raise InputError(f"a word is read from a string, not {text!r}")
         text = text.strip()
         if text in ("", "ε"):
             return cls(alph, ())
-        names = sorted(alph.letters, key=len, reverse=True)
+        names = sorted(alph._bare, key=len, reverse=True)
         out: list[int] = []
-        for chunk in text.split():
-            pos = 0
-            while pos < len(chunk):
-                for name in names:
-                    if chunk.startswith(name, pos):
-                        out.append(alph.index(name))
-                        pos += len(name)
-                        break
-                else:
-                    raise InputError(f"cannot read a letter of {alph!r} at {chunk[pos:]!r}")
+        pos = 0
+        while pos < len(text):
+            if text[pos].isspace():
+                pos += 1
+                continue
+            if text[pos] in _QUOTES:
+                name, pos = _read_quoted(text, pos)
+            else:
+                name = next((n for n in names if text.startswith(n, pos)), None)
+                if name is None:
+                    raise InputError(f"cannot read a letter of {alph!r} at {text[pos:]!r}")
+                pos += len(name)
+            out.append(alph.index(name))
         return cls(alph, tuple(out))
 
     def text(self) -> str:
+        """The text ``parse`` reads back; a name outside ``Alphabet._bare`` is quoted."""
         if not self.indices:
             return "ε"
-        names = [self.alphabet.letters[i] for i in self.indices]
-        if all(len(n) == 1 for n in self.alphabet.letters):
-            return "".join(names)
-        return " ".join(names)
+        letters, bare = self.alphabet.letters, self.alphabet._bare
+        names = [letters[i] for i in self.indices]
+        names = [n if n in bare else _quote(n, "word") for n in names]
+        return ("" if all(len(n) == 1 for n in letters) else " ").join(names)
 
     def __len__(self) -> int:
         return len(self.indices)
@@ -179,7 +212,10 @@ class Word:
         return self.indices[item]
 
     def __repr__(self) -> str:
-        return f"Word({self.text()})"
+        try:
+            return f"Word({self.text()})"
+        except InputError:  # a name holding both quote characters has no text
+            return f"Word({self.indices!r} over {self.alphabet!r})"
 
 
 def _letter_indices(alph: Alphabet, w: "Word | Iterable[str | int]") -> tuple[int, ...]:
@@ -438,6 +474,22 @@ def _trusted_dfa(alph: Alphabet, transitions: tuple, accepting: frozenset[int]) 
     return d
 
 
+def _refine(t: Sequence[Sequence[int]], labels: Sequence) -> list[int]:
+    """The coarsest partition of an automaton's states in which two states
+    share a block only when their labels are equal and every edge leads
+    them to a common block: Moore refinement, starting from the blocks
+    of equal labels.  Blocks are numbered 0, 1, ... in order of their
+    first state."""
+    part, count = labels, len(set(labels))
+    while True:
+        ids: dict[tuple, int] = {}
+        get = part.__getitem__
+        part = [ids.setdefault((get(q), tuple(map(get, row))), len(ids)) for q, row in enumerate(t)]
+        if len(ids) == count:
+            return part
+        count = len(ids)
+
+
 def _minimise(
     t: Sequence[Sequence[int]], labels: Sequence
 ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
@@ -445,32 +497,13 @@ def _minimise(
     from state 0: two states merge when every word leads them to equally
     labelled states.
 
-    Moore refinement, starting from the blocks of equal labels; the
-    blocks are then numbered breadth-first from state 0's, letters in
-    alphabet order.  Returns the block transition table and, per block,
-    the first state in it."""
-    n = len(t)
-    k = len(t[0])
-    part = labels
-    nblocks = len(set(part))
-    while True:
-        sigs: dict[tuple, int] = {}
-        new = [0] * n
-        for q in range(n):
-            s = (part[q], tuple(part[t[q][c]] for c in range(k)))
-            b = sigs.get(s)
-            if b is None:
-                b = len(sigs)
-                sigs[s] = b
-            new[q] = b
-        part = new
-        if len(sigs) == nblocks:
-            break
-        nblocks = len(sigs)
-
+    The blocks of ``_refine`` are numbered breadth-first from state 0's,
+    letters in alphabet order.  Returns the block transition table and,
+    per block, the first state in it."""
+    part = _refine(t, labels)
     rep: dict[int, int] = {}
-    for q in range(n):
-        rep.setdefault(part[q], q)
+    for q, b in enumerate(part):
+        rep.setdefault(b, q)
     blocks, new_trans = _explore(part[0], lambda b: [part[r] for r in t[rep[b]]])
     return tuple(new_trans), [rep[b] for b in blocks]
 

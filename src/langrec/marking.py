@@ -75,7 +75,10 @@ class MarkedWord:
         return f"{self.word.text()}@{self.position}"
 
     def __repr__(self) -> str:
-        return f"MarkedWord({self.text()})"
+        try:
+            return f"MarkedWord({self.text()})"
+        except InputError:  # a name holding both quote characters has no text
+            return f"MarkedWord({self.word!r}, {self.position})"
 
 
 def marked_words(w: Word) -> Iterator[MarkedWord]:

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 from .errors import InputError, PreconditionError, ResourceLimitError
 from .languages import Alphabet, Dfa, Word, _explore, _read_json, _state_labels, _trusted_dfa
-from .languages import _as_table, _as_tuple, _check_alphabet, _check_flag, _check_indices
+from .languages import _as_table, _as_tuple, _check_alphabet, _check_flag, _check_indices, _refine
 from .languages import _json_int, _json_ints, _letter_indices, closure_ceiling, closure_limit
 
 _INT = frozenset({int})
@@ -324,19 +324,8 @@ def is_minimal_recogniser(m: FiniteMonoid, accept: Iterable[int]) -> bool:
     the coarsest congruence that saturates `accept`; m is minimal when
     it parts every element."""
     want = _elements(accept, m.size)
-    rows, cols = m.table, tuple(zip(*m.table))
-    block = [x in want for x in m.elements()]
-    count = len(set(block))
-    while True:
-        ids: dict[tuple, int] = {}
-        get = block.__getitem__
-        block = [
-            ids.setdefault((get(x), tuple(map(get, rows[x])), tuple(map(get, cols[x]))), len(ids))
-            for x in m.elements()
-        ]
-        if len(ids) == count:
-            return count == m.size
-        count = len(ids)
+    edges = [row + col for row, col in zip(m.table, zip(*m.table))]
+    return len(set(_refine(edges, [x in want for x in m.elements()]))) == m.size
 
 
 # -- generated submonoids and finite quotients of the free monoid ----------
@@ -482,7 +471,10 @@ class FiniteQuotient:
             for s, c in self._tree:
                 run.append(g[run[s]][c])
             table.append(tuple(x - off for x in run[off:]))
-        labels = tuple(r.text() for r in self.reps)
+        try:
+            labels = tuple(r.text() for r in self.reps)
+        except InputError:  # a letter name holding both quote characters has no text
+            labels = None
         return _trusted_monoid(tuple(table), None if off else 0, labels)
 
     @cached_property

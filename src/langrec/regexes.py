@@ -37,8 +37,8 @@ import functools
 from dataclasses import dataclass
 
 from .errors import InputError
-from .languages import Alphabet, Dfa, _check_alphabet, _subset_dfa, complement, intersection
-from .languages import universal_language
+from .languages import _QUOTES, Alphabet, Dfa, _check_alphabet, _quote, _read_quoted, _subset_dfa
+from .languages import complement, intersection, universal_language
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,7 @@ class Star(Regex):
 
 
 # the tokenizer's symbols and the two quote characters
-_RESERVED = "∅01ε.|&~*()'\""
+_RESERVED = "∅01ε.|&~*()" + _QUOTES
 
 # the parser takes one stack frame per parenthesis and none per
 # complement or star, the compiler up to three per AST level; Python's
@@ -106,15 +106,11 @@ def _too_deep() -> InputError:
 
 def _letter_text(name: str) -> str:
     """A letter name as the tokenizer reads it back: bare when it is one
-    character that is neither reserved nor whitespace, else quoted with
-    ``'``, or with ``"`` when it holds ``'``; the one writer of names."""
+    character that is neither reserved nor whitespace, else quoted as
+    ``languages._quote`` does; the one writer of a regex's names."""
     if len(name) == 1 and name not in _RESERVED and not name.isspace():
         return name
-    if "'" not in name:
-        return f"'{name}'"
-    if '"' not in name:
-        return f'"{name}"'
-    raise InputError(f"letter name {name!r} holds both quote characters: no regex can name it")
+    return _quote(name, "regex")
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -122,24 +118,12 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     i = 0
     while i < len(text):
         ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in ("'", '"'):
-            j = text.find(ch, i + 1)
-            if j < 0:
-                raise InputError(f"unterminated quoted letter name at {text[i:]!r}")
-            name = text[i + 1 : j]
-            if not name:
-                raise InputError("empty quoted letter name")
+        if ch in _QUOTES:
+            name, i = _read_quoted(text, i)
             tokens.append(("name", name))
-            i = j + 1
             continue
-        if ch in _RESERVED:  # a symbol: the quotes were read above
-            tokens.append(("sym", ch))
-            i += 1
-            continue
-        tokens.append(("name", ch))
+        if not ch.isspace():  # a symbol or a one-character name
+            tokens.append(("sym" if ch in _RESERVED else "name", ch))
         i += 1
     return tokens
 

@@ -1,7 +1,8 @@
 """Closure ceilings are set by scope (``languages.closure_ceiling``), not
 per call: no function of the package declares a ``max_size`` or
 ``max_states`` parameter outside the allow-list below, and only the
-subset construction and the submonoid closure bound ``_explore``."""
+subset construction and the submonoid closure bound ``_explore``.  A
+campaign runner takes no parameter that its report does not record."""
 
 import ast
 from pathlib import Path
@@ -12,16 +13,15 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "langrec"
 
 CEILING_PARAMETERS = {"max_size", "max_states"}
 
-# the campaign runners and their helpers record their bound in their
-# reports; bsum2_quotient and _generated_concat_algebra keep a keyword
-# that opens a scope around the whole call, for the benchmark's callers
+# run_thm4 records its bound in its report, as every runner records
+# each of its parameters (test_runners_record_their_parameters), and its
+# two helpers take the bound from it; bsum2_quotient and
+# _generated_concat_algebra keep a keyword that opens a scope around the
+# whole call, for the benchmark's callers
 ALLOWED = {
     ("campaigns.py", "_thm4_instance"),
     ("campaigns.py", "_thm4_record"),
     ("campaigns.py", "run_thm4"),
-    ("campaigns.py", "run_thm8"),
-    ("campaigns.py", "run_thm10"),
-    ("campaigns.py", "run_cor9"),
     ("campaigns.py", "_generated_concat_algebra"),
     ("equations.py", "bsum2_quotient"),
 }
@@ -76,3 +76,46 @@ def test_only_the_two_builders_bound_explore():
         for name in bounded_explores(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert bounded == {("languages.py", "_subset_dfa"), ("monoids.py", "generate_closure")}
+
+
+def recorded_bounds(tree):
+    """(runner, its parameters but the seed, the parameters its
+    ``Report(theorem, seed, {...})`` records under their own names, or
+    None without such a call) of every ``run_*`` function but the
+    dispatcher ``run_campaign``."""
+    for node in tree.body:
+        if (isinstance(node, ast.FunctionDef) and node.name.startswith("run_")
+                and node.name != "run_campaign"):
+            params = {arg.arg for arg in node.args.args + node.args.kwonlyargs} - {"seed"}
+            recorded = None
+            for call in ast.walk(node):
+                if (isinstance(call, ast.Call) and getattr(call.func, "id", None) == "Report"
+                        and len(call.args) == 3 and isinstance(call.args[2], ast.Dict)):
+                    bounds = call.args[2]
+                    recorded = {
+                        key.value for key, value in zip(bounds.keys, bounds.values)
+                        if isinstance(value, ast.Name) and key.value == value.id
+                    }
+            yield node.name, params, recorded
+
+
+def test_runners_record_their_parameters():
+    # a parameter that a report does not record is a hidden knob: two
+    # runs that differ in it print the same bounds
+    tree = ast.parse((PACKAGE / "campaigns.py").read_text(encoding="utf-8"))
+    runners = list(recorded_bounds(tree))
+    assert len(runners) == 9
+    hidden = [f"{name}({', '.join(sorted(params - (recorded or set())))})"
+              for name, params, recorded in runners
+              if recorded is None or not params <= recorded]
+    assert not hidden, f"parameters that no report records: {', '.join(hidden)}"
+
+
+def test_a_hidden_runner_parameter_is_found():
+    tree = ast.parse(
+        "def run_thm8(seed=0, pairs=20, max_size=20000):\n"
+        "    rep = Report('thm8', seed, {'pairs': pairs})\n"
+        "def run_campaign(theorem, seed=0, **flags):\n"
+        "    return None\n"
+    )
+    assert list(recorded_bounds(tree)) == [("run_thm8", {"pairs", "max_size"}, {"pairs"})]

@@ -700,6 +700,56 @@ class TestWords:
         assert w.indices == (0, 1)
         assert Word.parse(ext, w.text()) == w
 
+    @pytest.mark.parametrize("letters", [
+        (" ", "x"), ("ε", "x"), ("ε", "ab"), ("a b", "c"), ("\t", "\n", "y"),
+        ("'", "x"), ('x"', "y'"), ("a", "ab", "b"), ("aε", "b"),
+    ])
+    def test_every_text_reads_back_as_its_word(self, letters):
+        # whitespace, a quote character and ε are the format's own; a name
+        # holding one is quoted
+        alph = Alphabet(letters)
+        for w in alph.words_upto(3):
+            assert Word.parse(alph, w.text()) == w, w.text()
+
+    @pytest.mark.parametrize("letters, indices, text", [
+        ((" ", "x"), (0, 1), "' 'x"),
+        (("ε", "x"), (0,), "'ε'"),
+        (("ε", "x"), (), "ε"),
+        (("a b", "c"), (1, 0), "c 'a b'"),
+        (("'", "x"), (0, 1), "\"'\"x"),
+        (("a#0", "a#1"), (0, 1, 1), "a#0 a#1 a#1"),
+        (("aε", "b"), (0, 1), "aε b"),
+    ])
+    def test_a_name_is_quoted_only_when_the_format_needs_it(self, letters, indices, text):
+        assert Word(Alphabet(letters), indices).text() == text
+
+    def test_a_name_holding_both_quotes_has_no_word_text(self):
+        name = "a'\"b"
+        alph = Alphabet((name, "c"))
+        assert Word(alph, (1, 1)).text() == "c c"
+        with pytest.raises(InputError) as exc:
+            Word(alph, (1, 0)).text()
+        assert str(exc.value) == (
+            f"letter name {name!r} holds both quote characters: no word can name it"
+        )
+        # repr never raises
+        assert repr(Word(alph, (1, 0))) == "Word((1, 0) over Alphabet(a'\"b,c))"
+        assert repr(Word(alph, (1,))) == "Word(c)"
+        assert repr(MarkedWord(Word(alph, (0,)), 0)) == (
+            "MarkedWord(Word((0,) over Alphabet(a'\"b,c)), 0)"
+        )
+        # a monoid over the alphabet is still tabulated, without labels
+        syn = syntactic_monoid(regex_to_dfa(Concat((Letter("c"), Letter(name))), alph))
+        assert syn.monoid.labels is None and syn.monoid.size == 5
+
+    def test_a_quoted_name_must_be_closed_and_known(self):
+        for text, message in (("a'b", "^unterminated quoted letter name at \"'b\"$"),
+                              ("a''", "^empty quoted letter name$"),
+                              ("'c'", "^unknown letter 'c'")):
+            with pytest.raises(InputError, match=message):
+                AB.word(text)
+        assert AB.word(" 'a'b \"b\" ").indices == (0, 1, 1)
+
     def test_unparseable_word(self):
         with pytest.raises(InputError):
             AB.word("abc")

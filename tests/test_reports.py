@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from langrec import InputError, campaigns, equations
+from langrec import InputError, campaigns, closure_ceiling, equations
 from langrec.campaigns import (
     run_cor9,
     run_laws,
@@ -24,6 +24,12 @@ from langrec.campaigns import (
     run_thm11,
 )
 from langrec.cli import main
+
+
+def _under_ceiling(n, run, **kwargs):
+    with closure_ceiling(n):
+        return run(**kwargs)
+
 
 # sha256 of Report.json_lines() of every default verify report; a change
 # here changes a published report
@@ -64,17 +70,18 @@ GOLDEN = {
         run_lemmas,
         "2eb03b2a564c038294e08c85080a57dfb766e0c55c95c3070fe9c29dc9a7c50d",
     ),
-    # every instance hits the closure bound: the pair driver's limit path
+    # every instance hits the caller's closure ceiling: the limit path of
+    # campaigns._pair_campaign
     "thm8-seed3-pairs4-max5": (
-        lambda: run_thm8(seed=3, pairs=4, max_size=5),
+        lambda: _under_ceiling(5, run_thm8, seed=3, pairs=4),
         "0040441191760070860a8cb59431108d8cded69654953fa813dc09105774226d",
     ),
     "thm10-seed3-pairs4-max5": (
-        lambda: run_thm10(seed=3, pairs=4, max_size=5),
+        lambda: _under_ceiling(5, run_thm10, seed=3, pairs=4),
         "50c6cf423ea6acd330bb3cce7e9eefd37da0000bb3c644874d9e6919b7efd562",
     ),
     "cor9-seed3-pairs4-max5": (
-        lambda: run_cor9(seed=3, pairs=4, max_size=5),
+        lambda: _under_ceiling(5, run_cor9, seed=3, pairs=4),
         "724b123a644fb57fdc8cfa4d8eef439953b70ede4a24f2dc596f98d7e82eefa1",
     ),
 }
@@ -164,6 +171,7 @@ def test_campaign_seed_and_flags_must_be_integers(seed, flags, message):
 @pytest.mark.parametrize("name", ["thm8-seed3-pairs4-max5", "thm10-seed3-pairs4-max5",
                                   "cor9-seed3-pairs4-max5", "thm11-default"])
 def test_campaign_bounds_win_over_the_environment(name, monkeypatch):
-    # each runner's own bound is a scope, which the environment does not raise
+    # a caller's scope (the three pair runs) and a runner's own bound
+    # (thm11's max_joint) are scopes, which the environment does not raise
     monkeypatch.setenv("LANGREC_MAX_CLOSURE", "1000000")
     test_report_digest(name)
