@@ -6,10 +6,14 @@ syntactic congruence: two words share an atom exactly when they lead
 every state of every generator's canonical DFA to the same state.  The
 atoms are thus the elements of one transition closure of the
 generators, and the closure's Cayley graph is the atom machine as it
-stands.  The sum of two algebras over all words needs no generator DFA
-for that: its atoms are the classes of one morphism, which sends a word
-to its atom in each operand and to its splits around a marked letter,
-so ``schutz_sum`` closes those triples instead.  Nor does ``transport``:
+stands.  The sum of two algebras needs no generator DFA for that:
+``schutz_sum`` closes the triples of one morphism, which sends a word
+to its atom in each operand and to its splits around a marked letter.
+Over all words the triples are the atoms; over the non-empty words the
+atoms are the coarsest congruence that keeps the operands' atoms and
+the splits with a non-empty prefix and suffix, refined from the same
+closure.  The closure of the generators' DFAs, ``_literal_sum``, is an
+oracle only.  Nor does ``transport``:
 a source word's atom is the atom of its image, closed in the operand's
 machine.  Nor does ``recognised_algebra``: an atom is a tuple of one
 image per morphism.  Each of the three is one ``generate_closure``.
@@ -52,9 +56,11 @@ from .languages import (
     Alphabet,
     Dfa,
     Word,
+    _block_graph,
     _canonical,
     _check_alphabet,
     _check_flag,
+    _refine,
     _state_labels,
     closure_limit,
     intersection,
@@ -262,22 +268,29 @@ def schutz_sum(b1: LanguageAlgebra, b2: LanguageAlgebra) -> LanguageAlgebra:
     A1 c A2 of their atoms.  Marked concatenation distributes over union
     in both arguments, so atom-level generators span all members.
 
-    In monoid mode the atom machine is the split closure of b1 and b2
-    with b2's machine riding along.  The bit (x, c) of w's mask at the
-    atom y of b2 says that w lies in x c y, so two words share (m1, S, m2)
+    Both modes run one split closure of b1 and b2 with b2's machine
+    riding along.  The bit (x, c) of w's mask at the state y of b2 says
+    that w lies in x c y.  In monoid mode two words share (m1, S, m2)
     exactly when they share every generator, and the triples form a
-    monoid: they are the joint syntactic classes, read from no DFA.
+    monoid: they are the joint syntactic classes, read from no DFA.  In
+    semigroup mode only ε reaches the closure's state 0, and a split
+    with an empty prefix (x = 0) or suffix (y = 0) is no generator, so
+    an element's label keeps m1, m2 and the other bits, and the atoms
+    are the coarsest two-sided congruence that saturates the labels:
+    Moore refinement over each state's right and left letter actions.
     The generators (atoms of both, then every marked concatenation) are
-    built on first read.  In
-    semigroup mode a split with an empty prefix or suffix is no
-    generator, so the sum is the literal closure of the generators'
-    DFAs."""
+    built on first read."""
     if b1.alphabet != b2.alphabet or b1.semigroup != b2.semigroup:
         raise InputError("operands must live over the same universe")
+    closure = _split_closure(b1.transitions, b2.transitions, b2.transitions)
+    rows = closure.transitions
     if b1.semigroup:
-        return _literal_sum(b1, b2)
-    rows = _split_closure(b1.transitions, b2.transitions, b2.transitions).transitions
-    return LanguageAlgebra(b1.alphabet, False, rows, lambda _: _sum_generators(b1, b2))
+        # ε alone has m1 = 0, so its state keeps a label of its own
+        k = len(b1.alphabet)
+        labels = [(m1, t, tuple(m >> k for m in masks[1:])) for m1, masks, t in closure.elements]
+        left = zip(*closure.quotient(b1.alphabet)._left)
+        rows = _block_graph(rows, _refine([r + l for r, l in zip(rows, left)], labels))[0]
+    return LanguageAlgebra(b1.alphabet, b1.semigroup, rows, lambda _: _sum_generators(b1, b2))
 
 
 def _split_closure(g1: Sequence, g2: Sequence, tail: Sequence) -> GeneratedClosure:
@@ -319,9 +332,10 @@ def _sum_generators(b1: LanguageAlgebra, b2: LanguageAlgebra) -> list[Dfa]:
 
 def _literal_sum(b1: LanguageAlgebra, b2: LanguageAlgebra) -> LanguageAlgebra:
     """``schutz_sum`` as the transition closure of its generators' DFAs,
-    all built first: the only path in semigroup mode, and an oracle for
-    the triple closure in monoid mode.  More marked concatenations than
-    the closure ceiling are refused before any is built."""
+    all built first: an oracle for the split closure in both modes, kept
+    apart from it, which ``schutz_sum`` never calls.  More marked
+    concatenations than the closure ceiling are refused before any is
+    built."""
     count = b1.atom_count * len(b1.alphabet) * b2.atom_count
     limit = closure_limit()
     if count > limit:

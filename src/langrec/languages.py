@@ -494,13 +494,18 @@ def _minimise(
     t: Sequence[Sequence[int]], labels: Sequence
 ) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
     """Minimal form of a labelled automaton whose states are all reachable
-    from state 0: two states merge when every word leads them to equally
-    labelled states.
+    from state 0, where two states merge when every word leads them to
+    equally labelled states: the ``_block_graph`` of ``_refine``."""
+    return _block_graph(t, _refine(t, labels))
 
-    The blocks of ``_refine`` are numbered breadth-first from state 0's,
-    letters in alphabet order.  Returns the block transition table and,
-    per block, the first state in it."""
-    part = _refine(t, labels)
+
+def _block_graph(
+    t: Sequence[Sequence[int]], part: Sequence[int]
+) -> tuple[tuple[tuple[int, ...], ...], list[int]]:
+    """The automaton's blocks under a partition that every edge respects,
+    numbered breadth-first from state 0's, letters in alphabet order.
+    Returns the block transition table and, per block, the first state
+    in it."""
     rep: dict[int, int] = {}
     for q, b in enumerate(part):
         rep.setdefault(b, q)

@@ -309,12 +309,16 @@ class TestConstruct:
         assert "submonoid closure exceeded 4000 elements" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_bsum_ceiling_is_met_before_any_marked_concatenation(self, tmp_path, capsys, monkeypatch):
+    @pytest.mark.parametrize("semigroup", [False, True], ids=["monoid", "semigroup"])
+    def test_bsum_ceiling_is_met_before_any_marked_concatenation(self, tmp_path, capsys, monkeypatch,
+                                                                 semigroup):
         from langrec import algebra
 
-        # 15 atoms each, so 450 marked concatenations; the sum passes 4000 atoms
+        # 15 (monoid) or 14 (semigroup) atoms each, so 450 or 392 marked
+        # concatenations; the sum passes 4000 atoms
         alg_file = tmp_path / "alg.json"
-        alg_file.write_text(json.dumps({"alphabet": ["a", "b"], "generators": ["(a|b)*a(a|b)(a|b)"]}))
+        alg_file.write_text(json.dumps({"alphabet": ["a", "b"], "semigroup": semigroup,
+                                        "generators": ["(a|b)*a(a|b)(a|b)"]}))
         calls = []
         monkeypatch.setattr(algebra, "marked_concat", lambda *args: calls.append(args))
         out = tmp_path / "out"
