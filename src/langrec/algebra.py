@@ -56,6 +56,7 @@ from .languages import (
     Alphabet,
     Dfa,
     Word,
+    _as_tuple,
     _block_graph,
     _canonical,
     _check_alphabet,
@@ -159,7 +160,7 @@ def generate_algebra(
     generators as given; their products with the non-empty words are
     built on first read of ``generators``."""
     _check_flag(semigroup, "semigroup")
-    gens = tuple(generators)
+    gens = _as_tuple(generators, "the generators")
     if alph is None:
         if not gens:
             raise InputError("need an alphabet when no generators are given")

@@ -34,6 +34,12 @@ finds its B-atoms by one walk against B's atom machine (``_atom_map``),
 and ``saturation`` finds a language's side by one walk against its
 DFA.  The agreement with the direct closure oracle is re-validated
 empirically by the verification campaigns rather than assumed.
+
+A refutation's separation witness is read off the same sum as
+``schutz_sum`` builds it, from the split closure, in both modes.  The
+literal sum of the generators' DFAs (``_trivial_sum``), which closes
+every marked concatenation's DFA, is built only where something is
+compared against it: the direct oracle and the thm11 campaign.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import InputError, PreconditionError
-from .algebra import LanguageAlgebra, _literal_sum, _split_closure, trivial_algebra
+from .algebra import LanguageAlgebra, _literal_sum, _split_closure, schutz_sum, trivial_algebra
 from .languages import (
     Dfa,
     Word,
@@ -344,18 +350,24 @@ def bsum2_membership_direct(k: Dfa, b: LanguageAlgebra) -> bool:
 def _trivial_sum(b: LanguageAlgebra) -> LanguageAlgebra:
     """The sum of b with the trivial algebra, as the closure of its
     literal generators' DFAs: no split-tracking triple, so the direct
-    oracle shares no construction with ``bsum2_quotient``."""
+    oracle shares no construction with ``bsum2_quotient`` or
+    ``separation_witness``.  An oracle only: its callers are
+    ``bsum2_membership_direct`` and the thm11 campaign, which checks
+    each witness against its atoms."""
     return _literal_sum(b, trivial_algebra(b.alphabet, b.semigroup))
 
 
 def separation_witness(k: Dfa, b: LanguageAlgebra) -> tuple[Word, Word] | None:
     """If the candidate is outside the sum, the shortlex-least words in
     and out of K of the least atom of the sum that K splits; None
-    otherwise.  One walk over the reachable pairs (atom, state of K)
-    finds the split atoms; only the least one's DFA is built."""
+    otherwise.  The sum is ``schutz_sum``'s, from the split closure of b
+    and the trivial algebra, so no marked concatenation is built and the
+    closure ceiling counts the split closure's states.  One walk over
+    the reachable pairs (atom, state of K) finds the split atoms; only
+    the least one's DFA is built."""
     if k.alphabet != b.alphabet:
         raise InputError("candidate and algebra must share an alphabet")
-    return _split_words(k, _trivial_sum(b))
+    return _split_words(k, schutz_sum(b, trivial_algebra(b.alphabet, b.semigroup)))
 
 
 def _split_words(k: Dfa, total: LanguageAlgebra) -> tuple[Word, Word] | None:

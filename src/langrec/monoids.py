@@ -290,7 +290,7 @@ class MonoidMorphism:
 
 def _elements(values: Iterable[int], n: int) -> frozenset[int]:
     """The values as a set of elements 0..n-1, each one checked."""
-    values = tuple(values)
+    values = _as_tuple(values, "the elements")
     _check_indices(values, n, "element")
     return frozenset(values)
 
@@ -522,8 +522,8 @@ class FiniteQuotient:
         breadth-first renumbering of the part its start reaches."""
         n, off = self.size, self.semigroup
         starts = []
-        for elements in unions:
-            elements = tuple(elements)
+        for elements in _as_tuple(unions, "the unions"):
+            elements = _as_tuple(elements, "a union's elements")
             _check_indices(elements, n, "element index")
             start = 0
             for i in elements:
@@ -604,6 +604,7 @@ def transition_closure(alph: Alphabet, dfas: Sequence[Dfa], *, semigroup: bool) 
 def joint_quotient(dfas: Sequence[Dfa]) -> FiniteQuotient:
     """The joint syntactic monoid of several languages: the Cayley graph
     of the transition closure of their DFAs."""
+    dfas = _as_tuple(dfas, "the languages")
     if not dfas:
         raise InputError("need at least one language")
     alph = dfas[0].alphabet
@@ -676,8 +677,8 @@ def morphism_preserves_actions(
     ``monoid_map`` defaults to ``carrier_map`` for the common case where
     the carrier is the monoid itself.
     """
-    f = tuple(carrier_map)
-    g = tuple(monoid_map) if monoid_map is not None else f
+    f = _as_tuple(carrier_map, "a carrier map")
+    g = _as_tuple(monoid_map, "a monoid map") if monoid_map is not None else f
     if len(f) != src.carrier or len(g) != src.monoid.size:
         raise InputError("map sizes do not match the source structure")
     _elements(f, dst.carrier)

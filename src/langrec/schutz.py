@@ -50,7 +50,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import InputError, PreconditionError, ResourceLimitError
-from .languages import Alphabet, Dfa, Word, _letter_indices
+from .languages import Alphabet, Dfa, Word, _as_tuple, _letter_indices
 from .marking import ExtendedAlphabet, marked_words, tag_marked, tag_unmarked
 from .monoids import (
     FiniteMonoid,
@@ -357,10 +357,12 @@ class HitClopen:
         if self.mode not in ("hit", "miss"):
             raise InputError("mode must be 'hit' or 'miss'")
         if not isinstance(self.witness, frozenset):
-            object.__setattr__(self, "witness", frozenset(self.witness))
+            witness = _as_tuple(self.witness, "a clopen's witness")
+            object.__setattr__(self, "witness", frozenset(witness))
 
     def contains(self, s: Iterable) -> bool:
-        s = frozenset(s)
+        if not isinstance(s, frozenset):
+            s = frozenset(_as_tuple(s, "a tested set"))
         if self.mode == "hit":
             return bool(s & self.witness)
         return s <= self.witness

@@ -160,7 +160,7 @@ class TestSemigroupGenerators:
         monkeypatch.setattr(algebra, "intersection", refused)
         b = generate_algebra(gens, AB, semigroup=True)
         assert schutz_sum(b, b).atom_count > b.atom_count
-        assert equations._trivial_sum(b).atom_count > b.atom_count  # separation_witness's sum
+        assert equations._trivial_sum(b).atom_count > b.atom_count  # the Thm 11 oracle's sum
         with pytest.raises(AssertionError, match="intersection was called"):
             b.generators
 
@@ -423,8 +423,9 @@ class TestSumTriples:
         assert len(calls) == n * 2
 
     def test_literal_sum_refuses_more_generators_than_the_ceiling(self, monkeypatch):
-        # the oracle's pre-check guards its public callers, the direct
-        # side of Thm 11 and ``separation_witness``
+        # the oracle's pre-check guards its callers: the direct side of
+        # Thm 11 and the algebra of thm10; ``separation_witness`` builds
+        # the split closure instead
         calls = []
 
         def counted(*args):

@@ -2,7 +2,9 @@
 per call: no function of the package declares a ``max_size`` or
 ``max_states`` parameter outside the allow-list below, and only the
 subset construction and the submonoid closure bound ``_explore``.  A
-campaign runner takes no parameter that its report does not record."""
+campaign runner takes no parameter that its report does not record.
+The literal sum, which closes the DFA of every marked concatenation,
+runs only where something is compared against it."""
 
 import ast
 from pathlib import Path
@@ -67,6 +69,48 @@ def test_a_re_added_ceiling_parameter_is_found():
     )
     assert list(ceiling_parameters(tree)) == [("transport", "max_states")]
     assert ("algebra.py", "transport") not in ALLOWED
+
+
+# the literal sum and its two wrappers, and the only top-level functions
+# that may call them: the wrappers themselves, the direct side of Thm 11
+# and the two campaigns that check against them
+LITERAL_SUMS = {"_literal_sum", "_trivial_sum", "_generated_concat_algebra"}
+LITERAL_SUM_CALLERS = {
+    "_trivial_sum", "bsum2_membership_direct", "_generated_concat_algebra", "run_thm10", "run_thm11",
+}
+
+
+def literal_sum_calls(tree):
+    """(top-level definition, callee) of every call to a literal sum,
+    by name or by a module's attribute."""
+    for top in tree.body:
+        for call in ast.walk(top):
+            if isinstance(call, ast.Call):
+                callee = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+                if callee in LITERAL_SUMS:
+                    yield getattr(top, "name", "<module>"), callee
+
+
+def test_only_the_oracles_callers_build_the_literal_sum():
+    callers = {
+        name
+        for path in PACKAGE.glob("*.py")
+        for name, _ in literal_sum_calls(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert callers == LITERAL_SUM_CALLERS
+
+
+def test_a_literal_sum_in_a_production_path_is_found():
+    tree = ast.parse(
+        "def separation_witness(k, b):\n"
+        "    return _split_words(k, _trivial_sum(b))\n"
+        "def run_thm11(seed=0):\n"
+        "    return eq._trivial_sum(b).member(k)\n"
+    )
+    assert list(literal_sum_calls(tree)) == [
+        ("separation_witness", "_trivial_sum"), ("run_thm11", "_trivial_sum"),
+    ]
+    assert "separation_witness" not in LITERAL_SUM_CALLERS
 
 
 def test_only_the_two_builders_bound_explore():

@@ -35,11 +35,12 @@ from langrec.equations import (
     _equation_signatures,
     _equations_hold,
     _joint_closure,
+    _split_words,
     _trivial_sum,
     lemma_factor_violations,
     lemma_witness_check,
 )
-from langrec import algebra
+from langrec import algebra, equations
 from langrec.campaigns import _THM11_B_POOL, _THM11_K_POOL, corpus_dfas, random_regex
 from langrec.languages import (
     _explore,
@@ -353,16 +354,50 @@ class TestSeparationWitness:
 
 
     def test_ceiling_bounds_the_sum_exactly(self):
-        b = generate_algebra([regex_to_dfa("(ab)*", AB)])
         k = regex_to_dfa("(a|b)*ab", AB)
-        n = schutz_sum(b, trivial_algebra(AB)).atom_count
-        want = separation_witness(k, b), bsum2_membership_direct(k, b)
-        with closure_ceiling(n):
-            assert (separation_witness(k, b), bsum2_membership_direct(k, b)) == want
-        for decide in (separation_witness, bsum2_membership_direct):
-            with closure_ceiling(n - 1):
-                with pytest.raises(ResourceLimitError, match=f"submonoid closure exceeded {n - 1} elements"):
-                    decide(k, b)
+        for semigroup in (False, True):
+            b = generate_algebra([regex_to_dfa("(ab)*", AB)], AB, semigroup=semigroup)
+            trivial = trivial_algebra(AB, semigroup)
+            n = schutz_sum(b, trivial).atom_count
+            split = algebra._split_closure(b.transitions, trivial.transitions, trivial.transitions)
+            assert (n, len(split.elements)) == ((74, 83) if semigroup else (41, 41))
+            # separation_witness's ceiling counts the split closure's
+            # states, ε's among them, which semigroup mode refines to
+            # fewer atoms; the literal oracle's counts the sum's atoms
+            bounds = {separation_witness: len(split.elements), bsum2_membership_direct: n}
+            for decide, bound in bounds.items():
+                want = decide(k, b)
+                with closure_ceiling(bound):
+                    assert decide(k, b) == want
+                with closure_ceiling(bound - 1):
+                    with pytest.raises(ResourceLimitError, match=f"submonoid closure exceeded {bound - 1} elements"):
+                        decide(k, b)
+
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_builds_no_marked_concatenation(self, monkeypatch, semigroup):
+        def refused(*args):
+            raise AssertionError("the literal sum was built")
+
+        for module, name in ((algebra, "marked_concat"), (algebra, "_literal_sum"),
+                             (equations, "_literal_sum")):
+            monkeypatch.setattr(module, name, refused)
+        b = generate_algebra([regex_to_dfa("(ab)*", AB)], AB, semigroup=semigroup)
+        assert separation_witness(regex_to_dfa("(a|b)*ab", AB), b) is not None
+        assert separation_witness(regex_to_dfa("(ab)*", AB), b) is None
+
+    @pytest.mark.parametrize("semigroup", [False, True])
+    def test_matches_the_literal_sum_on_the_thm11_pools(self, semigroup):
+        witnesses = []
+        for letters, gens in _THM11_B_POOL:
+            alph = Alphabet(letters)
+            b = generate_algebra([regex_to_dfa(g, alph) for g in gens], alph, semigroup=semigroup)
+            total = _trivial_sum(b)
+            for regex in _THM11_K_POOL[letters]:
+                k = regex_to_dfa(regex, alph)
+                witnesses.append(separation_witness(k, b))
+                assert witnesses[-1] == _split_words(k, total)
+        assert len(witnesses) == 112
+        assert None in witnesses and any(witnesses)
 
     def test_matches_the_per_atom_search(self):
         rng = random.Random(11)

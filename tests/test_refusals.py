@@ -22,18 +22,22 @@ from langrec import (
     UltrafilterApprox,
     Word,
     all_morphisms,
+    exists_language,
     exists_profile,
     generate_algebra,
     inverse_image,
+    is_minimal_recogniser,
     joint_quotient,
     left_quotient,
     local_schutz_morphism,
     morphism_preserves_actions,
     parse_regex,
     recognised_algebra,
+    recognises_exists,
     regex_to_dfa,
     regular_biaction,
     separation_witness,
+    split_language,
     syntactic_monoid,
     transport,
     trivial_algebra,
@@ -48,6 +52,8 @@ Z2 = FiniteMonoid(((0, 1), (1, 0)), identity=0)
 U1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
 ZERO = FiniteMonoid(((0,),), identity=None)  # the one-element semigroup
 SWAP, KEEP = (1, 0), (0, 1)
+PHI = MonoidMorphism(AB, U1, (1, 0))
+TAU = MonoidMorphism(ExtendedAlphabet(AB).ext, U1, (0, 1, 0, 1))
 
 
 def _json_error(text: str) -> str:
@@ -162,6 +168,40 @@ REFUSALS = [
      "letter images must be a sequence, not 5"),
     ("regex-int", lambda: parse_regex(5), InputError,
      "a regular expression is read from a string, not 5"),
+    # a collection argument that is no collection at all
+    ("preimage-int", lambda: PHI.preimage(5), InputError,
+     "the elements must be a sequence, not 5"),
+    ("exists-language-int", lambda: exists_language(TAU, 5), InputError,
+     "the elements must be a sequence, not 5"),
+    ("recognises-exists-int", lambda: recognises_exists(TAU, 5, "ab"), InputError,
+     "the elements must be a sequence, not 5"),
+    ("split-language-int", lambda: split_language(PHI, PHI, "a", {0}, 5), InputError,
+     "the elements must be a sequence, not 5"),
+    ("minimal-recogniser-int", lambda: is_minimal_recogniser(U1, 5), InputError,
+     "the elements must be a sequence, not 5"),
+    ("union-language-int", lambda: syntactic_monoid(regex_to_dfa("a", AB)).union_language(5),
+     InputError, "a union's elements must be a sequence, not 5"),
+    ("union-languages-int", lambda: syntactic_monoid(regex_to_dfa("a", AB)).union_languages(5),
+     InputError, "the unions must be a sequence, not 5"),
+    ("union-languages-int-union", lambda: syntactic_monoid(
+        regex_to_dfa("a", AB)).union_languages([(0,), 5]), InputError,
+     "a union's elements must be a sequence, not 5"),
+    ("member-from-atoms-int", lambda: trivial_algebra(AB).member_from_atoms(5), InputError,
+     "a union's elements must be a sequence, not 5"),
+    ("hit-clopen-int-witness", lambda: HitClopen("hit", 5), InputError,
+     "a clopen's witness must be a sequence, not 5"),
+    ("hit-clopen-contains-int", lambda: HitClopen("hit", {1}).contains(5), InputError,
+     "a tested set must be a sequence, not 5"),
+    ("actions-int-carrier-map", lambda: morphism_preserves_actions(
+        5, regular_biaction(Z2), regular_biaction(Z2)), InputError,
+     "a carrier map must be a sequence, not 5"),
+    ("actions-int-monoid-map", lambda: morphism_preserves_actions(
+        (0, 1), regular_biaction(Z2), regular_biaction(Z2), 5), InputError,
+     "a monoid map must be a sequence, not 5"),
+    ("generate-algebra-int", lambda: generate_algebra(5, AB), InputError,
+     "the generators must be a sequence, not 5"),
+    ("joint-quotient-int", lambda: joint_quotient(5), InputError,
+     "the languages must be a sequence, not 5"),
 ]
 
 # a string of letters is no alphabet: the quoted letter 'ab' passed a
