@@ -29,21 +29,28 @@ _INT = frozenset({int})
 _MAX_MORPHISMS = 1_000_000  # the letter-image assignments ``all_morphisms`` lists
 
 
-def _associativity_defect(table: Sequence[Sequence[int]]) -> tuple[int, int, int] | None:
+def _associativity_defect(table: Sequence[Sequence[int | None]]) -> tuple[int, int, int] | None:
     """First (x, y, z) with (xy)z != x(yz), or None if associative, by
-    the exhaustive triple loop.  It stops at the first defect, so it
-    sifts the mostly non-associative candidates of the table
-    enumerations faster than ``_light_defect``; the tests use it as the
-    oracle of that check."""
+    the exhaustive triple loop.  A cell holding None is unfilled, and a
+    triple that reads one is skipped: a defect among the filled cells
+    stays in every completion, so the search of ``_associative_tables``
+    prunes a partial table on it.  The tests use it as the oracle of
+    ``_light_defect``."""
     rng = range(len(table))
     for x in rng:
         tx = table[x]
         for y in rng:
-            txy = table[tx[y]]
+            xy = tx[y]
+            if xy is None:
+                continue
+            txy = table[xy]
             ty = table[y]
             for z in rng:
-                if txy[z] != tx[ty[z]]:
-                    return (x, y, z)
+                yz = ty[z]
+                if yz is not None:
+                    lhs, rhs = txy[z], tx[yz]
+                    if lhs != rhs and lhs is not None and rhs is not None:
+                        return (x, y, z)
     return None
 
 
@@ -205,39 +212,58 @@ TRIVIAL_MONOID = FiniteMonoid(((0,),), identity=0, labels=("1",))
 # -- enumeration of small tables -----------------------------------------
 
 
-@lru_cache(maxsize=None)
+def _associative_tables(n: int, identity: int | None) -> list[tuple[tuple[int, ...], ...]]:
+    """Every associative table on {0..n-1} with ``identity`` (None or an
+    element) a two-sided identity, in lexicographic order: a depth-first
+    search that fills the free cells row-major, each with the values in
+    ascending order, and drops a partial table at the first defect the
+    triple loop finds among its filled cells."""
+    rows: list[list[int | None]] = [[None] * n for _ in range(n)]
+    if identity is not None:
+        for x in range(n):
+            rows[identity][x] = rows[x][identity] = x
+    free = [(x, y) for x in range(n) for y in range(n) if rows[x][y] is None]
+    out: list[tuple[tuple[int, ...], ...]] = []
+
+    def fill(k: int) -> None:
+        if k == len(free):
+            out.append(tuple(map(tuple, rows)))
+            return
+        x, y = free[k]
+        for v in range(n):
+            rows[x][y] = v
+            if _associativity_defect(rows) is None:
+                fill(k + 1)
+        rows[x][y] = None
+
+    fill(0)
+    return out
+
+
+def _check_enumeration_size(n: int, cap: int, what: str) -> None:
+    """Refuse a size that is no positive integer (True and 2.0 are none),
+    and one above the enumeration's cap."""
+    if type(n) is not int or n < 1:
+        raise InputError(f"{what} size must be a positive integer, got {n!r}")
+    if n > cap:
+        raise ResourceLimitError(f"exhaustive {what} enumeration is capped at size {cap}")
+
+
+# typed, so that True is refused even once 1 is cached
+@lru_cache(maxsize=None, typed=True)
 def enumerate_semigroups(n: int) -> tuple[FiniteMonoid, ...]:
     """All associative multiplication tables on {0..n-1} (labelled, no identity)."""
-    if n > 3:
-        raise ResourceLimitError("exhaustive semigroup enumeration is capped at size 3")
-    out = []
-    for flat in itertools.product(range(n), repeat=n * n):
-        table = tuple(tuple(flat[i * n : (i + 1) * n]) for i in range(n))
-        if _associativity_defect(table) is None:
-            out.append(_trusted_monoid(table, None, None))
-    return tuple(out)
+    _check_enumeration_size(n, 3, "semigroup")
+    return tuple(_trusted_monoid(t, None, None) for t in _associative_tables(n, None))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def enumerate_monoids(n: int) -> tuple[FiniteMonoid, ...]:
     """All associative tables on {0..n-1} with element 0 a two-sided identity."""
-    if n > 4:
-        raise ResourceLimitError("exhaustive monoid enumeration is capped at size 4")
+    _check_enumeration_size(n, 4, "monoid")
     if n == 1:
         return (TRIVIAL_MONOID,)
-    out = []
-    free = [(i, j) for i in range(1, n) for j in range(1, n)]
-    for values in itertools.product(range(n), repeat=len(free)):
-        table = [[0] * n for _ in range(n)]
-        for j in range(n):
-            table[0][j] = j
-            table[j][0] = j
-        for (i, j), v in zip(free, values):
-            table[i][j] = v
-        tt = tuple(tuple(r) for r in table)
-        if _associativity_defect(tt) is None:
-            out.append(_trusted_monoid(tt, 0, None))
-    return tuple(out)
+    return tuple(_trusted_monoid(t, 0, None) for t in _associative_tables(n, 0))
 
 
 # -- morphisms ------------------------------------------------------------

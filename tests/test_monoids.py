@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import itertools
 import json
 import random
@@ -383,6 +384,70 @@ class TestFiniteMonoid:
                 for y in range(n):
                     for z in range(n):
                         assert m.mul(m.mul(x, y), z) == m.mul(x, m.mul(y, z))
+
+
+def brute_force_tables(n, identity):
+    """Every one of the n^(n²) tables in lexicographic order, kept when
+    ``identity`` (None or an element) is a two-sided identity and the
+    triple loop finds no defect."""
+    rng = range(n)
+    out = []
+    for flat in itertools.product(rng, repeat=n * n):
+        t = tuple(flat[x * n:(x + 1) * n] for x in rng)
+        if identity is not None and any(t[identity][x] != x or t[x][identity] != x for x in rng):
+            continue
+        if all(t[t[x][y]][z] == t[x][t[y][z]] for x in rng for y in rng for z in rng):
+            out.append(t)
+    return out
+
+
+def tables_digest(ms):
+    return hashlib.sha256(json.dumps([[list(r) for r in m.table] for m in ms]).encode()).hexdigest()
+
+
+class TestEnumerations:
+    @pytest.mark.parametrize("enumerate_, identity",
+                             ((enumerate_semigroups, None), (enumerate_monoids, 0)))
+    @pytest.mark.parametrize("n", (1, 2, 3))
+    def test_matches_the_brute_force_oracle(self, enumerate_, identity, n):
+        got = enumerate_(n)
+        assert [m.table for m in got] == brute_force_tables(n, identity)
+        assert {m.identity for m in got} == {identity}
+
+    def test_pinned_tables_and_order(self):
+        monoids4 = enumerate_monoids(4)
+        assert len(monoids4) == 156 and all(m.identity == 0 for m in monoids4)
+        assert tables_digest(monoids4) == (
+            "0217fd4ab52468ac380f54a0cc0901bd30d1d4847efc8ecd3479d6cacf3ba84e")
+        assert tables_digest(enumerate_semigroups(3)) == (
+            "8f37685e5e76fb0bc34349c8f7f46cc5725998d833307322a73a9fd5de28c1ce")
+
+    @pytest.mark.parametrize("enumerate_", (enumerate_semigroups, enumerate_monoids))
+    @pytest.mark.parametrize("n", (0, -1, 2.0, "2", None))
+    def test_a_size_that_is_no_positive_integer_is_refused(self, enumerate_, n):
+        with pytest.raises(InputError, match="size must be a positive integer"):
+            enumerate_(n)
+
+    @pytest.mark.parametrize("enumerate_", (enumerate_semigroups, enumerate_monoids))
+    def test_true_is_refused_after_1_is_cached(self, enumerate_):
+        assert len(enumerate_(1)) == 1
+        with pytest.raises(InputError, match="got True"):
+            enumerate_(True)
+
+    def test_sizes_above_the_caps_are_refused(self):
+        with pytest.raises(ResourceLimitError, match="capped at size 3"):
+            enumerate_semigroups(4)
+        with pytest.raises(ResourceLimitError, match="capped at size 4"):
+            enumerate_monoids(5)
+
+    def test_the_triple_loop_skips_unfilled_cells(self):
+        # (1·0)·1 = 1·1 = 0 but 1·(0·1) = 1·0 = 1, with the cell (0, 0) unfilled
+        assert _associativity_defect(((None, 0), (1, 0))) == (1, 0, 1)
+        # filled with 1 the cell (0, 0) gives the defect (0, 0, 1), filled with
+        # 0 the group Z/2: no defect reads only filled cells
+        assert _associativity_defect(((1, 1), (1, 0))) == (0, 0, 1)
+        assert _associativity_defect(((None, 1), (1, 0))) is None
+        assert _associativity_defect(((None, None), (None, None))) is None
 
 
 def set_partitions(n):

@@ -38,6 +38,11 @@ GOLDEN = {
         run_prop2,
         "c9853e6fa243b0a06fcad979e156719630eaa51a9e0dc61e57e15550a5758d54",
     ),
+    # every monoid of order 4 in the pool: the largest enumeration verify reaches
+    "prop2-seed0-max4": (
+        lambda: run_prop2(max_monoid=4),
+        "2591c41635155c5f1e6b408b1b6d6de45701576a1a36e774e5e795202e96db0f",
+    ),
     "thm8-default": (
         run_thm8,
         "987d54e928b5c1a8c5af1c2af101515065f1bc1945da3142da3ad4280e57089e",
