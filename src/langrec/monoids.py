@@ -241,29 +241,35 @@ def _associative_tables(n: int, identity: int | None) -> list[tuple[tuple[int, .
 
 
 def _check_enumeration_size(n: int, cap: int, what: str) -> None:
-    """Refuse a size that is no positive integer (True and 2.0 are none),
-    and one above the enumeration's cap."""
+    """Refuse a size that is no positive integer (True, 2.0 and [2] are
+    none), and one above the enumeration's cap."""
     if type(n) is not int or n < 1:
         raise InputError(f"{what} size must be a positive integer, got {n!r}")
     if n > cap:
         raise ResourceLimitError(f"exhaustive {what} enumeration is capped at size {cap}")
 
 
-# typed, so that True is refused even once 1 is cached
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
+def _enumeration(n: int, identity: int | None) -> tuple[FiniteMonoid, ...]:
+    """The associative tables on {0..n-1} with the given identity, cached
+    behind the size checks of the two public enumerations."""
+    return tuple(_trusted_monoid(t, identity, None) for t in _associative_tables(n, identity))
+
+
 def enumerate_semigroups(n: int) -> tuple[FiniteMonoid, ...]:
     """All associative multiplication tables on {0..n-1} (labelled, no identity)."""
     _check_enumeration_size(n, 3, "semigroup")
-    return tuple(_trusted_monoid(t, None, None) for t in _associative_tables(n, None))
+    return _enumeration(n, None)
 
 
-@lru_cache(maxsize=None, typed=True)
 def enumerate_monoids(n: int) -> tuple[FiniteMonoid, ...]:
     """All associative tables on {0..n-1} with element 0 a two-sided identity."""
     _check_enumeration_size(n, 4, "monoid")
-    if n == 1:
-        return (TRIVIAL_MONOID,)
-    return tuple(_trusted_monoid(t, 0, None) for t in _associative_tables(n, 0))
+    return (TRIVIAL_MONOID,) if n == 1 else _enumeration(n, 0)
+
+
+# either name clears the one cache behind both
+enumerate_semigroups.cache_clear = enumerate_monoids.cache_clear = _enumeration.cache_clear
 
 
 # -- morphisms ------------------------------------------------------------

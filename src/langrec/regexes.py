@@ -364,9 +364,7 @@ def _r_union(x: str | None, y: str) -> str:
     return f"{x}|{y}"
 
 
-def _r_concat(x: str | None, y: str | None) -> str | None:
-    if x is None or y is None:
-        return None
+def _r_concat(x: str, y: str) -> str:
     if x == "ε":
         return y
     if y == "ε":

@@ -23,8 +23,8 @@ Both products are one construction: Pfin(X) x X for X = M, or for
 X = M x N with M acting on the left factor of a point and N on the
 right one.  The private ``_PowersetProduct`` holds what they share (the
 memos below, the carrier, the unit and the materialised table); each
-product keeps its own ``mul`` and point actions, written out in its own
-components.
+product keeps its own ``mul``, written out in its own components; its
+left action is ``mul`` and its right action ``mul`` with swapped operands.
 
 Representation.  Inside a product a subset of the points of X (in
 row-major order for M x N) is an int bitmask, bit i standing for point
@@ -258,23 +258,12 @@ class UnarySchutz(_PowersetProduct):
             first = self._fill(m, t, n, s)
         return (first, self._first_table[m][n])
 
-    # the actions of the product on itself, written out as in the space
-    # construction; they must coincide with left/right multiplication
-    def left_action(
-        self, p: tuple[frozenset, int], x: tuple[frozenset, int]
-    ) -> tuple[frozenset, int]:
-        s, m = p
-        t, y = x
-        # {e.y : e in S} u {m.z : z in T}
-        try:
-            first = self._sets[self._right[y][s] | self._left[m][t]]
-        except KeyError:
-            first = self._fill(m, t, y, s)
-        return (first, self._first_table[m][y])
+    left_action = mul  # the product acts on itself by left multiplication
 
     def right_action(
         self, p: tuple[frozenset, int], x: tuple[frozenset, int]
     ) -> tuple[frozenset, int]:
+        # mul(x, p) inline: a self.mul(x, p) wrapper took 1.7x as long (CPython 3.11, Xeon)
         s, m = p
         t, y = x
         # {y.e : e in S} u {z.m : z in T}
@@ -313,18 +302,10 @@ class BinarySchutz(_PowersetProduct):
             first = self._fill(m1, t, n2, s)
         return (first, self._first_table[m1][m2], self._last_table[n1][n2])
 
-    # actions on points (Z, x, y), written out as in the space construction
-    def left_action(self, p, point):
-        s, m1, n1 = p
-        z, x, y = point
-        # {(m1.u, v) : (u, v) in Z} u {(m, n.y) : (m, n) in S}
-        try:
-            first = self._sets[self._left[m1][z] | self._right[y][s]]
-        except KeyError:
-            first = self._fill(m1, z, y, s)
-        return (first, self._first_table[m1][x], self._last_table[n1][y])
+    left_action = mul  # the product acts on itself by left multiplication
 
     def right_action(self, p, point):
+        # mul(point, p) inline: a self.mul(point, p) wrapper took 2.2x as long (CPython 3.11, Xeon)
         s, m1, n1 = p
         z, x, y = point
         # {(u, v.n1) : (u, v) in Z} u {(x.m, n) : (m, n) in S}

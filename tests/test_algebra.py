@@ -266,6 +266,14 @@ class TestDualRecogniser:
             with pytest.raises(InputError, match="word length bound"):
                 check_dual_well_defined(bad, max_len=max_len)
 
+    def test_word_check_catches_an_evaluation_off_the_atoms(self):
+        b = generate_algebra([regex_to_dfa("(a|b)*a(a|b)*", AB)])
+        assert check_dual_well_defined(b, max_len=2)
+        # the evaluation sends a to the atom of b, and b to that of a
+        swapped = tuple(reversed(b.tau.letter_images))
+        vars(b)["morphism"] = MonoidMorphism(AB, b.monoid, swapped)
+        assert not check_dual_well_defined(b, max_len=2)
+
 
 def unchecked_algebra(alph, graph):
     """A monoid-mode ``LanguageAlgebra`` on a breadth-first numbered

@@ -344,6 +344,29 @@ class TestConstruct:
         assert main(["construct", "algebra", "--input", str(alg_file), "--out", str(tmp_path)]) == 3
         assert "submonoid closure exceeded 1 elements" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, algebra, message", [
+        (["synmon", "--regex", "a"], None,
+         "this construction needs --alphabet (comma-separated letters)"),
+        (["quotient", "--regex", "a", "--alphabet", "a,b"], None, "quotient needs --word"),
+        (["algebra"], {"alphabet": "ab", "generators": []},
+         "alphabet and generators must be JSON lists"),
+        (["algebra"], {"alphabet": ["a", "b"], "generators": "a"},
+         "alphabet and generators must be JSON lists"),
+        (["algebra"], {"alphabet": ["a", "b"], "generators": [5]}, "unreadable generator entry: 5"),
+        (["algebra"], {"generators": ["a"]}, "malformed algebra file: 'alphabet'"),
+        *(([kind, "--max-size", "1"], None,
+           f"--max-size has no meaning for the {kind} construction")
+          for kind in ("quotient", "algebra", "bsum", "dualrec")),
+    ])
+    def test_refusals_in_process(self, tmp_path, capsys, argv, algebra, message):
+        if algebra is not None:
+            (tmp_path / "alg.json").write_text(json.dumps(algebra))
+            argv = [*argv, "--input", str(tmp_path / "alg.json")]
+        out = tmp_path / "out"
+        assert main(["construct", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
     def test_max_size_refused_where_nothing_is_bounded(self, tmp_path):
         alg_file = tmp_path / "alg.json"
         alg_file.write_text(json.dumps({"alphabet": ["a", "b"], "generators": ["a*"]}))

@@ -826,6 +826,19 @@ class TestLemmaChecks:
                 for letter in range(2):
                     assert lemma_witness_check(q, b, point, letter)
 
+    def test_witness_lemma_fails_on_a_quotient_too_coarse(self):
+        # the algebra's own atom machine cannot saturate a(a|b)*a(a|b)*,
+        # the marked extension of its atom a(a|b)*
+        b = generate_algebra([regex_to_dfa("a(a|b)*", AB)])
+        assert not lemma_witness_check(b, b, 0, "a")
+
+    def test_factorisation_violations_are_listed(self, monkeypatch):
+        # with every marked extension empty, each accepted prefix of a
+        # word is a violation, one per letter
+        monkeypatch.setattr(equations, "marked_concat", lambda l, c, u: empty_language(AB))
+        assert lemma_factor_violations([regex_to_dfa("a", AB)], max_len=2) == [
+            ("aa", 1, "a", 0), ("aa", 1, "b", 0), ("ab", 1, "a", 0), ("ab", 1, "b", 0)]
+
 
 class TestEquationOracle:
     def test_equation_set_matches_separation_oracle(self):

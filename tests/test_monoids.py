@@ -287,7 +287,7 @@ class TestBuiltTablesAreAssociative:
         with pytest.raises(AssertionError, match="Light's test"):
             self.test_corpus_quotients()
         with pytest.raises(AssertionError, match="Light's test"):
-            for m in monoids.enumerate_semigroups.__wrapped__(3):  # past the cache
+            for m in monoids._enumeration.__wrapped__(3, None):  # past the cache
                 assert_monoid_laws(m)
 
 
@@ -433,6 +433,14 @@ class TestEnumerations:
         assert len(enumerate_(1)) == 1
         with pytest.raises(InputError, match="got True"):
             enumerate_(True)
+
+    @pytest.mark.parametrize("enumerate_, count", ((enumerate_semigroups, 8), (enumerate_monoids, 2)))
+    def test_an_unhashable_size_is_refused_before_the_cache(self, enumerate_, count):
+        # the cache hashed [2] first and raised TypeError: unhashable type
+        with pytest.raises(InputError, match=r"got \[2\]"):
+            enumerate_([2])
+        enumerate_.cache_clear()
+        assert len(enumerate_(2)) == count
 
     def test_sizes_above_the_caps_are_refused(self):
         with pytest.raises(ResourceLimitError, match="capped at size 3"):
@@ -765,6 +773,14 @@ class TestBiactions:
         u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)
         b = regular_biaction(u1)
         assert not morphism_preserves_actions((1, 0), b, b)
+
+    def test_a_map_that_breaks_only_the_right_law_is_detected(self):
+        # the regular left action of Z2 paired with the trivial right one:
+        # the identity keeps every left action and breaks the right ones
+        z2 = FiniteMonoid(((0, 1), (1, 0)), identity=0)
+        trivial_right = Biaction(z2, 2, ((0, 1), (1, 0)), ((0, 1), (0, 1)))
+        assert morphism_preserves_actions((0, 1), regular_biaction(z2), trivial_right,
+                                          monoid_map=(0, 1)) is False
 
     def test_entries_must_be_integers_in_range(self):
         u1 = FiniteMonoid(((0, 1), (1, 1)), identity=0)

@@ -21,6 +21,7 @@ from langrec import (
     PreconditionError,
     UltrafilterApprox,
     Word,
+    algebra_leq,
     all_morphisms,
     exists_language,
     exists_profile,
@@ -39,6 +40,8 @@ from langrec import (
     separation_witness,
     split_language,
     syntactic_monoid,
+    tag_marked,
+    tag_unmarked,
     transport,
     trivial_algebra,
 )
@@ -202,6 +205,35 @@ REFUSALS = [
      "the generators must be a sequence, not 5"),
     ("joint-quotient-int", lambda: joint_quotient(5), InputError,
      "the languages must be a sequence, not 5"),
+    # refusals no other test reaches
+    ("algebra-leq-alphabets", lambda: algebra_leq(trivial_algebra(AB), trivial_algebra(A1)),
+     InputError, "algebras over different alphabets"),
+    ("generate-algebra-no-alphabet", lambda: generate_algebra([]), InputError,
+     "need an alphabet when no generators are given"),
+    ("monoid-no-element", lambda: FiniteMonoid(()), InputError,
+     "a semigroup needs at least one element"),
+    ("monoid-file-no-table", lambda: FiniteMonoid.from_json('{"identity": 0}'), InputError,
+     "malformed monoid file: 'table'"),
+    ("monoid-file-size", lambda: FiniteMonoid.from_json('{"table": [[0]], "size": 2}'),
+     InputError, "declared size does not match the table"),
+    ("semigroup-class-of-empty", lambda: FiniteQuotient(AB, True, ((1, 1), (1, 1))).class_of(()),
+     PreconditionError, "the empty word is outside a semigroup-mode universe"),
+    ("saturation-alphabet", lambda: syntactic_monoid(regex_to_dfa("a", AB)).saturation(
+        regex_to_dfa("a", A1)), InputError, "language alphabet does not match the quotient"),
+    ("biaction-left-composition", lambda: Biaction(Z2, 2, (KEEP, (0, 0)), (KEEP, KEEP)),
+     InputError, "action laws violated: left composition fails at (1,1,1)"),
+    ("biaction-right-composition", lambda: Biaction(Z2, 2, (KEEP, KEEP), (KEEP, (0, 0))),
+     InputError, "action laws violated: right composition fails at (1,1,1)"),
+    # Z2 swapping points 0, 1 on the left and 1, 2 on the right
+    ("biaction-compatibility", lambda: Biaction(Z2, 3, ((0, 1, 2), (1, 0, 2)),
+                                                ((0, 1, 2), (0, 2, 1))),
+     InputError, "action laws violated: compatibility fails at (1,1,0)"),
+    ("tag-unmarked-base", lambda: tag_unmarked(Word(A1, (0,)), ExtendedAlphabet(AB)),
+     InputError, "word is not over the base alphabet"),
+    ("tag-marked-base", lambda: tag_marked(MarkedWord(Word(A1, (0,)), 0), ExtendedAlphabet(AB)),
+     InputError, "marked word is not over the base alphabet"),
+    ("marked-word-parse-position", lambda: MarkedWord.parse(AB, "ab@x"), InputError,
+     "bad mark position 'x'"),
 ]
 
 # a string of letters is no alphabet: the quoted letter 'ab' passed a

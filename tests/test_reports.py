@@ -1,8 +1,8 @@
 """Campaign reports are byte-deterministic: golden digests of every
 default verify run, also through ``python -m langrec`` and under any
 ``LANGREC_MAX_CLOSURE``, the builds of
-one thm11 draw, the failure path of the thm10 check, and a word length
-that is no bound."""
+one thm11 draw, the failure path of every campaign's check, and a word
+length that is no bound."""
 
 import hashlib
 import os
@@ -12,8 +12,9 @@ from pathlib import Path
 
 import pytest
 
-from langrec import InputError, campaigns, closure_ceiling, equations
+from langrec import InputError, campaigns, closure_ceiling, equations, languages, schutz
 from langrec.campaigns import (
+    run_canonicity,
     run_cor9,
     run_laws,
     run_lemmas,
@@ -180,3 +181,68 @@ def test_campaign_bounds_win_over_the_environment(name, monkeypatch):
     # (thm11's max_joint) are scopes, which the environment does not raise
     monkeypatch.setenv("LANGREC_MAX_CLOSURE", "1000000")
     test_report_digest(name)
+
+
+def test_prop2_fails_when_the_product_morphism_is_off_by_one_element(monkeypatch):
+    # the commuting square reads each word's element in the closure: a
+    # wrong plain component on the element of "a" must show
+    def corrupted(tau, _build=campaigns.exists_closure):
+        closure = _build(tau)
+        marked, _ = closure.elements[1]
+        closure.elements[1] = (marked, -1)
+        return closure
+
+    monkeypatch.setattr(campaigns, "exists_closure", corrupted)
+    report = run_prop2(samples=5)
+    assert not report.ok
+    assert all(inst["status"] == "fail" for inst in report.instances)
+
+
+def test_laws_fails_when_the_memo_fill_is_wrong(monkeypatch):
+    # mul and both actions share the fill, so only the written-out
+    # product can tell that every missed set comes back empty
+    monkeypatch.setattr(schutz._PowersetProduct, "_fill", lambda self, m, t, n, s: frozenset())
+    report = run_laws(binary_sample_triples=5)
+    failed = {inst["check"] for inst in report.instances if inst["status"] == "fail"}
+    assert {"unary-biaction", "binary-biaction"} <= failed
+
+
+def _complemented(build):
+    return lambda *args, **kwargs: languages.complement(build(*args, **kwargs))
+
+
+# one fault per campaign, patched where the campaign reads it: (runner,
+# small bounds, module, name, fault, the failed instance's detail or check)
+FAULTS = {
+    "thm8": (run_thm8, {"pairs": 2}, campaigns, "marked_concat", _complemented,
+             ("detail", "marked concatenation mismatch at letter b")),
+    "thm10": (run_thm10, {"pairs": 2}, campaigns, "algebra_leq",
+              lambda build: lambda local, alg: False,
+              ("detail", "recognised language outside the generated algebra")),
+    "cor9": (run_cor9, {"pairs": 2}, campaigns, "concat_decompose",
+             lambda build: lambda l1, l2, verbatim=False: languages.universal_language(l1.alphabet),
+             ("detail", "decomposition disagrees with classical concatenation")),
+    "thm11": (run_thm11, {"instances": 5}, equations, "_equations_hold",
+              lambda build: lambda joint, sides, b: not build(joint, sides, b),
+              ("agree", False)),
+    "canonicity": (run_canonicity, {"samples": 20}, campaigns, "left_quotient", _complemented,
+                   ("check", "quotient-action-laws")),
+    "laws": (run_laws, {"binary_sample_triples": 5}, campaigns, "_light_defect",
+             lambda build: lambda table: (0, 0, 0),
+             ("check", "unary-laws")),
+    "prop2": (run_prop2, {"samples": 5}, campaigns, "exists_projection", _complemented,
+              ("status", "fail")),
+    "lemmas": (run_lemmas, {"max_len": 2, "witness_samples": 5}, equations,
+               "lemma_factor_violations", lambda build: lambda dfas, max_len: ["a fault"],
+               ("check", "factorisation-lemma")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULTS))
+def test_each_campaign_reports_an_injected_fault(name, monkeypatch):
+    run, bounds, module, target, fault, (field, value) = FAULTS[name]
+    monkeypatch.setattr(module, target, fault(getattr(module, target)))
+    report = run(**bounds)
+    assert not report.ok
+    failed = [inst for inst in report.instances if inst["status"] == "fail"]
+    assert failed and any(inst.get(field) == value for inst in failed)
